@@ -9,6 +9,7 @@ widens its total-time lead over Hygra.
 
 from repro.harness.experiments import _preprocess_costs
 from repro.harness.runner import PAPER_APPS, get_runner
+from repro.harness.spec import RunSpec
 
 
 def _measure():
@@ -19,8 +20,8 @@ def _measure():
     hygra_total = hygra_pre
     chg_total = hygra_pre + oag_pre
     for count, app in enumerate(PAPER_APPS, start=1):
-        hygra_total += runner.run("Hygra", app, dataset).cycles
-        chg_total += runner.run("ChGraph", app, dataset).cycles
+        hygra_total += runner.run(RunSpec("Hygra", app, dataset)).cycles
+        chg_total += runner.run(RunSpec("ChGraph", app, dataset)).cycles
         rows.append([count, app, hygra_total / chg_total])
     return (
         "Extension: ChGraph total-time speedup as apps amortize the OAG build (WEB)",

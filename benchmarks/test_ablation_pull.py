@@ -10,6 +10,7 @@ ChGraph is compared against the better of the two directions per workload.
 from repro.engine import ChGraphEngine, HygraEngine
 from repro.engine.pull import PullHygraEngine
 from repro.harness.runner import get_runner
+from repro.harness.spec import RunSpec
 from repro.sim.config import scaled_config
 from repro.sim.system import SimulatedSystem
 
@@ -21,11 +22,11 @@ def _measure():
     resources = runner.resources(hypergraph, config)
     rows = []
     for app in ("PR", "BFS", "CC"):
-        push = runner.run("Hygra", app, "WEB")
+        push = runner.run(RunSpec("Hygra", app, "WEB"))
         pull = PullHygraEngine().run(
             runner.algorithm(app), hypergraph, SimulatedSystem(config)
         )
-        chgraph = runner.run("ChGraph", app, "WEB")
+        chgraph = runner.run(RunSpec("ChGraph", app, "WEB"))
         best = min(push.cycles, pull.cycles)
         rows.append([
             app,

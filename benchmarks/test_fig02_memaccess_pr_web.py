@@ -1,17 +1,8 @@
 """Figure 2: GLA reduces main-memory accesses over Hygra (PR on WEB)."""
 
-from repro.harness.experiments import fig02_memory_accesses
-from repro.harness.runner import get_runner
 
-
-def test_fig02_memaccess_pr_web(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig02",
-        benchmark.pedantic(
-            fig02_memory_accesses, args=(runner,), rounds=1, iterations=1
-        ),
-    )
+def test_fig02_memaccess_pr_web(figure):
+    rows = figure("fig02")
     by_system = {row[0]: row for row in rows}
     # Paper: GLA cuts DRAM accesses 4.09x on WEB; the scaled shape check is
     # that both chain-driven systems fetch meaningfully fewer lines.

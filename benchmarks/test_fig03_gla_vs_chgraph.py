@@ -1,15 +1,8 @@
 """Figure 3: software GLA is slower than Hygra; ChGraph reverses it."""
 
-from repro.harness.experiments import fig03_performance
-from repro.harness.runner import get_runner
 
-
-def test_fig03_gla_vs_chgraph(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig03",
-        benchmark.pedantic(fig03_performance, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig03_gla_vs_chgraph(figure):
+    rows = figure("fig03")
     by_system = {row[0]: row for row in rows}
     # Paper: GLA runs 1.14x slower (speedup < 1) and ChGraph 4.39x faster.
     assert by_system["GLA"][2] < 1.0

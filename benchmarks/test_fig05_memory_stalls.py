@@ -1,17 +1,8 @@
 """Figure 5: hypergraph processing under Hygra is memory bound."""
 
-from repro.harness.experiments import fig05_memory_stalls
-from repro.harness.runner import get_runner
 
-
-def test_fig05_memory_stalls(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig05",
-        benchmark.pedantic(
-            fig05_memory_stalls, args=(runner,), rounds=1, iterations=1
-        ),
-    )
+def test_fig05_memory_stalls(figure):
+    rows = figure("fig05")
     # Paper: off-chip accesses take 51% of time on average, up to 84% for
     # PR on WEB.  Check: every cell is a substantial fraction, and the mean
     # across the table exceeds 40%.

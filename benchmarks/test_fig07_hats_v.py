@@ -1,15 +1,8 @@
 """Figure 7: ChGraph outperforms the HATS-V variant."""
 
-from repro.harness.experiments import fig07_hats_v
-from repro.harness.runner import get_runner
 
-
-def test_fig07_hats_v(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig07",
-        benchmark.pedantic(fig07_hats_v, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig07_hats_v(figure):
+    rows = figure("fig07")
     # Paper: HATS-V is inferior to ChGraph by 2.56x-3.01x.  Scaled shape:
     # ChGraph wins on every (app, dataset) pair.
     assert all(row[2] > 1.0 for row in rows)

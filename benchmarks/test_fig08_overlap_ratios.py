@@ -1,15 +1,8 @@
 """Figure 8: the overlapped feature of the hypergraphs."""
 
-from repro.harness.experiments import fig08_overlap
-from repro.harness.runner import get_runner
 
-
-def test_fig08_overlap_ratios(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig08",
-        benchmark.pedantic(fig08_overlap, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig08_overlap_ratios(figure):
+    rows = figure("fig08")
     # Paper: 55-96% of vertices shared by two hyperedges; the heavy-overlap
     # datasets (OG/LJ/OK) dominate the high-threshold tail over FS/WEB.
     vertex_rows = {row[1]: row[2:] for row in rows if row[0] == "vertex"}

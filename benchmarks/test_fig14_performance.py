@@ -6,16 +6,9 @@ with PR the mildest; ChGraph is 3.39x-4.73x faster (4.12x average).
 
 import statistics
 
-from repro.harness.experiments import fig14_performance
-from repro.harness.runner import get_runner
 
-
-def test_fig14_performance(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig14",
-        benchmark.pedantic(fig14_performance, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig14_performance(figure):
+    rows = figure("fig14")
     assert len(rows) == 30  # 6 apps x 5 datasets
 
     gla = [row[2] for row in rows]

@@ -1,15 +1,8 @@
 """Figure 15: DRAM access breakdown by array group."""
 
-from repro.harness.experiments import fig15_breakdown
-from repro.harness.runner import get_runner
 
-
-def test_fig15_access_breakdown(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig15",
-        benchmark.pedantic(fig15_breakdown, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig15_access_breakdown(figure):
+    rows = figure("fig15")
     hygra_rows = [row for row in rows if row[2] == "H"]
     chgraph_rows = [row for row in rows if row[2] == "C"]
 

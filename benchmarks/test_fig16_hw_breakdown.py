@@ -2,16 +2,9 @@
 
 import statistics
 
-from repro.harness.experiments import fig16_hw_breakdown
-from repro.harness.runner import get_runner
 
-
-def test_fig16_hw_breakdown(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig16",
-        benchmark.pedantic(fig16_hw_breakdown, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig16_hw_breakdown(figure):
+    rows = figure("fig16")
     # Paper: HCG contributes most of the benefit (4.42x over software GLA on
     # average, 92% of the total); CP adds a further 1.37x.
     hcg_gain = [row[1] for row in rows]

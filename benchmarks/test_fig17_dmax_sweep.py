@@ -1,15 +1,8 @@
 """Figure 17: sensitivity to the maximum exploration depth D_max."""
 
-from repro.harness.experiments import fig17_dmax_sweep
-from repro.harness.runner import get_runner
 
-
-def test_fig17_dmax_sweep(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig17",
-        benchmark.pedantic(fig17_dmax_sweep, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig17_dmax_sweep(figure):
+    rows = figure("fig17")
     speedups = {row[0]: row[2] for row in rows}
     # Paper: performance improves up to D_max = 16, then flattens/declines.
     assert speedups[16] >= speedups[2]

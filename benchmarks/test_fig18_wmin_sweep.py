@@ -1,15 +1,8 @@
 """Figure 18: sensitivity to the OAG pruning threshold W_min."""
 
-from repro.harness.experiments import fig18_wmin_sweep
-from repro.harness.runner import get_runner
 
-
-def test_fig18_wmin_sweep(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig18",
-        benchmark.pedantic(fig18_wmin_sweep, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig18_wmin_sweep(figure):
+    rows = figure("fig18")
     performance = {row[0]: row[2] for row in rows}
     # Paper shape (axis shifted with the weight scale, see experiments.py):
     # small thresholds are near-equivalent; pruning past the typical

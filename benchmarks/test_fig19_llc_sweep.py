@@ -1,15 +1,8 @@
 """Figure 19: sensitivity to the LLC size (paper 8-32 MB, scaled 2-8 KB)."""
 
-from repro.harness.experiments import fig19_llc_sweep
-from repro.harness.runner import get_runner
 
-
-def test_fig19_llc_sweep(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig19",
-        benchmark.pedantic(fig19_llc_sweep, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig19_llc_sweep(figure):
+    rows = figure("fig19")
     speedups = [row[2] for row in rows]
     # Paper: growing the LLC 4x improves ChGraph by ~1.30x — a mild effect
     # because chain scheduling already keeps the hot set near the core.

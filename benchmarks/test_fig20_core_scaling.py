@@ -1,15 +1,8 @@
 """Figure 20: scaling with the number of cores."""
 
-from repro.harness.experiments import fig20_core_scaling
-from repro.harness.runner import get_runner
 
-
-def test_fig20_core_scaling(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig20",
-        benchmark.pedantic(fig20_core_scaling, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig20_core_scaling(figure):
+    rows = figure("fig20")
     chgraph_cycles = [row[2] for row in rows]
     # More cores -> faster, with diminishing returns (paper's growth-rate
     # observation): the 8->16 gain is smaller than the 4->8 gain.

@@ -1,15 +1,8 @@
 """Figure 21: ChGraph's extra preprocessing time and storage."""
 
-from repro.harness.experiments import fig21_preprocessing
-from repro.harness.runner import get_runner
 
-
-def test_fig21_preprocessing(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig21",
-        benchmark.pedantic(fig21_preprocessing, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig21_preprocessing(figure):
+    rows = figure("fig21")
     # Paper: +13.6%-46% preprocessing time and +13.9%-20.4% storage.  The
     # shape check: both overheads exist, are bounded, and storage stays a
     # modest fraction of the dataset.

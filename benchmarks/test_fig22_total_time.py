@@ -2,16 +2,9 @@
 
 import statistics
 
-from repro.harness.experiments import fig22_total_time
-from repro.harness.runner import get_runner
 
-
-def test_fig22_total_time(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig22",
-        benchmark.pedantic(fig22_total_time, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig22_total_time(figure):
+    rows = figure("fig22")
     speedups = [row[2] for row in rows]
     # Paper: ChGraph still runs 2.20x-3.89x faster with preprocessing
     # included.  Shape: it keeps winning on average even after paying for

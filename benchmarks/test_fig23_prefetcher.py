@@ -2,16 +2,9 @@
 
 import statistics
 
-from repro.harness.experiments import fig23_prefetcher
-from repro.harness.runner import get_runner
 
-
-def test_fig23_prefetcher(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig23",
-        benchmark.pedantic(fig23_prefetcher, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig23_prefetcher(figure):
+    rows = figure("fig23")
     prefetcher_gain = [row[2] for row in rows]
     chgraph_over_prefetcher = [row[3] for row in rows]
     # The prefetcher does help over Hygra (it hides latency) ...

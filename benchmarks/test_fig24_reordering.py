@@ -1,15 +1,8 @@
 """Figure 24: spatial reordering does not displace chain scheduling."""
 
-from repro.harness.experiments import fig24_reordering
-from repro.harness.runner import get_runner
 
-
-def test_fig24_reordering(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig24",
-        benchmark.pedantic(fig24_reordering, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig24_reordering(figure):
+    rows = figure("fig24")
     speedups = {row[0]: row[2] for row in rows}
     # Paper: reordering's overhead offsets its benefit; ChGraph wins with or
     # without it.

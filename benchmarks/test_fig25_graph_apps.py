@@ -2,16 +2,9 @@
 
 import statistics
 
-from repro.harness.experiments import fig25_graph_apps
-from repro.harness.runner import get_runner
 
-
-def test_fig25_graph_apps(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "fig25",
-        benchmark.pedantic(fig25_graph_apps, args=(runner,), rounds=1, iterations=1),
-    )
+def test_fig25_graph_apps(figure):
+    rows = figure("fig25")
     vs_ligra = [row[2] for row in rows]
     vs_hats = [row[3] for row in rows]
     # Paper: ChGraph offers 2.13x over Ligra on average and performs

@@ -1,15 +1,8 @@
 """The abstract's headline claims, condensed into one table."""
 
-from repro.harness.experiments import headline_summary
-from repro.harness.runner import get_runner
 
-
-def test_headline_summary(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "summary",
-        benchmark.pedantic(headline_summary, args=(runner,), rounds=1, iterations=1),
-    )
+def test_headline_summary(figure):
+    rows = figure("summary")
     for app, s_min, s_max, r_min, r_max, gla_mean in rows:
         assert s_min > 1.0, f"{app}: ChGraph must beat Hygra everywhere"
         assert r_min > 1.0, f"{app}: DRAM accesses must shrink everywhere"

@@ -3,8 +3,8 @@
 Guards the tentpole claim of the parallel-executor PR: with four jobs on a
 machine with at least four usable CPUs, a cold run of the fig02+fig05
 matrix (22 runs across six resource groups) is at least 1.5× faster than
-the same matrix executed serially, and the figure tables assembled from
-the two stores are byte-identical.  Skipped on smaller machines, where
+the same matrix executed serially, and the figure tables reduced from the
+two runs are byte-identical.  Skipped on smaller machines, where
 process-level parallelism cannot pay for itself.
 """
 
@@ -15,14 +15,14 @@ import os
 import pytest
 
 from repro.benchmark.measure import timed
-from repro.harness import experiments as registry
-from repro.harness.parallel import execute_runs, plan_shards
+from repro.harness.experiments import FIGURES, render
+from repro.harness.parallel import plan_shards
 from repro.harness.report import render_table
 from repro.harness.runner import Runner
 
 MIN_SPEEDUP = 1.5
 JOBS = 4
-FIGURES = ("fig02", "fig05")
+SUITE = ("fig02", "fig05")
 
 
 def _usable_cpus() -> int:
@@ -32,12 +32,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _render(runner: Runner, figure: str) -> str:
-    title, headers, rows = getattr(registry, {
-        "fig02": "fig02_memory_accesses",
-        "fig05": "fig05_memory_stalls",
-    }[figure])(runner)
-    return render_table(headers, rows, title=title)
+def _tables(runner: Runner, results) -> list[str]:
+    tables = []
+    for figure_id in SUITE:
+        title, headers, rows = render(FIGURES[figure_id], runner, results)
+        tables.append(render_table(headers, rows, title=title))
+    return tables
 
 
 @pytest.mark.skipif(
@@ -45,43 +45,36 @@ def _render(runner: Runner, figure: str) -> str:
     reason=f"needs ≥{JOBS} CPUs for a meaningful parallel-speedup gate",
 )
 def test_parallel_cold_run_speedup(benchmark, emit, tmp_path):
-    specs = registry.run_matrix(FIGURES)
-    assert len(specs) == 22
+    specs = [spec for figure_id in SUITE for spec in FIGURES[figure_id].specs()]
+    assert len(set(specs)) == 22
     assert len(plan_shards(specs, JOBS)) == JOBS  # enough groups to fan out
 
-    serial_dir = tmp_path / "serial"
-    parallel_dir = tmp_path / "parallel"
-
     def measure():
-        serial_report, serial_s = timed(
-            lambda: execute_runs(specs, cache_dir=serial_dir, jobs=1)
-        )
-        assert serial_report.ok and not serial_report.parallel
+        serial = Runner(cache_dir=tmp_path / "serial")
+        serial_results, serial_s = timed(lambda: serial.run_many(specs, jobs=1))
+        assert serial.last_execution_report is None
 
-        parallel_report, parallel_s = timed(
-            lambda: execute_runs(
-                specs, cache_dir=parallel_dir, jobs=JOBS, timeout=600
-            )
+        parallel = Runner(cache_dir=tmp_path / "parallel")
+        parallel_results, parallel_s = timed(
+            lambda: parallel.run_many(specs, jobs=JOBS, timeout=600)
         )
-        assert parallel_report.ok and parallel_report.parallel
+        report = parallel.last_execution_report
+        assert report is not None and report.ok and report.parallel
 
-        # Byte-identical tables from the two stores' warm hits.
-        serial_runner = Runner(cache_dir=serial_dir)
-        parallel_runner = Runner(cache_dir=parallel_dir)
-        for figure in FIGURES:
-            assert _render(serial_runner, figure) == _render(
-                parallel_runner, figure
-            )
+        # Byte-identical tables: in-process results vs worker-filled store.
+        assert _tables(serial, serial_results) == _tables(
+            parallel, parallel_results
+        )
 
         rows = [
-            ["runs", len(specs)],
-            ["shards (parallel)", len(parallel_report.shards)],
+            ["runs", len(set(specs))],
+            ["shards (parallel)", len(report.shards)],
             ["serial cold run (s)", round(serial_s, 2)],
             [f"parallel cold run, {JOBS} jobs (s)", round(parallel_s, 2)],
             ["speedup", round(serial_s / parallel_s, 2)],
         ]
         title = (
-            f"Parallel sharded executor — cold {'+'.join(FIGURES)} matrix, "
+            f"Parallel sharded executor — cold {'+'.join(SUITE)} matrix, "
             f"{JOBS} jobs"
         )
         return title, ["quantity", "value"], rows

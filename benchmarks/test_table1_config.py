@@ -1,10 +1,8 @@
 """Table I: the simulated system configuration."""
 
-from repro.harness.experiments import table1_rows
 
-
-def test_table1_config(benchmark, emit):
-    rows = emit("table1", benchmark.pedantic(table1_rows, rounds=1, iterations=1))
+def test_table1_config(figure):
+    rows = figure("table1")
     structures = [row[0] for row in rows]
     assert structures == [
         "Cores", "L1 caches", "L2 cache", "L3 cache", "NoC", "Coherence",

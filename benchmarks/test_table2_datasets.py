@@ -1,15 +1,8 @@
 """Table II: the five hypergraph datasets (scaled stand-ins)."""
 
-from repro.harness.experiments import table2_rows
-from repro.harness.runner import get_runner
 
-
-def test_table2_datasets(benchmark, emit):
-    runner = get_runner()
-    rows = emit(
-        "table2",
-        benchmark.pedantic(table2_rows, args=(runner,), rounds=1, iterations=1),
-    )
+def test_table2_datasets(figure):
+    rows = figure("table2")
     names = [row[0] for row in rows]
     assert names == ["FS", "OK", "LJ", "WEB", "OG"]
     # Table II orderings preserved: FS and WEB are the |V| > |H| datasets,

@@ -1,12 +1,8 @@
 """Section VI-E: area, power, and buffer storage of one ChGraph engine."""
 
-from repro.harness.experiments import vi_e_area_power
 
-
-def test_vi_e_area_power(benchmark, emit):
-    rows = emit(
-        "vi_e", benchmark.pedantic(vi_e_area_power, rounds=1, iterations=1)
-    )
+def test_vi_e_area_power(figure):
+    rows = figure("vi_e")
     values = {row[0]: row[1] for row in rows}
     assert values["Stack storage"] == "1216 B"
     assert values["Chain FIFO storage"] == "128 B"

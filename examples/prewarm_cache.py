@@ -18,6 +18,7 @@ import time
 from repro import GlaResources
 from repro.harness.report import render_table
 from repro.harness.runner import Runner
+from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import paper_dataset
 from repro.sim import scaled_config
 from repro.store import ArtifactStore, prewarm, prewarm_jobs
@@ -62,12 +63,12 @@ def main() -> None:
         #    $REPRO_CACHE_DIR) and persists simulation results too: a second
         #    process running the same workload skips the simulation.
         runner = Runner(pr_iterations=2, cache_dir=cache_dir)
-        config = scaled_config(num_cores=16)
-        runner.run("ChGraph", "PR", "OK", config)
+        spec = RunSpec("ChGraph", "PR", "OK", scaled_config(num_cores=16))
+        runner.run(spec)
         print(f"after one simulated run — store: {runner.store.stats}")
 
         fresh = Runner(pr_iterations=2, cache_dir=cache_dir)  # "new process"
-        fresh.run("ChGraph", "PR", "OK", config)
+        fresh.run(spec)
         print(f"same run, fresh runner    — store: {fresh.store.stats}")
 
 

@@ -69,7 +69,7 @@ from repro import __version__
 from repro.engine.registry import engine_names
 from repro.errors import ReproError
 from repro.harness import differential
-from repro.harness import experiments as registry
+from repro.harness.experiments import FIGURES, render
 from repro.harness.report import render_table, render_telemetry
 from repro.harness.runner import ALGORITHM_NAMES, Runner
 from repro.harness.spec import RunSpec
@@ -85,32 +85,6 @@ __all__ = ["main", "build_parser"]
 ENGINES = engine_names()
 #: Algorithm choices come from the harness (the layer that builds them).
 ALGORITHMS = ALGORITHM_NAMES
-
-#: Experiment ids resolvable by the ``experiment`` command.
-EXPERIMENTS = {
-    "table1": lambda runner: registry.table1_rows(),
-    "table2": registry.table2_rows,
-    "fig02": registry.fig02_memory_accesses,
-    "fig03": registry.fig03_performance,
-    "fig05": registry.fig05_memory_stalls,
-    "fig07": registry.fig07_hats_v,
-    "fig08": registry.fig08_overlap,
-    "fig14": registry.fig14_performance,
-    "fig15": registry.fig15_breakdown,
-    "fig16": registry.fig16_hw_breakdown,
-    "fig17": registry.fig17_dmax_sweep,
-    "fig18": registry.fig18_wmin_sweep,
-    "fig19": registry.fig19_llc_sweep,
-    "fig20": registry.fig20_core_scaling,
-    "fig21": registry.fig21_preprocessing,
-    "fig22": registry.fig22_total_time,
-    "fig23": registry.fig23_prefetcher,
-    "fig24": registry.fig24_reordering,
-    "fig25": registry.fig25_graph_apps,
-    "vi_e": lambda runner: registry.vi_e_area_power(),
-    "summary": registry.headline_summary,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
@@ -218,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one paper table/figure"
     )
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS), help="experiment id")
+    experiment.add_argument("id", choices=sorted(FIGURES), help="experiment id")
 
     def add_cache_dir_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -474,15 +448,18 @@ def _workload_spec(args: argparse.Namespace, engine: str) -> RunSpec:
     )
 
 
-def _cmd_datasets(_: argparse.Namespace) -> int:
-    title, headers, rows = registry.table2_rows(Runner())
+def _print_figure(figure_id: str, runner: Runner, results=None) -> None:
+    title, headers, rows = render(FIGURES[figure_id], runner, results)
     print(render_table(headers, rows, title=title))
+
+
+def _cmd_datasets(_: argparse.Namespace) -> int:
+    _print_figure("table2", Runner())
     return 0
 
 
 def _cmd_area(_: argparse.Namespace) -> int:
-    title, headers, rows = registry.vi_e_area_power()
-    print(render_table(headers, rows, title=title))
+    _print_figure("vi_e", Runner())
     return 0
 
 
@@ -566,8 +543,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     runner = Runner()
-    title, headers, rows = EXPERIMENTS[args.id](runner)
-    print(render_table(headers, rows, title=title))
+    _print_figure(args.id, runner)
     if runner.store is not None:
         print(f"cache: {runner.store.stats} ({runner.store.root})")
     return 0
@@ -575,11 +551,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     ids = (
-        list(EXPERIMENTS)
+        list(FIGURES)
         if args.figures == "all"
         else [f for f in args.figures.split(",") if f]
     )
-    unknown = [f for f in ids if f not in EXPERIMENTS]
+    unknown = [f for f in ids if f not in FIGURES]
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -592,14 +568,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "executing serially in-process",
             file=sys.stderr,
         )
-    specs = registry.run_matrix(ids)
     results = runner.run_many(
-        specs, jobs=args.jobs, timeout=args.timeout, retries=args.retries,
+        [spec for figure_id in ids for spec in FIGURES[figure_id].specs()],
+        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
         profile=args.profile or args.check, check=args.check,
     )
-    for experiment_id in ids:
-        title, headers, rows = EXPERIMENTS[experiment_id](runner)
-        print(render_table(headers, rows, title=title))
+    for figure_id in ids:
+        _print_figure(figure_id, runner, results)
         print()
     if args.profile:
         rows = []
@@ -989,10 +964,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
                 "coalesced_into", "latency", "error",
             )
         ]
-        request = job.get("request", {})
-        # The wire format wraps the RunSpec; fall back to the legacy flat
-        # fields for records from an older server.
-        spec = request.get("spec", request)
+        spec = job["request"]["spec"]
         rows[2:2] = [[
             "request",
             f"{spec.get('engine')}/{spec.get('algorithm')}/"

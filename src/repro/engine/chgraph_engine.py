@@ -79,9 +79,7 @@ class ChGraphEngine(ExecutionEngine):
         config = system.config
         self._hcg = HardwareChainGenerator(config, d_max=self.resources.d_max)
         self._cp = ChainPrefetcher(config)
-        self._sw_generator = ChainGenerator(
-            d_max=self.resources.d_max, fast=self.resources.fast
-        )
+        self._sw_generator = ChainGenerator(d_max=self.resources.d_max)
         self._stats = {
             "chains": 0.0,
             "elements": 0.0,

@@ -38,7 +38,6 @@ class GlaResources:
     hyperedge_oags: list[Oag]
     build_seconds: float
     build_operations: int
-    fast: bool = True
 
     @classmethod
     def build(
@@ -47,22 +46,14 @@ class GlaResources:
         num_cores: int,
         w_min: int = DEFAULT_W_MIN,
         d_max: int = DEFAULT_D_MAX,
-        fast: bool = True,
     ) -> "GlaResources":
-        """Construct both sides' chunk OAGs for an ``num_cores``-way run.
-
-        ``fast`` selects the vectorized OAG builders (parity-tested against
-        the scalar reference, so results and Figure 21 accounting are
-        unchanged either way).
-        """
+        """Construct both sides' chunk OAGs for an ``num_cores``-way run."""
         start = time.perf_counter()
         vertex_chunks = contiguous_chunks(hypergraph.num_vertices, num_cores)
         hyperedge_chunks = contiguous_chunks(hypergraph.num_hyperedges, num_cores)
-        vertex_oags = build_chunk_oags(
-            hypergraph, "vertex", vertex_chunks, w_min, fast=fast
-        )
+        vertex_oags = build_chunk_oags(hypergraph, "vertex", vertex_chunks, w_min)
         hyperedge_oags = build_chunk_oags(
-            hypergraph, "hyperedge", hyperedge_chunks, w_min, fast=fast
+            hypergraph, "hyperedge", hyperedge_chunks, w_min
         )
         elapsed = time.perf_counter() - start
         operations = sum(
@@ -76,7 +67,6 @@ class GlaResources:
             hyperedge_oags=hyperedge_oags,
             build_seconds=elapsed,
             build_operations=operations,
-            fast=fast,
         )
 
     @classmethod
@@ -84,13 +74,16 @@ class GlaResources:
         cls,
         hypergraph: Hypergraph,
         num_cores: int,
-        w_min: int = DEFAULT_W_MIN,
-        d_max: int = DEFAULT_D_MAX,
-        fast: bool = True,
         store: "ArtifactStore | None" = None,
         preprocessing: "PreprocessSpec | None" = None,
     ) -> "GlaResources":
         """:meth:`build`, persisted through an artifact ``store``.
+
+        ``preprocessing`` (a
+        :class:`~repro.hypergraph.pipeline.PreprocessSpec`, default the
+        paper's parameters) supplies ``w_min``/``d_max``, and its full record
+        — including the stage list that produced ``hypergraph`` — is hashed
+        into the store key, so artifacts can never alias across pipelines.
 
         With ``store`` (an :class:`~repro.store.ArtifactStore`), the
         content-addressed entry for this hypergraph + preprocessing
@@ -98,30 +91,20 @@ class GlaResources:
         build; on a miss — including checksum or schema failures, which the
         store reports as misses — the resources are built and written back.
         ``store=None`` degrades to a plain build.
-
-        ``preprocessing`` (a
-        :class:`~repro.hypergraph.pipeline.PreprocessSpec`) is the typed
-        form of the build parameters; when given, its ``w_min``/``d_max``
-        supersede the legacy keyword arguments and its full record —
-        including the stage list that produced ``hypergraph`` — is hashed
-        into the store key, so artifacts can never alias across pipelines.
         """
         from repro.hypergraph.pipeline import PreprocessSpec
 
         if preprocessing is None:
-            preprocessing = PreprocessSpec(w_min=w_min, d_max=d_max)
-        w_min = preprocessing.w_min
-        d_max = preprocessing.d_max
+            preprocessing = PreprocessSpec()
+        w_min, d_max = preprocessing.w_min, preprocessing.d_max
         if store is None:
-            return cls.build(hypergraph, num_cores, w_min=w_min, d_max=d_max, fast=fast)
+            return cls.build(hypergraph, num_cores, w_min=w_min, d_max=d_max)
         from repro.store.keys import resources_key
 
         key = resources_key(hypergraph.content_hash(), num_cores, preprocessing)
         resources = store.get_resources(key)
         if resources is None:
-            resources = cls.build(
-                hypergraph, num_cores, w_min=w_min, d_max=d_max, fast=fast
-            )
+            resources = cls.build(hypergraph, num_cores, w_min=w_min, d_max=d_max)
             store.put_resources(key, resources)
         return resources
 

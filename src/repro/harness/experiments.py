@@ -1,50 +1,39 @@
-"""One function per paper table/figure: the reproduction registry.
+"""The reproduction registry: every paper table/figure as data.
 
-Each function returns ``(title, headers, rows)`` ready for
-:func:`repro.harness.report.render_table`.  Benchmarks print the table and
-assert the paper's qualitative shape; EXPERIMENTS.md records the measured
-numbers next to the paper's.
+Each :class:`Figure` declares its run grid once — engines × apps × datasets
+× configs × preprocessings — plus a reducer that builds ``(title, headers,
+rows)``, ready for :func:`repro.harness.report.render_table`, from the
+results of exactly that grid.  :data:`FIGURES` holds them in the paper's
+order; ``repro bench``/``repro experiment``, the benchmarks and the tests
+all resolve figures through it.
+
+The runner executes a grid (serially, or sharded across worker processes by
+:mod:`repro.harness.parallel`); the reducer only reads, through a
+:class:`FigureData` view that exposes the runner's memoized dataset,
+resources and pipeline accessors but no way to start a simulation.  Looking
+up a spec outside the declared grid raises ``KeyError``, so every result a
+figure consumes is one it declared.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import dataclasses
+from typing import Any, Callable, Mapping
 
 from repro.chgraph.area import area_report
 from repro.engine import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
+from repro.harness.report import with_bars
 from repro.harness.runner import PAPER_APPS, Runner
 from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import PAPER_DATASETS
-from repro.harness.report import with_bars
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.hypergraph.stats import dataset_stats, overlap_curve
 from repro.sim.config import SystemConfig, scaled_config, table1_config
 
-__all__ = [
-    "RUN_MATRICES",
-    "run_matrix",
-    "table1_rows",
-    "table2_rows",
-    "fig02_memory_accesses",
-    "fig03_performance",
-    "fig05_memory_stalls",
-    "fig07_hats_v",
-    "fig08_overlap",
-    "fig14_performance",
-    "fig15_breakdown",
-    "fig16_hw_breakdown",
-    "fig17_dmax_sweep",
-    "fig18_wmin_sweep",
-    "fig19_llc_sweep",
-    "fig20_core_scaling",
-    "fig21_preprocessing",
-    "fig22_total_time",
-    "fig23_prefetcher",
-    "fig24_reordering",
-    "fig25_graph_apps",
-    "vi_e_area_power",
-]
+__all__ = ["FIGURES", "Figure", "FigureData", "Table", "render"]
+
+Table = tuple[str, list[str], list[list[object]]]
 
 #: Cycles charged per elementary preprocessing operation when converting
 #: host-side preprocessing work into simulated core cycles (Figs 21/22).
@@ -59,122 +48,94 @@ OAG_OP_CYCLES = 0.5
 #: hand-building reordered engines outside the runner.
 REORDER_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("locality-reorder"),))
 
-
-# -- run matrices ------------------------------------------------------------
-
-
-def _specs(
-    engines: tuple[str, ...],
-    apps: tuple[str, ...],
-    datasets: tuple[str, ...],
-    config: SystemConfig | None = None,
-) -> list[RunSpec]:
-    """The cross product of engines × apps × datasets as run specs."""
-    return [
-        RunSpec(engine=e, algorithm=a, dataset=d, config=config)
-        for a in apps
-        for d in datasets
-        for e in engines
-    ]
+#: Figure 8's sharing thresholds.  The paper plots 2..7 for datasets with
+#: mean degrees 3-37; the scaled stand-ins keep paper-scale hyperedge
+#: degrees but higher vertex degrees, so the discriminating thresholds sit
+#: higher.
+OVERLAP_THRESHOLDS = (2, 8, 32, 64)
 
 
-def _fig17_specs(depths: tuple[int, ...] = (2, 4, 8, 16, 32, 64)) -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(d_max=d))
-        for d in depths
-    ]
+# -- the registry types ------------------------------------------------------
 
 
-def _fig18_specs(
-    thresholds: tuple[int, ...] = (1, 3, 9, 17, 33, 65),
-) -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", preprocessing=PreprocessSpec(w_min=w))
-        for w in thresholds
-    ]
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """One paper table/figure: a declared run grid and its reducer.
 
-
-def _fig24_specs() -> list[RunSpec]:
-    plain = _specs(("Hygra", "ChGraph"), ("PR",), ("WEB",))
-    return plain + [
-        RunSpec(spec.engine, "PR", "WEB", preprocessing=REORDER_PREPROCESS)
-        for spec in plain
-    ]
-
-
-def _fig19_specs() -> list[RunSpec]:
-    return [
-        RunSpec("ChGraph", "PR", "WEB", scaled_config(llc_kb=llc))
-        for llc in (2, 4, 6, 8)
-    ]
-
-
-def _fig20_specs() -> list[RunSpec]:
-    return [
-        spec
-        for n in (4, 8, 16)
-        for spec in _specs(
-            ("Hygra", "ChGraph"), ("PR",), ("WEB",), scaled_config(num_cores=n)
-        )
-    ]
-
-
-#: The ``runner.run`` matrix each figure consumes, declared up front so the
-#: sharded executor (:mod:`repro.harness.parallel`) can run a whole figure
-#: suite in parallel before the figure functions assemble their tables from
-#: warm cache hits.  Since every run — including the fig17/fig18 sensitivity
-#: sweeps and fig24's reordered engines — is now expressed as a
-#: :class:`~repro.harness.spec.RunSpec` with its own preprocessing record,
-#: every figure's full matrix is declared here; only config tables declare
-#: nothing.
-RUN_MATRICES = {
-    "fig02": lambda: _specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)),
-    "fig03": lambda: _specs(("Hygra", "GLA", "ChGraph"), ("PR",), ("WEB",)),
-    "fig05": lambda: _specs(("Hygra",), ("BFS", "PR", "BC", "CC"), PAPER_DATASETS),
-    "fig07": lambda: _specs(("HATS-V", "ChGraph"), ("BFS", "PR"), PAPER_DATASETS),
-    "fig14": lambda: _specs(("Hygra", "GLA", "ChGraph"), PAPER_APPS, PAPER_DATASETS),
-    "fig15": lambda: _specs(("Hygra", "ChGraph"), PAPER_APPS, PAPER_DATASETS),
-    "fig16": lambda: _specs(
-        ("GLA", "ChGraph-HCGonly", "ChGraph"), PAPER_APPS, ("WEB",)
-    ),
-    "fig17": _fig17_specs,
-    "fig18": _fig18_specs,
-    "fig19": _fig19_specs,
-    "fig20": _fig20_specs,
-    "fig22": lambda: _specs(("Hygra", "ChGraph"), ("BFS", "PR", "CC"), PAPER_DATASETS),
-    "fig23": lambda: _specs(
-        ("EventPrefetcher", "ChGraph", "Hygra"), ("BFS", "PR", "CC"), PAPER_DATASETS
-    ),
-    "fig24": _fig24_specs,
-    "fig25": lambda: _specs(
-        ("Ligra", "HATS-V", "ChGraph"), ("Adsorption", "SSSP"), GRAPH_DATASETS
-    ),
-    "summary": lambda: _specs(
-        ("Hygra", "ChGraph", "GLA"), ("BFS", "PR", "CC"), PAPER_DATASETS
-    ),
-}
-
-
-def run_matrix(ids: Iterable[str]) -> list[RunSpec]:
-    """The deduplicated union run matrix of the given experiment ids.
-
-    Ids without a declared matrix (config tables, bespoke-resource sweeps)
-    contribute nothing; order follows first occurrence, so equal id lists
-    always produce the identical matrix — the shard planner relies on that
-    determinism.
+    The grid is the cross product of the five axes; a figure with no
+    engines declares no runs (config tables, dataset statistics).  Shrink
+    a figure with :func:`dataclasses.replace` on any axis its reducer
+    iterates; a reducer that does not sweep configs or preprocessings
+    reads the default (``None``) one.
     """
-    specs: list[RunSpec] = []
-    for experiment_id in ids:
-        factory = RUN_MATRICES.get(experiment_id)
-        if factory is not None:
-            specs.extend(factory())
-    return list(dict.fromkeys(specs))
+
+    reduce: Callable[["Figure", "FigureData"], Table]
+    engines: tuple[str, ...] = ()
+    apps: tuple[str, ...] = ()
+    datasets: tuple[str, ...] = ()
+    configs: tuple[SystemConfig | None, ...] = (None,)
+    preprocessings: tuple[PreprocessSpec | None, ...] = (None,)
+
+    def specs(self) -> list[RunSpec]:
+        """The declared grid in a fixed order (the shard planner's input)."""
+        return [
+            RunSpec(engine, app, dataset, config, preprocessing=preprocessing)
+            for config in self.configs
+            for preprocessing in self.preprocessings
+            for app in self.apps
+            for dataset in self.datasets
+            for engine in self.engines
+        ]
+
+
+class FigureData:
+    """What a reducer may read: its own grid's results and the runner's
+    memoized ``dataset``/``resources``/``pipeline`` accessors."""
+
+    def __init__(
+        self,
+        figure: Figure,
+        runner: Runner,
+        results: Mapping[RunSpec, RunResult],
+    ) -> None:
+        self._engines = figure.engines
+        self._results = {spec: results[spec] for spec in figure.specs()}
+        self.dataset = runner.dataset
+        self.resources = runner.resources
+        self.pipeline = runner.pipeline
+
+    def runs(
+        self,
+        app: str,
+        dataset: str,
+        config: SystemConfig | None = None,
+        preprocessing: PreprocessSpec | None = None,
+    ) -> list[RunResult]:
+        """The result of every declared engine on one grid cell, in order."""
+        return [
+            self._results[
+                RunSpec(engine, app, dataset, config, preprocessing=preprocessing)
+            ]
+            for engine in self._engines
+        ]
+
+
+def render(
+    figure: Figure,
+    runner: Runner,
+    results: Mapping[RunSpec, RunResult] | None = None,
+) -> Table:
+    """Reduce ``figure`` from ``results``, a ``{spec: RunResult}`` covering
+    its grid (default: run the grid serially on ``runner``)."""
+    if results is None:
+        results = runner.run_many(figure.specs(), jobs=1)
+    return figure.reduce(figure, FigureData(figure, runner, results))
 
 
 # -- configuration tables ----------------------------------------------------
 
 
-def table1_rows() -> tuple[str, list[str], list[list[object]]]:
+def _table1(fig: Figure, data: FigureData) -> Table:
     config = table1_config()
     rows = [
         ["Cores", f"{config.num_cores} cores, x86-64, {config.frequency_ghz}GHz, OOO"],
@@ -194,10 +155,10 @@ def table1_rows() -> tuple[str, list[str], list[list[object]]]:
     return "Table I: simulated system configuration", ["Structure", "Configuration"], rows
 
 
-def table2_rows(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+def _table2(fig: Figure, data: FigureData) -> Table:
     rows = []
-    for key in PAPER_DATASETS:
-        stats = dataset_stats(runner.dataset(key))
+    for key in fig.datasets:
+        stats = dataset_stats(data.dataset(key))
         rows.append([
             stats.name,
             stats.num_vertices,
@@ -215,66 +176,58 @@ def table2_rows(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
 # -- headline figures ------------------------------------------------------
 
 
-def fig02_memory_accesses(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+def _fig02(fig: Figure, data: FigureData) -> Table:
     """GLA reduces main-memory accesses vs Hygra (PR on WEB)."""
-    hygra = runner.run("Hygra", "PR", "WEB")
-    gla = runner.run("GLA", "PR", "WEB")
-    chg = runner.run("ChGraph", "PR", "WEB")
+    (app,), (dataset,) = fig.apps, fig.datasets
+    hygra, gla, chg = data.runs(app, dataset)
     rows = [
         ["Hygra", hygra.dram_accesses, 1.0],
         ["GLA", gla.dram_accesses, hygra.dram_accesses / gla.dram_accesses],
         ["ChGraph", chg.dram_accesses, hygra.dram_accesses / chg.dram_accesses],
     ]
     return (
-        "Figure 2: main-memory accesses, PR on WEB",
+        f"Figure 2: main-memory accesses, {app} on {dataset}",
         ["System", "DRAM accesses", "Reduction vs Hygra", ""],
         with_bars(rows, 1),
     )
 
 
-def fig03_performance(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+def _fig03(fig: Figure, data: FigureData) -> Table:
     """Software GLA is slower than Hygra; ChGraph reverses it (PR on WEB)."""
-    hygra = runner.run("Hygra", "PR", "WEB")
-    gla = runner.run("GLA", "PR", "WEB")
-    chg = runner.run("ChGraph", "PR", "WEB")
+    (app,), (dataset,) = fig.apps, fig.datasets
+    hygra, gla, chg = data.runs(app, dataset)
     rows = [
         ["Hygra", hygra.cycles, 1.0],
         ["GLA", gla.cycles, gla.speedup_over(hygra)],
         ["ChGraph", chg.cycles, chg.speedup_over(hygra)],
     ]
     return (
-        "Figure 3: execution time, PR on WEB (speedup vs Hygra; <1 is slower)",
+        f"Figure 3: execution time, {app} on {dataset} "
+        "(speedup vs Hygra; <1 is slower)",
         ["System", "Cycles", "Speedup vs Hygra", ""],
         with_bars(rows, 1),
     )
 
 
-def fig05_memory_stalls(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "BC", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig05(fig: Figure, data: FigureData) -> Table:
     """Fraction of Hygra execution time stalled on main memory."""
-    rows = []
-    for app in apps:
-        row: list[object] = [app]
-        for dataset in PAPER_DATASETS:
-            row.append(runner.run("Hygra", app, dataset).memory_stall_fraction)
-        rows.append(row)
+    rows = [
+        [app, *[data.runs(app, d)[0].memory_stall_fraction for d in fig.datasets]]
+        for app in fig.apps
+    ]
     return (
         "Figure 5: fraction of time stalled on memory (Hygra)",
-        ["App", *PAPER_DATASETS],
+        ["App", *fig.datasets],
         rows,
     )
 
 
-def fig07_hats_v(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR")
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig07(fig: Figure, data: FigureData) -> Table:
     """ChGraph vs the HATS-V variant, normalized to HATS-V."""
     rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hats = runner.run("HATS-V", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            hats, chg = data.runs(app, dataset)
             rows.append([app, dataset, chg.speedup_over(hats)])
     return (
         "Figure 7: ChGraph speedup over HATS-V",
@@ -283,37 +236,26 @@ def fig07_hats_v(
     )
 
 
-def fig08_overlap(
-    runner: Runner, thresholds: tuple[int, ...] = (2, 8, 32, 64)
-) -> tuple[str, list[str], list[list[object]]]:
-    """Sharable ratios of vertices and hyperedges (two panels in one table).
-
-    The paper plots thresholds 2..7 for datasets with mean degrees 3-37; the
-    scaled stand-ins keep paper-scale hyperedge degrees but higher vertex
-    degrees, so the discriminating thresholds sit higher.
-    """
+def _fig08(fig: Figure, data: FigureData) -> Table:
+    """Sharable ratios of vertices and hyperedges (two panels in one table)."""
     rows = []
     for side in ("vertex", "hyperedge"):
-        for dataset in PAPER_DATASETS:
-            curve = overlap_curve(runner.dataset(dataset), side, thresholds)
-            rows.append([side, dataset, *[curve[t] for t in thresholds]])
+        for dataset in fig.datasets:
+            curve = overlap_curve(data.dataset(dataset), side, OVERLAP_THRESHOLDS)
+            rows.append([side, dataset, *[curve[t] for t in OVERLAP_THRESHOLDS]])
     return (
         "Figure 8: sharable ratio vs sharing threshold",
-        ["Side", "Dataset", *[f">={t}" for t in thresholds]],
+        ["Side", "Dataset", *[f">={t}" for t in OVERLAP_THRESHOLDS]],
         rows,
     )
 
 
-def fig14_performance(
-    runner: Runner, apps: tuple[str, ...] = PAPER_APPS
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig14(fig: Figure, data: FigureData) -> Table:
     """Hygra vs software GLA vs ChGraph across apps and datasets."""
     rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hygra = runner.run("Hygra", app, dataset)
-            gla = runner.run("GLA", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            hygra, gla, chg = data.runs(app, dataset)
             rows.append([
                 app,
                 dataset,
@@ -328,18 +270,13 @@ def fig14_performance(
     )
 
 
-def fig15_breakdown(
-    runner: Runner, apps: tuple[str, ...] = PAPER_APPS
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig15(fig: Figure, data: FigureData) -> Table:
     """Main-memory access breakdown by array group, Hygra (H) vs ChGraph (C)."""
     groups = ("offset", "incident", "value", "oag", "other")
     rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            for name, run in (
-                ("H", runner.run("Hygra", app, dataset)),
-                ("C", runner.run("ChGraph", app, dataset)),
-            ):
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            for name, run in zip(("H", "C"), data.runs(app, dataset)):
                 breakdown = run.dram_by_group
                 rows.append([
                     app, dataset, name, run.dram_accesses,
@@ -352,17 +289,12 @@ def fig15_breakdown(
     )
 
 
-def fig16_hw_breakdown(
-    runner: Runner,
-    apps: tuple[str, ...] = PAPER_APPS,
-    dataset: str = "WEB",
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig16(fig: Figure, data: FigureData) -> Table:
     """Benefit breakdown of HCG and CP over the software GLA baseline."""
+    (dataset,) = fig.datasets
     rows = []
-    for app in apps:
-        gla = runner.run("GLA", app, dataset)
-        hcg = runner.run("ChGraph-HCGonly", app, dataset)
-        full = runner.run("ChGraph", app, dataset)
+    for app in fig.apps:
+        gla, hcg, full = data.runs(app, dataset)
         rows.append([
             app,
             hcg.speedup_over(gla),
@@ -379,55 +311,31 @@ def fig16_hw_breakdown(
 # -- sensitivity sweeps --------------------------------------------------------
 
 
-def _chgraph_run(
-    dataset_key: str,
-    runner: Runner,
-    d_max: int | None = None,
-    w_min: int | None = None,
-    config: SystemConfig | None = None,
-) -> RunResult:
-    """A ChGraph PR run with non-default preprocessing (sweeps).
-
-    The sweep point travels as the spec's own ``PreprocessSpec``, so these
-    runs go through the ordinary memoized/store-backed ``runner.run`` path
-    instead of hand-building resources — and their specs match the ones
-    :data:`RUN_MATRICES` declares for prewarming.
-    """
-    defaults = PreprocessSpec()
-    spec = RunSpec(
-        "ChGraph",
-        "PR",
-        dataset_key,
-        config=config,
-        preprocessing=PreprocessSpec(
-            w_min=defaults.w_min if w_min is None else w_min,
-            d_max=defaults.d_max if d_max is None else d_max,
-        ),
-    )
-    return runner.run(spec)
+def _sweep(fig: Figure, data: FigureData) -> list[tuple[Any, Any, int]]:
+    """``(config, preprocessing, cycles)`` for every point of a
+    one-engine, one-workload sweep, in grid order."""
+    (app,), (dataset,) = fig.apps, fig.datasets
+    return [
+        (config, pre, data.runs(app, dataset, config, pre)[0].cycles)
+        for config in fig.configs
+        for pre in fig.preprocessings
+    ]
 
 
-def fig17_dmax_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    depths: tuple[int, ...] = (2, 4, 8, 16, 32, 64),
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig17(fig: Figure, data: FigureData) -> Table:
     """ChGraph PR performance vs maximum exploration depth D_max."""
-    runs = {d: _chgraph_run(dataset, runner, d_max=d) for d in depths}
-    base = runs[depths[0]].cycles
-    rows = [[d, runs[d].cycles, base / runs[d].cycles] for d in depths]
+    sweep = [(pre.d_max, cycles) for _, pre, cycles in _sweep(fig, data)]
+    first, base = sweep[0]
+    rows = [[d, cycles, base / cycles] for d, cycles in sweep]
     return (
-        f"Figure 17: D_max sweep, PR on {dataset} (speedup vs D_max={depths[0]})",
+        f"Figure 17: D_max sweep, PR on {fig.datasets[0]} "
+        f"(speedup vs D_max={first})",
         ["D_max", "Cycles", "Speedup", ""],
         with_bars(rows, 2),
     )
 
 
-def fig18_wmin_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    thresholds: tuple[int, ...] = (1, 3, 9, 17, 33, 65),
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig18(fig: Figure, data: FigureData) -> Table:
     """ChGraph PR performance vs the OAG pruning threshold W_min.
 
     The paper sweeps 1..9 against datasets whose overlap weights are mostly
@@ -435,50 +343,41 @@ def fig18_wmin_sweep(
     so their weights sit near 20-45 and the decline appears at
     correspondingly larger thresholds — same shape, shifted axis.
     """
-    runs = {w: _chgraph_run(dataset, runner, w_min=w) for w in thresholds}
-    base = runs[thresholds[0]].cycles
-    rows = [[w, runs[w].cycles, base / runs[w].cycles] for w in thresholds]
+    sweep = [(pre.w_min, cycles) for _, pre, cycles in _sweep(fig, data)]
+    first, base = sweep[0]
+    rows = [[w, cycles, base / cycles] for w, cycles in sweep]
     return (
-        f"Figure 18: W_min sweep, PR on {dataset} "
-        f"(performance vs W_min={thresholds[0]})",
+        f"Figure 18: W_min sweep, PR on {fig.datasets[0]} "
+        f"(performance vs W_min={first})",
         ["W_min", "Cycles", "Relative performance", ""],
         with_bars(rows, 2),
     )
 
 
-def fig19_llc_sweep(
-    runner: Runner,
-    dataset: str = "WEB",
-    llc_kbs: tuple[int, ...] = (2, 4, 6, 8),
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig19(fig: Figure, data: FigureData) -> Table:
     """ChGraph PR on WEB vs LLC size (paper: 8-32 MB; scaled: 2-8 KB)."""
-    rows = []
-    base_cycles = None
-    for llc in llc_kbs:
-        config = scaled_config(llc_kb=llc)
-        run = runner.run("ChGraph", "PR", dataset, config)
-        if base_cycles is None:
-            base_cycles = run.cycles
-        rows.append([f"{llc}KB", run.cycles, base_cycles / run.cycles])
+    sweep = [
+        (config.l3_size // 1024, cycles)
+        for config, _, cycles in _sweep(fig, data)
+    ]
+    base = sweep[0][1]
+    rows = [[f"{llc}KB", cycles, base / cycles] for llc, cycles in sweep]
     return (
-        f"Figure 19: LLC size sweep, ChGraph PR on {dataset}",
+        f"Figure 19: LLC size sweep, ChGraph PR on {fig.datasets[0]}",
         ["LLC", "Cycles", "Speedup vs smallest", ""],
         with_bars(rows, 2),
     )
 
 
-def fig20_core_scaling(
-    runner: Runner,
-    dataset: str = "WEB",
-    cores: tuple[int, ...] = (4, 8, 16),
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig20(fig: Figure, data: FigureData) -> Table:
     """PR scaling with core count, ChGraph vs Hygra."""
+    (app,), (dataset,) = fig.apps, fig.datasets
     rows = []
-    for n in cores:
-        config = scaled_config(num_cores=n)
-        hygra = runner.run("Hygra", "PR", dataset, config)
-        chg = runner.run("ChGraph", "PR", dataset, config)
-        rows.append([n, hygra.cycles, chg.cycles, chg.speedup_over(hygra)])
+    for config in fig.configs:
+        hygra, chg = data.runs(app, dataset, config=config)
+        rows.append([
+            config.num_cores, hygra.cycles, chg.cycles, chg.speedup_over(hygra),
+        ])
     return (
         f"Figure 20: core-count scaling, PR on {dataset}",
         ["Cores", "Hygra cycles", "ChGraph cycles", "Speedup"],
@@ -489,28 +388,31 @@ def fig20_core_scaling(
 # -- preprocessing ------------------------------------------------------------
 
 
-def _preprocess_costs(runner: Runner, dataset_key: str) -> tuple[float, float, int]:
+def _preprocess_costs(
+    source: Runner | FigureData, dataset_key: str
+) -> tuple[float, float, int]:
     """(hygra_cycles, chgraph_extra_cycles, oag_bytes) for preprocessing.
 
     Hygra builds the two bipartite CSR directions (~4 ops per bipartite
     edge); ChGraph additionally builds the per-chunk OAGs, whose elementary
-    operation count the builder reports.
+    operation count the builder reports.  ``source`` is anything with the
+    runner's ``dataset``/``resources`` accessors.
     """
-    hypergraph = runner.dataset(dataset_key)
+    hypergraph = source.dataset(dataset_key)
     config = scaled_config()
     bipartite_ops = 4 * hypergraph.num_bipartite_edges
-    resources = runner.resources(hypergraph, config)
+    resources = source.resources(hypergraph, config)
     hygra_cycles = bipartite_ops * PREPROCESS_OP_CYCLES / config.num_cores
     oag_cycles = resources.build_operations * OAG_OP_CYCLES / config.num_cores
     return hygra_cycles, oag_cycles, resources.storage_bytes()
 
 
-def fig21_preprocessing(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+def _fig21(fig: Figure, data: FigureData) -> Table:
     """Extra preprocessing time and storage of ChGraph over Hygra."""
     rows = []
-    for dataset in PAPER_DATASETS:
-        hygra_cycles, oag_cycles, oag_bytes = _preprocess_costs(runner, dataset)
-        hypergraph = runner.dataset(dataset)
+    for dataset in fig.datasets:
+        hygra_cycles, oag_cycles, oag_bytes = _preprocess_costs(data, dataset)
+        hypergraph = data.dataset(dataset)
         rows.append([
             dataset,
             100.0 * oag_cycles / hygra_cycles,
@@ -523,16 +425,13 @@ def fig21_preprocessing(runner: Runner) -> tuple[str, list[str], list[list[objec
     )
 
 
-def fig22_total_time(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig22(fig: Figure, data: FigureData) -> Table:
     """Total running time including preprocessing, normalized to Hygra."""
     rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            hygra_pre, oag_pre, _ = _preprocess_costs(runner, dataset)
-            hygra = runner.run("Hygra", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            hygra_pre, oag_pre, _ = _preprocess_costs(data, dataset)
+            hygra, chg = data.runs(app, dataset)
             total_hygra = hygra.cycles + hygra_pre
             total_chg = chg.cycles + hygra_pre + oag_pre
             rows.append([app, dataset, total_hygra / total_chg])
@@ -546,16 +445,12 @@ def fig22_total_time(
 # -- alternatives -----------------------------------------------------------
 
 
-def fig23_prefetcher(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig23(fig: Figure, data: FigureData) -> Table:
     """ChGraph vs the event-driven hardware prefetcher."""
     rows = []
-    for app in apps:
-        for dataset in PAPER_DATASETS:
-            pref = runner.run("EventPrefetcher", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
-            hygra = runner.run("Hygra", app, dataset)
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            pref, chg, hygra = data.runs(app, dataset)
             rows.append([
                 app,
                 dataset,
@@ -569,9 +464,7 @@ def fig23_prefetcher(
     )
 
 
-def fig24_reordering(
-    runner: Runner, dataset: str = "WEB"
-) -> tuple[str, list[str], list[list[object]]]:
+def _fig24(fig: Figure, data: FigureData) -> Table:
     """Spatial reordering does not beat chain scheduling (PR).
 
     The reordered systems are ordinary runs whose spec carries the
@@ -579,17 +472,13 @@ def fig24_reordering(
     runner's memoized pipeline result, so the comparison charges exactly
     the preprocessing work the runs actually performed.
     """
-    pipeline = runner.pipeline(runner.dataset(dataset), REORDER_PREPROCESS)
+    (app,), (dataset,) = fig.apps, fig.datasets
+    plain, reorder = fig.preprocessings
+    pipeline = data.pipeline(data.dataset(dataset), reorder)
     reorder_cycles = pipeline.cost_accesses * PREPROCESS_OP_CYCLES
 
-    hygra = runner.run("Hygra", "PR", dataset)
-    chg = runner.run("ChGraph", "PR", dataset)
-    hygra_re = runner.run(
-        RunSpec("Hygra", "PR", dataset, preprocessing=REORDER_PREPROCESS)
-    )
-    chg_re = runner.run(
-        RunSpec("ChGraph", "PR", dataset, preprocessing=REORDER_PREPROCESS)
-    )
+    hygra, chg = data.runs(app, dataset, preprocessing=plain)
+    hygra_re, chg_re = data.runs(app, dataset, preprocessing=reorder)
     rows = [
         ["Hygra", hygra.cycles, 1.0],
         ["Hygra+Reorder", hygra_re.cycles + reorder_cycles,
@@ -599,20 +488,18 @@ def fig24_reordering(
          hygra.cycles / (chg_re.cycles + reorder_cycles)],
     ]
     return (
-        f"Figure 24: reordering comparison, PR on {dataset} (incl. reorder cost)",
+        f"Figure 24: reordering comparison, {app} on {dataset} (incl. reorder cost)",
         ["System", "Cycles", "Speedup vs Hygra"],
         rows,
     )
 
 
-def fig25_graph_apps(runner: Runner) -> tuple[str, list[str], list[list[object]]]:
+def _fig25(fig: Figure, data: FigureData) -> Table:
     """Ordinary-graph apps: ChGraph vs Ligra and HATS (§VI-I)."""
     rows = []
-    for app in ("Adsorption", "SSSP"):
-        for dataset in GRAPH_DATASETS:
-            ligra = runner.run("Ligra", app, dataset)
-            hats = runner.run("HATS-V", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
+    for app in fig.apps:
+        for dataset in fig.datasets:
+            ligra, hats, chg = data.runs(app, dataset)
             rows.append([
                 app,
                 dataset,
@@ -626,19 +513,31 @@ def fig25_graph_apps(runner: Runner) -> tuple[str, list[str], list[list[object]]
     )
 
 
-def headline_summary(
-    runner: Runner, apps: tuple[str, ...] = ("BFS", "PR", "CC")
-) -> tuple[str, list[str], list[list[object]]]:
+def _vi_e(fig: Figure, data: FigureData) -> Table:
+    """The §VI-E area/power/storage accounting."""
+    report = area_report()
+    rows = [
+        ["Stack storage", f"{report.stack_bytes} B"],
+        ["Chain FIFO storage", f"{report.chain_fifo_bytes} B"],
+        ["Bipartite-edge FIFO storage", f"{report.tuple_fifo_bytes} B"],
+        ["Config registers", f"{report.register_bytes} B"],
+        ["Total area", f"{report.total_mm2:.3f} mm2"],
+        ["Area vs core", f"{report.area_fraction_of_core:.2%}"],
+        ["Total power", f"{report.total_mw:.0f} mW"],
+        ["Power vs core TDP", f"{report.power_fraction_of_core:.2%}"],
+    ]
+    return "Section VI-E: ChGraph area and power", ["Quantity", "Value"], rows
+
+
+def _summary(fig: Figure, data: FigureData) -> Table:
     """The abstract's claims, condensed: per-app speedup and DRAM reduction."""
     rows = []
-    for app in apps:
+    for app in fig.apps:
         speedups = []
         reductions = []
         gla = []
-        for dataset in PAPER_DATASETS:
-            hygra = runner.run("Hygra", app, dataset)
-            chg = runner.run("ChGraph", app, dataset)
-            soft = runner.run("GLA", app, dataset)
+        for dataset in fig.datasets:
+            hygra, chg, soft = data.runs(app, dataset)
             speedups.append(chg.speedup_over(hygra))
             reductions.append(chg.dram_reduction_over(hygra))
             gla.append(soft.speedup_over(hygra))
@@ -655,17 +554,78 @@ def headline_summary(
     )
 
 
-def vi_e_area_power() -> tuple[str, list[str], list[list[object]]]:
-    """The §VI-E area/power/storage accounting."""
-    report = area_report()
-    rows = [
-        ["Stack storage", f"{report.stack_bytes} B"],
-        ["Chain FIFO storage", f"{report.chain_fifo_bytes} B"],
-        ["Bipartite-edge FIFO storage", f"{report.tuple_fifo_bytes} B"],
-        ["Config registers", f"{report.register_bytes} B"],
-        ["Total area", f"{report.total_mm2:.3f} mm2"],
-        ["Area vs core", f"{report.area_fraction_of_core:.2%}"],
-        ["Total power", f"{report.total_mw:.0f} mW"],
-        ["Power vs core TDP", f"{report.power_fraction_of_core:.2%}"],
-    ]
-    return "Section VI-E: ChGraph area and power", ["Quantity", "Value"], rows
+# -- the registry ---------------------------------------------------------------
+
+_PR_WEB = dict(apps=("PR",), datasets=("WEB",))
+
+#: Every reproduced table/figure by id, in the paper's order (``repro bench
+#: --figures all`` runs them in this order).
+FIGURES: dict[str, Figure] = {
+    "table1": Figure(_table1),
+    "table2": Figure(_table2, datasets=PAPER_DATASETS),
+    "fig02": Figure(_fig02, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB),
+    "fig03": Figure(_fig03, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB),
+    "fig05": Figure(
+        _fig05, engines=("Hygra",), apps=("BFS", "PR", "BC", "CC"),
+        datasets=PAPER_DATASETS,
+    ),
+    "fig07": Figure(
+        _fig07, engines=("HATS-V", "ChGraph"), apps=("BFS", "PR"),
+        datasets=PAPER_DATASETS,
+    ),
+    "fig08": Figure(_fig08, datasets=PAPER_DATASETS),
+    "fig14": Figure(
+        _fig14, engines=("Hygra", "GLA", "ChGraph"), apps=PAPER_APPS,
+        datasets=PAPER_DATASETS,
+    ),
+    "fig15": Figure(
+        _fig15, engines=("Hygra", "ChGraph"), apps=PAPER_APPS,
+        datasets=PAPER_DATASETS,
+    ),
+    "fig16": Figure(
+        _fig16, engines=("GLA", "ChGraph-HCGonly", "ChGraph"), apps=PAPER_APPS,
+        datasets=("WEB",),
+    ),
+    "fig17": Figure(
+        _fig17, engines=("ChGraph",), **_PR_WEB,
+        preprocessings=tuple(
+            PreprocessSpec(d_max=d) for d in (2, 4, 8, 16, 32, 64)
+        ),
+    ),
+    "fig18": Figure(
+        _fig18, engines=("ChGraph",), **_PR_WEB,
+        preprocessings=tuple(
+            PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33, 65)
+        ),
+    ),
+    "fig19": Figure(
+        _fig19, engines=("ChGraph",), **_PR_WEB,
+        configs=tuple(scaled_config(llc_kb=llc) for llc in (2, 4, 6, 8)),
+    ),
+    "fig20": Figure(
+        _fig20, engines=("Hygra", "ChGraph"), **_PR_WEB,
+        configs=tuple(scaled_config(num_cores=n) for n in (4, 8, 16)),
+    ),
+    "fig21": Figure(_fig21, datasets=PAPER_DATASETS),
+    "fig22": Figure(
+        _fig22, engines=("Hygra", "ChGraph"), apps=("BFS", "PR", "CC"),
+        datasets=PAPER_DATASETS,
+    ),
+    "fig23": Figure(
+        _fig23, engines=("EventPrefetcher", "ChGraph", "Hygra"),
+        apps=("BFS", "PR", "CC"), datasets=PAPER_DATASETS,
+    ),
+    "fig24": Figure(
+        _fig24, engines=("Hygra", "ChGraph"), **_PR_WEB,
+        preprocessings=(None, REORDER_PREPROCESS),
+    ),
+    "fig25": Figure(
+        _fig25, engines=("Ligra", "HATS-V", "ChGraph"),
+        apps=("Adsorption", "SSSP"), datasets=GRAPH_DATASETS,
+    ),
+    "vi_e": Figure(_vi_e),
+    "summary": Figure(
+        _summary, engines=("Hygra", "ChGraph", "GLA"), apps=("BFS", "PR", "CC"),
+        datasets=PAPER_DATASETS,
+    ),
+}

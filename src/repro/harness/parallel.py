@@ -7,8 +7,9 @@ This module partitions that run matrix across worker *processes*, using the
 persistent :class:`~repro.store.ArtifactStore` as the cross-process result
 bus: workers execute their shard through an ordinary store-backed
 ``Runner`` (so every ``RunResult`` and ``GlaResources`` artifact lands in
-the shared store), and the parent re-runs the figure functions against warm
-cache hits — producing tables byte-identical to serial execution.
+the shared store), and the parent assembles every result from warm cache
+hits — so the figures reduced from them are byte-identical to serial
+execution.
 
 Sharding is deterministic and resource-aware: runs that consume the same
 ``GlaResources`` artifact (same dataset and core count, for the
@@ -36,8 +37,6 @@ import signal
 import time
 from typing import TYPE_CHECKING
 
-from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN
 from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
 
@@ -148,12 +147,11 @@ class _ShardPayload:
 
     The specs are fully normalized before sharding, so they carry their own
     ``pr_iterations``/``profile``/``preprocessing``; only the store
-    location and the key-exempt ``fast`` flag travel separately.
+    location travels separately.
     """
 
     cache_dir: str | None
     specs: tuple[RunSpec, ...]
-    fast: bool
     timeout: float | None
     parent_pid: int
     fault: str | None = None  # test hook, see _maybe_fault
@@ -231,7 +229,7 @@ def _run_shard(payload: _ShardPayload) -> list[RunReport]:
     """
     from repro.harness.runner import Runner
 
-    runner = Runner(fast=payload.fast, cache_dir=payload.cache_dir)
+    runner = Runner(cache_dir=payload.cache_dir)
     where = "worker" if os.getpid() != payload.parent_pid else "inline"
     reports = []
     for spec in payload.specs:
@@ -264,11 +262,6 @@ def execute_runs(
     timeout: float | None = None,
     retries: int = 2,
     backoff: float = 0.5,
-    pr_iterations: int = 2,
-    fast: bool = True,
-    w_min: int = DEFAULT_W_MIN,
-    d_max: int = DEFAULT_D_MAX,
-    profile: bool = False,
     fault: str | None = None,
 ) -> ExecutionReport:
     """Execute the run matrix, parallel where possible, and report.
@@ -287,21 +280,15 @@ def execute_runs(
     a single inline shard.  ``fault`` is the test-only crash-injection
     hook documented on ``_maybe_fault``.
 
-    The ``pr_iterations``/``w_min``/``d_max``/``profile`` keywords are the
-    defaults specs are normalized against — a spec that carries its own
-    values keeps them (``profile`` is sticky: asking the executor to
-    profile profiles every run).
+    Every spec must be normalized (see :meth:`RunSpec.normalized`): the
+    executor runs exactly the specs it is given, so the caller's defaults —
+    not a worker's environment — decide ``pr_iterations`` and the rest.
     """
     start = time.perf_counter()
-    defaults = PreprocessSpec(w_min=w_min, d_max=d_max)
-    unique = list(dict.fromkeys(
-        spec.normalized(
-            pr_iterations=pr_iterations,
-            preprocessing=defaults,
-            profile=profile,
-        )
-        for spec in specs
-    ))
+    unique = list(dict.fromkeys(specs))
+    for spec in unique:
+        if None in (spec.config, spec.pr_iterations, spec.preprocessing):
+            raise ValueError(f"execute_runs needs normalized specs: {spec}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
@@ -314,7 +301,6 @@ def execute_runs(
         return _ShardPayload(
             cache_dir=cache_dir,
             specs=tuple(shard),
-            fast=fast,
             timeout=per_run_timeout,
             parent_pid=os.getpid(),
             fault=fault,

@@ -35,9 +35,7 @@ class RunSpec:
     ``config=None`` means the default :func:`~repro.sim.config.scaled_config`
     and ``pr_iterations=None``/``preprocessing=None`` mean the executing
     runner's defaults — kept as ``None`` (not eagerly resolved) so specs
-    stay cheap to hash and compare.  The first four fields keep their
-    historical positional order, so ``RunSpec(engine, algorithm, dataset,
-    config)`` tuples from older call sites still construct correctly.
+    stay cheap to hash and compare.
     """
 
     engine: str
@@ -144,6 +142,9 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown RunSpec fields: {sorted(unknown)}"
             )
+        for required in ("engine", "algorithm", "dataset"):
+            if required not in data:
+                raise ConfigurationError(f"RunSpec is missing {required!r}")
         config = None
         raw_config = data.get("config")
         if raw_config is not None:
@@ -163,9 +164,9 @@ class RunSpec:
             preprocessing = PreprocessSpec.from_json(raw_pre)
         raw_pr = data.get("pr_iterations")
         spec = cls(
-            engine=str(data.get("engine", "")),
-            algorithm=str(data.get("algorithm", "")),
-            dataset=str(data.get("dataset", "")),
+            engine=str(data["engine"]),
+            algorithm=str(data["algorithm"]),
+            dataset=str(data["dataset"]),
             config=config,
             pr_iterations=None if raw_pr is None else int(raw_pr),
             profile=bool(data.get("profile", False)),

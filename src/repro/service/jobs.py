@@ -48,14 +48,6 @@ def _new_job_id() -> str:
     return f"job-{next(_job_counter)}-{uuid.uuid4().hex[:8]}"
 
 
-#: Flat fields the legacy (pre-RunSpec) wire format and :meth:`JobRequest.build`
-#: accept; ``w_min``/``d_max``/``check``/``stages`` are newly expressible.
-_FLAT_FIELDS = (
-    "engine", "algorithm", "dataset", "cores", "llc_kb", "pr_iterations",
-    "profile", "check", "w_min", "d_max", "stages", "priority",
-)
-
-
 @dataclasses.dataclass(frozen=True)
 class JobRequest:
     """One requested simulation: a :class:`~repro.harness.spec.RunSpec`
@@ -130,28 +122,6 @@ class JobRequest:
         )
         return cls(spec=spec, priority=priority)
 
-    # -- flat accessors (the pre-RunSpec field names, kept for callers) ------
-
-    @property
-    def engine(self) -> str:
-        return self.spec.engine
-
-    @property
-    def algorithm(self) -> str:
-        return self.spec.algorithm
-
-    @property
-    def dataset(self) -> str:
-        return self.spec.dataset
-
-    @property
-    def pr_iterations(self) -> int:
-        return self.spec.pr_iterations if self.spec.pr_iterations else 2
-
-    @property
-    def profile(self) -> bool:
-        return self.spec.profile
-
     def validate(self) -> None:
         """Raise ``ValueError`` unless every field names something real."""
         from repro.engine.registry import engine_names
@@ -205,44 +175,27 @@ class JobRequest:
 
     @classmethod
     def from_json(cls, obj: Any) -> "JobRequest":
-        """Parse and validate a request payload; ``ValueError`` on junk.
-
-        Accepts both wire formats: the spec-wrapping form
-        (``{"spec": {...}, "priority": n}``) and the legacy flat form
-        (``{"engine": ..., "cores": ..., ...}``) older clients send.
-        """
+        """Parse and validate a ``{"spec": {...}, "priority": n}`` payload;
+        ``ValueError`` on anything else."""
         if not isinstance(obj, dict):
             raise ValueError("job request must be a JSON object")
-        if "spec" in obj:
-            unknown = sorted(set(obj) - {"spec", "priority"})
-            if unknown:
-                raise ValueError(
-                    f"unknown job request field(s): {', '.join(unknown)}"
-                )
-            try:
-                spec = RunSpec.from_json(obj["spec"])
-            except ReproError as exc:
-                raise ValueError(str(exc)) from None
+        if "spec" not in obj:
+            raise ValueError(
+                'job request must wrap its run as {"spec": {...}, '
+                f'"priority": n}}; got field(s): {", ".join(sorted(obj))}'
+            )
+        unknown = sorted(set(obj) - {"spec", "priority"})
+        if unknown:
+            raise ValueError(
+                f"unknown job request field(s): {', '.join(unknown)}"
+            )
+        try:
             # Normalize service-side with the environment-independent
             # defaults so the coalescing key and the worker agree.
-            try:
-                spec = spec.normalized()
-            except ReproError as exc:
-                raise ValueError(str(exc)) from None
-            request = cls(spec=spec, priority=obj.get("priority", 0))
-        else:
-            unknown = sorted(set(obj) - set(_FLAT_FIELDS))
-            if unknown:
-                raise ValueError(
-                    f"unknown job request field(s): {', '.join(unknown)}"
-                )
-            for required in ("engine", "algorithm", "dataset"):
-                if required not in obj:
-                    raise ValueError(f"job request is missing {required!r}")
-            try:
-                request = cls.build(**obj)
-            except ReproError as exc:
-                raise ValueError(str(exc)) from None
+            spec = RunSpec.from_json(obj["spec"]).normalized()
+        except ReproError as exc:
+            raise ValueError(str(exc)) from None
+        request = cls(spec=spec, priority=obj.get("priority", 0))
         request.validate()
         return request
 

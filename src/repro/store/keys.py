@@ -12,11 +12,6 @@ This module is the **only** place key components are concatenated:
 ``resources_key`` and ``run_result_key`` both derive from a spec here, so
 the CLI, runner, parallel executor, and service can never disagree about
 what key one simulation hashes to.
-
-``fast`` is deliberately *not* part of any key: the vectorized and scalar
-builders are parity-tested to produce bit-identical artifacts
-(``tests/core/test_fast_parity.py``), so either may serve the other's cache
-entry.
 """
 
 from __future__ import annotations

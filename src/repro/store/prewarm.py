@@ -69,13 +69,13 @@ def _resolve_dataset(key: str):
     return hypergraph_dataset(key)
 
 
-def _run_job(payload: tuple[str, PrewarmJob, bool]) -> PrewarmReport:
+def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     """Worker body: build (or find) one artifact in the store.
 
     Top-level so the process pool can pickle it; each worker opens its own
     store handle on the shared directory.
     """
-    store_dir, job, fast = payload
+    store_dir, job = payload
     store = ArtifactStore(store_dir)
     hypergraph = _resolve_dataset(job.dataset)
     preprocessing = PreprocessSpec(w_min=job.w_min, d_max=job.d_max)
@@ -84,11 +84,7 @@ def _run_job(payload: tuple[str, PrewarmJob, bool]) -> PrewarmReport:
     )
     start = time.perf_counter()
     GlaResources.build_or_load(
-        hypergraph,
-        job.num_cores,
-        fast=fast,
-        store=store,
-        preprocessing=preprocessing,
+        hypergraph, job.num_cores, store=store, preprocessing=preprocessing
     )
     built = store.stats.writes > 0
     path = store._payload_path("resources", key)
@@ -109,7 +105,6 @@ def prewarm(
     store_dir: str | os.PathLike,
     jobs: list[PrewarmJob],
     workers: int | None = None,
-    fast: bool = True,
 ) -> list[PrewarmReport]:
     """Materialize every job's artifact in ``store_dir``; reports in job order.
 
@@ -122,6 +117,6 @@ def prewarm(
     store_dir = str(Path(store_dir))
     if not jobs:
         return []
-    payloads = [(store_dir, job, fast) for job in jobs]
+    payloads = [(store_dir, job) for job in jobs]
     outcomes = run_tasks(_run_job, payloads, workers=workers)
     return [outcome.value for outcome in outcomes]

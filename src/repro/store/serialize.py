@@ -85,7 +85,6 @@ def resources_to_bytes(resources: GlaResources) -> bytes:
         "d_max": resources.d_max,
         "build_seconds": resources.build_seconds,
         "build_operations": resources.build_operations,
-        "fast": resources.fast,
         "vertex_oags": [_oag_meta(o) for o in resources.vertex_oags],
         "hyperedge_oags": [_oag_meta(o) for o in resources.hyperedge_oags],
     }
@@ -157,7 +156,6 @@ def resources_from_bytes(payload: bytes) -> GlaResources:
             hyperedge_oags=hyperedge_oags,
             build_seconds=meta["build_seconds"],
             build_operations=meta["build_operations"],
-            fast=meta["fast"],
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError("malformed resources metadata") from exc

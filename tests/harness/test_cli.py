@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import ENGINES, EXPERIMENTS, build_parser, main
+from repro.cli import ENGINES, build_parser, main
+from repro.harness.experiments import FIGURES
 
 
 def test_parser_requires_command():
@@ -23,7 +24,7 @@ def test_experiment_registry_covers_all_figures():
         *{f"fig{n:02d}" for n in (2, 3, 5, 7, 8, 14, 15, 16, 17, 18, 19,
                                    20, 21, 22, 23, 24, 25)},
     }
-    assert set(EXPERIMENTS) == expected
+    assert set(FIGURES) == expected
 
 
 def test_datasets_command(capsys):

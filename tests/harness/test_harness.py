@@ -7,6 +7,7 @@ import pytest
 from repro.harness.datasets import GRAPH_DATASETS, graph_dataset, hypergraph_dataset
 from repro.harness.report import format_value, render_table
 from repro.harness.runner import PAPER_APPS, Runner, get_runner
+from repro.harness.spec import RunSpec
 
 
 def test_paper_apps_order():
@@ -42,8 +43,8 @@ def test_runner_memoizes(monkeypatch):
     # Route the dataset to a tiny stand-in so the test is fast.
     small = hypergraph_dataset("FS", scale=0.15)
     monkeypatch.setattr(runner, "dataset", lambda key: small)
-    first = runner.run("Hygra", "BFS", "FS")
-    second = runner.run("Hygra", "BFS", "FS")
+    first = runner.run(RunSpec("Hygra", "BFS", "FS"))
+    second = runner.run(RunSpec("Hygra", "BFS", "FS"))
     assert first is second
 
 
@@ -99,20 +100,10 @@ def test_runner_distinguishes_modified_configs(monkeypatch):
     monkeypatch.setattr(runner, "dataset", lambda key: small)
     base = scaled_config(num_cores=4)
     tweaked = base.replace(mlp=base.mlp * 4)
-    first = runner.run("Hygra", "BFS", "FS", base)
-    second = runner.run("Hygra", "BFS", "FS", tweaked)
+    first = runner.run(RunSpec("Hygra", "BFS", "FS", base))
+    second = runner.run(RunSpec("Hygra", "BFS", "FS", tweaked))
     assert first is not second
     assert first.cycles != second.cycles
-
-
-def test_runner_speedup_helper(monkeypatch):
-    runner = Runner(pr_iterations=1)
-    small = hypergraph_dataset("FS", scale=0.15)
-    monkeypatch.setattr(runner, "dataset", lambda key: small)
-    speedup = runner.speedup("ChGraph", "Hygra", "BFS", "FS")
-    hygra = runner.run("Hygra", "BFS", "FS")
-    chgraph = runner.run("ChGraph", "BFS", "FS")
-    assert speedup == pytest.approx(hygra.cycles / chgraph.cycles)
 
 
 def test_with_bars_scaling():
@@ -178,16 +169,16 @@ def test_runner_loads_dataset_once_per_store_miss(tmp_path, monkeypatch):
     config = scaled_config(num_cores=4, llc_kb=2)
     cold = Runner(pr_iterations=1, cache_dir=tmp_path)
     monkeypatch.setattr(cold, "dataset", counting_dataset)
-    cold.run("Hygra", "BFS", "FS", config)
+    cold.run(RunSpec("Hygra", "BFS", "FS", config))
     assert calls["n"] == 1
     # Memo hit: no dataset resolution at all.
-    cold.run("Hygra", "BFS", "FS", config)
+    cold.run(RunSpec("Hygra", "BFS", "FS", config))
     assert calls["n"] == 1
 
     # Warm store hit in a fresh runner: one load (for the content hash).
     warm = Runner(pr_iterations=1, cache_dir=tmp_path)
     monkeypatch.setattr(warm, "dataset", counting_dataset)
-    warm.run("Hygra", "BFS", "FS", config)
+    warm.run(RunSpec("Hygra", "BFS", "FS", config))
     assert calls["n"] == 2
     assert warm.store.stats.hits >= 1
 

@@ -25,6 +25,11 @@ def _specs(engines=("Hygra", "ChGraph"), apps=("BFS",), datasets=("FS",)):
     ]
 
 
+def _normalized(specs):
+    """What ``execute_runs`` takes: specs with every default resolved."""
+    return [spec.normalized(pr_iterations=1) for spec in specs]
+
+
 # -- shard planning ----------------------------------------------------------
 
 
@@ -97,7 +102,7 @@ def test_run_many_parallel_is_bit_identical_to_serial(tmp_path):
 
     serial = Runner(pr_iterations=1)
     for spec, result in results.items():
-        expected = serial.run(spec.engine, spec.algorithm, spec.dataset, spec.config)
+        expected = serial.run(spec)
         assert result.cycles == expected.cycles
         assert result.dram_accesses == expected.dram_accesses
         assert result.dram_by_group == expected.dram_by_group
@@ -110,9 +115,7 @@ def test_run_many_without_store_degrades_to_serial_loop():
     results = runner.run_many(specs, jobs=4)
     assert runner.last_execution_report is None
     for spec in specs:
-        assert results[spec] is runner.run(
-            spec.engine, spec.algorithm, spec.dataset, spec.config
-        )
+        assert results[spec] is runner.run(spec)
 
 
 def test_run_many_skips_executor_when_memo_is_warm(tmp_path):
@@ -130,10 +133,9 @@ def test_run_many_skips_executor_when_memo_is_warm(tmp_path):
 
 def test_execute_runs_without_cache_dir_runs_inline():
     report = execute_runs(
-        _specs(engines=("Hygra",), apps=("BFS", "CC")),
+        _normalized(_specs(engines=("Hygra",), apps=("BFS", "CC"))),
         cache_dir=None,
         jobs=4,
-        pr_iterations=1,
     )
     assert not report.parallel
     assert report.jobs == 1
@@ -141,16 +143,22 @@ def test_execute_runs_without_cache_dir_runs_inline():
     assert all(r.where == "inline" for r in report.reports)
 
 
+def test_execute_runs_rejects_unnormalized_specs():
+    """A worker would resolve ``None`` fields against its own environment,
+    not the caller's runner, so the executor refuses them up front."""
+    with pytest.raises(ValueError, match="normalized"):
+        execute_runs(_specs(), cache_dir=None, jobs=1)
+
+
 def test_worker_crash_is_retried_and_suite_completes(tmp_path):
     """A worker killed mid-run (os._exit) must not lose its shard."""
-    specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
+    specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
     report = execute_runs(
         specs,
         cache_dir=tmp_path,
         jobs=2,
         timeout=120,
         retries=2,
-        pr_iterations=1,
         fault="crash:BFS",
     )
     assert report.parallel
@@ -158,20 +166,19 @@ def test_worker_crash_is_retried_and_suite_completes(tmp_path):
     assert (tmp_path / "fault-crash.marker").exists()  # the kill fired
     # The retried shard's artifacts are real: a warm runner reuses them.
     warm = Runner(pr_iterations=1, cache_dir=tmp_path)
-    warm.run("Hygra", "BFS", "FS", SMALL)
+    warm.run(RunSpec("Hygra", "BFS", "FS", SMALL))
     assert warm.store.stats.hits >= 1
 
 
 def test_worker_timeout_degrades_to_inline_execution(tmp_path):
     """A run hung past its SIGALRM budget is re-run inline, untimed."""
-    specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
+    specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
     report = execute_runs(
         specs,
         cache_dir=tmp_path,
         jobs=2,
         timeout=3.0,
         retries=1,
-        pr_iterations=1,
         fault="hang:BFS",
     )
     assert report.parallel

@@ -132,18 +132,3 @@ class TestGoldenKeys:
         hash_ = "ab" * 32
         assert run_result_key(a, hash_) == run_result_key(b, hash_)
 
-
-class TestRunnerShim:
-    def test_legacy_positional_form_still_runs(self):
-        from repro.harness.runner import Runner
-
-        runner = Runner(pr_iterations=1, cache_dir=None)
-        legacy = runner.run("Hygra", "BFS", "FS")
-        spec = runner.run(RunSpec("Hygra", "BFS", "FS"))
-        assert legacy is spec  # one memo entry — the shim builds the spec
-
-    def test_incomplete_legacy_form_raises(self):
-        from repro.harness.runner import Runner
-
-        with pytest.raises(TypeError, match="RunSpec"):
-            Runner(cache_dir=None).run("Hygra", "BFS")

@@ -38,19 +38,19 @@ class TestJobRequestJson:
 
     def test_defaults_fill_in(self):
         request = JobRequest.from_json(
-            {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}
+            {"spec": {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}}
         )
         assert request.config().num_cores == 16
-        assert request.pr_iterations == 2
+        assert request.spec.pr_iterations == 2
         assert request.priority == 0
 
     @pytest.mark.parametrize(
         "obj, match",
         [
             ([], "JSON object"),
-            ({"engine": "Hygra", "algorithm": "BFS"}, "missing 'dataset'"),
+            ({"spec": {"engine": "Hygra", "algorithm": "BFS"}}, "missing 'dataset'"),
             (
-                {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS",
+                {"spec": {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"},
                  "turbo": True},
                 "unknown job request field",
             ),
@@ -59,6 +59,12 @@ class TestJobRequestJson:
     def test_junk_rejected(self, obj, match):
         with pytest.raises(ValueError, match=match):
             JobRequest.from_json(obj)
+
+    def test_flat_form_is_rejected_naming_the_spec_form(self):
+        with pytest.raises(ValueError, match='"spec"'):
+            JobRequest.from_json(
+                {"engine": "Hygra", "algorithm": "BFS", "dataset": "FS"}
+            )
 
 
 class TestStoreKey:

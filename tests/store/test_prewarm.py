@@ -8,6 +8,8 @@ import numpy as np
 from repro.engine import GlaResources
 from repro.harness.datasets import clear_dataset_cache, hypergraph_dataset
 from repro.harness.runner import Runner
+from repro.harness.spec import RunSpec
+from repro.hypergraph.pipeline import PreprocessSpec
 from repro.sim.config import scaled_config
 from repro.store import ArtifactStore, PrewarmJob, prewarm, prewarm_jobs
 
@@ -75,28 +77,28 @@ def test_clear_dataset_cache_forces_regeneration():
 
 
 def test_runner_memo_keys_on_full_parameter_tuple():
-    """Runners that differ in w_min must not alias each other's resources
+    """Requests that differ in w_min must not alias each other's resources
     (the old memo keyed only on (name, num_cores))."""
     hypergraph = hypergraph_dataset("WEB")
     config = scaled_config(num_cores=4)
-    narrow = Runner(w_min=30)
-    default = Runner()
-    wide = narrow.resources(hypergraph, config)
-    base = default.resources(hypergraph, config)
+    runner = Runner()
+    narrow = PreprocessSpec(w_min=30)
+    wide = runner.resources(hypergraph, config, narrow)
+    base = runner.resources(hypergraph, config)
     assert wide.w_min == 30 and base.w_min == 3
     assert wide.storage_bytes() < base.storage_bytes()
-    # Within one runner, a repeat resolves from the memo.
-    assert narrow.resources(hypergraph, config) is wide
+    # A repeat resolves from the memo.
+    assert runner.resources(hypergraph, config, narrow) is wide
 
 
 def test_runner_persistent_cache_across_instances(tmp_path):
     cold = Runner(pr_iterations=1, cache_dir=tmp_path)
     config = scaled_config(num_cores=4, llc_kb=2)
-    first = cold.run("ChGraph", "BFS", "WEB", config)
+    first = cold.run(RunSpec("ChGraph", "BFS", "WEB", config))
     assert cold.store.stats.writes >= 2  # resources + run result
 
     warm = Runner(pr_iterations=1, cache_dir=tmp_path)
-    second = warm.run("ChGraph", "BFS", "WEB", config)
+    second = warm.run(RunSpec("ChGraph", "BFS", "WEB", config))
     assert warm.store.stats.hits >= 1
     assert warm.store.stats.writes == 0
     assert np.array_equal(first.result, second.result)
