@@ -1,10 +1,11 @@
 """Scalar vs. vectorized preprocessing speedup on a ≥2k-hyperedge input.
 
-Guards the tentpole claim of the fast-path PR: the vectorized OAG builder
-is at least 5× faster than the scalar reference on a generator-produced
-hypergraph with at least 2k hyperedges, while producing a bit-identical
-CSR.  Chain generation timings ride along for context (its fast path is
-parity-tested in ``tests/core/test_fast_parity.py``).
+Guards the claim of the vectorized builders: the OAG builder is at least 5×
+faster than the scalar oracle (``tests/core/oag_reference.py``) on a
+generator-produced hypergraph with at least 2k hyperedges, while producing a
+bit-identical CSR.  Chain generation timings ride along for context: the
+scalar column is the probed walk under a no-op ``ChainProbe()`` (its parity
+is tested in ``tests/core/test_fast_parity.py``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.benchmark.measure import timed
-from repro.core.chain import ChainGenerator
+from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.oag import build_oag
 from repro.hypergraph.generators import paper_dataset
+from tests.core import oag_reference
 
 MIN_SPEEDUP = 5.0
 
@@ -25,22 +27,21 @@ def test_preprocessing_speedup(benchmark, emit):
 
     def measure():
         scalar_oag, scalar_s = timed(
-            lambda: build_oag(hypergraph, "hyperedge", fast=False)
+            lambda: oag_reference.build_oag(hypergraph, "hyperedge")
         )
-        fast_oag, fast_s = timed(
-            lambda: build_oag(hypergraph, "hyperedge", fast=True)
-        )
+        fast_oag, fast_s = timed(lambda: build_oag(hypergraph, "hyperedge"))
         assert np.array_equal(scalar_oag.csr.offsets, fast_oag.csr.offsets)
         assert np.array_equal(scalar_oag.csr.indices, fast_oag.csr.indices)
         assert np.array_equal(scalar_oag.csr.weights, fast_oag.csr.weights)
         assert scalar_oag.build_operations == fast_oag.build_operations
 
         active = np.ones(fast_oag.num_nodes, dtype=bool)
+        generator = ChainGenerator()
         scalar_chains, chain_scalar_s = timed(
-            lambda: ChainGenerator(fast=False).generate(active, fast_oag)
+            lambda: generator.generate(active, fast_oag, probe=ChainProbe())
         )
         fast_chains, chain_fast_s = timed(
-            lambda: ChainGenerator(fast=True).generate(active, fast_oag)
+            lambda: generator.generate(active, fast_oag)
         )
         assert scalar_chains.chains == fast_chains.chains
 

@@ -55,7 +55,7 @@ _SMALL_LLC_KB = 2
 )
 def _oag_build_fast():
     hypergraph = paper_dataset("OK")
-    return lambda: build_oag(hypergraph, "hyperedge", fast=True)
+    return lambda: build_oag(hypergraph, "hyperedge")
 
 
 @bench(
@@ -64,9 +64,9 @@ def _oag_build_fast():
 )
 def _chain_generation():
     hypergraph = paper_dataset("OK")
-    oag = build_oag(hypergraph, "hyperedge", fast=True)
+    oag = build_oag(hypergraph, "hyperedge")
     active = np.ones(oag.num_nodes, dtype=bool)
-    generator = ChainGenerator(fast=True)
+    generator = ChainGenerator()
     return lambda: generator.generate(active, oag)
 
 

@@ -89,20 +89,18 @@ class ChainSet:
 class ChainGenerator:
     """Greedy maximal-overlap chain generation over a (chunk) OAG.
 
-    Two equivalent paths implement Algorithm 3: the instrumented scalar walk
-    (always used when a :class:`ChainProbe` is attached, so HCG cycle and
-    access accounting is untouched) and a probe-free fast path that replaces
-    the per-neighbor Python loop with array operations (``fast=True``,
-    engaged only when no probe is passed).  Both return identical chains and
+    Without a probe, Algorithm 3 runs as whole-row array steps.  With a
+    :class:`ChainProbe` it runs as a scalar walk that fires one hook per
+    micro-step: the HCG and software GLA charge their cycle and access
+    costs through those hooks.  Both walks return identical chains and
     identical ``root_scans`` / ``offsets_fetches`` / ``neighbor_inspections``
     counters; ``tests/core/test_fast_parity.py`` enforces the equivalence.
     """
 
-    def __init__(self, d_max: int = DEFAULT_D_MAX, fast: bool = True) -> None:
+    def __init__(self, d_max: int = DEFAULT_D_MAX) -> None:
         if d_max < 1:
             raise ValueError("d_max must be >= 1")
         self.d_max = d_max
-        self.fast = fast
 
     def generate(
         self,
@@ -120,10 +118,8 @@ class ChainGenerator:
             raise ValueError(
                 f"active bitmap size {active.size} != OAG nodes {oag.num_nodes}"
             )
-        if probe is None and self.fast:
-            return self._generate_fast(active, oag)
         if probe is None:
-            probe = ChainProbe()
+            return self._generate_vectorized(active, oag)
         # Plain-list mirrors of the numpy inputs: the scalar walk touches
         # them once per micro-step, where numpy scalar indexing costs ~10x a
         # list index.  ``remaining`` is private to this call; the CSR lists
@@ -195,7 +191,7 @@ class ChainGenerator:
         result.neighbor_inspections += neighbor_inspections
         return chain
 
-    def _generate_fast(self, active: np.ndarray, oag: Oag) -> ChainSet:
+    def _generate_vectorized(self, active: np.ndarray, oag: Oag) -> ChainSet:
         """Probe-free Algorithm 3: whole-row array steps, identical output.
 
         Matches the scalar walk chain-for-chain and counter-for-counter: the

@@ -11,24 +11,23 @@ The OAG is stored in CSR form with each node's neighbor list sorted in
 during chain generation (§IV-B: "we enforce to store the CSR-based edges of
 each vertex in a descending order according to their weights").
 
-Two implementations build the same OAG: a NumPy-vectorized pipeline (the
-default, ``fast=True``) that expands every pivot row into pair arrays and
-collapses them with ``np.unique``, and the original per-element scalar
-counter kept as the reference (``fast=False``).  Both produce bit-identical
-CSRs (offsets, indices, weights) and identical ``build_operations`` counts,
-so Figure 21(a)'s preprocessing-cost reporting is unaffected by the fast
-path; ``tests/core/test_fast_parity.py`` enforces the equivalence.
+The builder is vectorized: it counts every pivot row's co-occurring pairs
+with one sparse matrix product (or a NumPy expand-and-``np.unique``
+pipeline without scipy) and emits the CSR with one lexsort.  The original
+per-element scalar counter is the parity oracle under ``tests/core/``;
+``tests/core/test_fast_parity.py`` holds both to bit-identical CSRs
+(offsets, indices, weights) and identical ``build_operations`` counts, so
+Figure 21(a)'s preprocessing-cost reporting is the scalar walk's.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from collections import defaultdict
 
 import numpy as np
 
-try:  # SpGEMM backend for the fast path; numpy-only fallback below.
+try:  # SpGEMM backend; numpy-only fallback below.
     from scipy import sparse as _sparse
 except ImportError:  # pragma: no cover - scipy is optional
     _sparse = None
@@ -194,7 +193,7 @@ def _pairs_to_csr(
     cols = np.concatenate([hi, lo])
     flat_weights = np.concatenate([kept, kept])
     # Row-major, weight-descending within a row, ascending id tiebreak —
-    # exactly the scalar builder's per-row sort key.
+    # the scalar oracle's per-row sort key.
     order = np.lexsort((cols, -flat_weights, rows))
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     if rows.size:
@@ -202,13 +201,17 @@ def _pairs_to_csr(
     return Csr(offsets, cols[order], flat_weights[order])
 
 
-def _overlap_pairs_fast(
+def _overlap_pairs(
     hypergraph: Hypergraph, side: str, first_id: int, last_id: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Vectorized :func:`_overlap_counts`: unique pairs plus operation count.
+    """Overlap pairs among elements in ``[first_id, last_id)``.
 
-    The operation count reproduces the scalar path exactly: one per incident
-    element in range, one per counted (pre-collapse) pair.
+    For the hyperedge side, two hyperedges overlap once per shared vertex,
+    so counting co-occurrences over every vertex's incident-hyperedge list
+    yields exactly ``|N(h) ∩ N(h')|``.  Returns the unique pairs with their
+    weights, plus the number of elementary counting operations (Figure
+    21(a)): one per incident element in range, one per counted
+    (pre-collapse) pair.
     """
     pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
     indices = pivot.indices
@@ -224,20 +227,19 @@ def _overlap_pairs_fast(
         vals = indices[keep]
         row_ids = np.repeat(np.arange(pivot.num_rows, dtype=np.int64), degrees)
         lens = np.bincount(row_ids[keep], minlength=pivot.num_rows)
-    # One op per in-range incidence plus one per counted pair — the scalar
-    # loop's accounting, computed in closed form.
     operations = int(vals.size) + int((lens * (lens - 1) // 2).sum())
     lo, hi, weights = _unique_pair_counts(vals, lens, last_id)
     return lo, hi, weights, operations
 
 
-def _chunk_overlap_pairs_fast(
+def _chunk_overlap_pairs(
     hypergraph: Hypergraph, side: str, chunks: list[Chunk]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Vectorized one-pass pair counting restricted to same-chunk pairs.
+    """One-pass pair counting restricted to same-chunk pairs.
 
     Returns unique ``(lo, hi, weight)`` arrays sorted by ``lo`` (so chunk
-    ranges are contiguous) and the scalar-identical operation count.
+    ranges are contiguous) and the operation count of
+    :func:`_overlap_pairs`, summed over the ``(row, chunk)`` segments.
     """
     pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
     indices = pivot.indices
@@ -265,48 +267,17 @@ def _chunk_overlap_pairs_fast(
     return lo, hi, weights, operations
 
 
-def _overlap_counts(
-    hypergraph: Hypergraph, side: str, first_id: int, last_id: int
-) -> tuple[dict[tuple[int, int], int], int]:
-    """Count pairwise overlaps among elements in ``[first_id, last_id)``.
-
-    For the hyperedge side, two hyperedges overlap once per shared vertex, so
-    walking every vertex's incident-hyperedge list and counting pairs yields
-    exactly ``|N(h) ∩ N(h')|``.  Returns the pair counts and the number of
-    elementary counting operations (used for preprocessing-cost reporting,
-    Figure 21(a)).
-    """
-    # Pivot side: vertices enumerate hyperedge pairs and vice versa.
-    pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    operations = 0
-    for row in range(pivot.num_rows):
-        incident = [
-            int(e) for e in pivot.neighbors(row) if first_id <= e < last_id
-        ]
-        operations += len(incident)
-        for i, a in enumerate(incident):
-            for b in incident[i + 1 :]:
-                counts[(a, b) if a < b else (b, a)] += 1
-                operations += 1
-    return counts, operations
-
-
 def build_oag(
     hypergraph: Hypergraph,
     side: str,
     w_min: int = DEFAULT_W_MIN,
     chunk: Chunk | None = None,
-    fast: bool = True,
 ) -> Oag:
     """Build the OAG for one side, optionally restricted to a chunk.
 
     A chunk OAG contains only nodes in the chunk and only edges between two
     chunk members: each chunk is processed by one core with its own OAG
     (§IV-B), so cross-chunk overlap is intentionally invisible.
-
-    ``fast`` selects the vectorized builder; ``fast=False`` runs the scalar
-    reference.  Both yield bit-identical CSRs and operation counts.
     """
     if side not in ("hyperedge", "vertex"):
         raise ValueError(f"unknown side {side!r}")
@@ -316,19 +287,10 @@ def build_oag(
     )
     first_id = chunk.first if chunk is not None else 0
     last_id = chunk.last if chunk is not None else universe
-    num_nodes = last_id - first_id
-
-    if fast:
-        lo, hi, weights, operations = _overlap_pairs_fast(
-            hypergraph, side, first_id, last_id
-        )
-        csr = _pairs_to_csr(lo, hi, weights, w_min, first_id, num_nodes)
-    else:
-        counts, operations = _overlap_counts(hypergraph, side, first_id, last_id)
-        csr = _counts_to_csr(counts, w_min, first_id, num_nodes)
+    lo, hi, weights, operations = _overlap_pairs(hypergraph, side, first_id, last_id)
     return Oag(
         side=side,
-        csr=csr,
+        csr=_pairs_to_csr(lo, hi, weights, w_min, first_id, last_id - first_id),
         w_min=w_min,
         first_id=first_id,
         build_seconds=time.perf_counter() - start,
@@ -336,103 +298,36 @@ def build_oag(
     )
 
 
-def _counts_to_csr(
-    counts: dict[tuple[int, int], int], w_min: int, first_id: int, num_nodes: int
-) -> Csr:
-    """The scalar reference CSR emitter (per-row Python sort)."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-    for (a, b), weight in counts.items():
-        if weight < w_min:
-            continue
-        adjacency[a - first_id].append((weight, b - first_id))
-        adjacency[b - first_id].append((weight, a - first_id))
-
-    rows: list[list[int]] = []
-    weight_rows: list[list[int]] = []
-    for entries in adjacency:
-        # Descending weight; ascending id tiebreak for determinism.
-        entries.sort(key=lambda pair: (-pair[0], pair[1]))
-        rows.append([node for _, node in entries])
-        weight_rows.append([weight for weight, _ in entries])
-    return Csr.from_lists(rows, weights=weight_rows)
-
-
 def build_chunk_oags(
     hypergraph: Hypergraph,
     side: str,
     chunks: list[Chunk],
     w_min: int = DEFAULT_W_MIN,
-    fast: bool = True,
 ) -> list[Oag]:
     """One OAG per chunk (what each core's ChGraph engine is configured with).
 
     Built in a single pass over the pivot side: each pivot row's incident
     elements are binned by owning chunk and only same-chunk pairs counted,
     which matches :func:`build_oag`'s per-chunk output (an edge requires
-    both endpoints inside the chunk) at a fraction of the cost.  ``fast``
-    selects the vectorized pipeline (default); the scalar reference stays
-    available for parity testing.
+    both endpoints inside the chunk) at a fraction of the cost.
     """
     if not chunks:
         return []
     start = time.perf_counter()
-    if fast:
-        lo, hi, weights, operations = _chunk_overlap_pairs_fast(
-            hypergraph, side, chunks
-        )
-        elapsed = time.perf_counter() - start
-        oags = []
-        for chunk in chunks:
-            # ``lo`` ascends, and both pair endpoints share a chunk, so one
-            # binary search per boundary slices out the chunk's pairs.
-            a = np.searchsorted(lo, chunk.first, side="left")
-            b = np.searchsorted(lo, chunk.last, side="left")
-            oags.append(
-                Oag(
-                    side=side,
-                    csr=_pairs_to_csr(
-                        lo[a:b], hi[a:b], weights[a:b], w_min,
-                        chunk.first, chunk.last - chunk.first,
-                    ),
-                    w_min=w_min,
-                    first_id=chunk.first,
-                    build_seconds=elapsed / len(chunks),
-                    build_operations=operations // len(chunks),
-                )
-            )
-        return oags
-    pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
-    bounds = [chunk.first for chunk in chunks] + [chunks[-1].last]
-    counts: list[dict[tuple[int, int], int]] = [defaultdict(int) for _ in chunks]
-    operations = 0
-    num_chunks = len(chunks)
-    for row in range(pivot.num_rows):
-        bins: dict[int, list[int]] = {}
-        for e in pivot.neighbors(row):
-            e = int(e)
-            # Contiguous near-equal chunks: locate by division then adjust.
-            c = min(e * num_chunks // max(bounds[-1], 1), num_chunks - 1)
-            while e < bounds[c]:
-                c -= 1
-            while e >= bounds[c + 1]:
-                c += 1
-            bins.setdefault(c, []).append(e)
-            operations += 1
-        for c, incident in bins.items():
-            table = counts[c]
-            for i, a in enumerate(incident):
-                for b in incident[i + 1 :]:
-                    table[(a, b) if a < b else (b, a)] += 1
-                    operations += 1
+    lo, hi, weights, operations = _chunk_overlap_pairs(hypergraph, side, chunks)
     elapsed = time.perf_counter() - start
-
     oags = []
-    for chunk, table in zip(chunks, counts):
+    for chunk in chunks:
+        # ``lo`` ascends, and both pair endpoints share a chunk, so one
+        # binary search per boundary slices out the chunk's pairs.
+        a = np.searchsorted(lo, chunk.first, side="left")
+        b = np.searchsorted(lo, chunk.last, side="left")
         oags.append(
             Oag(
                 side=side,
-                csr=_counts_to_csr(
-                    table, w_min, chunk.first, chunk.last - chunk.first
+                csr=_pairs_to_csr(
+                    lo[a:b], hi[a:b], weights[a:b], w_min,
+                    chunk.first, chunk.last - chunk.first,
                 ),
                 w_min=w_min,
                 first_id=chunk.first,

@@ -11,8 +11,8 @@ recency order: the LRU line is the first key, the MRU line the last, and a
 promote is ``del`` + re-insert — every operation (``lookup``/``fill``/
 ``victim_of``/``invalidate``/``mark_dirty``) is O(1) instead of the
 O(associativity) ``list.remove``/``list.append`` scans of the original
-implementation, which is preserved verbatim in :mod:`repro.sim.cache_ref`
-and differential-tested against this one
+implementation, which is preserved verbatim as a test oracle under
+``tests/sim/`` and differential-tested against this one
 (``tests/sim/test_cache_differential.py``).  A dict that only ever sees
 ``del`` + insert of the same key set never rehashes pathologically, and its
 iteration order equals the reference list's recency order exactly, so even
@@ -188,7 +188,9 @@ class Cache:
         return max((len(ways) for ways in self._sets), default=0)
 
     def reset_stats(self) -> None:
-        self.stats = CacheStats()
+        # Zeroed in place: the hierarchy's pre-bound probers hold this object.
+        stats = self.stats
+        stats.hits = stats.misses = stats.evictions = stats.writebacks = 0
 
     def __repr__(self) -> str:
         return (

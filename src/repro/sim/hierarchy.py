@@ -145,47 +145,12 @@ class MemoryHierarchy:
 
     # -- fill helpers (victim dirty-bit propagation) --------------------------
 
-    # The fills below manipulate the cache's recency dicts directly rather
-    # than composing ``victim_of`` + ``is_dirty`` + ``fill`` — same victim
+    # The fills manipulate the cache's recency dicts directly rather than
+    # composing ``victim_of`` + ``is_dirty`` + ``fill`` — same victim
     # choice, same stats bumps, same dirty-bit handling, three calls fewer
     # on every miss.  They are only ever called with ``line`` absent (the
     # caller just took the miss; back-invalidation can only *remove* lines).
-
-    def _fill_l1(self, core: int, line: int, dirty: bool) -> None:
-        """Fill the core's L1; a dirty victim is absorbed by the copy in
-        L2, else L3, else written back to memory directly."""
-        l1 = self.l1[core]
-        ways = l1._sets[line % l1.num_sets]
-        dirty_lines = l1._dirty
-        victim = None
-        victim_dirty = False
-        if len(ways) >= l1.associativity:
-            victim = next(iter(ways))
-            del ways[victim]
-            l1.stats.evictions += 1
-            if victim in dirty_lines:
-                dirty_lines.discard(victim)
-                l1.stats.writebacks += 1
-                victim_dirty = True
-        ways[line] = None
-        if dirty:
-            dirty_lines.add(line)
-        if victim is None:
-            return
-        if victim_dirty:
-            # Inline mark_dirty: absorb the writeback at the first level
-            # still holding the victim, else retire it to memory.
-            l2 = self.l2[core]
-            if victim in l2._sets[victim % l2.num_sets]:
-                l2._dirty.add(victim)
-            else:
-                l3 = self.l3
-                if victim in l3._sets[victim % l3.num_sets]:
-                    l3._dirty.add(victim)
-                else:
-                    self._writeback_to_dram(victim)
-        if self._inclusive:
-            self._prune_owner(victim, core)
+    # The L1 fill has a single caller and lives inline in ``_demand_miss``.
 
     def _fill_l2(self, core: int, line: int) -> None:
         """Fill the core's L2; a dirty victim is absorbed by the L3 copy or
@@ -277,9 +242,8 @@ class MemoryHierarchy:
     def _demand_miss(self, core: int, array: ArrayId, line: int, write: bool) -> int:
         """The demand path past an L1 miss (shared with the fast closures).
 
-        The trailing L1 fill is :meth:`_fill_l1` spelled inline — this runs
-        once per L1 miss, the hottest fill site, and the call overhead is
-        measurable.  Any change here must mirror ``_fill_l1`` exactly.
+        Ends in the L1 fill: a dirty victim is absorbed by the copy in L2,
+        else L3, else written back to memory directly.
         """
         latency = self._l1_latency + self._l2_latency
         l2 = self.l2[core]
@@ -354,11 +318,7 @@ class MemoryHierarchy:
         return self._engine_miss(core, array, line)
 
     def _engine_miss(self, core: int, array: ArrayId, line: int) -> int:
-        """The engine path past an L2 miss (shared with :meth:`engine_prober`).
-
-        The trailing L2 fill is :meth:`_fill_l2` spelled inline (the hottest
-        L2-fill site); any change here must mirror ``_fill_l2`` exactly.
-        """
+        """The engine path past an L2 miss (shared with :meth:`engine_prober`)."""
         latency = self._l2_latency + self._l3_round_trip(core, line)
         if not self.l3.lookup(line):
             latency += self.dram.record_access()
@@ -366,31 +326,7 @@ class MemoryHierarchy:
             self._fill_l3(line)
         if self.coherence is not None:
             self.coherence.on_read(core, line)
-
-        l2 = self.l2[core]
-        ways = l2._sets[line % l2.num_sets]
-        victim = None
-        victim_dirty = False
-        if len(ways) >= l2.associativity:
-            victim = next(iter(ways))
-            del ways[victim]
-            l2.stats.evictions += 1
-            if victim in l2._dirty:
-                l2._dirty.discard(victim)
-                l2.stats.writebacks += 1
-                victim_dirty = True
-        ways[line] = None
-        if victim is not None:
-            if self.coherence is not None:
-                self.coherence.on_evict(core, victim)
-            if victim_dirty:
-                l3 = self.l3
-                if victim in l3._sets[victim % l3.num_sets]:
-                    l3._dirty.add(victim)
-                else:
-                    self._writeback_to_dram(victim)
-            if self._inclusive:
-                self._prune_owner(victim, core)
+        self._fill_l2(core, line)
         if self._inclusive:
             self._note_owner(line, core)
         return latency
@@ -510,68 +446,12 @@ class MemoryHierarchy:
 
         return probe_pair
 
-    def demand_prober(self, core: int, array: ArrayId, write: bool = False):
-        """A bound ``probe(index) -> latency`` over :meth:`access`.
-
-        With coherence tracking enabled the coherence hook must run before
-        the L1 probe, so the closure simply defers to :meth:`access`.
-        """
-        if self.coherence is not None:
-            access = self.access
-
-            def probe_coherent(index: int) -> int:
-                return access(core, array, index, write)
-
-            return probe_coherent
-        layout = self.layout
-        base = layout._line_base[array]
-        elem_bytes = layout._elem_bytes[array]
-        shift = layout._line_shift
-        l1 = self.l1[core]
-        sets = l1._sets
-        num_sets = l1.num_sets
-        stats = l1.stats
-        dirty_lines = l1._dirty
-        l1_latency = self._l1_latency
-        demand_miss = self._demand_miss
-
-        if write:
-
-            def probe_write(index: int) -> int:
-                line = base + ((index * elem_bytes) >> shift)
-                self.demand_probes += 1
-                ways = sets[line % num_sets]
-                if line in ways:
-                    del ways[line]
-                    ways[line] = None
-                    stats.hits += 1
-                    dirty_lines.add(line)
-                    return l1_latency
-                stats.misses += 1
-                return demand_miss(core, array, line, True)
-
-            return probe_write
-
-        def probe_read(index: int) -> int:
-            line = base + ((index * elem_bytes) >> shift)
-            self.demand_probes += 1
-            ways = sets[line % num_sets]
-            if line in ways:
-                del ways[line]
-                ways[line] = None
-                stats.hits += 1
-                return l1_latency
-            stats.misses += 1
-            return demand_miss(core, array, line, False)
-
-        return probe_read
-
     # -- batched (line-granular) access ---------------------------------------
     #
     # Why batching is *bit-identical* to the per-element loop it replaces:
     # after ``access(core, array, index)`` returns, the touched line is
     # resident (and MRU) in the core's L1 — the hit path promotes it, and
-    # every miss path ends in ``_fill_l1``.  A subsequent access to another
+    # the miss path ends in the L1 fill.  A subsequent access to another
     # element of the *same line* therefore always takes the L1-hit path:
     # it bumps ``demand_probes`` and ``l1.stats.hits``, costs exactly
     # ``l1_latency``, promotes an already-MRU line (a no-op on LRU order),
@@ -654,16 +534,6 @@ class MemoryHierarchy:
                 total += extra * l2_latency
             index = boundary
         return total
-
-    def touch_sequential(
-        self, core: int, array: ArrayId, start: int, count: int, write: bool = False
-    ) -> int:
-        """Access ``count`` consecutive elements; returns total latency.
-
-        Alias for :meth:`access_block`, kept for readability at call sites
-        that walk an array once rather than batching a known-width field.
-        """
-        return self.access_block(core, array, start, count, write=write)
 
     # -- statistics -----------------------------------------------------------
 

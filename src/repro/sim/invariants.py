@@ -174,8 +174,7 @@ class InvariantChecker(Observer):
     def on_access(
         self, kind: str, core: int, array: "ArrayId", index: int, latency: int
     ) -> None:
-        if kind != "engine":
-            self._observed_demand += 1
+        self._observed_demand += 1
         if latency < 0:
             self._report(
                 f"access {kind} core={core} {array.name}[{index}]: "

@@ -50,9 +50,6 @@ class NullSystem:
     def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
         return 0
 
-    def engine_read(self, core: int, array: ArrayId, index: int) -> int:
-        return 0
-
     def charge_compute(self, core: int, cycles: float) -> None:
         pass
 

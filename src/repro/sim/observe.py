@@ -15,9 +15,8 @@ Built-in observers:
 - :class:`IterationTimeline` — one record per iteration: the driving
   frontier's size and density, the phase's cycles and DRAM accesses;
 - :class:`TraceObserver` — appends every demand access to a
-  :class:`~repro.sim.trace.TraceEvent` list (the trace hook; engine-side
-  reads issued directly against the hierarchy bypass it, as they do for
-  :class:`~repro.sim.trace.TracingSystem`).
+  :class:`~repro.sim.trace.TraceEvent` list, the one trace recorder
+  (engine-side accesses issued directly against the hierarchy bypass it).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class Observer:
     def on_access(
         self, kind: str, core: int, array: ArrayId, index: int, latency: int
     ) -> None:
-        """One charged access; ``kind`` is read/write/serial/engine."""
+        """One charged access; ``kind`` is read/write/serial."""
 
     def on_compute(self, core: int, cycles: float) -> None:
         """Compute cycles charged to a core."""
@@ -104,8 +103,7 @@ class PhaseProfiler(Observer):
         if profile is None:
             return
         profile.accesses[kind] = profile.accesses.get(kind, 0) + 1
-        if kind != "engine":
-            profile.memory_latency += latency
+        profile.memory_latency += latency
 
     def on_compute(self, core: int, cycles: float) -> None:
         if self._current is not None:
@@ -188,7 +186,7 @@ class IterationTimeline(Observer):
 
 
 class TraceObserver(Observer):
-    """Collects every demand/engine access charged through the facade."""
+    """Collects every demand access charged through the facade."""
 
     def __init__(self) -> None:
         self.trace: list[TraceEvent] = []
@@ -304,12 +302,6 @@ class InstrumentedSystem:
         for index in range(start, start + count):
             total += self.read_serial(core, array, index)
         return total
-
-    def engine_read(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.inner.engine_read(core, array, index)
-        for observer in self.observers:
-            observer.on_access("engine", core, array, index, latency)
-        return latency
 
     def charge_compute(self, core: int, cycles: float) -> None:
         self.inner.charge_compute(core, cycles)

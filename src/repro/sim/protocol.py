@@ -2,11 +2,11 @@
 
 Every execution engine talks to the simulated platform exclusively through
 this charging interface — demand reads/writes, dependency-chained reads,
-engine-side reads, compute/engine cycle charges, and the phase barrier —
-plus the result accessors the harness consumes.  Declaring it as a
-``runtime_checkable`` :class:`typing.Protocol` makes the boundary a real
-contract: :class:`~repro.sim.system.SimulatedSystem`,
-:class:`~repro.sim.null.NullSystem`, the trace recorder and the
+compute/engine cycle charges, and the phase barrier — plus the result
+accessors the harness consumes.  Declaring it as a ``runtime_checkable``
+:class:`typing.Protocol` makes the boundary a real contract:
+:class:`~repro.sim.system.SimulatedSystem`,
+:class:`~repro.sim.null.NullSystem` and the
 :class:`~repro.sim.observe.InstrumentedSystem` middleware all conform, and
 ``tests/sim/test_protocol.py`` asserts it with ``isinstance``.
 
@@ -122,8 +122,8 @@ class MemorySystem(Protocol):
     ) -> Callable[[int], int]: ...
 
     # -- engine-side charging (decoupled access engines) ---------------------
-
-    def engine_read(self, core: int, array: ArrayId, index: int) -> int: ...
+    # Engine-side accesses go through ``hierarchy.engine_access`` (the L2
+    # path); only their busy cycles are charged here.
 
     def charge_engine(self, core: int, cycles: float) -> None: ...
 

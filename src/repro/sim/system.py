@@ -4,8 +4,9 @@ Bundles the cache hierarchy, the phase timer and the energy model behind
 three operations engines actually use: ``read``, ``write`` and
 ``charge_compute``, plus ``barrier`` at phase ends.  Reads/writes charge
 their latency to the issuing core's *demand* stream; engines modelling a
-decoupled access engine (ChGraph) use ``engine_read`` instead, which charges
-the engine-side accumulator so the core and engine overlap.
+decoupled access engine (ChGraph) probe ``hierarchy.engine_access`` and
+charge the result with ``charge_engine``, which feeds the engine-side
+accumulator so the core and engine overlap.
 
 This is the reference implementation of the
 :class:`~repro.sim.protocol.MemorySystem` protocol — the typed boundary
@@ -168,13 +169,7 @@ class SimulatedSystem:
 
         return write_one
 
-    # -- engine-side accesses (ChGraph's HCG / CP) --------------------------
-
-    def engine_read(self, core: int, array: ArrayId, index: int) -> int:
-        """A read issued by the per-core accelerator, off the demand path."""
-        latency = self.hierarchy.access(core, array, index, write=False)
-        self._engine_acc[core] += latency
-        return latency
+    # -- engine-side charges (ChGraph's HCG / CP) ---------------------------
 
     def charge_engine(self, core: int, cycles: float) -> None:
         self._engine_acc[core] += cycles

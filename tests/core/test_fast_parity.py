@@ -1,11 +1,13 @@
 """Scalar vs. vectorized parity for OAG construction and chain generation.
 
-The fast paths must be drop-in: bit-identical CSR payloads (offsets,
-indices, weights — values *and* dtypes), identical ``build_operations``
-(Figure 21(a) accounting), identical chain sets, and identical generation
-counters.  Both fast backends are covered — the SpGEMM path (scipy, when
-available) and the pure-NumPy fallback (forced by nulling the module's
-``_sparse`` handle).
+The production builders must be drop-in for the scalar oracles: bit-identical
+CSR payloads (offsets, indices, weights — values *and* dtypes), identical
+``build_operations`` (Figure 21(a) accounting), identical chain sets, and
+identical generation counters.  The OAG oracle is ``oag_reference`` beside
+this file; the chain oracle is ``ChainGenerator``'s probed scalar walk,
+forced by passing a no-op ``ChainProbe()``.  Both OAG backends are covered —
+the SpGEMM path (scipy, when available) and the pure-NumPy fallback (forced
+by nulling the module's ``_sparse`` handle).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro.core.oag as oag_module
-from repro.core.chain import ChainGenerator
+from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.oag import build_chunk_oags, build_oag
 from repro.hypergraph.generators import (
     AffiliationConfig,
@@ -23,6 +25,7 @@ from repro.hypergraph.generators import (
     generate_uniform_random_hypergraph,
 )
 from repro.hypergraph.partition import contiguous_chunks
+from tests.core import oag_reference
 
 W_MINS = [1, 3, 8]
 D_MAXES = [1, 4, 16]
@@ -81,8 +84,8 @@ def assert_identical_oags(scalar, fast):
 @pytest.mark.parametrize("w_min", W_MINS)
 @pytest.mark.parametrize("side", ["hyperedge", "vertex"])
 def test_build_oag_parity(hypergraph, backend, side, w_min):
-    scalar = build_oag(hypergraph, side, w_min=w_min, fast=False)
-    fast = build_oag(hypergraph, side, w_min=w_min, fast=True)
+    scalar = oag_reference.build_oag(hypergraph, side, w_min=w_min)
+    fast = build_oag(hypergraph, side, w_min=w_min)
     assert_identical_oags(scalar, fast)
 
 
@@ -92,8 +95,10 @@ def test_build_oag_chunk_parity(hypergraph, backend, w_min):
     universe = hypergraph.num_hyperedges
     chunk = contiguous_chunks(universe, 3)[1]
     assert chunk.first != 0
-    scalar = build_oag(hypergraph, "hyperedge", w_min=w_min, chunk=chunk, fast=False)
-    fast = build_oag(hypergraph, "hyperedge", w_min=w_min, chunk=chunk, fast=True)
+    scalar = oag_reference.build_oag(
+        hypergraph, "hyperedge", w_min=w_min, chunk=chunk
+    )
+    fast = build_oag(hypergraph, "hyperedge", w_min=w_min, chunk=chunk)
     assert_identical_oags(scalar, fast)
 
 
@@ -104,8 +109,8 @@ def test_build_chunk_oags_parity(hypergraph, backend, side, w_min):
         hypergraph.num_hyperedges if side == "hyperedge" else hypergraph.num_vertices
     )
     chunks = contiguous_chunks(universe, 4)
-    scalars = build_chunk_oags(hypergraph, side, chunks, w_min, fast=False)
-    fasts = build_chunk_oags(hypergraph, side, chunks, w_min, fast=True)
+    scalars = oag_reference.build_chunk_oags(hypergraph, side, chunks, w_min)
+    fasts = build_chunk_oags(hypergraph, side, chunks, w_min)
     assert len(scalars) == len(fasts) == len(chunks)
     for scalar, fast in zip(scalars, fasts):
         assert_identical_oags(scalar, fast)
@@ -135,11 +140,10 @@ def assert_identical_chain_sets(scalar, fast):
 @pytest.mark.parametrize("w_min", W_MINS)
 def test_chain_generation_parity(hypergraph, d_max, w_min):
     oag = build_oag(hypergraph, "hyperedge", w_min=w_min)
-    scalar_gen = ChainGenerator(d_max=d_max, fast=False)
-    fast_gen = ChainGenerator(d_max=d_max, fast=True)
+    generator = ChainGenerator(d_max=d_max)
     for active in _active_patterns(oag.num_nodes).values():
-        scalar = scalar_gen.generate(active, oag)
-        fast = fast_gen.generate(active, oag)
+        scalar = generator.generate(active, oag, probe=ChainProbe())
+        fast = generator.generate(active, oag)
         assert_identical_chain_sets(scalar, fast)
 
 
@@ -149,19 +153,17 @@ def test_chain_generation_parity_chunked(hypergraph, d_max):
     universe = hypergraph.num_hyperedges
     chunks = contiguous_chunks(universe, 3)
     oags = build_chunk_oags(hypergraph, "hyperedge", chunks, w_min=1)
-    scalar_gen = ChainGenerator(d_max=d_max, fast=False)
-    fast_gen = ChainGenerator(d_max=d_max, fast=True)
+    generator = ChainGenerator(d_max=d_max)
     for chunk, oag in zip(chunks, oags):
         assert oag.first_id == chunk.first
         for active in _active_patterns(oag.num_nodes, seed=chunk.core).values():
-            scalar = scalar_gen.generate(active, oag)
-            fast = fast_gen.generate(active, oag)
+            scalar = generator.generate(active, oag, probe=ChainProbe())
+            fast = generator.generate(active, oag)
             assert_identical_chain_sets(scalar, fast)
 
 
 def test_probe_forces_scalar_path(hypergraph):
     """Attaching a probe must route through the instrumented scalar walk."""
-    from repro.core.chain import ChainProbe
 
     class CountingProbe(ChainProbe):
         def __init__(self):
@@ -177,8 +179,8 @@ def test_probe_forces_scalar_path(hypergraph):
     oag = build_oag(hypergraph, "hyperedge", w_min=1)
     active = np.ones(oag.num_nodes, dtype=bool)
     probe = CountingProbe()
-    result = ChainGenerator(fast=True).generate(active, oag, probe=probe)
+    result = ChainGenerator().generate(active, oag, probe=probe)
     # Probe hooks fired once per counter increment — proof the scalar
-    # instrumented walk ran despite fast=True.
+    # instrumented walk ran.
     assert probe.root_scans == result.root_scans == oag.num_nodes
     assert probe.inspections == result.neighbor_inspections > 0

@@ -1,7 +1,7 @@
 """Differential test: fast O(1) Cache vs the reference list-based model.
 
 Drives long randomized probe sequences through ``repro.sim.cache.Cache``
-and ``repro.sim.cache_ref.Cache`` in lockstep and asserts every observable
+and ``tests/sim/cache_ref.Cache`` in lockstep and asserts every observable
 is identical after every operation batch: return values, hit/miss/eviction/
 writeback counters, victim predictions, dirty bits, residency order, and
 set occupancy.  The fast model is only allowed to exist because it never
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.sim.cache import Cache as FastCache
-from repro.sim.cache_ref import Cache as RefCache
+from tests.sim.cache_ref import Cache as RefCache
 
 # (size_bytes, associativity, line_size) — small and highly contended so a
 # few thousand ops exercise eviction and reordering constantly, including

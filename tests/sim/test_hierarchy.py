@@ -108,21 +108,20 @@ def test_non_inclusive_keeps_private_copies():
     assert hierarchy.l1[0].contains(first_line)  # survives L3 eviction
 
 
-def test_touch_sequential_equivalent_to_loop():
-    a = make_hierarchy()
-    b = make_hierarchy()
-    total_a = a.touch_sequential(0, ArrayId.INCIDENT_VERTEX, 0, 40)
-    total_b = sum(b.access(0, ArrayId.INCIDENT_VERTEX, i) for i in range(40))
-    assert total_a == total_b
-    assert a.dram_accesses() == b.dram_accesses()
-
-
 def test_reset_stats_clears_counters():
     hierarchy = make_hierarchy()
     hierarchy.access(0, ArrayId.VERTEX_VALUE, 0)
+    probe = hierarchy.engine_prober(0, ArrayId.OAG_EDGE)
     hierarchy.reset_stats()
     assert hierarchy.dram_accesses() == 0
     assert hierarchy.l3.stats.accesses == 0
+    # A prober bound before the reset still counts into the live stats.
+    probe(0)
+    probe(1)
+    l2 = hierarchy.l2[0].stats
+    assert (l2.misses, l2.hits) == (1, 1)
+    assert l2.accesses == hierarchy.engine_probes == 2
+    assert hierarchy.dram_accesses() == 1
 
 
 # -- write traffic (dirty propagation and DRAM writebacks) --------------------

@@ -2,7 +2,7 @@
 
 The PR 10 fast paths — ``access_block`` / ``engine_access_block`` (one
 probe per cache line), the pre-bound prober closures
-(``engine_prober`` / ``engine_pair_prober`` / ``demand_prober`` /
+(``engine_prober`` / ``engine_pair_prober`` /
 ``SimulatedSystem.demand_writer``), and ``charge_compute_run`` — all claim
 *bit-identity* with the per-element reference walk.  These tests drive
 seeded randomized access streams through both paths on twin hierarchies
@@ -116,15 +116,6 @@ def test_block_of_zero_or_negative_count_is_free() -> None:
     assert snapshot(hierarchy) == before
 
 
-def test_touch_sequential_matches_per_element_reads() -> None:
-    batched = make_hierarchy()
-    reference = make_hierarchy()
-    batched.touch_sequential(0, ArrayId.VERTEX_VALUE, 0, 100)
-    for index in range(100):
-        reference.access(0, ArrayId.VERTEX_VALUE, index, write=False)
-    assert snapshot(batched) == snapshot(reference)
-
-
 # -- prober closures vs the methods they replace ------------------------------
 
 
@@ -166,36 +157,6 @@ def test_engine_pair_prober_matches_block_of_two() -> None:
             probe = probes[(core, array)] = fast.engine_pair_prober(core, array)
         assert probe(start) == reference.engine_access_block(core, array, start, 2)
         assert snapshot(fast) == snapshot(reference)
-
-
-@pytest.mark.parametrize("write", [False, True])
-def test_demand_prober_matches_access(write: bool) -> None:
-    fast = make_hierarchy()
-    reference = make_hierarchy()
-    probes = {}
-    for core, array, index, _, _ in _random_ops(0xD3A0 + write, 2, 800):
-        probe = probes.get((core, array))
-        if probe is None:
-            probe = probes[(core, array)] = fast.demand_prober(
-                core, array, write=write
-            )
-        assert probe(index) == reference.access(core, array, index, write=write)
-        assert snapshot(fast) == snapshot(reference)
-
-
-def test_demand_prober_with_coherence_matches_access() -> None:
-    config = scaled_config(num_cores=2, llc_kb=2).replace(track_coherence=True)
-    fast = MemoryHierarchy(config)
-    reference = MemoryHierarchy(config)
-    probes = {}
-    for core, array, index, _, write in _random_ops(0xC0E, 2, 600):
-        probe = probes.get((core, array, write))
-        if probe is None:
-            probe = probes[(core, array, write)] = fast.demand_prober(
-                core, array, write=write
-            )
-        assert probe(index) == reference.access(core, array, index, write=write)
-    assert snapshot(fast) == snapshot(reference)
 
 
 # -- system-level closures and batched charges --------------------------------

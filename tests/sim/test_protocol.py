@@ -9,7 +9,6 @@ from repro.sim import (
     MemorySystem,
     NullSystem,
     SimulatedSystem,
-    TracingSystem,
     scaled_config,
 )
 
@@ -19,13 +18,12 @@ from repro.sim import (
     [
         lambda: NullSystem(),
         lambda: SimulatedSystem(scaled_config(num_cores=2, llc_kb=2)),
-        lambda: TracingSystem(scaled_config(num_cores=2, llc_kb=2)),
         lambda: InstrumentedSystem(NullSystem()),
         lambda: InstrumentedSystem.profiled(
             SimulatedSystem(scaled_config(num_cores=2, llc_kb=2))
         ),
     ],
-    ids=["null", "simulated", "tracing", "instrumented-null", "instrumented-sim"],
+    ids=["null", "simulated", "instrumented-null", "instrumented-sim"],
 )
 def test_shipped_systems_conform(factory) -> None:
     assert isinstance(factory(), MemorySystem)
@@ -44,7 +42,7 @@ def test_protocol_members_cover_the_charging_interface() -> None:
     # The boundary every engine is written against: if a member vanishes
     # from the protocol, engines could call a method some system lacks.
     for member in (
-        "read", "read_serial", "write", "engine_read",
+        "read", "read_serial", "write",
         "charge_compute", "charge_engine", "barrier", "on_event",
         "dram_accesses", "dram_breakdown",
     ):

@@ -30,13 +30,6 @@ def test_read_serial_charges_compute():
     assert system.breakdown.memory_stall_cycles == 0
 
 
-def test_engine_read_charges_engine_side():
-    system = make_system()
-    system.engine_read(0, ArrayId.VERTEX_VALUE, 0)
-    system.barrier()
-    assert system.breakdown.engine_cycles > 0
-
-
 def test_write_marks_dram_attribution():
     system = make_system()
     system.write(0, ArrayId.HYPEREDGE_VALUE, 0)
@@ -63,7 +56,6 @@ def test_null_system_is_free():
     assert system.read(0, ArrayId.VERTEX_VALUE, 0) == 0
     assert system.write(0, ArrayId.VERTEX_VALUE, 0) == 0
     assert system.read_serial(0, ArrayId.OAG_EDGE, 0) == 0
-    assert system.engine_read(0, ArrayId.OAG_EDGE, 0) == 0
     system.charge_compute(0, 10)
     system.charge_engine(0, 10)
     assert system.barrier() == 0.0
