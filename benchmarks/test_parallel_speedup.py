@@ -52,7 +52,7 @@ def test_parallel_cold_run_speedup(benchmark, emit, tmp_path):
     def measure():
         serial = Runner(cache_dir=tmp_path / "serial")
         serial_results, serial_s = timed(lambda: serial.run_many(specs, jobs=1))
-        assert serial.last_execution_report is None
+        assert not serial.last_execution_report.parallel
 
         parallel = Runner(cache_dir=tmp_path / "parallel")
         parallel_results, parallel_s = timed(
@@ -61,7 +61,7 @@ def test_parallel_cold_run_speedup(benchmark, emit, tmp_path):
         report = parallel.last_execution_report
         assert report is not None and report.ok and report.parallel
 
-        # Byte-identical tables: in-process results vs worker-filled store.
+        # Byte-identical tables: in-process results vs worker results.
         assert _tables(serial, serial_results) == _tables(
             parallel, parallel_results
         )

@@ -69,6 +69,7 @@ from repro import __version__
 from repro.engine.registry import engine_names
 from repro.errors import ReproError
 from repro.harness import differential
+from repro.harness.datasets import DATASETS
 from repro.harness.experiments import FIGURES, render
 from repro.harness.report import render_table, render_telemetry
 from repro.harness.runner import ALGORITHM_NAMES, Runner
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dataset",
             default="WEB",
-            choices=(*PAPER_DATASETS, "AZ", "PK"),
+            choices=DATASETS,
             help="built-in dataset key",
         )
         p.add_argument("--cores", type=int, default=16, help="simulated cores")
@@ -229,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--check", action="store_true",
-        help="attach the invariant checker to every run (forces serial "
-             "in-process execution and implies --profile); violations fail "
+        help="attach the invariant checker to every run (implies "
+             "--profile; checked runs bypass the store); violations fail "
              "the command",
     )
     add_cache_dir_arg(bench)
@@ -560,14 +561,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     runner = Runner(cache_dir=args.cache_dir)
-    if runner.store is None and not args.check and (
-        args.jobs is None or args.jobs > 1
-    ):
-        print(
-            "bench: no artifact store (--cache-dir/$REPRO_CACHE_DIR); "
-            "executing serially in-process",
-            file=sys.stderr,
-        )
     results = runner.run_many(
         [spec for figure_id in ids for spec in FIGURES[figure_id].specs()],
         jobs=args.jobs, timeout=args.timeout, retries=args.retries,
@@ -606,7 +599,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         retried = len(report.retried())
         print(
             f"bench: {len(report.reports)} runs in {len(report.shards)} "
-            f"shard(s), jobs={report.jobs}, "
+            f"shard(s), jobs={len(report.shards)}, "
             f"parallel={'yes' if report.parallel else 'no'}, "
             f"retried-inline={retried}, {report.seconds:.2f}s"
         )

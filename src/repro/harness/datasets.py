@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import random
 
-from repro.hypergraph.generators import paper_dataset
+from repro.hypergraph.generators import PAPER_DATASETS, paper_dataset
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = [
     "hypergraph_dataset",
     "graph_dataset",
+    "load_dataset",
     "clear_dataset_cache",
+    "DATASETS",
     "GRAPH_DATASETS",
 ]
 
 #: The two §VI-I ordinary-graph datasets, in paper order.
 GRAPH_DATASETS: tuple[str, ...] = ("AZ", "PK")
+
+#: Every dataset key :func:`load_dataset` accepts: the Table II
+#: hypergraphs, then the ordinary graphs.
+DATASETS: tuple[str, ...] = (*PAPER_DATASETS, *GRAPH_DATASETS)
 
 _cache: dict[tuple[str, float], Hypergraph] = {}
 
@@ -104,3 +110,11 @@ def graph_dataset(key: str) -> Hypergraph:
         raise KeyError(f"unknown graph dataset {key!r}; expected 'AZ' or 'PK'")
     _cache[cache_key] = graph
     return graph
+
+
+def load_dataset(key: str) -> Hypergraph:
+    """Any harness dataset by key: a :data:`GRAPH_DATASETS` graph, else a
+    Table II hypergraph."""
+    if key in GRAPH_DATASETS:
+        return graph_dataset(key)
+    return hypergraph_dataset(key)

@@ -1,32 +1,36 @@
-"""Sharded parallel experiment execution.
+"""Sharded parallel experiment execution: the one batch executor.
 
 The figure suite drives hundreds of (engine, algorithm, dataset, config)
-simulations through one :class:`~repro.harness.runner.Runner`; each is
-seconds of single-threaded work, and the suite ran them strictly serially.
-This module partitions that run matrix across worker *processes*, using the
-persistent :class:`~repro.store.ArtifactStore` as the cross-process result
-bus: workers execute their shard through an ordinary store-backed
-``Runner`` (so every ``RunResult`` and ``GlaResources`` artifact lands in
-the shared store), and the parent assembles every result from warm cache
-hits — so the figures reduced from them are byte-identical to serial
-execution.
+simulations, and ``repro serve`` drains batches of served jobs; each run is
+seconds of single-threaded work.  :func:`execute_runs` is the only code
+that runs such a batch of specs (:class:`~repro.harness.spec.RunSpec`) in
+worker *processes*: it partitions the batch into shards, runs each shard in
+a worker on a copy of the caller's :class:`~repro.harness.runner.Runner`,
+and hands every :class:`RunResult` back by value in its :class:`RunReport`.
+The artifact store, when the runner has one, is only a cache that workers
+fill on the way; results never travel through it.
 
 Sharding is deterministic and resource-aware: runs that consume the same
 ``GlaResources`` artifact (same dataset and core count, for the
 OAG-consuming engines) are grouped onto one shard, so the expensive
 preprocessing is built exactly once instead of racing in several workers.
 Groups are packed onto shards longest-first onto the least-loaded shard —
-a deterministic LPT schedule.
+a deterministic LPT schedule.  A one-shard plan runs inline, on the
+caller's runner itself.
 
 Robustness (see :func:`execute_runs`):
 
 - per-run timeout, enforced *inside* the worker via ``SIGALRM`` so one
   pathological run fails cleanly without killing its shard;
+- every exception is caught per run and reported, so one failing run
+  never loses the rest of its shard;
 - crashed or hung workers are retried with backoff by the shared
-  :func:`~repro.store.pool.run_tasks` machinery, on a fresh pool;
-- graceful degradation: with no cache directory, a single job, or after
-  retries are exhausted, runs execute inline in the parent process — the
-  suite always completes, worst case at serial speed.
+  :func:`~repro.store.pool.run_tasks` machinery, on a fresh pool, and a
+  shard that keeps failing runs inline in the calling process.
+
+Failed runs are reported, not re-run: each caller applies its own policy
+(``Runner.run_many`` re-runs them inline and untimed; the service
+scheduler requeues or fails the job).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
 
 if TYPE_CHECKING:
+    from repro.engine import RunResult
     from repro.harness.runner import Runner
 
 __all__ = [
@@ -62,13 +67,14 @@ RESOURCE_ENGINES: frozenset[str] = frozenset(
 
 @dataclasses.dataclass(frozen=True)
 class RunReport:
-    """How one run fared in the executor."""
+    """How one run fared in the executor, with its result when it ran."""
 
     spec: RunSpec
     ok: bool
     seconds: float
     where: str  # "worker" or "inline"
-    error: str | None = None
+    result: RunResult | None = None
+    error: str | None = None  # "<Type>: <message>" when not ok
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,9 +83,12 @@ class ExecutionReport:
 
     reports: tuple[RunReport, ...]
     shards: tuple[tuple[RunSpec, ...], ...]
-    jobs: int
-    parallel: bool
     seconds: float
+
+    @property
+    def parallel(self) -> bool:
+        """Whether more than one shard went to worker processes."""
+        return len(self.shards) > 1
 
     @property
     def ok(self) -> bool:
@@ -89,8 +98,14 @@ class ExecutionReport:
         return [report for report in self.reports if not report.ok]
 
     def retried(self) -> list[RunReport]:
-        """Runs that needed the inline fallback after a worker failure."""
-        return [r for r in self.reports if r.where == "inline" and self.parallel]
+        """Runs a worker failed or lost.
+
+        A lost shard already ran inline here; a run that failed in its
+        worker is left to the caller (``run_many`` re-runs it inline).
+        """
+        if not self.parallel:
+            return []
+        return [r for r in self.reports if not r.ok or r.where == "inline"]
 
 
 # -- shard planning ----------------------------------------------------------
@@ -143,14 +158,16 @@ def plan_shards(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
 
 @dataclasses.dataclass(frozen=True)
 class _ShardPayload:
-    """Everything a worker needs to rebuild its Runner and run its shard.
+    """Everything a worker needs to run its shard.
 
-    The specs are fully normalized before sharding, so they carry their own
-    ``pr_iterations``/``profile``/``preprocessing``; only the store
-    location travels separately.
+    The runner pickles as its configuration (see ``Runner.__reduce__``), so
+    a worker gets a fresh runner over the same store while the inline path
+    runs on the caller's own.  The specs are fully normalized before
+    sharding, so they carry their own ``pr_iterations``/``profile``/
+    ``preprocessing``.
     """
 
-    cache_dir: str | None
+    runner: Runner
     specs: tuple[RunSpec, ...]
     timeout: float | None
     parent_pid: int
@@ -170,14 +187,15 @@ def _maybe_fault(payload: _ShardPayload, spec: RunSpec) -> None:
     ``crash`` hard-exits the worker (simulating a kill); ``hang`` sleeps
     past any sane per-run timeout so the SIGALRM path triggers.
     """
-    if payload.fault is None or payload.cache_dir is None:
+    store = payload.runner.store
+    if payload.fault is None or store is None:
         return
     if os.getpid() == payload.parent_pid:
         return
     kind, _, match = payload.fault.partition(":")
     if match and spec.algorithm != match:
         return
-    marker = os.path.join(payload.cache_dir, f"fault-{kind}.marker")
+    marker = os.path.join(store.root, f"fault-{kind}.marker")
     try:
         fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
@@ -189,22 +207,24 @@ def _maybe_fault(payload: _ShardPayload, spec: RunSpec) -> None:
         time.sleep(60.0)
 
 
-def _run_one(
-    runner: "Runner",
-    spec: RunSpec,
-    timeout: float | None,
-    payload: _ShardPayload,
-) -> None:
-    """Execute one spec on ``runner`` under an optional SIGALRM budget.
+def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
+    """Execute one spec on the payload's runner.
 
-    The fault hook fires *inside* the budget so an injected hang is cut
-    short by the alarm exactly like a genuinely slow run would be.
+    In a worker process the run gets ``payload.timeout`` seconds of
+    ``SIGALRM`` budget.  Inline in the calling process it runs untimed:
+    that is the ground-truth tier, and the caller may be a thread (the
+    service's executor), where ``signal.signal`` raises.  The fault hook
+    fires *inside* the budget so an injected hang is cut short by the
+    alarm exactly like a genuinely slow run would be.
     """
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    if not use_alarm:
+    timeout = payload.timeout
+    if (
+        timeout is None
+        or os.getpid() == payload.parent_pid
+        or not hasattr(signal, "SIGALRM")
+    ):
         _maybe_fault(payload, spec)
-        runner.run(spec)
-        return
+        return payload.runner.run(spec)
 
     def _on_alarm(signum: int, frame: object) -> None:
         raise _RunTimeout(f"run exceeded {timeout}s")
@@ -213,41 +233,34 @@ def _run_one(
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         _maybe_fault(payload, spec)
-        runner.run(spec)
+        return payload.runner.run(spec)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def _run_shard(payload: _ShardPayload) -> list[RunReport]:
-    """Worker body: run one shard through a store-backed Runner.
+    """Worker body: run one shard and report every run with its result.
 
-    Results travel via the artifact store, not the return value — the
-    reports carry only status.  A run that times out or raises is reported
-    failed and the shard *continues*; only a worker death loses the whole
-    shard (and the pool machinery retries it).
+    A run that times out or raises is reported failed as
+    ``"<Type>: <message>"`` and the shard *continues*; only a worker death
+    loses the whole shard (and the pool machinery retries it).
     """
-    from repro.harness.runner import Runner
-
-    runner = Runner(cache_dir=payload.cache_dir)
     where = "worker" if os.getpid() != payload.parent_pid else "inline"
     reports = []
     for spec in payload.specs:
         start = time.perf_counter()
         try:
-            _run_one(
-                runner, spec,
-                payload.timeout if where == "worker" else None,
-                payload,
-            )
-        except _RunTimeout as exc:
+            result = _run_one(spec, payload)
+        except Exception as exc:  # noqa: BLE001 - reported; the caller decides
             reports.append(RunReport(
                 spec=spec, ok=False, seconds=time.perf_counter() - start,
-                where=where, error=str(exc),
+                where=where, error=f"{type(exc).__name__}: {exc}",
             ))
             continue
         reports.append(RunReport(
-            spec=spec, ok=True, seconds=time.perf_counter() - start, where=where,
+            spec=spec, ok=True, seconds=time.perf_counter() - start,
+            where=where, result=result,
         ))
     return reports
 
@@ -257,7 +270,7 @@ def _run_shard(payload: _ShardPayload) -> list[RunReport]:
 
 def execute_runs(
     specs: list[RunSpec],
-    cache_dir: str | os.PathLike | None,
+    runner: Runner,
     jobs: int | None = None,
     timeout: float | None = None,
     retries: int = 2,
@@ -266,24 +279,24 @@ def execute_runs(
 ) -> ExecutionReport:
     """Execute the run matrix, parallel where possible, and report.
 
-    With a ``cache_dir`` and ``jobs > 1``, the deduplicated matrix is
-    packed by :func:`plan_shards` and dispatched to worker processes via
-    :func:`~repro.store.pool.run_tasks`; each worker writes its artifacts
-    into the shared store.  Shards whose worker crashed or hung are retried
-    up to ``retries`` times with exponential ``backoff``; individual runs
-    that timed out in a worker (or shards that kept failing) are re-run
-    **inline** in this process with no timeout, so the suite always
-    completes with correct results.
+    The deduplicated matrix is packed by :func:`plan_shards` into at most
+    ``jobs`` shards (``None``: one per CPU).  Several shards go to worker
+    processes via :func:`~repro.store.pool.run_tasks`, each running on a
+    copy of ``runner`` (so with a store, workers fill it); one shard runs
+    inline on ``runner`` itself.  Shards whose worker crashed or hung are
+    retried up to ``retries`` times with exponential ``backoff``, then run
+    inline.  Every result comes back by value in its :class:`RunReport`.
 
-    With no ``cache_dir`` (no cross-process result bus), ``jobs in
-    (None-on-1-cpu, 0, 1)``, or fewer than two runs, execution degrades to
-    a single inline shard.  ``fault`` is the test-only crash-injection
-    hook documented on ``_maybe_fault``.
+    Runs that timed out or raised are reported failed and *not* re-run:
+    that policy belongs to the caller.  ``fault`` is the test-only
+    crash-injection hook documented on ``_maybe_fault``.
 
     Every spec must be normalized (see :meth:`RunSpec.normalized`): the
     executor runs exactly the specs it is given, so the caller's defaults —
     not a worker's environment — decide ``pr_iterations`` and the rest.
     """
+    from repro.store.pool import run_tasks
+
     start = time.perf_counter()
     unique = list(dict.fromkeys(specs))
     for spec in unique:
@@ -291,60 +304,26 @@ def execute_runs(
             raise ValueError(f"execute_runs needs normalized specs: {spec}")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    jobs = max(1, jobs)
-    parallel = cache_dir is not None and jobs > 1 and len(unique) > 1
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-
-    def _payload(
-        shard: list[RunSpec], per_run_timeout: float | None
-    ) -> _ShardPayload:
-        return _ShardPayload(
-            cache_dir=cache_dir,
-            specs=tuple(shard),
-            timeout=per_run_timeout,
-            parent_pid=os.getpid(),
-            fault=fault,
-        )
-
-    if not parallel:
-        shards = plan_shards(unique, 1)
-        reports: list[RunReport] = []
-        for shard in shards:
-            reports.extend(_run_shard(_payload(shard, None)))
-        return ExecutionReport(
-            reports=tuple(reports),
-            shards=tuple(tuple(shard) for shard in shards),
-            jobs=1,
-            parallel=False,
-            seconds=time.perf_counter() - start,
-        )
-
-    from repro.store.pool import run_tasks
-
     shards = plan_shards(unique, jobs)
     outcomes = run_tasks(
         _run_shard,
-        [_payload(shard, timeout) for shard in shards],
+        [
+            _ShardPayload(runner, tuple(shard), timeout, os.getpid(), fault)
+            for shard in shards
+        ],
         workers=len(shards),
-        timeout=None if timeout is None else timeout * max(map(len, shards)),
+        timeout=(
+            None if timeout is None
+            else timeout * max(map(len, shards), default=0)
+        ),
         retries=retries,
         backoff=backoff,
-        inline_fallback=True,
     )
-    by_spec: dict[RunSpec, RunReport] = {}
-    for outcome in outcomes:
-        for report in outcome.value:
-            by_spec[report.spec] = report
-    # Runs that timed out inside their worker get one inline, untimed
-    # retry here — the graceful-degradation guarantee.
-    failed = [spec for spec in unique if not by_spec[spec].ok]
-    if failed:
-        for report in _run_shard(_payload(failed, None)):
-            by_spec[report.spec] = report
+    by_spec = {
+        report.spec: report for outcome in outcomes for report in outcome.value
+    }
     return ExecutionReport(
         reports=tuple(by_spec[spec] for spec in unique),
         shards=tuple(tuple(shard) for shard in shards),
-        jobs=len(shards),
-        parallel=True,
         seconds=time.perf_counter() - start,
     )

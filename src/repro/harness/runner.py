@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.algorithms import (
     Adsorption,
@@ -40,7 +40,7 @@ from repro.algorithms.base import HypergraphAlgorithm
 from repro.engine import GlaResources, RunResult
 from repro.engine.base import ExecutionEngine
 from repro.engine.registry import ENGINE_REGISTRY, create_engine
-from repro.harness.datasets import graph_dataset, hypergraph_dataset
+from repro.harness.datasets import load_dataset
 from repro.harness.spec import RunSpec
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.pipeline import (
@@ -56,6 +56,9 @@ from repro.sim.observe import (
     instrument,
 )
 from repro.sim.system import SimulatedSystem
+
+if TYPE_CHECKING:
+    from repro.harness.parallel import ExecutionReport
 
 __all__ = ["ALGORITHM_NAMES", "Runner", "get_runner", "PAPER_APPS"]
 
@@ -119,13 +122,20 @@ class Runner:
         self._results: dict[RunSpec, RunResult] = {}
         self._resources: dict[tuple, GlaResources] = {}
         self._pipelines: dict[tuple, PipelineResult] = {}
+        self._datasets: dict[str, Hypergraph] = {}
         from repro.store import ArtifactStore, resolve_cache_dir
 
         resolved = resolve_cache_dir(cache_dir)
         #: The persistent artifact store, or ``None`` when caching is off.
         self.store = ArtifactStore(resolved) if resolved is not None else None
-        #: The last :meth:`run_many` parallel execution report, if any.
-        self.last_execution_report = None
+        #: The last :meth:`run_many` execution report, if it executed any.
+        self.last_execution_report: ExecutionReport | None = None
+
+    def __reduce__(self) -> tuple[type["Runner"], tuple[int, Path | None]]:
+        """Pickle as configuration only: a worker process unpickles a fresh
+        runner of the same class over the same store, never this memo."""
+        root = None if self.store is None else self.store.root
+        return (type(self), (self.pr_iterations, root))
 
     # -- factories -----------------------------------------------------------
 
@@ -194,9 +204,14 @@ class Runner:
         return self._pipelines[key]
 
     def dataset(self, key: str) -> Hypergraph:
-        if key in ("AZ", "PK"):
-            return graph_dataset(key)
-        return hypergraph_dataset(key)
+        return load_dataset(key)
+
+    def _dataset(self, key: str) -> Hypergraph:
+        """:meth:`dataset`, resolved once per key: a run's store key and its
+        simulation share one load."""
+        if key not in self._datasets:
+            self._datasets[key] = self.dataset(key)
+        return self._datasets[key]
 
     # -- memoized execution ------------------------------------------------------
 
@@ -227,29 +242,38 @@ class Runner:
             )
         )
 
-    def _run_spec(self, spec: RunSpec) -> RunResult:
-        """Execute one fully-normalized spec (the memo and store unit)."""
+    def _cached(self, spec: RunSpec) -> RunResult | None:
+        """The memoized or stored result of a normalized spec, if any.
+
+        Checked runs never come from the store: checking means executing
+        the simulation under the checker, and a hit would skip the audit.
+        """
         # RunSpec is frozen and fully resolved here, hence hashable: keying
         # on the whole spec keeps modified configs and preprocessing
         # pipelines distinct.
         if spec in self._results:
             return self._results[spec]
-        # One dataset resolution serves both the store lookup (content
-        # hash) and the simulation itself — loading twice doubled the
-        # generator cost on every store-enabled cache miss.
-        hypergraph = self.dataset(spec.dataset)
-        store_key = None
-        if self.store is not None and not spec.check:
-            from repro.store import run_result_key
+        if self.store is None or spec.check:
+            return None
+        cached = self.store.get_run_result(self._store_key(spec))
+        if cached is not None:
+            self._results[spec] = cached
+        return cached
 
-            # Keys hash the *loaded* dataset's content plus the spec's full
-            # preprocessing record — the stage list is part of the key, so
-            # the pipeline only runs on a genuine miss.
-            store_key = run_result_key(spec, hypergraph.content_hash())
-            cached = self.store.get_run_result(store_key)
-            if cached is not None:
-                self._results[spec] = cached
-                return cached
+    def _store_key(self, spec: RunSpec) -> str:
+        from repro.store import run_result_key
+
+        # Keys hash the *loaded* dataset's content plus the spec's full
+        # preprocessing record — the stage list is part of the key, so the
+        # pipeline only runs on a genuine miss.
+        return run_result_key(spec, self._dataset(spec.dataset).content_hash())
+
+    def _run_spec(self, spec: RunSpec) -> RunResult:
+        """Execute one fully-normalized spec (the memo and store unit)."""
+        cached = self._cached(spec)
+        if cached is not None:
+            return cached
+        hypergraph = self._dataset(spec.dataset)
         preprocessing = spec.resolved_preprocessing()
         pipeline = self.pipeline(hypergraph, preprocessing)
         engine = self.engine(
@@ -270,8 +294,8 @@ class Runner:
         if pipeline.vertex_perm is not None:
             result = _unpermute_result(result, pipeline.vertex_perm)
         self._results[spec] = result
-        if store_key is not None:
-            self.store.put_run_result(store_key, result)
+        if self.store is not None and not spec.check:
+            self.store.put_run_result(self._store_key(spec), result)
         return result
 
     def run_many(
@@ -285,21 +309,18 @@ class Runner:
     ) -> dict[RunSpec, RunResult]:
         """Batch :meth:`run`: execute a whole run matrix, sharded in parallel.
 
-        With a persistent store and ``jobs > 1``, the matrix is executed by
-        the sharded :func:`~repro.harness.parallel.execute_runs` executor —
-        workers fill the shared store, then this process assembles every
-        result from warm hits, so the returned values are identical to
-        serial execution.  Without a store (or ``jobs <= 1``) the batch
-        degrades to the plain serial loop.
+        Memo and store hits are answered here.  The misses go to
+        :func:`~repro.harness.parallel.execute_runs`, which shards them
+        across up to ``jobs`` worker processes (``timeout`` seconds per run)
+        and hands every result back by value; they are memoized like any
+        other run.  A run that a worker failed is re-run here, inline and
+        untimed, so a deterministic error surfaces as its original
+        exception.
 
         Returns ``{spec: RunResult}`` keyed by the specs as given; the
         executor's :class:`~repro.harness.parallel.ExecutionReport` (or
-        ``None`` when it was skipped) is left on
+        ``None`` when every spec was a hit) is left on
         :attr:`last_execution_report`.
-
-        ``check=True`` forces the serial in-process path: checked runs
-        attach an invariant checker and must actually execute here, not be
-        assembled from worker-warmed store entries.
         """
         from repro.harness.parallel import execute_runs
 
@@ -309,23 +330,19 @@ class Runner:
             )
             for spec in specs
         }
+        misses = [
+            run for run in dict.fromkeys(resolved.values())
+            if self._cached(run) is None
+        ]
         self.last_execution_report = None
-        pending = list(dict.fromkeys(
-            s for s in resolved.values() if s not in self._results
-        ))
-        if (
-            not any(s.check for s in pending)
-            and self.store is not None
-            and len(pending) > 1
-            and (jobs is None or jobs > 1)
-        ):
-            self.last_execution_report = execute_runs(
-                pending,
-                cache_dir=self.store.root,
-                jobs=jobs,
-                timeout=timeout,
-                retries=retries,
+        if misses:
+            report = execute_runs(
+                misses, self, jobs=jobs, timeout=timeout, retries=retries
             )
+            self.last_execution_report = report
+            for run_report in report.reports:
+                if run_report.result is not None:
+                    self._results[run_report.spec] = run_report.result
         return {spec: self._run_spec(run) for spec, run in resolved.items()}
 
 

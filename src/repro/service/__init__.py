@@ -4,10 +4,11 @@
 service: requests are typed jobs keyed by the content-addressed
 :func:`~repro.store.keys.run_result_key`, a bounded priority queue
 coalesces concurrent identical requests onto one in-flight execution and
-sheds load with retryable rejections, and a scheduler drains batches into
-the PR 3 process-pool machinery — with a store-backed fast path that
-answers repeat requests without simulating at all.  A served result is
-byte-identical to what the same ``repro run`` invocation prints.
+sheds load with retryable rejections, and a scheduler drains batches
+through :func:`~repro.harness.parallel.execute_runs`, the batch executor
+``repro bench`` uses — with a store-backed fast path that answers repeat
+requests without simulating at all.  A served result is byte-identical to
+what the same ``repro run`` invocation prints.
 
 Layout
 ------
@@ -16,8 +17,8 @@ Layout
 :mod:`repro.service.queue`
     ``JobQueue``: coalescing, admission control, drain.
 :mod:`repro.service.scheduler`
-    ``Scheduler``: store fast path + resource-grouped worker dispatch with
-    per-job timeout/retry.
+    ``Scheduler``: store fast path, then ``execute_runs`` worker dispatch
+    with per-job timeout/retry.
 :mod:`repro.service.server`
     ``SimulationService``: the asyncio JSON-over-HTTP front end
     (``POST /jobs``, ``GET /jobs/<id>``, ``GET /healthz``, ``GET /stats``)

@@ -125,8 +125,8 @@ class JobRequest:
     def validate(self) -> None:
         """Raise ``ValueError`` unless every field names something real."""
         from repro.engine.registry import engine_names
+        from repro.harness.datasets import DATASETS
         from repro.harness.runner import ALGORITHM_NAMES
-        from repro.hypergraph.generators import PAPER_DATASETS
 
         try:
             self.spec.validate()
@@ -136,7 +136,7 @@ class JobRequest:
             raise ValueError(f"unknown engine {self.spec.engine!r}")
         if self.spec.algorithm not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {self.spec.algorithm!r}")
-        if self.spec.dataset not in (*PAPER_DATASETS, "AZ", "PK"):
+        if self.spec.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.spec.dataset!r}")
         if self.spec.pr_iterations is None:
             raise ValueError("job spec must carry concrete pr_iterations")
@@ -156,13 +156,10 @@ class JobRequest:
         the dataset *as loaded*; the preprocessing stage list enters via
         the spec, so keying a request never runs its pipeline.
         """
-        from repro.harness.datasets import graph_dataset, hypergraph_dataset
+        from repro.harness.datasets import load_dataset
         from repro.store.keys import run_result_key
 
-        if self.spec.dataset in ("AZ", "PK"):
-            hypergraph = graph_dataset(self.spec.dataset)
-        else:
-            hypergraph = hypergraph_dataset(self.spec.dataset)
+        hypergraph = load_dataset(self.spec.dataset)
         return run_result_key(self.spec, hypergraph.content_hash())
 
     def label(self) -> str:

@@ -1,25 +1,23 @@
-"""The scheduler: drains the job queue into process-pool workers.
+"""The scheduler: drains the job queue through the batch executor.
 
 Batches popped from the :class:`~repro.service.queue.JobQueue` flow through
-three tiers, cheapest first:
+two tiers, cheapest first:
 
 1. **Store fast path** — a job whose ``run_result_key`` already has a
-   verified artifact in the store is answered immediately, touching no
-   worker (and no simulation).
-2. **Resource-grouped dispatch** — remaining jobs are grouped by the same
-   preprocessing-sharing key the PR 3 executor uses
-   (:func:`~repro.harness.parallel.resource_group`), so jobs that consume
-   one ``GlaResources`` artifact run in one worker and build it once; the
-   groups go to :func:`~repro.store.pool.run_tasks` worker processes with
-   its crashed-worker retry + jittered backoff machinery.
-3. **Per-job timeout/retry** — inside a worker each job runs under a
-   ``SIGALRM`` budget; a job that times out or raises is retried (the
-   record goes back through the queue) up to ``job_retries`` times before
-   it is failed.  Workers return serialized results, so the service works
-   with or without a persistent store; with one, workers also fill it.
+   verified, decodable artifact in the store is answered immediately,
+   touching no worker (and no simulation).
+2. **Batch execution** — the remaining jobs go to
+   :func:`~repro.harness.parallel.execute_runs`, the same executor
+   ``repro bench`` uses: jobs that consume one ``GlaResources`` artifact
+   share a worker and build it once, each job runs under a ``SIGALRM``
+   budget of ``job_timeout`` seconds, crashed workers are retried with
+   jittered backoff, and every result comes back by value — so the service
+   works with or without a persistent store; with one, workers also fill
+   it.  A job that timed out or raised is retried (the record goes back
+   through the queue) up to ``job_retries`` times before it is failed.
 
-The blocking ``run_tasks`` call runs in the event loop's default executor,
-keeping the HTTP endpoints responsive while simulations execute.
+The blocking ``execute_runs`` call runs in the event loop's default
+executor, keeping the HTTP endpoints responsive while simulations execute.
 """
 
 from __future__ import annotations
@@ -27,17 +25,20 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
-import json
-import signal
-import threading
-import time
 from typing import Any
 
-from repro.service.jobs import JobRecord, JobRequest
+from repro.service.jobs import JobRecord
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
 
 __all__ = ["Scheduler", "SchedulerConfig"]
+
+#: Pool-level retries for crashed/hung workers, and the base of their
+#: jittered backoff (see :func:`~repro.store.pool.run_tasks`).
+POOL_RETRIES = 1
+POOL_BACKOFF = 0.25
+#: Most primaries drained per batch.
+MAX_BATCH = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,102 +51,9 @@ class SchedulerConfig:
     job_timeout: float | None = None
     #: Re-dispatches after a failed/timed-out attempt before the job fails.
     job_retries: int = 1
-    #: Pool-level retries for crashed/hung workers (see ``run_tasks``).
-    pool_retries: int = 1
-    #: Backoff base for pool retries, jittered by ``run_tasks``.
-    backoff: float = 0.25
     #: Seconds to linger after the first queued job so concurrent
     #: submissions land in one resource-grouped batch.
     batch_window: float = 0.05
-    #: Most primaries drained per batch.
-    max_batch: int = 32
-
-
-@dataclasses.dataclass(frozen=True)
-class _JobUnit:
-    """One job as shipped to a worker process (picklable)."""
-
-    job_id: str
-    request: JobRequest
-
-
-@dataclasses.dataclass(frozen=True)
-class _GroupPayload:
-    """One resource-sharing group of jobs for one worker."""
-
-    jobs: tuple[_JobUnit, ...]
-    cache_dir: str | None
-    timeout: float | None
-
-
-class _JobTimeout(Exception):
-    """Raised inside a worker when a job exceeds its SIGALRM budget."""
-
-
-def _run_with_timeout(
-    runner: Any, request: JobRequest, timeout: float | None
-) -> Any:
-    """Execute one request on ``runner``, under SIGALRM when possible.
-
-    The alarm needs a process main thread; the inline-fallback path (which
-    executes in the service's executor thread) runs unbudgeted instead —
-    that mirrors the PR 3 executor, where inline is the untimed
-    ground-truth tier.
-    """
-    use_alarm = (
-        timeout is not None
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not use_alarm:
-        return runner.run(request.spec)
-
-    def _on_alarm(signum: int, frame: Any) -> None:
-        raise _JobTimeout(f"job exceeded {timeout}s")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return runner.run(request.spec)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_group(payload: _GroupPayload) -> list[dict[str, Any]]:
-    """Worker body: run one resource group, one job at a time.
-
-    Returns per-job reports (never raises for a job failure — only a
-    worker death loses a group, and the pool machinery retries that).
-    Results travel back serialized; with a store configured the runner
-    also persists them, which is what makes future fast-path hits.
-    """
-    from repro.harness.runner import Runner
-    from repro.store.serialize import run_result_to_json
-
-    # One runner serves the whole group: every spec carries its own
-    # pr_iterations/preprocessing, so nothing varies per job but the spec.
-    runner = Runner(cache_dir=payload.cache_dir)
-    reports: list[dict[str, Any]] = []
-    for unit in payload.jobs:
-        request = unit.request
-        start = time.perf_counter()
-        try:
-            result = _run_with_timeout(runner, request, payload.timeout)
-            reports.append({
-                "job_id": unit.job_id,
-                "ok": True,
-                "seconds": time.perf_counter() - start,
-                "result": run_result_to_json(result),
-            })
-        except Exception as exc:  # noqa: BLE001 - reported, retried upstream
-            reports.append({
-                "job_id": unit.job_id,
-                "ok": False,
-                "seconds": time.perf_counter() - start,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    return reports
 
 
 class Scheduler:
@@ -164,109 +72,45 @@ class Scheduler:
         self.store = store
         self.config = config if config is not None else SchedulerConfig()
 
-    # -- store fast path ---------------------------------------------------
-
-    def _store_lookup(self, key: str) -> dict[str, Any] | None:
-        """A verified, decodable result payload for ``key``, or ``None``.
-
-        Rides the store's checksum verification, then additionally proves
-        the payload deserializes — a schema-drifted entry must fall back to
-        computation, not be served.
-        """
-        if self.store is None:
-            return None
-        payload = self.store.get_bytes("results", key)
-        if payload is None:
-            return None
-        from repro.store.serialize import SerializationError, run_result_from_json
-
-        try:
-            obj = json.loads(payload.decode("utf-8"))
-            run_result_from_json(obj)
-        except (ValueError, SerializationError):
-            return None
-        return obj
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _plan_groups(self, records: list[JobRecord]) -> list[list[JobRecord]]:
-        """Group a batch by the PR 3 preprocessing-sharing key, largest
-        group first (the LPT-style ordering ``plan_shards`` uses)."""
-        from repro.harness.parallel import resource_group
-
-        groups: dict[Any, list[JobRecord]] = {}
-        for record in records:
-            groups.setdefault(
-                resource_group(record.request.spec), []
-            ).append(record)
-        return [
-            members
-            for _, members in sorted(
-                groups.items(), key=lambda item: (-len(item[1]), repr(item[0]))
-            )
-        ]
-
     async def _dispatch(self, records: list[JobRecord]) -> None:
-        """Run one batch in worker processes and settle every record."""
-        from repro.store.pool import run_tasks
+        """Run one batch through the executor and settle every record."""
+        from repro.harness.parallel import execute_runs
+        from repro.harness.runner import Runner
+        from repro.store.serialize import run_result_to_json
 
-        cache_dir = str(self.store.root) if self.store is not None else None
-        groups = self._plan_groups(records)
-        payloads = [
-            _GroupPayload(
-                jobs=tuple(
-                    _JobUnit(record.job_id, record.request) for record in group
-                ),
-                cache_dir=cache_dir,
-                timeout=self.config.job_timeout,
-            )
-            for group in groups
-        ]
-        parent_timeout = (
-            None
-            if self.config.job_timeout is None
-            else self.config.job_timeout * max(len(g) for g in groups) + 5.0
-        )
+        specs = [record.request.spec.normalized() for record in records]
+        # A runner per batch: the inline tier memoizes into it, and a
+        # long-lived memo would grow with every job the service ever ran.
+        runner = Runner(cache_dir=None if self.store is None else self.store.root)
         loop = asyncio.get_running_loop()
-        outcomes = await loop.run_in_executor(
+        report = await loop.run_in_executor(
             None,
             functools.partial(
-                run_tasks,
-                _execute_group,
-                payloads,
-                workers=self.config.workers,
-                timeout=parent_timeout,
-                retries=self.config.pool_retries,
-                backoff=self.config.backoff,
-                inline_fallback=True,
+                execute_runs,
+                specs,
+                runner,
+                jobs=self.config.workers,
+                timeout=self.config.job_timeout,
+                retries=POOL_RETRIES,
+                backoff=POOL_BACKOFF,
             ),
         )
-        by_id = {record.job_id: record for record in records}
-        for outcome in outcomes:
-            for report in outcome.value or ():
-                record = by_id.pop(report["job_id"], None)
-                if record is None:
-                    continue
-                if report["ok"]:
-                    self.metrics.computed += 1
-                    await self.queue.complete(
-                        record,
-                        report["result"],
-                        "inline" if outcome.inline else "worker",
-                    )
-                elif record.attempts <= self.config.job_retries:
-                    await self.queue.requeue(record)
-                else:
-                    await self.queue.fail(record, report["error"])
-        # A group the pool lost entirely (no reports, no inline value):
-        # fail its jobs rather than strand them in `running` forever.
-        for record in by_id.values():
-            if record.attempts <= self.config.job_retries:
+        by_spec = {run.spec: run for run in report.reports}
+        for record, spec in zip(records, specs):
+            run = by_spec[spec]
+            if run.result is not None:
+                self.metrics.computed += 1
+                await self.queue.complete(
+                    record, run_result_to_json(run.result), run.where
+                )
+            elif record.attempts <= self.config.job_retries:
                 await self.queue.requeue(record)
             else:
-                await self.queue.fail(record, "worker group was lost")
+                await self.queue.fail(record, str(run.error))
 
     async def _handle_batch(self, batch: list[JobRecord]) -> None:
+        from repro.store.serialize import run_result_to_json
+
         compute: list[JobRecord] = []
         for record in batch:
             # Checked runs must re-execute the simulation under the
@@ -275,12 +119,12 @@ class Scheduler:
             # persisted; this makes the contract explicit).
             hit = (
                 None
-                if record.request.spec.check
-                else self._store_lookup(record.key)
+                if self.store is None or record.request.spec.check
+                else self.store.get_run_result(record.key)
             )
             if hit is not None:
                 self.metrics.store_hits += 1
-                await self.queue.complete(record, hit, "store")
+                await self.queue.complete(record, run_result_to_json(hit), "store")
             else:
                 compute.append(record)
         if compute:
@@ -295,9 +139,7 @@ class Scheduler:
         state.
         """
         while True:
-            batch = await self.queue.next_batch(
-                self.config.max_batch, self.config.batch_window
-            )
+            batch = await self.queue.next_batch(MAX_BATCH, self.config.batch_window)
             if not batch:
                 return
             try:

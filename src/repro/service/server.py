@@ -64,8 +64,6 @@ class ServiceConfig:
     cache_dir: str | None = None
     #: Admission bound on queued primaries.
     max_depth: int = 64
-    #: Terminal records kept addressable before eviction.
-    retain_finished: int = 1024
     scheduler: SchedulerConfig = dataclasses.field(default_factory=SchedulerConfig)
     #: Seconds between stats lines (0: off).
     stats_interval: float = 0.0
@@ -87,11 +85,7 @@ class SimulationService:
         self.config = config if config is not None else ServiceConfig()
         self.log = log if log is not None else (lambda message: None)
         self.metrics = ServiceMetrics()
-        self.queue = JobQueue(
-            metrics=self.metrics,
-            max_depth=self.config.max_depth,
-            retain_finished=self.config.retain_finished,
-        )
+        self.queue = JobQueue(metrics=self.metrics, max_depth=self.config.max_depth)
         self.store = None
         if self.config.cache_dir is not None:
             from repro.store import ArtifactStore

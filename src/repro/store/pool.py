@@ -169,8 +169,6 @@ def run_tasks(
     timeout: float | None = None,
     retries: int = 1,
     backoff: float = 0.5,
-    inline_fallback: bool = True,
-    jitter: float = DEFAULT_JITTER,
     jitter_seed: int | None = None,
 ) -> list[TaskOutcome]:
     """Map ``fn`` over ``payloads`` in worker processes; outcomes in order.
@@ -178,13 +176,11 @@ def run_tasks(
     ``workers=None`` picks ``min(len(payloads), cpu_count)``; ``workers<=1``
     (or a single payload) runs everything inline.  Tasks whose worker
     crashed, raised, or exceeded ``timeout`` are retried in a fresh pool up
-    to ``retries`` times with exponential ``backoff``, jittered by up to a
-    ``jitter`` fraction per sleep (see :func:`backoff_delays`;
+    to ``retries`` times with exponential ``backoff``, jittered by up to
+    :data:`DEFAULT_JITTER` per sleep (see :func:`backoff_delays`;
     ``jitter_seed`` pins the schedule, ``None`` derives it from the pid so
-    concurrent clients retry out of lockstep); whatever still fails
-    then runs inline in the calling process when ``inline_fallback`` is
-    set (exceptions propagate from there), else is reported via
-    :attr:`TaskOutcome.errors` with ``value=None``.
+    concurrent clients retry out of lockstep); whatever still fails then
+    runs inline in the calling process, where exceptions propagate.
     """
     if not payloads:
         return []
@@ -194,7 +190,7 @@ def run_tasks(
     errors: dict[int, list[str]] = {index: [] for index in range(len(payloads))}
     pending = list(range(len(payloads)))
     if workers > 1 and len(payloads) > 1:
-        delays = backoff_delays(max(0, retries), backoff, jitter, jitter_seed)
+        delays = backoff_delays(max(0, retries), backoff, seed=jitter_seed)
         for attempt in range(1 + max(0, retries)):
             if attempt and backoff:
                 time.sleep(delays[attempt - 1])
@@ -204,16 +200,5 @@ def run_tasks(
             )
             if not pending:
                 break
-    if pending:
-        if inline_fallback:
-            _run_inline(fn, payloads, pending, outcomes, attempts, errors)
-        else:
-            for index in pending:
-                outcomes[index] = TaskOutcome(
-                    index=index,
-                    value=None,
-                    attempts=attempts[index],
-                    inline=False,
-                    errors=tuple(errors[index]),
-                )
+    _run_inline(fn, payloads, pending, outcomes, attempts, errors)
     return [outcomes[index] for index in range(len(payloads))]

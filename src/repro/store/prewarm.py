@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.core.chain import DEFAULT_D_MAX
 from repro.core.oag import DEFAULT_W_MIN
 from repro.engine.resources import GlaResources
-from repro.harness.datasets import GRAPH_DATASETS, graph_dataset, hypergraph_dataset
+from repro.harness.datasets import load_dataset
 from repro.hypergraph.pipeline import PreprocessSpec
 from repro.store.keys import hypergraph_content_hash, resources_key
 from repro.store.pool import run_tasks
@@ -63,12 +63,6 @@ def prewarm_jobs(
     ]
 
 
-def _resolve_dataset(key: str):
-    if key in GRAPH_DATASETS:
-        return graph_dataset(key)
-    return hypergraph_dataset(key)
-
-
 def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     """Worker body: build (or find) one artifact in the store.
 
@@ -77,7 +71,7 @@ def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     """
     store_dir, job = payload
     store = ArtifactStore(store_dir)
-    hypergraph = _resolve_dataset(job.dataset)
+    hypergraph = load_dataset(job.dataset)
     preprocessing = PreprocessSpec(w_min=job.w_min, d_max=job.d_max)
     key = resources_key(
         hypergraph_content_hash(hypergraph), job.num_cores, preprocessing

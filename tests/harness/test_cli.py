@@ -79,7 +79,6 @@ def test_bench_without_store_warns_and_degrades(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     assert main(["bench", "--figures", "table1,vi_e"]) == 0
     captured = capsys.readouterr()
-    assert "executing serially in-process" in captured.err
     assert "Table I" in captured.out
     assert "area" in captured.out.lower()
 

@@ -1,11 +1,15 @@
 """The sharded parallel experiment executor: plan determinism, serial
-parity, and graceful degradation when workers crash, hang, or there is no
-store to act as the cross-process result bus."""
+parity, results returned by value (with or without a store), and graceful
+degradation when workers crash or hang."""
 
 from __future__ import annotations
 
+import functools
+import pickle
+
 import pytest
 
+import repro.harness.parallel as parallel_mod
 from repro.harness.parallel import (
     RESOURCE_ENGINES,
     RunSpec,
@@ -109,13 +113,32 @@ def test_run_many_parallel_is_bit_identical_to_serial(tmp_path):
         assert result.memory_stall_fraction == expected.memory_stall_fraction
 
 
-def test_run_many_without_store_degrades_to_serial_loop():
-    runner = Runner(pr_iterations=1)
-    specs = _specs(engines=("Hygra",), apps=("BFS", "CC"))
-    results = runner.run_many(specs, jobs=4)
-    assert runner.last_execution_report is None
-    for spec in specs:
-        assert results[spec] is runner.run(spec)
+def test_execute_runs_without_store_runs_in_parallel():
+    specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
+    report = execute_runs(specs, Runner(pr_iterations=1, cache_dir=None), jobs=2)
+    assert report.parallel and report.ok
+    assert all(r.where == "worker" for r in report.reports)
+    serial = Runner(pr_iterations=1, cache_dir=None)
+    for run in report.reports:
+        expected = serial.run(run.spec)
+        assert run.result.cycles == expected.cycles
+        assert run.result.dram_by_group == expected.dram_by_group
+
+
+class _SubRunner(Runner):
+    """A runner subclass, as tests use to shrink datasets."""
+
+
+def test_runner_pickles_as_its_configuration(tmp_path):
+    """What a worker receives: the same class, iterations and store, but
+    none of the caller's memo."""
+    runner = _SubRunner(pr_iterations=3, cache_dir=tmp_path)
+    runner.run_many(_specs(engines=("Hygra",)), jobs=1)
+    copy = pickle.loads(pickle.dumps(runner))
+    assert type(copy) is _SubRunner
+    assert copy.pr_iterations == 3
+    assert copy.store.root == runner.store.root
+    assert runner._results and not copy._results
 
 
 def test_run_many_skips_executor_when_memo_is_warm(tmp_path):
@@ -128,26 +151,41 @@ def test_run_many_skips_executor_when_memo_is_warm(tmp_path):
         assert again[spec] is first[spec]
 
 
-# -- graceful degradation ----------------------------------------------------
+def test_run_many_answers_a_filled_store_without_a_pool(tmp_path):
+    specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
+    Runner(pr_iterations=1, cache_dir=tmp_path).run_many(specs, jobs=2)
+    fresh = Runner(pr_iterations=1, cache_dir=tmp_path)
+    results = fresh.run_many(specs, jobs=2, timeout=120)
+    assert fresh.last_execution_report is None  # no executor, no pool
+    assert fresh.store.stats.hits == len(specs)
+    assert fresh.store.stats.misses == 0
+    assert set(results) == set(specs)
 
 
-def test_execute_runs_without_cache_dir_runs_inline():
-    report = execute_runs(
-        _normalized(_specs(engines=("Hygra",), apps=("BFS", "CC"))),
-        cache_dir=None,
-        jobs=4,
+def test_one_shard_plan_runs_inline_and_retries_nothing(tmp_path):
+    """Both runs share one GlaResources group, so the plan has one shard:
+    it runs inline, untimed (a 10 ms alarm would kill either run), and
+    counts as neither parallel nor retried."""
+    runner = Runner(pr_iterations=1, cache_dir=tmp_path)
+    runner.run_many(
+        _specs(engines=("ChGraph",), apps=("BFS", "CC")), jobs=2, timeout=0.01
     )
+    report = runner.last_execution_report
+    assert report is not None and report.ok
+    assert len(report.shards) == 1
     assert not report.parallel
-    assert report.jobs == 1
-    assert report.ok
+    assert report.retried() == []
     assert all(r.where == "inline" for r in report.reports)
+
+
+# -- graceful degradation ----------------------------------------------------
 
 
 def test_execute_runs_rejects_unnormalized_specs():
     """A worker would resolve ``None`` fields against its own environment,
     not the caller's runner, so the executor refuses them up front."""
     with pytest.raises(ValueError, match="normalized"):
-        execute_runs(_specs(), cache_dir=None, jobs=1)
+        execute_runs(_specs(), Runner(cache_dir=None), jobs=1)
 
 
 def test_worker_crash_is_retried_and_suite_completes(tmp_path):
@@ -155,7 +193,7 @@ def test_worker_crash_is_retried_and_suite_completes(tmp_path):
     specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
     report = execute_runs(
         specs,
-        cache_dir=tmp_path,
+        Runner(pr_iterations=1, cache_dir=tmp_path),
         jobs=2,
         timeout=120,
         retries=2,
@@ -170,22 +208,26 @@ def test_worker_crash_is_retried_and_suite_completes(tmp_path):
     assert warm.store.stats.hits >= 1
 
 
-def test_worker_timeout_degrades_to_inline_execution(tmp_path):
-    """A run hung past its SIGALRM budget is re-run inline, untimed."""
-    specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
-    report = execute_runs(
-        specs,
-        cache_dir=tmp_path,
-        jobs=2,
-        timeout=3.0,
-        retries=1,
-        fault="hang:BFS",
+def test_worker_timeout_degrades_to_inline_execution(tmp_path, monkeypatch):
+    """The executor reports a run hung past its SIGALRM budget as failed;
+    ``run_many`` then re-runs it inline, untimed."""
+    monkeypatch.setattr(
+        parallel_mod,
+        "execute_runs",
+        functools.partial(parallel_mod.execute_runs, fault="hang:BFS"),
     )
-    assert report.parallel
-    assert report.ok
+    specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
+    runner = Runner(pr_iterations=1, cache_dir=tmp_path)
+    results = runner.run_many(specs, jobs=2, timeout=3.0, retries=1)
     assert (tmp_path / "fault-hang.marker").exists()  # the hang fired
-    inline = [r for r in report.reports if r.where == "inline"]
-    assert any(r.spec.algorithm == "BFS" for r in inline)
+    report = runner.last_execution_report
+    assert report is not None and report.parallel
+    (hung,) = report.failures()
+    assert hung.spec.algorithm == "BFS" and hung.where == "worker"
+    assert hung.result is None and "exceeded 3.0s" in hung.error
+    assert report.retried() == [hung]
+    (spec,) = [s for s in specs if s.normalized(pr_iterations=1) == hung.spec]
+    assert results[spec].cycles == Runner(pr_iterations=1).run(spec).cycles
 
 
 def test_parallel_pool_generic_machinery_retries_crashes(tmp_path):

@@ -1,19 +1,25 @@
-"""Scheduler: store fast path, grouping, retry-then-fail settlement.
+"""Scheduler: store fast path, retry-then-fail settlement, and the
+executor's alarm policy in the service's threads.
 
-The dispatch tier is exercised with a monkeypatched worker body where the
-real simulation is irrelevant — a single-payload ``run_tasks`` call runs
-inline in the calling process, so the patch is visible to it.  End-to-end
-compute (real workers, real results) is covered by ``test_server.py``.
+The dispatch tier is exercised with a monkeypatched executor worker body
+(``repro.harness.parallel._run_shard``) where the real simulation is
+irrelevant — a one-shard plan runs inline in the calling process, so the
+patch is visible to it.  End-to-end compute (real workers, real results)
+is covered by ``test_server.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import threading
 
 import pytest
 
-import repro.service.scheduler as scheduler_mod
+import repro.harness.parallel as parallel_mod
+from repro.harness.parallel import RunReport
+from repro.harness.runner import Runner
 from repro.service import (
     JobQueue,
     Scheduler,
@@ -21,7 +27,14 @@ from repro.service import (
     ServiceMetrics,
 )
 from repro.store import ArtifactStore
+from repro.store.serialize import run_result_to_json
 from tests.service.conftest import small_request
+
+
+@pytest.fixture(scope="module")
+def small_result():
+    """The real result of :func:`small_request`, simulated once."""
+    return Runner(cache_dir=None).run(small_request().spec)
 
 
 def run(coro):
@@ -49,17 +62,13 @@ async def serve_one(queue, scheduler, request, key):
 
 
 class TestStoreFastPath:
-    def test_prewarmed_key_is_served_without_compute(self, tmp_path):
+    def test_prewarmed_key_is_served_without_compute(
+        self, tmp_path, small_result
+    ):
         store = ArtifactStore(tmp_path / "cache")
         request = small_request()
         key = request.store_key()
-
-        from repro.harness.runner import Runner
-
-        result = Runner(cache_dir=None).run(request.spec)
-        from repro.store.serialize import run_result_to_json
-
-        payload = run_result_to_json(result)
+        payload = run_result_to_json(small_result)
         store.put_bytes(
             "results", key, json.dumps(payload).encode("utf-8")
         )
@@ -85,6 +94,9 @@ class TestStoreFastPath:
         assert record.served_from in ("worker", "inline")
         assert metrics.store_hits == 0
         assert metrics.computed == 1
+        # The lookup decoded the entry and reclassified its checksum hit.
+        assert store.stats.hits == 0
+        assert store.stats.corruptions == 1
 
     def test_no_store_always_computes(self):
         queue, scheduler, metrics = make_parts(store=None)
@@ -97,45 +109,21 @@ class TestStoreFastPath:
         assert run_result_from_json(record.result).cycles > 0
 
 
-class TestGrouping:
-    def test_same_resources_land_in_one_group(self):
-        queue, scheduler, _ = make_parts()
-
-        async def body():
-            records = []
-            for algorithm, key in (("BFS", "k1"), ("CC", "k2"), ("BFS", "k3")):
-                record, _ = await queue.submit(
-                    small_request(algorithm=algorithm,
-                                  dataset="WP" if key == "k3" else "FS"),
-                    key,
-                )
-                records.append(record)
-            return scheduler._plan_groups(records)
-
-        groups = run(body())
-        # FS/BFS and FS/CC share GlaResources; WP is its own group.
-        # Largest group first (the LPT-style ordering).
-        assert [len(group) for group in groups] == [2, 1]
-        assert {r.request.spec.dataset for r in groups[0]} == {"FS"}
-
-
 class TestRetrySettlement:
     def test_failing_job_retries_then_fails(self, monkeypatch):
         calls = []
 
-        def flaky_group(payload):
-            reports = []
-            for unit in payload.jobs:
-                calls.append(unit.job_id)
-                reports.append({
-                    "job_id": unit.job_id,
-                    "ok": False,
-                    "seconds": 0.0,
-                    "error": "RuntimeError: injected",
-                })
-            return reports
+        def flaky_shard(payload):
+            calls.extend(payload.specs)
+            return [
+                RunReport(
+                    spec=spec, ok=False, seconds=0.0, where="inline",
+                    error="RuntimeError: injected",
+                )
+                for spec in payload.specs
+            ]
 
-        monkeypatch.setattr(scheduler_mod, "_execute_group", flaky_group)
+        monkeypatch.setattr(parallel_mod, "_run_shard", flaky_shard)
         queue, scheduler, metrics = make_parts(job_retries=1)
         record = run(serve_one(queue, scheduler, small_request(), "k1"))
         assert record.state == "failed"
@@ -145,30 +133,28 @@ class TestRetrySettlement:
         assert metrics.retries == 1
         assert metrics.failed == 1
 
-    def test_transient_failure_recovers_on_retry(self, monkeypatch):
+    def test_transient_failure_recovers_on_retry(
+        self, monkeypatch, small_result
+    ):
         attempts = []
 
         def flaky_once(payload):
-            reports = []
-            for unit in payload.jobs:
-                attempts.append(unit.job_id)
-                if len(attempts) == 1:
-                    reports.append({
-                        "job_id": unit.job_id, "ok": False, "seconds": 0.0,
-                        "error": "OSError: transient",
-                    })
-                else:
-                    reports.append({
-                        "job_id": unit.job_id, "ok": True, "seconds": 0.0,
-                        "result": {"recovered": True},
-                    })
-            return reports
+            attempts.extend(payload.specs)
+            if len(attempts) == 1:
+                return [RunReport(
+                    spec=payload.specs[0], ok=False, seconds=0.0,
+                    where="inline", error="OSError: transient",
+                )]
+            return [RunReport(
+                spec=payload.specs[0], ok=True, seconds=0.0, where="inline",
+                result=small_result,
+            )]
 
-        monkeypatch.setattr(scheduler_mod, "_execute_group", flaky_once)
+        monkeypatch.setattr(parallel_mod, "_run_shard", flaky_once)
         queue, scheduler, metrics = make_parts(job_retries=1)
         record = run(serve_one(queue, scheduler, small_request(), "k1"))
         assert record.state == "done"
-        assert record.result == {"recovered": True}
+        assert record.result == run_result_to_json(small_result)
         assert metrics.retries == 1
         assert metrics.computed == 1
 
@@ -187,10 +173,11 @@ class TestRetrySettlement:
         assert "planner exploded" in record.error
 
 
-@pytest.mark.parametrize("timeout, expect_alarm", [(None, False), (5.0, True)])
-def test_run_with_timeout_uses_alarm_only_on_main_thread(
-    monkeypatch, timeout, expect_alarm
-):
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_run_one_arms_alarm_only_in_a_worker(monkeypatch, in_worker):
+    """A worker process runs under its ``SIGALRM`` budget; the calling
+    process never arms one — the service calls the executor from an
+    executor thread, where ``signal.signal`` would raise."""
     import signal
 
     armed = []
@@ -203,11 +190,29 @@ def test_run_with_timeout_uses_alarm_only_on_main_thread(
     monkeypatch.setattr(signal, "setitimer", spy)
 
     class FakeRunner:
-        def run(self, *args, **kwargs):
+        store = None
+
+        def run(self, spec):
             return "ran"
 
-    result = scheduler_mod._run_with_timeout(
-        FakeRunner(), small_request(), timeout
+    payload = parallel_mod._ShardPayload(
+        runner=FakeRunner(),
+        specs=(),
+        timeout=5.0,
+        # A payload from another pid is what a worker process sees.
+        parent_pid=os.getpid() + (1 if in_worker else 0),
     )
-    assert result == "ran"
-    assert bool(armed) == expect_alarm
+    outcome = []
+    if in_worker:
+        outcome.append(parallel_mod._run_one(small_request().spec, payload))
+    else:
+        thread = threading.Thread(
+            target=lambda: outcome.append(
+                parallel_mod._run_one(small_request().spec, payload)
+            )
+        )
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+    assert outcome == ["ran"]
+    assert bool(armed) == in_worker
