@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
+from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
 from repro.engine.hygra import charge_frontier_traversal
-from repro.engine.base import ExecutionEngine, PhaseSpec
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
-from repro.sim.protocol import MemorySystem
 from repro.sim.layout import ArrayId
+from repro.sim.protocol import MemorySystem
 
 __all__ = ["EventPrefetcherEngine"]
 
@@ -30,22 +30,6 @@ class EventPrefetcherEngine(ExecutionEngine):
     """Index-ordered execution with an indirect-access prefetch engine."""
 
     name = "EventPrefetcher"
-
-    def _prepare(
-        self,
-        hypergraph: Hypergraph,
-        system: MemorySystem,
-        chunks: dict[str, list[Chunk]],
-    ) -> None:
-        hierarchy = system.hierarchy
-        if hierarchy is not None:
-            self._engine_access = hierarchy.engine_access
-            self._engine_access_block = hierarchy.engine_access_block
-            self._dram_counter = hierarchy.dram
-        else:
-            self._engine_access = lambda core, array, index: 0
-            self._engine_access_block = lambda core, array, start, count: 0
-            self._dram_counter = None
 
     def _run_phase(
         self,
@@ -64,47 +48,47 @@ class EventPrefetcherEngine(ExecutionEngine):
         indices = csr.indices_list()
         apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
         dense = algorithm.dense_frontier
-        engine_access = self._engine_access
-        engine_access_block = self._engine_access_block
         activated_bitmap = activated.bitmap
 
         for chunk in chunks:
             core = chunk.core
             charge_frontier_traversal(system, core, chunk, frontier, algorithm)
-            dram_before = self._dram_counter.accesses if self._dram_counter else 0
+            fetch_offset = system.port(core, spec.src_offset, "engine")
+            fetch_src = system.port(core, spec.src_value, "engine")
+            fetch_incident = system.port(core, spec.incident, "engine")
+            fetch_dst = system.port(core, spec.dst_value, "engine")
+            write_dst = system.port(core, spec.dst_value, "write")
+            write_bitmap = system.port(core, ArrayId.BITMAP, "write")
+            dram_before = system.dram_accesses()
             engine_latency = 0.0
             beats = 0
             for element in index_order_schedule(frontier, chunk):
                 # The prefetch engine chases the per-element indirections.
                 beats += 1
-                engine_latency += engine_access_block(
-                    core, spec.src_offset, element, 2
-                )
-                engine_latency += engine_access(core, spec.src_value, element)
+                engine_latency += fetch_offset(element) + fetch_offset(element + 1)
+                engine_latency += fetch_src(element)
                 start, end = offsets[element], offsets[element + 1]
                 for position in range(start, end):
                     dst = indices[position]
                     beats += 1
-                    engine_latency += engine_access(core, spec.incident, position)
-                    engine_latency += engine_access(core, spec.dst_value, dst)
+                    engine_latency += fetch_incident(position)
+                    engine_latency += fetch_dst(dst)
                     modified = apply_fn(element, dst)
                     system.charge_compute(
                         core, config.apply_cycles * algorithm.apply_cost_factor
                     )
                     if modified:
-                        system.write(core, spec.dst_value, dst)
+                        write_dst(dst)
                         if not activated_bitmap[dst]:
                             activated_bitmap[dst] = True
                             if not dense:
-                                system.write(core, ArrayId.BITMAP, dst)
+                                write_bitmap(dst)
             engine_cycles = (
                 beats * config.hw_stage_cycles
                 + engine_latency / config.engine_mlp
             )
-            if self._dram_counter is not None:
-                lines = self._dram_counter.accesses - dram_before
-                floor = lines / (
-                    self._dram_counter.peak_lines_per_cycle / config.num_cores
-                )
-                engine_cycles = max(engine_cycles, floor)
+            engine_cycles = max(
+                engine_cycles,
+                dram_floor(system, system.dram_accesses() - dram_before),
+            )
             system.charge_engine(core, engine_cycles)

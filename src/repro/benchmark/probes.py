@@ -221,9 +221,11 @@ def _hierarchy_access():
 
     config = scaled_config(num_cores=_SMALL_CORES, llc_kb=_SMALL_LLC_KB)
     # A fixed op tape (seeded, built once in setup) replayed against a
-    # fresh hierarchy each repetition: the same mix of single accesses,
-    # line-granular blocks, engine probes and pre-bound prober calls the
-    # engines issue, without any engine bookkeeping in the timed region.
+    # fresh hierarchy each repetition: the mix of demand reads and writes,
+    # offsets-pair fetches and engine accesses the engines issue through
+    # their bound ports, without any engine bookkeeping in the timed
+    # region.  The tape still draws a block length per op, so it stays the
+    # same tape; pairs use two elements of it.
     rng = random.Random(0x5EED)
     arrays = [
         ArrayId.VERTEX_VALUE,
@@ -239,28 +241,26 @@ def _hierarchy_access():
         index = rng.randrange(4096)
         count = rng.randrange(1, 17)
         tape.append((op, core, array, index, count))
+    # op -> (channel, accesses): a demand read, a demand write, a demand
+    # write pair, an engine access, an engine pair, an engine access.
+    ops = [
+        ("read", 1), ("write", 1), ("write", 2),
+        ("engine", 1), ("engine", 2), ("engine", 1),
+    ]
 
     def thunk():
         hierarchy = MemoryHierarchy(config)
-        probers = {}
+        ports = {}
         total = 0
-        for op, core, array, index, count in tape:
-            if op == 0:
-                total += hierarchy.access(core, array, index, write=False)
-            elif op == 1:
-                total += hierarchy.access(core, array, index, write=True)
-            elif op == 2:
-                total += hierarchy.access_block(core, array, index, count, True)
-            elif op == 3:
-                total += hierarchy.engine_access(core, array, index)
-            elif op == 4:
-                total += hierarchy.engine_access_block(core, array, index, count)
-            else:
-                key = (core, array)
-                probe = probers.get(key)
-                if probe is None:
-                    probe = probers[key] = hierarchy.engine_prober(core, array)
-                total += probe(index)
+        for op, core, array, index, _ in tape:
+            channel, accesses = ops[op]
+            key = (core, array, channel)
+            port = ports.get(key)
+            if port is None:
+                port = ports[key] = hierarchy.port(core, array, channel)
+            total += port(index)
+            if accesses == 2:
+                total += port(index + 1)
         return total
 
     return thunk

@@ -6,13 +6,14 @@ chain semantics are exactly :class:`~repro.core.chain.ChainGenerator` (the
 stack depth is the ``D_max`` bound); this module adds the hardware cost
 accounting: one pipeline beat per micro-step, engine-side memory requests
 for the bitmap and OAG arrays, and serial (dependency-chained) latency for
-the OAG walk.
+the OAG walk.  The requests go through :class:`HcgPorts`, the core's three
+``engine``-channel ports, bound once per chunk.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from repro.core.chain import ChainGenerator, ChainProbe, ChainSet
 from repro.core.oag import Oag
 from repro.sim.config import SystemConfig
 from repro.sim.layout import ArrayId
+from repro.sim.protocol import MemorySystem, Port
 
-__all__ = ["HcgCost", "HardwareChainGenerator"]
+__all__ = ["HcgCost", "HcgPorts", "HardwareChainGenerator"]
 
 
 @dataclasses.dataclass
@@ -37,64 +39,52 @@ class HcgCost:
         return self.beats * stage_cycles + self.serial_latency
 
 
+class HcgPorts(NamedTuple):
+    """One core's engine ports over the arrays the HCG reads."""
+
+    bitmap: Port
+    offsets: Port
+    edges: Port
+
+    @classmethod
+    def bind(cls, system: MemorySystem, core: int) -> "HcgPorts":
+        return cls(
+            system.port(core, ArrayId.BITMAP, "engine"),
+            system.port(core, ArrayId.OAG_OFFSET, "engine"),
+            system.port(core, ArrayId.OAG_EDGE, "engine"),
+        )
+
+
 class _HcgProbe(ChainProbe):
     """Counts pipeline beats and issues engine-side accesses."""
 
     def __init__(
-        self,
-        access: Callable[[int, ArrayId, int], int],
-        core: int,
-        cost: HcgCost,
-        edge_base: int,
-        dense: bool,
-        access_block: Callable[[int, ArrayId, int, int], int] | None = None,
-        edge_probe: Callable[[int], int] | None = None,
-        offsets_probe: Callable[[int], int] | None = None,
+        self, ports: HcgPorts, cost: HcgCost, edge_base: int, dense: bool
     ) -> None:
-        self.access = access
-        self.core = core
+        self.bitmap, self.offsets, self.edges = ports
         self.cost = cost
         self.edge_base = edge_base
         self.dense = dense
-        if access_block is None:
-            def access_block(
-                core: int, array: ArrayId, start: int, count: int
-            ) -> int:
-                return sum(access(core, array, index)
-                           for index in range(start, start + count))
-        self.access_block = access_block
-        if edge_probe is None:
-            def edge_probe(index: int) -> int:
-                return access(core, ArrayId.OAG_EDGE, index)
-        # Pre-bound OAG probes (normally ``engine_prober`` /
-        # ``engine_pair_prober``): neighbor inspection and the offsets-pair
-        # fetch are the HCG's hottest micro-steps.
-        self.edge_probe = edge_probe
-        if offsets_probe is None:
-            def offsets_probe(node: int) -> int:
-                return self.access_block(core, ArrayId.OAG_OFFSET, node, 2)
-        self.offsets_probe = offsets_probe
-
-    def _load(self, array: ArrayId, index: int) -> None:
-        self.cost.requests += 1
-        self.cost.serial_latency += self.access(self.core, array, index)
 
     def on_root_scan(self, element: int) -> None:
-        self.cost.beats += 1
+        cost = self.cost
+        cost.beats += 1
         if not self.dense:
-            self._load(ArrayId.BITMAP, element)
+            cost.requests += 1
+            cost.serial_latency += self.bitmap(element)
 
     def on_offsets_fetch(self, node: int) -> None:
         cost = self.cost
         cost.beats += 1
         cost.requests += 2
-        cost.serial_latency += self.offsets_probe(node)
+        offsets = self.offsets
+        cost.serial_latency += offsets(node) + offsets(node + 1)
 
     def on_neighbor_inspect(self, node: int, position: int) -> None:
         cost = self.cost
         cost.beats += 1
         cost.requests += 1
-        cost.serial_latency += self.edge_probe(self.edge_base + position)
+        cost.serial_latency += self.edges(self.edge_base + position)
 
     def on_select(self, element: int) -> None:
         self.cost.beats += 1
@@ -113,29 +103,17 @@ class HardwareChainGenerator:
         self,
         active: np.ndarray,
         oag: Oag,
-        core: int,
-        access: Callable[[int, ArrayId, int], int],
+        ports: HcgPorts,
         edge_base: int = 0,
         dense: bool = False,
-        access_block: Callable[[int, ArrayId, int, int], int] | None = None,
-        edge_probe: Callable[[int], int] | None = None,
-        offsets_probe: Callable[[int], int] | None = None,
     ) -> tuple[ChainSet, HcgCost]:
         """Generate chains for one chunk with engine-side accesses.
 
-        ``access(core, array, index) -> latency`` is the engine's path into
-        the memory hierarchy (normally ``MemoryHierarchy.engine_access``);
-        ``access_block`` the batched equivalent over an element range
-        (``MemoryHierarchy.engine_access_block``), defaulting to a
-        per-element loop over ``access``; ``edge_probe`` / ``offsets_probe``
-        pre-bound probes for this core's OAG_EDGE element and OAG_OFFSET
-        pair (normally ``MemoryHierarchy.engine_prober`` /
-        ``engine_pair_prober``), defaulting to the unbatched callables.
+        ``ports`` are the issuing core's engine ports
+        (:meth:`HcgPorts.bind`); ``edge_base`` offsets the chunk's OAG edge
+        positions into the global OAG_EDGE array.
         """
         cost = HcgCost()
-        probe = _HcgProbe(
-            access, core, cost, edge_base, dense, access_block, edge_probe,
-            offsets_probe,
-        )
+        probe = _HcgProbe(ports, cost, edge_base, dense)
         chains = self._generator.generate(active, oag, probe=probe)
         return chains, cost

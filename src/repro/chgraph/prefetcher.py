@@ -5,20 +5,16 @@ The CP is a 4-stage pipeline — *element acquisition*, *offsets fetching*,
 packs ``{src, dst, src_value, dst_value}`` tuples into the bipartite-edge
 FIFO.  Unlike the HCG's pointer chase, the CP's loads for upcoming chain
 elements are independent, so their latencies overlap up to the engine's
-effective MLP (bounded by the FIFO depths).
+effective MLP (bounded by the FIFO depths).  The CP walk itself lives in
+the ChGraph engine's chunk loop, which interleaves it with the core's
+Apply and accumulates its counters here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable
 
-from repro.engine.base import PhaseSpec
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.sim.config import SystemConfig
-from repro.sim.layout import ArrayId
-
-__all__ = ["CpCost", "ChainPrefetcher"]
+__all__ = ["CpCost"]
 
 
 @dataclasses.dataclass
@@ -33,63 +29,3 @@ class CpCost:
     def engine_cycles(self, stage_cycles: float, engine_mlp: float) -> float:
         """Busy time of the CP: beat throughput plus overlapped miss time."""
         return self.beats * stage_cycles + self.overlapped_latency / engine_mlp
-
-
-class ChainPrefetcher:
-    """Per-core CP: prefetches the bipartite edges of a chain order."""
-
-    def __init__(self, config: SystemConfig) -> None:
-        self.config = config
-
-    def prefetch(
-        self,
-        order: Iterable[int],
-        hypergraph: Hypergraph,
-        spec: PhaseSpec,
-        core: int,
-        access: Callable[[int, ArrayId, int], int],
-    ) -> CpCost:
-        """Issue all prefetches for ``order``; returns the cost summary.
-
-        Per chain element: the two offset reads and the source-value read
-        (the tuple keeps them resident across the element's edges); per
-        bipartite edge: the incident-id read and the destination-value read.
-        """
-        cost = CpCost()
-        for element in order:
-            self.prefetch_element(element, hypergraph, spec, core, access, cost)
-        return cost
-
-    def prefetch_element(
-        self,
-        element: int,
-        hypergraph: Hypergraph,
-        spec: PhaseSpec,
-        core: int,
-        access: Callable[[int, ArrayId, int], int],
-        cost: CpCost,
-    ) -> None:
-        """Prefetch one chain element's bipartite edges into ``cost``.
-
-        Engines call this element-by-element, interleaved with the core's
-        Apply work, which models the bounded (FIFO-depth) run-ahead of the
-        real CP: prefetched lines are consumed before they can be evicted.
-        """
-        csr = hypergraph.side(spec.src_side)
-        offsets = csr.offsets
-
-        def load(array: ArrayId, index: int) -> None:
-            cost.requests += 1
-            cost.overlapped_latency += access(core, array, index)
-
-        cost.beats += 1  # element acquisition
-        load(spec.src_offset, element)
-        load(spec.src_offset, element + 1)
-        load(spec.src_value, element)
-        start, end = int(offsets[element]), int(offsets[element + 1])
-        for position in range(start, end):
-            cost.beats += 1
-            cost.tuples += 1
-            load(spec.incident, position)
-            dst = int(csr.indices[position])
-            load(spec.dst_value, dst)

@@ -34,7 +34,7 @@ from repro.sim.protocol import (
     MemorySystem,
 )
 
-__all__ = ["ExecutionEngine", "PhaseSpec", "PHASE_SPECS"]
+__all__ = ["ExecutionEngine", "PhaseSpec", "PHASE_SPECS", "dram_floor"]
 
 #: Hard cap on engine iterations, guarding against a non-terminating
 #: algorithm implementation (each paper workload converges well below this).
@@ -79,6 +79,17 @@ PHASE_SPECS: dict[str, PhaseSpec] = {
         dst_value=ArrayId.VERTEX_VALUE,
     ),
 }
+
+
+def dram_floor(system: MemorySystem, lines: int) -> float:
+    """Cycles one core's decoupled engine needs to fetch ``lines`` DRAM lines.
+
+    The engine cannot outrun its core's share of the peak DRAM bandwidth,
+    so its busy time for a chunk is at least this; ``lines`` is the growth
+    of ``system.dram_accesses()`` over the chunk.
+    """
+    config = system.config
+    return lines / (config.peak_dram_lines_per_cycle / config.num_cores)
 
 
 class ExecutionEngine(abc.ABC):

@@ -18,11 +18,11 @@ core's demand path.
 from __future__ import annotations
 
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
-from repro.chgraph.hcg import HardwareChainGenerator
-from repro.chgraph.prefetcher import ChainPrefetcher, CpCost
+from repro.chgraph.hcg import HardwareChainGenerator, HcgPorts
+from repro.chgraph.prefetcher import CpCost
 from repro.core.chain import ChainGenerator
 from repro.core.oag import Oag
-from repro.engine.base import ExecutionEngine, PhaseSpec
+from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
 from repro.engine.gla_soft import _SoftwareChainProbe
 from repro.engine.resources import GlaResources
 from repro.hypergraph.frontier import Frontier
@@ -78,7 +78,6 @@ class ChGraphEngine(ExecutionEngine):
             self.resources = GlaResources.build(hypergraph, system.config.num_cores)
         config = system.config
         self._hcg = HardwareChainGenerator(config, d_max=self.resources.d_max)
-        self._cp = ChainPrefetcher(config)
         self._sw_generator = ChainGenerator(d_max=self.resources.d_max)
         self._stats = {
             "chains": 0.0,
@@ -91,16 +90,6 @@ class ChGraphEngine(ExecutionEngine):
         self._profiling = isinstance(system, InstrumentedSystem)
         self._max_chain_length = 0
         self._chain_fifo_depth = system.config.chain_fifo_depth
-        hierarchy = system.hierarchy
-        self._hierarchy = hierarchy
-        if hierarchy is not None:
-            self._engine_access = hierarchy.engine_access
-            self._engine_access_block = hierarchy.engine_access_block
-            self._dram_counter = hierarchy.dram
-        else:
-            self._engine_access = lambda core, array, index: 0
-            self._engine_access_block = lambda core, array, start, count: 0
-            self._dram_counter = None
 
     def _chain_stats(self) -> dict[str, float]:
         return dict(self._stats)
@@ -155,9 +144,7 @@ class ChGraphEngine(ExecutionEngine):
 
         for chunk_index, chunk in enumerate(chunks):
             core = chunk.core
-            dram_before = (
-                self._dram_counter.accesses if self._dram_counter else 0
-            )
+            dram_before = system.dram_accesses()
             engine_cycles = 0.0
 
             # -- Generate ------------------------------------------------------
@@ -186,12 +173,10 @@ class ChGraphEngine(ExecutionEngine):
                 )
 
             # The engine cannot outrun its share of DRAM bandwidth.
-            if self._dram_counter is not None:
-                lines = self._dram_counter.accesses - dram_before
-                floor = lines / (
-                    self._dram_counter.peak_lines_per_cycle / config.num_cores
-                )
-                engine_cycles = max(engine_cycles, floor)
+            engine_cycles = max(
+                engine_cycles,
+                dram_floor(system, system.dram_accesses() - dram_before),
+            )
             system.charge_engine(core, engine_cycles)
 
         activated.bitmap[:] = activated_bitmap
@@ -222,18 +207,8 @@ class ChGraphEngine(ExecutionEngine):
         """
         active = frontier.bitmap[chunk.first : chunk.last]
         if self.use_hcg:
-            hierarchy = self._hierarchy
-            edge_probe = offsets_probe = None
-            if hierarchy is not None:
-                edge_probe = hierarchy.engine_prober(core, ArrayId.OAG_EDGE)
-                offsets_probe = hierarchy.engine_pair_prober(
-                    core, ArrayId.OAG_OFFSET
-                )
             chains, cost = self._hcg.generate(
-                active, oag, core, self._engine_access, edge_base, dense,
-                access_block=self._engine_access_block,
-                edge_probe=edge_probe,
-                offsets_probe=offsets_probe,
+                active, oag, HcgPorts.bind(system, core), edge_base, dense
             )
             cycles = cost.engine_cycles(system.config.hw_stage_cycles)
             on_core = False
@@ -277,25 +252,29 @@ class ChGraphEngine(ExecutionEngine):
             + config.fifo_pop_cycles
         )
         frontier_cycles = config.frontier_op_cycles
-        read = system.read
-        read_block = system.read_block
-        write = system.write
         charge = system.charge_compute
-        write_dst = system.demand_writer(core, spec.dst_value)
-        dst_offset = spec.dst_offset
+        read_dst_offset = system.port(core, spec.dst_offset, "read")
+        write_dst = system.port(core, spec.dst_value, "write")
+        write_bitmap = system.port(core, ArrayId.BITMAP, "write")
 
         if not self.use_cp:
             # Ablation: loads stay on the core's demand path.
+            read_src_offset = system.port(core, spec.src_offset, "read")
+            read_src = system.port(core, spec.src_value, "read")
+            read_incident = system.port(core, spec.incident, "read")
+            read_dst = system.port(core, spec.dst_value, "read")
             for element in order:
-                read_block(core, spec.src_offset, element, 2)
-                read(core, spec.src_value, element)
+                read_src_offset(element)
+                read_src_offset(element + 1)
+                read_src(element)
                 start, end = offsets[element], offsets[element + 1]
                 for position in range(start, end):
                     dst = indices[position]
-                    read(core, spec.incident, position)
-                    read(core, spec.dst_value, dst)
+                    read_incident(position)
+                    read_dst(dst)
                     if dst_degree:
-                        read_block(core, dst_offset, dst, 2)
+                        read_dst_offset(dst)
+                        read_dst_offset(dst + 1)
                     modified = apply_fn(element, dst)
                     charge(core, per_tuple_core)
                     if modified:
@@ -303,7 +282,7 @@ class ChGraphEngine(ExecutionEngine):
                         if not activated_bitmap[dst]:
                             activated_bitmap[dst] = True
                             if not dense:
-                                write(core, ArrayId.BITMAP, dst)
+                                write_bitmap(dst)
                                 charge(core, frontier_cycles)
             return
 
@@ -316,35 +295,10 @@ class ChGraphEngine(ExecutionEngine):
         # flushed through ``charge_compute_run`` before any *different*
         # compute charge, preserving the accumulator's addition order.
         charge_run = system.charge_compute_run
-        hierarchy = system.hierarchy
-        if hierarchy is not None:
-            # Uncounted probers: the loop below knows exactly how many
-            # probes it issues (1 per element + 2 per tuple), so the probe
-            # counter is settled once at the end instead of per access.
-            probe_src = hierarchy.engine_prober(core, spec.src_value, counted=False)
-            probe_inc = hierarchy.engine_prober(core, spec.incident, counted=False)
-            probe_dst = hierarchy.engine_prober(core, spec.dst_value, counted=False)
-            probe_off = hierarchy.engine_pair_prober(core, spec.src_offset)
-        else:
-            engine_access = self._engine_access
-            src_value = spec.src_value
-            incident = spec.incident
-            dst_value = spec.dst_value
-
-            def probe_src(element: int) -> int:
-                return engine_access(core, src_value, element)
-
-            def probe_inc(position: int) -> int:
-                return engine_access(core, incident, position)
-
-            def probe_dst(dst: int) -> int:
-                return engine_access(core, dst_value, dst)
-
-            engine_access_block = self._engine_access_block
-            src_offset = spec.src_offset
-
-            def probe_off(element: int) -> int:
-                return engine_access_block(core, src_offset, element, 2)
+        fetch_offset = system.port(core, spec.src_offset, "engine")
+        fetch_src = system.port(core, spec.src_value, "engine")
+        fetch_incident = system.port(core, spec.incident, "engine")
+        fetch_dst = system.port(core, spec.dst_value, "engine")
 
         beats = 0
         requests = 0
@@ -352,8 +306,8 @@ class ChGraphEngine(ExecutionEngine):
         charged = 0  # tuples whose core charge has been flushed
         overlapped = 0
         for element in order:
-            overlapped += probe_off(element)
-            overlapped += probe_src(element)
+            overlapped += fetch_offset(element) + fetch_offset(element + 1)
+            overlapped += fetch_src(element)
             start, end = offsets[element], offsets[element + 1]
             # CP counters per element: 1 beat + 3 requests for acquisition,
             # then 1 beat + 2 requests per tuple — hoisted out of the tuple
@@ -366,10 +320,11 @@ class ChGraphEngine(ExecutionEngine):
             tuples += n
             for position in range(start, end):
                 dst = indices[position]
-                overlapped += probe_inc(position)
-                overlapped += probe_dst(dst)
+                overlapped += fetch_incident(position)
+                overlapped += fetch_dst(dst)
                 if dst_degree:
-                    read_block(core, dst_offset, dst, 2)
+                    read_dst_offset(dst)
+                    read_dst_offset(dst + 1)
                 if apply_fn(element, dst):
                     write_dst(dst)
                     if not activated_bitmap[dst]:
@@ -378,13 +333,9 @@ class ChGraphEngine(ExecutionEngine):
                             done = tuple_base + (position - start + 1)
                             charge_run(core, per_tuple_core, done - charged)
                             charged = done
-                            write(core, ArrayId.BITMAP, dst)
+                            write_bitmap(dst)
                             charge(core, frontier_cycles)
         charge_run(core, per_tuple_core, tuples - charged)
-        if hierarchy is not None:
-            # Settle the uncounted probers: 1 probe per element + 2 per
-            # tuple = requests − 2·elements (the block accesses self-count).
-            hierarchy.engine_probes += requests - 2 * len(order)
         cp_cost.beats += beats
         cp_cost.requests += requests
         cp_cost.tuples += tuples

@@ -25,7 +25,7 @@ from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.gla import generate_schedules
 from repro.core.oag import Oag
 from repro.engine.base import ExecutionEngine, PhaseSpec
-from repro.engine.hygra import process_elements_demand
+from repro.engine.hygra import DemandPorts, process_elements_demand
 from repro.engine.resources import GlaResources
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -59,14 +59,18 @@ class _SoftwareChainProbe(ChainProbe):
         self.edge_base = edge_base
         self.oag = oag
         self.explore_cycles = system.config.sw_explore_cycles
+        self.read_bitmap = system.port(core, ArrayId.BITMAP, "serial")
+        self.read_offset = system.port(core, ArrayId.OAG_OFFSET, "serial")
+        self.read_edge = system.port(core, ArrayId.OAG_EDGE, "serial")
 
     def on_root_scan(self, element: int) -> None:
         if not self.dense:
-            self.system.read_serial(self.core, ArrayId.BITMAP, element)
+            self.read_bitmap(element)
         self.system.charge_compute(self.core, self.system.config.frontier_op_cycles)
 
     def on_offsets_fetch(self, node: int) -> None:
-        self.system.read_serial_block(self.core, ArrayId.OAG_OFFSET, node, 2)
+        self.read_offset(node)
+        self.read_offset(node + 1)
         if self.oag is not None:
             degree = self.oag.csr.degree(node)
             if degree > 1:
@@ -76,9 +80,7 @@ class _SoftwareChainProbe(ChainProbe):
                 )
 
     def on_neighbor_inspect(self, node: int, position: int) -> None:
-        self.system.read_serial(
-            self.core, ArrayId.OAG_EDGE, self.edge_base + position
-        )
+        self.read_edge(self.edge_base + position)
         self.system.charge_compute(self.core, self.explore_cycles)
 
     def on_select(self, element: int) -> None:
@@ -175,6 +177,7 @@ class SoftwareGlaEngine(ExecutionEngine):
                 chunk.core,
                 order,
                 activated,
+                DemandPorts.bind(system, spec, chunk.core),
                 extra_element_cycles=sw_load,
                 extra_tuple_cycles=sw_load,
                 apply_fn=apply_fn,

@@ -11,6 +11,8 @@ the software GLA engine, which differs only in schedule order.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
@@ -18,13 +20,37 @@ from repro.algorithms.base import (
 )
 from repro.core.gla import index_order_schedule
 from repro.engine.base import ExecutionEngine, PhaseSpec
-from repro.sim.protocol import MemorySystem
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
 from repro.sim.layout import ArrayId
+from repro.sim.protocol import MemorySystem, Port
 
-__all__ = ["HygraEngine", "process_elements_demand"]
+__all__ = ["DemandPorts", "HygraEngine", "process_elements_demand"]
+
+
+class DemandPorts(NamedTuple):
+    """One core's demand ports over one phase's arrays."""
+
+    src_offset: Port
+    src_value: Port
+    incident: Port
+    dst_offset: Port
+    dst_value: Port
+    write_dst: Port
+    write_bitmap: Port
+
+    @classmethod
+    def bind(cls, system: MemorySystem, spec: PhaseSpec, core: int) -> "DemandPorts":
+        return cls(
+            system.port(core, spec.src_offset, "read"),
+            system.port(core, spec.src_value, "read"),
+            system.port(core, spec.incident, "read"),
+            system.port(core, spec.dst_offset, "read"),
+            system.port(core, spec.dst_value, "read"),
+            system.port(core, spec.dst_value, "write"),
+            system.port(core, ArrayId.BITMAP, "write"),
+        )
 
 
 def process_elements_demand(
@@ -36,6 +62,7 @@ def process_elements_demand(
     core: int,
     elements: list[int],
     activated: Frontier,
+    ports: DemandPorts,
     extra_element_cycles: float = 0.0,
     extra_tuple_cycles: float = 0.0,
     apply_fn=None,
@@ -49,7 +76,9 @@ def process_elements_demand(
     frontier-membership *reads* are the traversal engine's job — dense scans
     or sparse lists — and are charged by the caller).  The ``extra_*``
     cycles let the software GLA engine charge its chain-queue indirection
-    and tuple-packing overhead on the same path.
+    and tuple-packing overhead on the same path.  ``ports`` are ``core``'s
+    bound demand ports for the phase (:meth:`DemandPorts.bind`); an
+    element's offsets pair is two reads of one port.
 
     ``apply_fn`` is the phase's bound ``apply(src, dst)`` closure.  Engines
     that call this once per phase should pass ``algorithm.phase_apply(...)``
@@ -75,32 +104,40 @@ def process_elements_demand(
     dst_degree = algorithm.reads_dst_degree
     apply_cycles = config.apply_cycles * algorithm.apply_cost_factor
     frontier_cycles = config.frontier_op_cycles
-    read = system.read
-    read_block = system.read_block
-    write = system.write
+    (
+        read_src_offset,
+        read_src,
+        read_incident,
+        read_dst_offset,
+        read_dst,
+        write_dst,
+        write_bitmap,
+    ) = ports
     charge = system.charge_compute
     activated_bitmap = activated.bitmap
 
     for element in elements:
         if extra_element_cycles:
             charge(core, extra_element_cycles)
-        read_block(core, spec.src_offset, element, 2)
-        read(core, spec.src_value, element)
+        read_src_offset(element)
+        read_src_offset(element + 1)
+        read_src(element)
         start, end = offsets[element], offsets[element + 1]
         for position in range(start, end):
-            read(core, spec.incident, position)
+            read_incident(position)
             dst = indices[position]
             if dst_degree:
-                read_block(core, spec.dst_offset, dst, 2)
-            read(core, spec.dst_value, dst)
+                read_dst_offset(dst)
+                read_dst_offset(dst + 1)
+            read_dst(dst)
             modified = apply_fn(element, dst)
             charge(core, apply_cycles + extra_tuple_cycles)
             if modified:
-                write(core, spec.dst_value, dst)
+                write_dst(dst)
                 if not activated_bitmap[dst]:
                     activated_bitmap[dst] = True
                     if not dense:
-                        write(core, ArrayId.BITMAP, dst)
+                        write_bitmap(dst)
                         charge(core, frontier_cycles)
 
 
@@ -125,8 +162,9 @@ def charge_frontier_traversal(
     if frontier.density() >= threshold:
         config = system.config
         stride = config.line_size  # one BITMAP probe per line of flags
+        read_bitmap = system.port(core, ArrayId.BITMAP, "read")
         for index in range(chunk.first, chunk.last, stride):
-            system.read(core, ArrayId.BITMAP, index)
+            read_bitmap(index)
         system.charge_compute(
             core, len(chunk) * config.frontier_op_cycles / 8
         )
@@ -167,5 +205,6 @@ class HygraEngine(ExecutionEngine):
                 chunk.core,
                 elements,
                 activated,
+                DemandPorts.bind(system, spec, chunk.core),
                 apply_fn=apply_fn,
             )

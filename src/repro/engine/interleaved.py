@@ -17,6 +17,7 @@ from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
 from repro.engine.base import PhaseSpec
 from repro.engine.hygra import (
+    DemandPorts,
     HygraEngine,
     charge_frontier_traversal,
     process_elements_demand,
@@ -52,13 +53,20 @@ class InterleavedHygraEngine(HygraEngine):
                 system, chunk.core, chunk, frontier, algorithm,
                 self.sparse_dense_threshold,
             )
-            schedules.append((chunk.core, index_order_schedule(frontier, chunk)))
+            # Ports are bound once per core per phase, not per element.
+            schedules.append(
+                (
+                    chunk.core,
+                    index_order_schedule(frontier, chunk),
+                    DemandPorts.bind(system, spec, chunk.core),
+                )
+            )
 
         position = 0
         live = True
         while live:
             live = False
-            for core, elements in schedules:
+            for core, elements, ports in schedules:
                 if position < len(elements):
                     live = True
                     process_elements_demand(
@@ -70,6 +78,7 @@ class InterleavedHygraEngine(HygraEngine):
                         core,
                         [elements[position]],
                         activated,
+                        ports,
                         apply_fn=apply_fn,
                     )
             position += 1

@@ -66,37 +66,42 @@ class PullHygraEngine(ExecutionEngine):
         apply_cycles = config.apply_cycles * algorithm.apply_cost_factor
         frontier_bitmap = frontier.bitmap
         activated_bitmap = activated.bitmap
-        read = system.read
-        read_block = system.read_block
-        write = system.write
         charge = system.charge_compute
 
         # Destinations are chunked over their own universe.
         dst_chunks = contiguous_chunks(dst_csr.num_rows, config.num_cores)
         for chunk in dst_chunks:
             core = chunk.core
+            read_dst_offset = system.port(core, spec.dst_offset, "read")
+            read_dst = system.port(core, spec.dst_value, "read")
+            read_incident = system.port(core, gather_incident, "read")
+            read_bitmap = system.port(core, ArrayId.BITMAP, "read")
+            read_src = system.port(core, spec.src_value, "read")
+            write_dst = system.port(core, spec.dst_value, "write")
+            write_bitmap = system.port(core, ArrayId.BITMAP, "write")
             for dst in chunk.ids():
-                read_block(core, spec.dst_offset, dst, 2)
-                read(core, spec.dst_value, dst)
+                read_dst_offset(dst)
+                read_dst_offset(dst + 1)
+                read_dst(dst)
                 start, end = offsets[dst], offsets[dst + 1]
                 touched = False
                 for position in range(start, end):
                     src = indices[position]
-                    read(core, gather_incident, position)
+                    read_incident(position)
                     if not dense:
                         # The pull tax: probe every incident source's bit.
-                        read(core, ArrayId.BITMAP, src)
+                        read_bitmap(src)
                         charge(core, config.frontier_op_cycles)
                         if not frontier_bitmap[src]:
                             continue
-                    read(core, spec.src_value, src)
+                    read_src(src)
                     modified = apply_fn(src, dst)
                     charge(core, apply_cycles)
                     touched = touched or modified
                 if touched:
                     # One sequential write per destination (pull's payoff).
-                    write(core, spec.dst_value, dst)
+                    write_dst(dst)
                     if not activated_bitmap[dst]:
                         activated_bitmap[dst] = True
                         if not dense:
-                            write(core, ArrayId.BITMAP, dst)
+                            write_bitmap(dst)

@@ -47,6 +47,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.sim.config import SystemConfig, scaled_config
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.invariants import InvariantChecker
+from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem
 from repro.sim.system import SimulatedSystem
 
@@ -143,11 +144,12 @@ FAULT_KINDS: tuple[str, ...] = ("lost-writeback", "skewed-attribution")
 def inject_fault(kind: str) -> "Iterator[None]":
     """Deliberately break the hierarchy for the duration of the context.
 
-    ``lost-writeback`` reintroduces the silent write-traffic loss this PR
-    fixed: dirty lines retire without being counted or reported.
+    ``lost-writeback`` reintroduces silent write-traffic loss: dirty lines
+    retire without being counted or reported.
     ``skewed-attribution`` drops the per-array attribution of every DRAM
-    fetch while still counting the total.  Both must trip the
-    :class:`~repro.sim.invariants.InvariantChecker`.
+    fetch while still counting the total, on the demand and the engine
+    miss path alike (both end in ``MemoryHierarchy._l2_miss``).  Both must
+    trip the :class:`~repro.sim.invariants.InvariantChecker`.
     """
     if kind == "lost-writeback":
         original = MemoryHierarchy._writeback_to_dram
@@ -161,26 +163,22 @@ def inject_fault(kind: str) -> "Iterator[None]":
         finally:
             MemoryHierarchy._writeback_to_dram = original  # type: ignore[method-assign]
     elif kind == "skewed-attribution":
-        original_access = MemoryHierarchy.access
+        original_miss = MemoryHierarchy._l2_miss
 
         def skewed(
-            self: MemoryHierarchy,
-            core: int,
-            array: str,
-            index: int,
-            write: bool = False,
-        ) -> float:
+            self: MemoryHierarchy, core: int, array: ArrayId, line: int
+        ) -> int:
             before = self.dram.accesses
-            latency = original_access(self, core, array, index, write=write)
+            latency = original_miss(self, core, array, line)
             if self.dram.accesses != before:
                 self.dram_by_array[array] -= 1  # un-attribute the fetch
             return latency
 
-        MemoryHierarchy.access = skewed  # type: ignore[method-assign]
+        MemoryHierarchy._l2_miss = skewed  # type: ignore[method-assign]
         try:
             yield
         finally:
-            MemoryHierarchy.access = original_access  # type: ignore[method-assign]
+            MemoryHierarchy._l2_miss = original_miss  # type: ignore[method-assign]
     else:
         raise ValueError(f"unknown fault kind {kind!r}; expected {FAULT_KINDS}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.algorithms import (
     Adsorption,
@@ -102,6 +102,25 @@ def _unpermute_result(result: RunResult, vertex_perm: np.ndarray) -> RunResult:
     )
 
 
+def _make_algorithm(name: str, pr_iterations: int) -> HypergraphAlgorithm:
+    """A fresh algorithm instance; PR and Adsorption iterate ``pr_iterations``
+    times."""
+    factories: dict[str, Callable[[], HypergraphAlgorithm]] = {
+        "BFS": Bfs,
+        "PR": lambda: PageRank(iterations=pr_iterations),
+        "MIS": MaximalIndependentSet,
+        "BC": BetweennessCentrality,
+        "CC": ConnectedComponents,
+        "k-core": KCore,
+        "SSSP": Sssp,
+        "Adsorption": lambda: Adsorption(iterations=pr_iterations),
+    }
+    try:
+        return factories[name]()
+    except KeyError:
+        raise KeyError(f"unknown algorithm {name!r}") from None
+
+
 class Runner:
     """Builds engines/algorithms by name and memoizes simulation runs.
 
@@ -140,20 +159,8 @@ class Runner:
     # -- factories -----------------------------------------------------------
 
     def algorithm(self, name: str) -> HypergraphAlgorithm:
-        factories = {
-            "BFS": Bfs,
-            "PR": lambda: PageRank(iterations=self.pr_iterations),
-            "MIS": MaximalIndependentSet,
-            "BC": BetweennessCentrality,
-            "CC": ConnectedComponents,
-            "k-core": KCore,
-            "SSSP": Sssp,
-            "Adsorption": lambda: Adsorption(iterations=self.pr_iterations),
-        }
-        try:
-            return factories[name]()
-        except KeyError:
-            raise KeyError(f"unknown algorithm {name!r}") from None
+        """A fresh ``name``; PR and Adsorption run ``self.pr_iterations``."""
+        return _make_algorithm(name, self.pr_iterations)
 
     def resources(
         self,
@@ -279,7 +286,9 @@ class Runner:
         engine = self.engine(
             spec.engine, pipeline.hypergraph, spec.config, preprocessing
         )
-        algorithm = self.algorithm(spec.algorithm)
+        # The spec's own iteration count: it is what the store key hashes.
+        assert spec.pr_iterations is not None
+        algorithm = _make_algorithm(spec.algorithm, spec.pr_iterations)
         observers: list[Observer] = []
         if spec.profile:
             observers += [PhaseProfiler(), IterationTimeline()]

@@ -110,6 +110,13 @@ class SystemConfig:
     def dram_bytes_per_cycle_per_controller(self) -> float:
         return self.dram_gbps_per_controller / self.frequency_ghz
 
+    @property
+    def peak_dram_lines_per_cycle(self) -> float:
+        """All controllers' peak line rate (``DramModel.peak_lines_per_cycle``)."""
+        return (
+            self.dram_controllers * self.dram_bytes_per_cycle_per_controller
+        ) / self.line_size
+
     def replace(self, **changes: object) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 

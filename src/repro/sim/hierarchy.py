@@ -28,6 +28,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.dram import DramModel
 from repro.sim.layout import ArrayId, MemoryLayout
 from repro.sim.noc import MeshNoc
+from repro.sim.protocol import CHANNELS, Port
 
 __all__ = ["MemoryHierarchy"]
 
@@ -65,10 +66,9 @@ class MemoryHierarchy:
         # read counts the figures are built from).
         self.dram_by_array = [0] * _NUM_ARRAYS
         self.dram_writebacks_by_array = [0] * _NUM_ARRAYS
-        # Probe counters for the invariant checker: every demand/engine call
-        # into the hierarchy bumps one of these, so conservation equations
-        # hold even for engines that take the ``engine_access`` bound method
-        # and bypass any observing facade.
+        # Probe counters for the invariant checker: every demand/engine port
+        # call bumps one of these, whether or not an observing facade
+        # wrapped the port.
         self.demand_probes = 0
         self.engine_probes = 0
         # Invariant-checker hook: called with the line number whenever a
@@ -88,18 +88,28 @@ class MemoryHierarchy:
 
     # -- internal helpers ---------------------------------------------------
 
-    def _l3_round_trip(self, core: int, line: int) -> int:
-        """NoC round trip to the owning L3 bank plus bank latency."""
-        bank = line % self.config.l3_banks
-        key = core * self.config.l3_banks + bank
+    def _l2_miss(self, core: int, array: ArrayId, line: int) -> int:
+        """Serve an L2 miss from the shared L3, or from DRAM on an L3 miss.
+
+        Returns the latency past the L2: the NoC round trip to the line's
+        L3 bank and, on an L3 miss, the DRAM fetch, which is attributed to
+        ``array`` and filled into the L3.  The demand and the engine path
+        both end here, so every DRAM fetch is counted in this one place.
+        """
+        banks = self.config.l3_banks
+        bank = line % banks
+        key = core * banks + bank
         latency = self._l3_latency_cache.get(key)
         if latency is None:
             # Banks are striped across mesh tiles.
-            tile = (bank * max(1, self.noc.num_tiles // self.config.l3_banks)) % (
-                self.noc.num_tiles
-            )
+            tiles = self.noc.num_tiles
+            tile = (bank * max(1, tiles // banks)) % tiles
             latency = self.noc.round_trip(core, tile) + self.config.l3_latency
             self._l3_latency_cache[key] = latency
+        if not self.l3.lookup(line):
+            latency += self.dram.record_access()
+            self.dram_by_array[array] += 1
+            self._fill_l3(line)
         return latency
 
     def _writeback_to_dram(self, line: int) -> None:
@@ -204,43 +214,95 @@ class MemoryHierarchy:
         if victim_dirty:
             self._writeback_to_dram(victim)
 
-    # -- the access path ------------------------------------------------------
+    # -- ports: the one access path -------------------------------------------
+    #
+    # Every access enters through a port: a closure bound to one (core,
+    # array, channel) with the line arithmetic, the set dicts, the stats
+    # object and the latencies already resolved, so each access is one call
+    # with one integer argument.  There are two bodies — the demand body
+    # (read/write/serial: the core's L1 path) and the engine body (the
+    # decoupled engine's L2 path).  Their L1/L2 *hit* paths are inlined over
+    # the cache's dict sets rather than going through ``Cache.lookup``/
+    # ``mark_dirty``: the same operations (promote to MRU, bump the hit
+    # counter, set the dirty bit), minus two calls per probe on the path
+    # that serves most accesses.
 
-    # The L1/L2 *hit* paths below are inlined over the fast cache's dict
-    # sets rather than going through ``Cache.lookup``/``mark_dirty`` — same
-    # operations (promote to MRU, bump hit counter, set dirty bit), minus
-    # two Python calls per probe on the path that serves the vast majority
-    # of accesses.  ``tests/sim/test_hierarchy_batched.py`` pins the
-    # equivalence against a per-element reference walk.
+    def port(
+        self,
+        core: int,
+        array: ArrayId,
+        channel: str,
+        acc: list[float] | None = None,
+    ) -> Port:
+        """Bind ``port(index) -> latency`` for one core, array and channel.
 
-    def access(self, core: int, array: ArrayId, index: int, write: bool = False) -> int:
-        """Perform one element access; returns its latency in core cycles."""
+        ``channel`` is one of :data:`~repro.sim.protocol.CHANNELS`: ``read``,
+        ``write`` and ``serial`` take the core's demand path (``serial`` is a
+        read); ``engine`` takes the decoupled engine's path, which probes
+        and fills the L2, never the core's L1.  A demand port adds each
+        latency to ``acc[core]`` (a per-core accumulator list) when ``acc``
+        is given; an engine port charges nothing.
+        """
+        if channel == "engine":
+            if acc is not None:
+                raise ValueError("engine accesses charge no accumulator")
+            return self._engine_port(core, array)
+        if channel not in CHANNELS:
+            raise ValueError(
+                f"unknown channel {channel!r}; expected one of {CHANNELS}"
+            )
+        if acc is None:
+            # Uncharged: a scratch accumulator keeps the body branch-free.
+            acc = [0.0] * self.config.num_cores
+        return self._demand_port(core, array, channel == "write", acc)
+
+    def _demand_port(
+        self, core: int, array: ArrayId, write: bool, acc: list[float]
+    ) -> Port:
+        """The demand body: L1, then :meth:`_demand_miss`.
+
+        Under ``track_coherence`` the directory sees every access before
+        the L1 probe.
+        """
         layout = self.layout
-        line = layout._line_base[array] + (
-            (index * layout._elem_bytes[array]) >> layout._line_shift
-        )
-        self.demand_probes += 1
-
-        if self.coherence is not None:
-            if write:
-                self.coherence.on_write(core, line)
-            else:
-                self.coherence.on_read(core, line)
-
+        base = layout._line_base[array]
+        elem_bytes = layout._elem_bytes[array]
+        shift = layout._line_shift
+        coherence = self.coherence
+        on_access: Callable[[int, int], None] | None = None
+        if coherence is not None:
+            on_access = coherence.on_write if write else coherence.on_read
         l1 = self.l1[core]
-        ways = l1._sets[line % l1.num_sets]
-        if line in ways:
-            del ways[line]
-            ways[line] = None
-            l1.stats.hits += 1
-            if write:
-                l1._dirty.add(line)
-            return self._l1_latency
-        l1.stats.misses += 1
-        return self._demand_miss(core, array, line, write)
+        sets = l1._sets
+        num_sets = l1.num_sets
+        stats = l1.stats
+        dirty_lines = l1._dirty
+        l1_latency = self._l1_latency
+        demand_miss = self._demand_miss
+
+        def demand(index: int) -> int:
+            line = base + ((index * elem_bytes) >> shift)
+            self.demand_probes += 1
+            if on_access is not None:
+                on_access(core, line)
+            ways = sets[line % num_sets]
+            if line in ways:
+                del ways[line]
+                ways[line] = None
+                stats.hits += 1
+                if write:
+                    dirty_lines.add(line)
+                acc[core] += l1_latency
+                return l1_latency
+            stats.misses += 1
+            latency = demand_miss(core, array, line, write)
+            acc[core] += latency
+            return latency
+
+        return demand
 
     def _demand_miss(self, core: int, array: ArrayId, line: int, write: bool) -> int:
-        """The demand path past an L1 miss (shared with the fast closures).
+        """The demand path past an L1 miss.
 
         Ends in the L1 fill: a dirty victim is absorbed by the copy in L2,
         else L3, else written back to memory directly.
@@ -254,12 +316,7 @@ class MemoryHierarchy:
             l2.stats.hits += 1
         else:
             l2.stats.misses += 1
-            latency += self._l3_round_trip(core, line)
-            if not self.l3.lookup(line):
-                # Miss to DRAM.
-                latency += self.dram.record_access()
-                self.dram_by_array[array] += 1
-                self._fill_l3(line)
+            latency += self._l2_miss(core, array, line)
             self._fill_l2(core, line)
 
         l1 = self.l1[core]
@@ -294,59 +351,13 @@ class MemoryHierarchy:
             self._note_owner(line, core)
         return latency
 
-    def engine_access(self, core: int, array: ArrayId, index: int) -> int:
-        """An access issued by the per-core ChGraph engine.
+    def _engine_port(self, core: int, array: ArrayId) -> Port:
+        """The engine body: L2, then :meth:`_engine_miss`.
 
         ChGraph sits beside the L1 but "accesses the main memory via the L2
         cache" (§V-A): it probes L2 directly and fills L2 (never the core's
         L1), so prefetched lines land where the core's demand misses will
         find them without polluting the L1.
-        """
-        layout = self.layout
-        line = layout._line_base[array] + (
-            (index * layout._elem_bytes[array]) >> layout._line_shift
-        )
-        self.engine_probes += 1
-        l2 = self.l2[core]
-        ways = l2._sets[line % l2.num_sets]
-        if line in ways:
-            del ways[line]
-            ways[line] = None
-            l2.stats.hits += 1
-            return self._l2_latency
-        l2.stats.misses += 1
-        return self._engine_miss(core, array, line)
-
-    def _engine_miss(self, core: int, array: ArrayId, line: int) -> int:
-        """The engine path past an L2 miss (shared with :meth:`engine_prober`)."""
-        latency = self._l2_latency + self._l3_round_trip(core, line)
-        if not self.l3.lookup(line):
-            latency += self.dram.record_access()
-            self.dram_by_array[array] += 1
-            self._fill_l3(line)
-        if self.coherence is not None:
-            self.coherence.on_read(core, line)
-        self._fill_l2(core, line)
-        if self._inclusive:
-            self._note_owner(line, core)
-        return latency
-
-    # -- pre-bound hot-path closures ------------------------------------------
-    #
-    # The engines' inner loops probe the same (core, array) pair tens of
-    # thousands of times per phase.  These factories return closures with
-    # the line arithmetic, set list, stats object and latencies already
-    # bound, so each probe is one call with one integer argument — the same
-    # state transitions as ``access``/``engine_access``, verified by
-    # ``tests/sim/test_hierarchy_batched.py``.
-
-    def engine_prober(self, core: int, array: ArrayId, counted: bool = True):
-        """A bound ``probe(index) -> latency`` over :meth:`engine_access`.
-
-        With ``counted=False`` the closure does NOT bump ``engine_probes``
-        — the caller takes over that accounting (it knows exactly how many
-        probes it issued) and must add the total itself.  The probe counter
-        is order-independent, so deferring it is exact.
         """
         layout = self.layout
         base = layout._line_base[array]
@@ -359,24 +370,9 @@ class MemoryHierarchy:
         l2_latency = self._l2_latency
         engine_miss = self._engine_miss
 
-        if counted:
-
-            def probe(index: int) -> int:
-                line = base + ((index * elem_bytes) >> shift)
-                self.engine_probes += 1
-                ways = sets[line % num_sets]
-                if line in ways:
-                    del ways[line]
-                    ways[line] = None
-                    stats.hits += 1
-                    return l2_latency
-                stats.misses += 1
-                return engine_miss(core, array, line)
-
-            return probe
-
-        def probe_uncounted(index: int) -> int:
+        def engine(index: int) -> int:
             line = base + ((index * elem_bytes) >> shift)
+            self.engine_probes += 1
             ways = sets[line % num_sets]
             if line in ways:
                 del ways[line]
@@ -386,154 +382,17 @@ class MemoryHierarchy:
             stats.misses += 1
             return engine_miss(core, array, line)
 
-        return probe_uncounted
+        return engine
 
-    def engine_pair_prober(self, core: int, array: ArrayId):
-        """A bound ``probe_pair(start) -> latency`` equal to
-        ``engine_access_block(core, array, start, 2)``.
-
-        The offsets-pair fetch (an element's ``[start, end)`` bounds) is the
-        engines' commonest block access; this closure specializes the
-        two-element case: one probe, plus either a free same-line hit or a
-        second probe when the pair straddles a line boundary.
-        """
-        layout = self.layout
-        if layout._elems_per_line[array] <= 1:
-            engine_access = self.engine_access
-
-            def probe_pair_wide(start: int) -> int:
-                return engine_access(core, array, start) + engine_access(
-                    core, array, start + 1
-                )
-
-            return probe_pair_wide
-        base = layout._line_base[array]
-        elem_bytes = layout._elem_bytes[array]
-        shift = layout._line_shift
-        l2 = self.l2[core]
-        sets = l2._sets
-        num_sets = l2.num_sets
-        stats = l2.stats
-        l2_latency = self._l2_latency
-        engine_miss = self._engine_miss
-
-        def probe_pair(start: int) -> int:
-            line = base + ((start * elem_bytes) >> shift)
-            self.engine_probes += 2
-            ways = sets[line % num_sets]
-            if line in ways:
-                del ways[line]
-                ways[line] = None
-                stats.hits += 1
-                total = l2_latency
-            else:
-                stats.misses += 1
-                total = engine_miss(core, array, line)
-            line2 = base + (((start + 1) * elem_bytes) >> shift)
-            if line2 == line:
-                # Same line: charged as an L2 hit without re-probing (the
-                # first probe left it resident and MRU).
-                stats.hits += 1
-                return total + l2_latency
-            ways = sets[line2 % num_sets]
-            if line2 in ways:
-                del ways[line2]
-                ways[line2] = None
-                stats.hits += 1
-                return total + l2_latency
-            stats.misses += 1
-            return total + engine_miss(core, array, line2)
-
-        return probe_pair
-
-    # -- batched (line-granular) access ---------------------------------------
-    #
-    # Why batching is *bit-identical* to the per-element loop it replaces:
-    # after ``access(core, array, index)`` returns, the touched line is
-    # resident (and MRU) in the core's L1 — the hit path promotes it, and
-    # the miss path ends in the L1 fill.  A subsequent access to another
-    # element of the *same line* therefore always takes the L1-hit path:
-    # it bumps ``demand_probes`` and ``l1.stats.hits``, costs exactly
-    # ``l1_latency``, promotes an already-MRU line (a no-op on LRU order),
-    # re-marks an already-dirty line on writes (a no-op on state), and its
-    # coherence call returns without transitions or stats (``on_read`` with
-    # the core already a sharer; ``on_write`` with the core already the sole
-    # M owner).  So the successors can be charged arithmetically.  The same
-    # argument holds for :meth:`engine_access` with L2 in place of L1 —
-    # and there the L2-hit path performs no coherence call at all.
-
-    def access_block(
-        self, core: int, array: ArrayId, start: int, count: int, write: bool = False
-    ) -> int:
-        """Access ``count`` consecutive elements; returns total latency.
-
-        Probes the hierarchy once per cache line and charges the remaining
-        same-line elements as L1 hits — provably identical to calling
-        :meth:`access` once per element (see the note above).
-        """
-        if count <= 0:
-            return 0
-        layout = self.layout
-        epl = layout._elems_per_line[array]
-        if epl <= 1:
-            total = 0
-            for index in range(start, start + count):
-                total += self.access(core, array, index, write=write)
-            return total
-        l1_latency = self._l1_latency
-        l1_stats = self.l1[core].stats
-        access = self.access
-        total = 0
-        index = start
-        end = start + count
-        while index < end:
-            total += access(core, array, index, write=write)
-            boundary = (index // epl + 1) * epl  # first element of next line
-            if boundary > end:
-                boundary = end
-            extra = boundary - index - 1
-            if extra > 0:
-                l1_stats.hits += extra
-                self.demand_probes += extra
-                total += extra * l1_latency
-            index = boundary
-        return total
-
-    def engine_access_block(
-        self, core: int, array: ArrayId, start: int, count: int
-    ) -> int:
-        """Engine-side access of ``count`` consecutive elements.
-
-        One L2-side probe per line; same-line successors are charged as L2
-        hits — identical to per-element :meth:`engine_access` (see above).
-        """
-        if count <= 0:
-            return 0
-        layout = self.layout
-        epl = layout._elems_per_line[array]
-        if epl <= 1:
-            total = 0
-            for index in range(start, start + count):
-                total += self.engine_access(core, array, index)
-            return total
-        l2_latency = self._l2_latency
-        l2_stats = self.l2[core].stats
-        engine_access = self.engine_access
-        total = 0
-        index = start
-        end = start + count
-        while index < end:
-            total += engine_access(core, array, index)
-            boundary = (index // epl + 1) * epl
-            if boundary > end:
-                boundary = end
-            extra = boundary - index - 1
-            if extra > 0:
-                l2_stats.hits += extra
-                self.engine_probes += extra
-                total += extra * l2_latency
-            index = boundary
-        return total
+    def _engine_miss(self, core: int, array: ArrayId, line: int) -> int:
+        """The engine path past an L2 miss."""
+        latency = self._l2_latency + self._l2_miss(core, array, line)
+        if self.coherence is not None:
+            self.coherence.on_read(core, line)
+        self._fill_l2(core, line)
+        if self._inclusive:
+            self._note_owner(line, core)
+        return latency
 
     # -- statistics -----------------------------------------------------------
 

@@ -14,12 +14,12 @@ What is asserted:
   misses plus engine probes, L3 accesses equal L2 misses, DRAM fetches
   equal L3 misses, and the per-array DRAM attributions must sum to the DRAM
   totals.  The equations are written against the *hierarchy's own*
-  counters (``demand_probes``/``engine_probes``), so they hold even for
-  engines that take the ``engine_access`` bound method and bypass the
-  observing facade (ChGraph, the event prefetcher).
+  counters (``demand_probes``/``engine_probes``), which every port call
+  bumps.
 - **Measurement coverage.**  The demand accesses the facade observed must
-  equal the hierarchy's demand probes — an engine charging demand traffic
-  behind the observers' backs is itself a violation.
+  equal the hierarchy's demand probes, and the engine accesses it observed
+  must equal the hierarchy's engine probes — an engine reaching memory
+  behind the observers' backs, on either channel, is itself a violation.
 - **Dirty-line conservation.**  Every line dirtied by a demand write stays
   dirty-resident in some cache until it is retired by exactly one DRAM
   writeback (the hierarchy's ``on_writeback`` hook).  This is the check
@@ -114,6 +114,7 @@ class InvariantChecker(Observer):
         self._hierarchy: "MemoryHierarchy | None" = None
         self._baseline: _CounterBaseline | None = None
         self._observed_demand = 0
+        self._observed_engine = 0
         self._fifos: dict[str, "BoundedFifo"] = {}
         # Lines believed dirty in some cache: demand writes add, DRAM
         # writebacks retire.
@@ -174,7 +175,10 @@ class InvariantChecker(Observer):
     def on_access(
         self, kind: str, core: int, array: "ArrayId", index: int, latency: int
     ) -> None:
-        self._observed_demand += 1
+        if kind == "engine":
+            self._observed_engine += 1
+        else:
+            self._observed_demand += 1
         if latency < 0:
             self._report(
                 f"access {kind} core={core} {array.name}[{index}]: "
@@ -283,6 +287,12 @@ class InvariantChecker(Observer):
                 self._observed_demand,
                 "hierarchy demand probes",
                 now.demand_probes - base.demand_probes,
+            ),
+            (
+                "observed engine accesses",
+                self._observed_engine,
+                "hierarchy engine probes",
+                now.engine_probes - base.engine_probes,
             ),
         ]
         for left_name, left, right_name, right in equations:

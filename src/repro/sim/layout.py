@@ -79,7 +79,6 @@ class MemoryLayout:
         self._line_base = [
             (int(a) << self._REGION_SHIFT) >> self._line_shift for a in ArrayId
         ]
-        self._elems_per_line = [line_size // ELEMENT_BYTES[a] for a in ArrayId]
 
     def address(self, array: ArrayId, index: int) -> int:
         """Byte address of element ``index`` of ``array``."""
@@ -91,26 +90,7 @@ class MemoryLayout:
             (index * self._elem_bytes[array]) >> self._line_shift
         )
 
-    def lines_of_range(self, array: ArrayId, start: int, count: int) -> range:
-        """Cache-line numbers covering elements ``[start, start+count)``.
-
-        Consecutive elements of one array cover a contiguous line range
-        (elements never straddle lines: every element width divides the
-        line size), so the cover is a plain ``range``.  Empty for
-        ``count <= 0``.
-        """
-        if count <= 0:
-            return range(0)
-        eb = self._elem_bytes[array]
-        base = self._line_base[array]
-        shift = self._line_shift
-        first = base + ((start * eb) >> shift)
-        last = base + (((start + count - 1) * eb) >> shift)
-        return range(first, last + 1)
-
     def array_of_line(self, line: int) -> ArrayId:
         """Recover the owning array of a cache-line number."""
         return ArrayId((line * self.line_size) >> self._REGION_SHIFT)
 
-    def elements_per_line(self, array: ArrayId) -> int:
-        return self._elems_per_line[array]

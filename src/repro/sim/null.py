@@ -16,51 +16,33 @@ from repro.sim.timing import TimingBreakdown
 
 if TYPE_CHECKING:
     from repro.sim.hierarchy import MemoryHierarchy
-    from repro.sim.protocol import EngineEvent
+    from repro.sim.protocol import EngineEvent, Port
 
 __all__ = ["NullSystem"]
+
+
+def _free(index: int) -> int:
+    """The constant port: every access is free."""
+    return 0
 
 
 class NullSystem:
     """Implements the :class:`SimulatedSystem` charging interface as no-ops."""
 
-    #: No cache hierarchy is attached; engines skip raw accesses when None.
+    #: No cache hierarchy is attached.
     hierarchy: "MemoryHierarchy | None" = None
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         self.config = config or scaled_config()
 
-    def read(self, core: int, array: ArrayId, index: int) -> int:
-        return 0
-
-    def read_serial(self, core: int, array: ArrayId, index: int) -> int:
-        return 0
-
-    def write(self, core: int, array: ArrayId, index: int) -> int:
-        return 0
-
-    def read_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        return 0
-
-    def read_serial_block(
-        self, core: int, array: ArrayId, start: int, count: int
-    ) -> int:
-        return 0
-
-    def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        return 0
+    def port(self, core: int, array: ArrayId, channel: str) -> "Port":
+        return _free
 
     def charge_compute(self, core: int, cycles: float) -> None:
         pass
 
     def charge_compute_run(self, core: int, cycles: float, count: int) -> None:
         pass
-
-    def demand_writer(self, core: int, array: ArrayId):
-        def write_one(index: int) -> int:
-            return 0
-
-        return write_one
 
     def charge_engine(self, core: int, cycles: float) -> None:
         pass

@@ -2,21 +2,24 @@
 
 :class:`InstrumentedSystem` wraps a conforming system and forwards every
 charging call unchanged, notifying a set of pluggable :class:`Observer`
-hooks along the way.  Because it conforms to the protocol itself, *no
-engine changes* are needed to profile a run — construct the wrapper, pass
-it where a system goes, and read the assembled
-:class:`~repro.sim.telemetry.RunTelemetry` afterwards.  Observation never
-charges cycles, so the simulated results are identical with or without it.
+hooks along the way.  It wraps every port it binds, demand and engine
+channels alike, so observers see every access any engine makes.  Because
+it conforms to the protocol itself, *no engine changes* are needed to
+profile a run — construct the wrapper, pass it where a system goes, and
+read the assembled :class:`~repro.sim.telemetry.RunTelemetry` afterwards.
+Observation never charges cycles, so the simulated results are identical
+with or without it.
 
 Built-in observers:
 
 - :class:`PhaseProfiler` — per-phase-kind totals: cycles, compute/engine
-  cycles, raw demand latency, access counts by kind, DRAM-by-array deltas;
+  cycles, raw demand latency, access counts by channel (engine accesses
+  included), DRAM-by-array deltas;
 - :class:`IterationTimeline` — one record per iteration: the driving
   frontier's size and density, the phase's cycles and DRAM accesses;
-- :class:`TraceObserver` — appends every demand access to a
-  :class:`~repro.sim.trace.TraceEvent` list, the one trace recorder
-  (engine-side accesses issued directly against the hierarchy bypass it).
+- :class:`TraceObserver` — appends every access, engine accesses
+  included, to a :class:`~repro.sim.trace.TraceEvent` list: the one trace
+  recorder.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.sim.protocol import (
     PHASE_END,
     EngineEvent,
     MemorySystem,
+    Port,
 )
 from repro.sim.telemetry import (
     IterationProfile,
@@ -58,7 +62,8 @@ class Observer:
     def on_access(
         self, kind: str, core: int, array: ArrayId, index: int, latency: int
     ) -> None:
-        """One charged access; ``kind`` is read/write/serial."""
+        """One access through a port; ``kind`` is its channel
+        (read/write/serial/engine)."""
 
     def on_compute(self, core: int, cycles: float) -> None:
         """Compute cycles charged to a core."""
@@ -103,7 +108,8 @@ class PhaseProfiler(Observer):
         if profile is None:
             return
         profile.accesses[kind] = profile.accesses.get(kind, 0) + 1
-        profile.memory_latency += latency
+        if kind != "engine":
+            profile.memory_latency += latency
 
     def on_compute(self, core: int, cycles: float) -> None:
         if self._current is not None:
@@ -186,7 +192,7 @@ class IterationTimeline(Observer):
 
 
 class TraceObserver(Observer):
-    """Collects every demand access charged through the facade."""
+    """Collects every access made through the facade's ports."""
 
     def __init__(self) -> None:
         self.trace: list[TraceEvent] = []
@@ -259,49 +265,23 @@ class InstrumentedSystem:
 
     # -- charging ------------------------------------------------------------
 
-    def read(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.inner.read(core, array, index)
-        for observer in self.observers:
-            observer.on_access("read", core, array, index, latency)
-        return latency
+    def port(self, core: int, array: ArrayId, channel: str) -> Port:
+        """The inner system's port, reporting each access to the observers.
 
-    def read_serial(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.inner.read_serial(core, array, index)
-        for observer in self.observers:
-            observer.on_access("serial", core, array, index, latency)
-        return latency
+        Observers get one ``on_access`` per call, so an engine's offsets
+        pair is two observed accesses.  The observer list is bound live:
+        an observer added later sees the accesses of ports bound earlier.
+        """
+        inner = self.inner.port(core, array, channel)
+        observers = self.observers
 
-    def write(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.inner.write(core, array, index)
-        for observer in self.observers:
-            observer.on_access("write", core, array, index, latency)
-        return latency
+        def observed(index: int) -> int:
+            latency = inner(index)
+            for observer in observers:
+                observer.on_access(channel, core, array, index, latency)
+            return latency
 
-    # Batched accesses degrade to the per-element loop here: observers are
-    # promised one ``on_access`` per element with that element's latency,
-    # and the per-element loop is bit-identical to the batched walk by the
-    # batching contract — so an instrumented run observes exactly what an
-    # uninstrumented batched run simulates.
-
-    def read_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        total = 0
-        for index in range(start, start + count):
-            total += self.read(core, array, index)
-        return total
-
-    def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        total = 0
-        for index in range(start, start + count):
-            total += self.write(core, array, index)
-        return total
-
-    def read_serial_block(
-        self, core: int, array: ArrayId, start: int, count: int
-    ) -> int:
-        total = 0
-        for index in range(start, start + count):
-            total += self.read_serial(core, array, index)
-        return total
+        return observed
 
     def charge_compute(self, core: int, cycles: float) -> None:
         self.inner.charge_compute(core, cycles)
@@ -312,13 +292,6 @@ class InstrumentedSystem:
         # Observers are promised one on_compute per charge.
         for _ in range(count):
             self.charge_compute(core, cycles)
-
-    def demand_writer(self, core: int, array: ArrayId):
-        # Route each write through the observing ``write``.
-        def write_one(index: int) -> int:
-            return self.write(core, array, index)
-
-        return write_one
 
     def charge_engine(self, core: int, cycles: float) -> None:
         self.inner.charge_engine(core, cycles)

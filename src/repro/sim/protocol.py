@@ -1,11 +1,20 @@
 """The typed engine↔simulator boundary: the :class:`MemorySystem` protocol.
 
 Every execution engine talks to the simulated platform exclusively through
-this charging interface — demand reads/writes, dependency-chained reads,
-compute/engine cycle charges, and the phase barrier — plus the result
-accessors the harness consumes.  Declaring it as a ``runtime_checkable``
-:class:`typing.Protocol` makes the boundary a real contract:
-:class:`~repro.sim.system.SimulatedSystem`,
+this interface: :meth:`MemorySystem.port` binds one access path, compute
+and engine cycle charges feed the phase timer, the phase barrier closes a
+phase, and result accessors serve the harness.  A *port* is a
+``Callable[[int], int]`` bound once to one (core, array, channel): calling
+it with an element index performs that access and returns its latency in
+cycles.  The four :data:`CHANNELS` are the core's demand ``read`` and
+``write``, the dependency-chained ``serial`` read, and ``engine`` — an
+access issued by a decoupled access engine beside the core (ChGraph's
+HCG/CP, the event prefetcher).  Ports are the *only* way an engine touches
+memory, so a system that wraps ports (the observing middleware) sees every
+access of every engine.
+
+Declaring the protocol ``runtime_checkable`` makes the boundary a real
+contract: :class:`~repro.sim.system.SimulatedSystem`,
 :class:`~repro.sim.null.NullSystem` and the
 :class:`~repro.sim.observe.InstrumentedSystem` middleware all conform, and
 ``tests/sim/test_protocol.py`` asserts it with ``isinstance``.
@@ -32,13 +41,24 @@ if TYPE_CHECKING:
     from repro.sim.hierarchy import MemoryHierarchy
 
 __all__ = [
+    "CHANNELS",
     "ITERATION_BEGIN",
     "ITERATION_END",
     "PHASE_BEGIN",
     "PHASE_END",
     "EngineEvent",
     "MemorySystem",
+    "Port",
 ]
+
+#: The access channels a port binds (:meth:`MemorySystem.port`): demand
+#: reads and writes (charged to the core's memory stalls), dependency-
+#: chained reads (charged as serial compute) and decoupled-engine accesses
+#: (charged nothing; the engine's busy time goes through ``charge_engine``).
+CHANNELS = ("read", "write", "serial", "engine")
+
+#: A bound access path: ``port(index) -> latency`` in cycles.
+Port = Callable[[int], int]
 
 #: Event kinds emitted by the engine loop (:class:`EngineEvent.kind`).
 ITERATION_BEGIN = "iteration_begin"
@@ -71,11 +91,12 @@ class EngineEvent:
 class MemorySystem(Protocol):
     """What an execution engine may do to the platform beneath it.
 
-    Methods charge costs (reads/writes return the access latency in
-    cycles); the properties and ``dram_*`` accessors are how results are
-    read back.  ``hierarchy`` is the raw cache hierarchy for engines that
-    model a decoupled access engine beside the core (``None`` on systems
-    without one, e.g. :class:`~repro.sim.null.NullSystem`).
+    ``port`` binds an access path and the ``charge_*`` methods charge
+    cycles; the properties and ``dram_*`` accessors are how results are
+    read back.  ``hierarchy`` is the raw cache hierarchy, exposed for
+    inspection (the invariant checker, counters) and ``None`` on systems
+    without one, e.g. :class:`~repro.sim.null.NullSystem`; engines never
+    touch it.
     """
 
     # -- identity ------------------------------------------------------------
@@ -86,25 +107,14 @@ class MemorySystem(Protocol):
     @property
     def hierarchy(self) -> "MemoryHierarchy | None": ...
 
-    # -- demand-side charging (the general-purpose core) ---------------------
+    # -- accesses ------------------------------------------------------------
 
-    def read(self, core: int, array: ArrayId, index: int) -> int: ...
+    # Bind ``port(index) -> latency`` for one core, array and channel (one
+    # of CHANNELS).  Engines bind their ports once per chunk; every call is
+    # one element access.
+    def port(self, core: int, array: ArrayId, channel: str) -> Port: ...
 
-    def read_serial(self, core: int, array: ArrayId, index: int) -> int: ...
-
-    def write(self, core: int, array: ArrayId, index: int) -> int: ...
-
-    # Batched (line-granular) variants over ``count`` consecutive elements.
-    # Contract: bit-identical to the equivalent per-element loop — see
-    # ``MemoryHierarchy.access_block`` for the proof sketch.
-
-    def read_block(self, core: int, array: ArrayId, start: int, count: int) -> int: ...
-
-    def read_serial_block(
-        self, core: int, array: ArrayId, start: int, count: int
-    ) -> int: ...
-
-    def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int: ...
+    # -- cycle charges -------------------------------------------------------
 
     def charge_compute(self, core: int, cycles: float) -> None: ...
 
@@ -114,17 +124,8 @@ class MemorySystem(Protocol):
     # are non-integer floats, so the sum must not be regrouped).
     def charge_compute_run(self, core: int, cycles: float, count: int) -> None: ...
 
-    # A pre-bound per-(core, array) write closure for per-tuple hot loops.
-    # Contract: each ``write_one(index)`` call is equivalent to
-    # ``write(core, array, index)``.
-    def demand_writer(
-        self, core: int, array: ArrayId
-    ) -> Callable[[int], int]: ...
-
-    # -- engine-side charging (decoupled access engines) ---------------------
-    # Engine-side accesses go through ``hierarchy.engine_access`` (the L2
-    # path); only their busy cycles are charged here.
-
+    # Busy cycles of the core's decoupled access engine, which overlap the
+    # core's own time at the barrier.
     def charge_engine(self, core: int, cycles: float) -> None: ...
 
     # -- phase structure -----------------------------------------------------

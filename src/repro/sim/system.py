@@ -1,11 +1,13 @@
 """The simulated system facade used by all execution engines.
 
 Bundles the cache hierarchy, the phase timer and the energy model behind
-three operations engines actually use: ``read``, ``write`` and
-``charge_compute``, plus ``barrier`` at phase ends.  Reads/writes charge
-their latency to the issuing core's *demand* stream; engines modelling a
-decoupled access engine (ChGraph) probe ``hierarchy.engine_access`` and
-charge the result with ``charge_engine``, which feeds the engine-side
+what engines actually use: bound access ports, ``charge_compute`` and
+``barrier`` at phase ends.  :meth:`SimulatedSystem.port` binds the
+hierarchy's port with the timer accumulator its channel charges fused in:
+``read``/``write`` latency lands on the issuing core's *memory* stalls,
+``serial`` latency on its compute time, and ``engine`` accesses charge
+nothing — a decoupled access engine (ChGraph) sums its own latencies and
+charges its busy time with ``charge_engine``, which feeds the engine-side
 accumulator so the core and engine overlap.
 
 This is the reference implementation of the
@@ -24,7 +26,7 @@ from repro.sim.layout import ArrayId
 from repro.sim.timing import PhaseTimer, TimingBreakdown
 
 if TYPE_CHECKING:
-    from repro.sim.protocol import EngineEvent
+    from repro.sim.protocol import EngineEvent, Port
 
 __all__ = ["SimulatedSystem"]
 
@@ -45,57 +47,29 @@ class SimulatedSystem:
         # reset *in place* at barriers, so these references stay valid for
         # the whole run and each charge is one indexed add, not a method
         # call into the timer.
-        self._memory_acc = self.timer._memory
         self._compute_acc = self.timer._compute
         self._engine_acc = self.timer._engine
+        # The accumulator each port channel charges; engine ports charge
+        # none.
+        self._channel_acc = {
+            "read": self.timer._memory,
+            "write": self.timer._memory,
+            "serial": self._compute_acc,
+        }
 
-    # -- demand-side accesses (the general-purpose core) --------------------
+    # -- accesses -------------------------------------------------------------
 
-    def read(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.hierarchy.access(core, array, index, write=False)
-        self._memory_acc[core] += latency
-        return latency
+    def port(self, core: int, array: ArrayId, channel: str) -> "Port":
+        """Bind ``port(index) -> latency`` for one core, array and channel.
 
-    def write(self, core: int, array: ArrayId, index: int) -> int:
-        latency = self.hierarchy.access(core, array, index, write=True)
-        self._memory_acc[core] += latency
-        return latency
-
-    def read_serial(self, core: int, array: ArrayId, index: int) -> int:
-        """A dependency-chained read (pointer chasing): the core cannot
-        overlap it with other misses, so its full latency is serial time."""
-        latency = self.hierarchy.access(core, array, index, write=False)
-        self._compute_acc[core] += latency
-        return latency
-
-    # -- batched demand accesses ---------------------------------------------
-    #
-    # ``read_block``/``write_block`` fold the per-element charges into one
-    # ``charge_memory`` call.  That grouping is exact, not approximate:
-    # hierarchy latencies are ints, and the timer's float accumulator adds
-    # integer-valued floats, which is associative below 2**53.
-    # ``read_serial_block`` must NOT fold: serial reads charge the *compute*
-    # accumulator, which also receives arbitrary float costs from the
-    # engines, so per-element addition order is part of the bit-identity
-    # contract — it stays a plain loop over :meth:`read_serial`.
-
-    def read_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        latency = self.hierarchy.access_block(core, array, start, count, write=False)
-        self._memory_acc[core] += latency
-        return latency
-
-    def write_block(self, core: int, array: ArrayId, start: int, count: int) -> int:
-        latency = self.hierarchy.access_block(core, array, start, count, write=True)
-        self._memory_acc[core] += latency
-        return latency
-
-    def read_serial_block(
-        self, core: int, array: ArrayId, start: int, count: int
-    ) -> int:
-        total = 0
-        for index in range(start, start + count):
-            total += self.read_serial(core, array, index)
-        return total
+        The hierarchy's port adds each latency to the channel's timer
+        accumulator itself, one addition per access, so a ``serial`` read's
+        latency joins the compute accumulator in exactly the order the
+        engine issues it.
+        """
+        return self.hierarchy.port(
+            core, array, channel, self._channel_acc.get(channel)
+        )
 
     def charge_compute(self, core: int, cycles: float) -> None:
         self._compute_acc[core] += cycles
@@ -118,56 +92,6 @@ class SimulatedSystem:
             total += cycles
         self._compute_acc[core] = acc
         self.total_compute_cycles = total
-
-    def demand_writer(self, core: int, array: ArrayId):
-        """A bound ``write_one(index) -> latency`` for one (core, array).
-
-        Same accounting as :meth:`write`, with the hierarchy's L1 write-hit
-        path and the timer charge fused into one closure — the engines'
-        per-tuple destination-value write is the single hottest demand
-        access.  Coherence-tracking configs defer to :meth:`write` (the
-        coherence hook must run before the L1 probe).
-        """
-        hierarchy = self.hierarchy
-        acc = self._memory_acc
-        if hierarchy.coherence is not None:
-            access = hierarchy.access
-
-            def write_coherent(index: int) -> int:
-                latency = access(core, array, index, True)
-                acc[core] += latency
-                return latency
-
-            return write_coherent
-        layout = hierarchy.layout
-        base = layout._line_base[array]
-        elem_bytes = layout._elem_bytes[array]
-        shift = layout._line_shift
-        l1 = hierarchy.l1[core]
-        sets = l1._sets
-        num_sets = l1.num_sets
-        stats = l1.stats
-        dirty_lines = l1._dirty
-        l1_latency = hierarchy._l1_latency
-        demand_miss = hierarchy._demand_miss
-
-        def write_one(index: int) -> int:
-            line = base + ((index * elem_bytes) >> shift)
-            hierarchy.demand_probes += 1
-            ways = sets[line % num_sets]
-            if line in ways:
-                del ways[line]
-                ways[line] = None
-                stats.hits += 1
-                dirty_lines.add(line)
-                acc[core] += l1_latency
-                return l1_latency
-            stats.misses += 1
-            latency = demand_miss(core, array, line, True)
-            acc[core] += latency
-            return latency
-
-        return write_one
 
     # -- engine-side charges (ChGraph's HCG / CP) ---------------------------
 

@@ -36,8 +36,9 @@ class PhaseProfile:
     activations: int = 0
     cycles: float = 0.0
     compute_cycles: float = 0.0
-    memory_latency: float = 0.0
+    memory_latency: float = 0.0  # demand (read/write/serial) latency only
     engine_cycles: float = 0.0
+    # Accesses per port channel, engine accesses included.
     accesses: dict[str, int] = dataclasses.field(default_factory=dict)
     dram_accesses: int = 0
     dram_by_array: dict[ArrayId, int] = dataclasses.field(default_factory=dict)

@@ -1,8 +1,9 @@
 """Memory-trace record and replay over :class:`~repro.sim.observe.TraceObserver`.
 
 Recording is observation: attach a ``TraceObserver`` to an
-:class:`~repro.sim.observe.InstrumentedSystem` and every demand access an
-engine charges through the facade lands in ``observer.trace``::
+:class:`~repro.sim.observe.InstrumentedSystem` and every access an engine
+makes through the facade's ports — demand and engine channels alike —
+lands in ``observer.trace``::
 
     system = InstrumentedSystem(SimulatedSystem(config), [TraceObserver()])
 
@@ -12,10 +13,9 @@ index`` text form (:func:`save_trace` / :func:`load_trace`).  Traces
 decouple *what a scheduler accesses* from *what a hierarchy does with it*:
 record once, then replay the same stream through differently-sized
 hierarchies, or feed it to :mod:`repro.sim.reuse` for stack-distance
-analysis.  ChGraph's engine-side accesses go straight to the hierarchy
-(``hierarchy.engine_access``), not through the facade, so they are not
-recorded; the chain-driven prefetch stream can be reconstructed from the
-schedule.
+analysis.  Because ports are an engine's only way to memory, a recorded
+trace is complete: replaying it through a hierarchy of the recording
+configuration reproduces every cache and DRAM counter of the run.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ import dataclasses
 from pathlib import Path
 from typing import Iterable
 
+from repro.sim.config import SystemConfig
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.layout import ArrayId
-from repro.sim.config import SystemConfig
+from repro.sim.protocol import CHANNELS, Port
 
 __all__ = ["TraceEvent", "replay", "save_trace", "load_trace"]
 
-#: Event kinds, matching the charging channel the access used.
-KINDS = ("read", "write", "serial")
+#: Event kinds: the port channel the access used.
+KINDS = CHANNELS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,12 +48,19 @@ class TraceEvent:
 def replay(
     trace: Iterable[TraceEvent], config: SystemConfig
 ) -> MemoryHierarchy:
-    """Replay a trace through a fresh hierarchy; returns it for inspection."""
+    """Replay a trace through a fresh hierarchy; returns it for inspection.
+
+    Each event goes down its channel's path: demand events through the
+    core's L1, engine events through its L2.
+    """
     hierarchy = MemoryHierarchy(config)
+    ports: dict[tuple[str, int, ArrayId], Port] = {}
     for event in trace:
-        hierarchy.access(
-            event.core, event.array, event.index, write=event.kind == "write"
-        )
+        key = (event.kind, event.core, event.array)
+        port = ports.get(key)
+        if port is None:
+            port = ports[key] = hierarchy.port(event.core, event.array, event.kind)
+        port(event.index)
     return hierarchy
 
 

@@ -50,7 +50,11 @@ __all__ = [
 #: full preprocessing record (``w_min``/``d_max``/stage list) — run keys
 #: previously ignored ``w_min``/``d_max`` entirely, so runs under
 #: non-default OAG parameters could alias default entries.
-STORE_SCHEMA_VERSION = 4
+#:
+#: v5: runs build PageRank/Adsorption from the spec's ``pr_iterations``
+#: (v4 entries for a non-default count hold the runner's default count),
+#: and profiled runs' telemetry counts engine-channel accesses.
+STORE_SCHEMA_VERSION = 5
 
 
 def _hash_arrays(h: "hashlib._Hash", *arrays: np.ndarray) -> None:

@@ -60,14 +60,27 @@ def test_lost_writeback_fault_fails_the_sweep():
     assert report.violations
 
 
-def test_skewed_attribution_fault_fails_the_sweep():
+def _skewed_attribution_sweep(engine: str, algorithm: str):
     with differential.inject_fault("skewed-attribution"):
-        report = differential.run_differential(
-            engines=["Hygra"],
-            algorithms=("BFS",),
+        return differential.run_differential(
+            engines=[engine],
+            algorithms=(algorithm,),
             graph_count=1,
             ordering=False,
         )
+
+
+def test_skewed_attribution_fault_fails_the_sweep():
+    report = _skewed_attribution_sweep("Hygra", "BFS")
+    assert not report.ok
+    assert any("per-array DRAM fetches" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("engine", ["ChGraph", "EventPrefetcher"])
+def test_skewed_attribution_fault_reaches_engine_fetches(engine):
+    """These engines fetch most of their lines on the engine channel, and
+    their demand writes take the write port; the fault must skew both."""
+    report = _skewed_attribution_sweep(engine, "PR")
     assert not report.ok
     assert any("per-array DRAM fetches" in v for v in report.violations)
 

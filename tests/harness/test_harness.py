@@ -91,6 +91,22 @@ def test_render_table_alignment():
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("algorithm", ["PR", "Adsorption"])
+def test_spec_pr_iterations_overrides_runner_default(monkeypatch, algorithm):
+    """The spec's iteration count is the one that runs — it is the one the
+    store key hashes — not the runner's default."""
+    from repro.sim.config import scaled_config
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    runner = Runner(pr_iterations=2)
+    small = hypergraph_dataset("FS", scale=0.15)
+    monkeypatch.setattr(runner, "dataset", lambda key: small)
+    config = scaled_config(num_cores=4, llc_kb=2)
+    one = runner.run(RunSpec("Hygra", algorithm, "FS", config, pr_iterations=1))
+    default = runner.run(RunSpec("Hygra", algorithm, "FS", config))
+    assert (one.iterations, default.iterations) == (1, 2)
+
+
 def test_runner_distinguishes_modified_configs(monkeypatch):
     """Two configs sharing a name but differing in fields must not collide."""
     from repro.sim.config import scaled_config

@@ -10,12 +10,12 @@ from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.sim.config import scaled_config
 from repro.store.keys import resources_key, run_result_key
 
-#: Pinned v4 keys for the fully-default spec against an all-zero dataset
+#: Pinned v5 keys for the fully-default spec against an all-zero dataset
 #: hash.  These change ONLY on a deliberate schema bump (update them and
 #: ``STORE_SCHEMA_VERSION`` together) — an accidental drift here would
 #: silently orphan every cached artifact in existing stores.
-GOLDEN_RUN_KEY = "7b9c85a76c14f09e3a0fcf0f888fd76e"
-GOLDEN_RESOURCES_KEY = "201f094d184de6e723bbdd7a83154e89"
+GOLDEN_RUN_KEY = "6ba6c624ae13b8bb6c4da5de136ea845"
+GOLDEN_RESOURCES_KEY = "b03cb0930bb2fdea52136daab695aef7"
 
 
 class TestNormalization:

@@ -13,8 +13,9 @@ from repro.sim.layout import ArrayId
 def test_dram_dominates_on_miss_heavy_streams():
     hierarchy = MemoryHierarchy(scaled_config(num_cores=1, llc_kb=2))
     # A miss-per-access stream: every line distinct.
+    read = hierarchy.port(0, ArrayId.VERTEX_VALUE, "read")
     for i in range(0, 8000, 8):
-        hierarchy.access(0, ArrayId.VERTEX_VALUE, i)
+        read(i)
     report = EnergyModel().report(hierarchy, compute_cycles=0)
     assert report.dram_nj > report.l1_nj + report.l2_nj + report.l3_nj
     assert report.memory_fraction > 0.5
@@ -22,8 +23,9 @@ def test_dram_dominates_on_miss_heavy_streams():
 
 def test_hit_heavy_stream_spends_in_sram():
     hierarchy = MemoryHierarchy(scaled_config(num_cores=1, llc_kb=2))
+    read = hierarchy.port(0, ArrayId.VERTEX_VALUE, "read")
     for _ in range(5000):
-        hierarchy.access(0, ArrayId.VERTEX_VALUE, 0)  # one hot word
+        read(0)  # one hot word
     report = EnergyModel().report(hierarchy, compute_cycles=0)
     assert report.l1_nj > report.dram_nj
 
@@ -54,9 +56,10 @@ def test_writebacks_cost_dram_energy():
     writebacks = {}
     for write in (True, False):
         hierarchy = MemoryHierarchy(config)
+        port = hierarchy.port(0, ArrayId.VERTEX_VALUE, "write" if write else "read")
         for _ in range(2):  # second sweep re-dirties and evicts again
             for i in range(0, 8000, 8):
-                hierarchy.access(0, ArrayId.VERTEX_VALUE, i, write=write)
+                port(i)
         reports[write] = EnergyModel().report(hierarchy, compute_cycles=0)
         writebacks[write] = hierarchy.writebacks()
     assert writebacks[True] > 0 and writebacks[False] == 0

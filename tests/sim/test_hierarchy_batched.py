@@ -1,15 +1,17 @@
-"""Batched-access and prober equivalence tests for the memory hierarchy.
+"""Port equivalence tests for the memory hierarchy.
 
-The PR 10 fast paths — ``access_block`` / ``engine_access_block`` (one
-probe per cache line), the pre-bound prober closures
-(``engine_prober`` / ``engine_pair_prober`` /
-``SimulatedSystem.demand_writer``), and ``charge_compute_run`` — all claim
-*bit-identity* with the per-element reference walk.  These tests drive
-seeded randomized access streams through both paths on twin hierarchies
+Ports are the hierarchy's one access path: closures that bind the line
+arithmetic, set dicts, stats objects and latencies once per (core, array,
+channel) and inline the L1/L2 hit paths.  They claim *bit-identity* with
+the per-element reference walk in ``tests/sim/hierarchy_ref.py``, which
+composes the same accesses from the public cache operations.  These tests
+drive seeded randomized access streams through both on twin hierarchies —
+runs of consecutive elements (the engines' offsets pairs are runs of two),
+single accesses, and the system ports with their timer charges fused in —
 and assert every observable is identical: returned latencies, hit/miss/
 eviction/writeback counters at every level, probe counters, DRAM traffic
 and its per-array attribution, dirty-line sets, and full LRU residency
-order.
+order.  ``charge_compute_run`` carries the same claim for compute charges.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import pytest
 
 from repro.sim.config import scaled_config
 from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.layout import ArrayId, MemoryLayout
+from repro.sim.layout import ArrayId
 from repro.sim.system import SimulatedSystem
+from tests.sim.hierarchy_ref import demand_access, engine_access
 
 ARRAYS = [
     ArrayId.VERTEX_VALUE,
@@ -79,111 +82,115 @@ def _random_ops(seed: int, num_cores: int, n: int):
     return ops
 
 
-# -- block accesses vs per-element loops -------------------------------------
+def _bound(ports, hierarchy, core, array, channel):
+    """The port for (core, array, channel), bound once and then reused."""
+    key = (core, array, channel)
+    port = ports.get(key)
+    if port is None:
+        port = ports[key] = hierarchy.port(core, array, channel)
+    return port
+
+
+# -- runs of consecutive elements vs the per-element reference ----------------
 
 
 @pytest.mark.parametrize("inclusive", [False, True])
 def test_access_block_matches_per_element(inclusive: bool) -> None:
-    batched = make_hierarchy(inclusive=inclusive)
+    """A run of demand accesses through one bound read or write port."""
+    fast = make_hierarchy(inclusive=inclusive)
     reference = make_hierarchy(inclusive=inclusive)
+    ports = {}
     for core, array, start, count, write in _random_ops(0xB10C, 2, 600):
-        got = batched.access_block(core, array, start, count, write=write)
-        want = 0
+        port = _bound(ports, fast, core, array, "write" if write else "read")
+        got = want = 0
         for index in range(start, start + count):
-            want += reference.access(core, array, index, write=write)
+            got += port(index)
+            want += demand_access(reference, core, array, index, write=write)
         assert got == want
-        assert snapshot(batched) == snapshot(reference)
+        assert snapshot(fast) == snapshot(reference)
 
 
 @pytest.mark.parametrize("inclusive", [False, True])
 def test_engine_access_block_matches_per_element(inclusive: bool) -> None:
-    batched = make_hierarchy(inclusive=inclusive)
+    """A run of engine accesses through one bound engine port."""
+    fast = make_hierarchy(inclusive=inclusive)
     reference = make_hierarchy(inclusive=inclusive)
+    ports = {}
     for core, array, start, count, _ in _random_ops(0xE27, 2, 600):
-        got = batched.engine_access_block(core, array, start, count)
-        want = 0
+        port = _bound(ports, fast, core, array, "engine")
+        got = want = 0
         for index in range(start, start + count):
-            want += reference.engine_access(core, array, index)
+            got += port(index)
+            want += engine_access(reference, core, array, index)
         assert got == want
-        assert snapshot(batched) == snapshot(reference)
+        assert snapshot(fast) == snapshot(reference)
 
 
-def test_block_of_zero_or_negative_count_is_free() -> None:
-    hierarchy = make_hierarchy()
-    before = snapshot(hierarchy)
-    assert hierarchy.access_block(0, ArrayId.VERTEX_VALUE, 5, 0) == 0
-    assert hierarchy.engine_access_block(0, ArrayId.VERTEX_VALUE, 5, -3) == 0
-    assert snapshot(hierarchy) == before
-
-
-# -- prober closures vs the methods they replace ------------------------------
+# -- single accesses vs the per-element reference -----------------------------
 
 
 @pytest.mark.parametrize("inclusive", [False, True])
 def test_engine_prober_matches_engine_access(inclusive: bool) -> None:
     fast = make_hierarchy(inclusive=inclusive)
     reference = make_hierarchy(inclusive=inclusive)
-    probes = {}
+    ports = {}
     for core, array, index, _, _ in _random_ops(0x9E0B, 2, 800):
-        probe = probes.get((core, array))
-        if probe is None:
-            probe = probes[(core, array)] = fast.engine_prober(core, array)
-        assert probe(index) == reference.engine_access(core, array, index)
+        port = _bound(ports, fast, core, array, "engine")
+        assert port(index) == engine_access(reference, core, array, index)
         assert snapshot(fast) == snapshot(reference)
-
-
-def test_engine_prober_uncounted_defers_probe_count() -> None:
-    fast = make_hierarchy()
-    reference = make_hierarchy()
-    probe = fast.engine_prober(0, ArrayId.VERTEX_VALUE, counted=False)
-    issued = 0
-    for _, _, index, _, _ in _random_ops(0x0FF, 1, 400):
-        assert probe(index) == reference.engine_access(
-            0, ArrayId.VERTEX_VALUE, index
-        )
-        issued += 1
-    # The caller settles the deferred count; everything else already agrees.
-    fast.engine_probes += issued
-    assert snapshot(fast) == snapshot(reference)
 
 
 def test_engine_pair_prober_matches_block_of_two() -> None:
+    """The offsets-pair fetch: two calls of one engine port, whether or not
+    the pair straddles a line boundary."""
     fast = make_hierarchy()
     reference = make_hierarchy()
-    probes = {}
+    ports = {}
     for core, array, start, _, _ in _random_ops(0x9A12, 2, 800):
-        probe = probes.get((core, array))
-        if probe is None:
-            probe = probes[(core, array)] = fast.engine_pair_prober(core, array)
-        assert probe(start) == reference.engine_access_block(core, array, start, 2)
+        port = _bound(ports, fast, core, array, "engine")
+        got = port(start) + port(start + 1)
+        want = engine_access(reference, core, array, start) + engine_access(
+            reference, core, array, start + 1
+        )
+        assert got == want
         assert snapshot(fast) == snapshot(reference)
 
 
-# -- system-level closures and batched charges --------------------------------
+# -- system ports and batched charges ----------------------------------------
 
 
 def test_demand_writer_matches_write_exactly() -> None:
+    """The system's write port charges exactly the latency the reference
+    write returns to the memory accumulator, one addition per access."""
     config = scaled_config(num_cores=2, llc_kb=2)
     fast = SimulatedSystem(config)
-    reference = SimulatedSystem(config)
-    writers = {}
+    reference = MemoryHierarchy(config)
+    memory = [0.0] * config.num_cores
+    ports = {}
     for core, array, index, _, _ in _random_ops(0x33F1, 2, 800):
-        writer = writers.get((core, array))
-        if writer is None:
-            writer = writers[(core, array)] = fast.demand_writer(core, array)
-        assert writer(index) == reference.write(core, array, index)
-    assert snapshot(fast.hierarchy) == snapshot(reference.hierarchy)
-    assert fast.timer._memory == reference.timer._memory
+        writer = _bound(ports, fast, core, array, "write")
+        latency = demand_access(reference, core, array, index, write=True)
+        memory[core] += latency
+        assert writer(index) == latency
+    assert snapshot(fast.hierarchy) == snapshot(reference)
+    assert fast.timer._memory == memory
 
 
 def test_demand_writer_with_coherence_matches_write() -> None:
+    """Under coherence tracking the directory sees every access, inside the
+    one demand body."""
     config = scaled_config(num_cores=2, llc_kb=2).replace(track_coherence=True)
     fast = SimulatedSystem(config)
-    reference = SimulatedSystem(config)
-    writer = fast.demand_writer(0, ArrayId.VERTEX_VALUE)
-    for _, _, index, _, _ in _random_ops(0xC0E2, 1, 300):
-        assert writer(index) == reference.write(0, ArrayId.VERTEX_VALUE, index)
-    assert snapshot(fast.hierarchy) == snapshot(reference.hierarchy)
+    reference = MemoryHierarchy(config)
+    ports = {}
+    for core, array, index, _, write in _random_ops(0xC0E2, 2, 600):
+        port = _bound(ports, fast, core, array, "write" if write else "read")
+        assert port(index) == demand_access(
+            reference, core, array, index, write=write
+        )
+    assert snapshot(fast.hierarchy) == snapshot(reference)
+    assert fast.hierarchy.coherence.stats == reference.coherence.stats
+    assert fast.hierarchy.coherence._sharers == reference.coherence._sharers
 
 
 def test_charge_compute_run_matches_charge_sequence() -> None:
@@ -202,26 +209,6 @@ def test_charge_compute_run_matches_charge_sequence() -> None:
     assert fast.timer._compute == reference.timer._compute
 
 
-# -- layout helpers -----------------------------------------------------------
-
-
-def test_lines_of_range_covers_exactly_the_touched_lines() -> None:
-    layout = MemoryLayout()
-    for array in ARRAYS:
-        for start, count in [(0, 1), (3, 13), (7, 8), (63, 2), (5, 0), (5, -1)]:
-            got = layout.lines_of_range(array, start, count)
-            want = sorted(
-                {layout.line_of(array, i) for i in range(start, start + count)}
-            )
-            assert list(got) == want
-
-
-def test_lines_of_range_is_contiguous() -> None:
-    layout = MemoryLayout()
-    lines = layout.lines_of_range(ArrayId.VERTEX_VALUE, 5, 100)
-    assert list(lines) == list(range(lines[0], lines[-1] + 1))
-
-
 # -- conservation -------------------------------------------------------------
 
 
@@ -229,8 +216,11 @@ def test_dirty_lines_are_resident_and_writebacks_conserved() -> None:
     """After a heavy mixed write stream: every dirty line is still resident
     in its cache, and per-array writeback attribution sums to the total."""
     hierarchy = make_hierarchy()
+    ports = {}
     for core, array, start, count, write in _random_ops(0xD127, 2, 1500):
-        hierarchy.access_block(core, array, start, count, write=write)
+        port = _bound(ports, hierarchy, core, array, "write" if write else "read")
+        for index in range(start, start + count):
+            port(index)
     for cache in [*hierarchy.l1, *hierarchy.l2, hierarchy.l3]:
         resident = set(cache.resident_lines())
         assert set(cache.dirty_lines()) <= resident

@@ -48,14 +48,31 @@ def test_clean_run_has_no_violations():
 
 def test_synthetic_traffic_conserves_counters():
     system, checker = make_checked_system()
+    ports = {
+        (core, channel): system.port(core, ArrayId.VERTEX_VALUE, channel)
+        for core in (0, 1)
+        for channel in ("read", "write", "engine")
+    }
     for i in range(5_000):
-        if i % 3 == 0:
-            system.write(i % 2, ArrayId.VERTEX_VALUE, (i * 17) % 4096)
-        else:
-            system.read(i % 2, ArrayId.VERTEX_VALUE, (i * 17) % 4096)
+        channel = ("write", "read", "engine")[i % 3]
+        ports[(i % 2, channel)]((i * 17) % 4096)
     system.barrier()
     assert checker.violations() == []
     assert system.dram_writebacks() > 0  # write-heavy enough to drain
+
+
+@pytest.mark.parametrize("channel", ["read", "engine"])
+def test_access_behind_the_facade_is_reported(channel):
+    """An access made on the bare inner system, where no observer sees it,
+    breaks the coverage equation of its channel."""
+    system, checker = make_checked_system()
+    system.inner.port(0, ArrayId.VERTEX_VALUE, channel)(5)
+    system.barrier()
+    kind = "engine" if channel == "engine" else "demand"
+    assert any(
+        f"observed {kind} accesses (0) != hierarchy {kind} probes (1)" in v
+        for v in checker.violations()
+    ), checker.violations()
 
 
 def test_lost_writeback_fault_is_detected():
@@ -152,7 +169,7 @@ def test_checker_seeds_shadow_from_preexisting_dirty_lines():
     # Attaching mid-run must not flag dirty lines that predate the checker.
     config = scaled_config(num_cores=2, llc_kb=2)
     system = InstrumentedSystem(SimulatedSystem(config))
-    system.write(0, ArrayId.VERTEX_VALUE, 0)
+    system.port(0, ArrayId.VERTEX_VALUE, "write")(0)
     checker = system.add_observer(InvariantChecker())
     system.barrier()
     assert checker.violations() == []

@@ -27,10 +27,11 @@ def test_line_of_element_width():
     assert layout.line_of(ArrayId.VERTEX_VALUE, 8) != layout.line_of(
         ArrayId.VERTEX_VALUE, 7
     )
-    # 4-byte ids: 16 per line.
-    assert layout.elements_per_line(ArrayId.INCIDENT_VERTEX) == 16
-    assert layout.elements_per_line(ArrayId.VERTEX_VALUE) == 8
-    assert layout.elements_per_line(ArrayId.BITMAP) == 64
+    # 4-byte ids: 16 per line; 1-byte bitmap flags: 64 per line.
+    for array, per_line in ((ArrayId.INCIDENT_VERTEX, 16), (ArrayId.BITMAP, 64)):
+        first = layout.line_of(array, 0)
+        assert layout.line_of(array, per_line - 1) == first
+        assert layout.line_of(array, per_line) == first + 1
 
 
 def test_array_of_line_roundtrip():

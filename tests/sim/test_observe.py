@@ -135,14 +135,45 @@ def test_charge_compute_run_forwards_one_event_per_charge() -> None:
 
 
 def test_demand_writer_routes_through_observed_write() -> None:
-    """The instrumented system's demand_writer must not hand out the inner
-    system's fast closure — every write must reach the observers."""
+    """The instrumented system's write port must not hand out the inner
+    system's bare port — every write must reach the observers."""
     observed = InstrumentedSystem(make_system(), [TraceObserver()])
-    writer = observed.demand_writer(0, ArrayId.VERTEX_VALUE)
-    reference = make_system()
+    writer = observed.port(0, ArrayId.VERTEX_VALUE, "write")
+    reference = make_system().port(0, ArrayId.VERTEX_VALUE, "write")
     for index in (3, 3, 11, 200):
-        assert writer(index) == reference.write(0, ArrayId.VERTEX_VALUE, index)
+        assert writer(index) == reference(index)
     trace = observed.observer(TraceObserver).trace
     assert [(e.kind, e.index) for e in trace] == [
         ("write", 3), ("write", 3), ("write", 11), ("write", 200)
     ]
+
+
+def test_every_channel_is_observed() -> None:
+    """Engine ports are wrapped like demand ports: one on_access per call,
+    tagged with the channel."""
+    observed = InstrumentedSystem(make_system(), [TraceObserver()])
+    for channel in ("read", "write", "serial", "engine"):
+        observed.port(1, ArrayId.OAG_EDGE, channel)(5)
+    trace = observed.observer(TraceObserver).trace
+    assert [e.kind for e in trace] == ["read", "write", "serial", "engine"]
+    assert {(e.core, e.array, e.index) for e in trace} == {
+        (1, ArrayId.OAG_EDGE, 5)
+    }
+
+
+def test_phase_profiler_counts_engine_accesses(small_hypergraph) -> None:
+    """ChGraph's engine traffic lands under accesses["engine"], and the
+    per-phase counts sum to the hierarchy's probe counters."""
+    inner = make_system()
+    system = InstrumentedSystem.profiled(inner)
+    result = ChGraphEngine().run(PageRank(iterations=2), small_hypergraph, system)
+    phases = result.telemetry.phases.values()
+    engine = sum(p.accesses.get("engine", 0) for p in phases)
+    demand = sum(
+        count
+        for p in phases
+        for kind, count in p.accesses.items()
+        if kind != "engine"
+    )
+    assert engine == inner.hierarchy.engine_probes > 0
+    assert demand == inner.hierarchy.demand_probes

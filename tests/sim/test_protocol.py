@@ -30,11 +30,11 @@ def test_shipped_systems_conform(factory) -> None:
 
 
 def test_partial_implementations_do_not_conform() -> None:
-    class ReadOnly:
-        def read(self, core, array, index):
-            return 0
+    class PortOnly:
+        def port(self, core, array, channel):
+            return lambda index: 0
 
-    assert not isinstance(ReadOnly(), MemorySystem)
+    assert not isinstance(PortOnly(), MemorySystem)
     assert not isinstance(object(), MemorySystem)
 
 
@@ -42,8 +42,8 @@ def test_protocol_members_cover_the_charging_interface() -> None:
     # The boundary every engine is written against: if a member vanishes
     # from the protocol, engines could call a method some system lacks.
     for member in (
-        "read", "read_serial", "write",
-        "charge_compute", "charge_engine", "barrier", "on_event",
+        "port", "charge_compute", "charge_compute_run", "charge_engine",
+        "barrier", "on_event",
         "dram_accesses", "dram_breakdown",
     ):
         assert callable(getattr(NullSystem(), member))

@@ -7,6 +7,7 @@ import pytest
 from repro.sim.config import scaled_config
 from repro.sim.layout import ArrayId
 from repro.sim.null import NullSystem
+from repro.sim.protocol import CHANNELS
 from repro.sim.system import SimulatedSystem
 
 
@@ -16,7 +17,8 @@ def make_system() -> SimulatedSystem:
 
 def test_read_charges_memory_path():
     system = make_system()
-    system.read(0, ArrayId.VERTEX_VALUE, 0)
+    latency = system.port(0, ArrayId.VERTEX_VALUE, "read")(0)
+    assert system.timer._memory[0] == latency
     system.barrier()
     assert system.total_cycles > 0
     assert system.breakdown.memory_stall_cycles > 0
@@ -24,7 +26,8 @@ def test_read_charges_memory_path():
 
 def test_read_serial_charges_compute():
     system = make_system()
-    system.read_serial(0, ArrayId.OAG_EDGE, 0)
+    latency = system.port(0, ArrayId.OAG_EDGE, "serial")(0)
+    assert system.timer._compute[0] == latency
     system.barrier()
     assert system.breakdown.compute_cycles > 0
     assert system.breakdown.memory_stall_cycles == 0
@@ -32,14 +35,31 @@ def test_read_serial_charges_compute():
 
 def test_write_marks_dram_attribution():
     system = make_system()
-    system.write(0, ArrayId.HYPEREDGE_VALUE, 0)
+    system.port(0, ArrayId.HYPEREDGE_VALUE, "write")(0)
     assert system.dram_breakdown()[ArrayId.HYPEREDGE_VALUE] == 1
+
+
+def test_engine_port_charges_no_accumulator():
+    system = make_system()
+    latency = system.port(1, ArrayId.OAG_EDGE, "engine")(0)
+    assert latency > 0
+    assert system.hierarchy.engine_probes == 1
+    assert system.timer._memory == system.timer._compute == [0.0, 0.0]
+    assert system.timer._engine == [0.0, 0.0]
+    with pytest.raises(ValueError, match="no accumulator"):
+        system.hierarchy.port(1, ArrayId.OAG_EDGE, "engine", [0.0, 0.0])
+
+
+def test_unknown_channel_rejected():
+    with pytest.raises(ValueError, match="unknown channel"):
+        make_system().port(0, ArrayId.VERTEX_VALUE, "prefetch")
 
 
 def test_energy_report_components():
     system = make_system()
+    read = system.port(0, ArrayId.VERTEX_VALUE, "read")
     for i in range(50):
-        system.read(0, ArrayId.VERTEX_VALUE, i)
+        read(i)
     system.charge_compute(0, 1000)
     report = system.energy()
     assert report.dram_nj > 0
@@ -53,9 +73,8 @@ def test_energy_report_components():
 
 def test_null_system_is_free():
     system = NullSystem()
-    assert system.read(0, ArrayId.VERTEX_VALUE, 0) == 0
-    assert system.write(0, ArrayId.VERTEX_VALUE, 0) == 0
-    assert system.read_serial(0, ArrayId.OAG_EDGE, 0) == 0
+    for channel in CHANNELS:
+        assert system.port(0, ArrayId.VERTEX_VALUE, channel)(0) == 0
     system.charge_compute(0, 10)
     system.charge_engine(0, 10)
     assert system.barrier() == 0.0
@@ -70,8 +89,9 @@ def test_dram_contention_flag_inflates_memory_bound_runs():
             dram_contention=contention
         )
         system = SimulatedSystem(config)
+        reads = [system.port(core, ArrayId.VERTEX_VALUE, "read") for core in (0, 1)]
         for i in range(20_000):
-            system.read(i % 2, ArrayId.VERTEX_VALUE, (i * 13) % 65536)
+            reads[i % 2]((i * 13) % 65536)
         system.barrier()
         return system.total_cycles
 
@@ -91,16 +111,18 @@ def test_dram_contention_off_matches_legacy_barrier():
         scaled_config(num_cores=2, llc_kb=2).replace(dram_contention=False)
     )
     for system in (a, b):
+        reads = [system.port(core, ArrayId.VERTEX_VALUE, "read") for core in (0, 1)]
         for i in range(5_000):
-            system.read(i % 2, ArrayId.VERTEX_VALUE, (i * 13) % 65536)
+            reads[i % 2]((i * 13) % 65536)
         system.barrier()
     assert a.total_cycles == b.total_cycles
 
 
 def test_dram_writebacks_surface_on_the_facade():
     system = make_system()
+    writes = [system.port(core, ArrayId.VERTEX_VALUE, "write") for core in (0, 1)]
     for i in range(20_000):
-        system.write(i % 2, ArrayId.VERTEX_VALUE, (i * 13) % 65536)
+        writes[i % 2]((i * 13) % 65536)
     system.barrier()
     assert system.dram_writebacks() > 0
     breakdown = system.dram_writeback_breakdown()
