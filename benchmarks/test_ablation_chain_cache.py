@@ -6,40 +6,9 @@ once.  This ablation quantifies that optimization by disabling the cache in
 both chain-driven engines.
 """
 
-from repro.engine import ChGraphEngine, SoftwareGlaEngine
-from repro.harness.runner import get_runner
-from repro.sim.config import scaled_config
-from repro.sim.system import SimulatedSystem
 
-
-def _measure():
-    runner = get_runner()
-    hypergraph = runner.dataset("WEB")
-    config = scaled_config()
-    resources = runner.resources(hypergraph, config)
-    rows = []
-    for label, engine in (
-        ("GLA (regenerate)", SoftwareGlaEngine(resources)),
-        ("GLA (cache)", SoftwareGlaEngine(resources, cache_dense_chains=True)),
-        ("ChGraph (regenerate)", ChGraphEngine(resources, cache_dense_chains=False)),
-        ("ChGraph (cache)", ChGraphEngine(resources)),
-    ):
-        run = engine.run(
-            runner.algorithm("PR"), hypergraph, SimulatedSystem(config)
-        )
-        rows.append([label, run.cycles, run.chain_stats.get("generations", 0)])
-    return (
-        "Ablation: dense-chain caching, PR on WEB",
-        ["Configuration", "Cycles", "Generations"],
-        rows,
-    )
-
-
-def test_ablation_chain_cache(benchmark, emit):
-    rows = emit(
-        "ablation_chain_cache",
-        benchmark.pedantic(_measure, rounds=1, iterations=1),
-    )
+def test_ablation_chain_cache(figure):
+    rows = figure("ablation_chain_cache")
     by_label = {row[0]: row for row in rows}
     # Caching must help the software engine (its generation is expensive)...
     assert by_label["GLA (cache)"][1] < by_label["GLA (regenerate)"][1]

@@ -4,49 +4,12 @@ With MESI tracking enabled, every cross-core write-share costs an
 invalidation and every read of a remotely-modified line a downgrade.  Both
 schedulers write destination values from all cores (dst arrays are not
 chunk-partitioned), so coherence traffic exists either way; the bench
-records how much, and verifies the tracking itself never perturbs the
-simulation.
+records how much.  The runner audits the directory's invariants after each
+coherence-tracked run.
 """
 
-from repro.engine import ChGraphEngine, HygraEngine
-from repro.harness.runner import get_runner
-from repro.sim.config import scaled_config
-from repro.sim.system import SimulatedSystem
 
-
-def _measure():
-    runner = get_runner()
-    config = scaled_config().replace(track_coherence=True)
-    rows = []
-    for dataset in ("OK", "WEB"):
-        hypergraph = runner.dataset(dataset)
-        resources = runner.resources(hypergraph, config)
-        for name, engine in (
-            ("Hygra", HygraEngine()),
-            ("ChGraph", ChGraphEngine(resources)),
-        ):
-            system = SimulatedSystem(config)
-            engine.run(runner.algorithm("PR"), hypergraph, system)
-            directory = system.hierarchy.coherence
-            directory.check_invariants()
-            rows.append([
-                dataset,
-                name,
-                directory.stats.invalidations,
-                directory.stats.downgrades,
-                directory.stats.read_misses_served_remote,
-            ])
-    return (
-        "Extension: MESI coherence traffic, PR",
-        ["Dataset", "System", "Invalidations", "Downgrades", "Remote reads"],
-        rows,
-    )
-
-
-def test_ablation_coherence(benchmark, emit):
-    rows = emit(
-        "ablation_coherence",
-        benchmark.pedantic(_measure, rounds=1, iterations=1),
-    )
+def test_ablation_coherence(figure):
+    rows = figure("ablation_coherence")
     for row in rows:
         assert row[2] > 0  # write sharing exists under any scheduler

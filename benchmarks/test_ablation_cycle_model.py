@@ -9,66 +9,9 @@ checks they agree within a modest factor — the closed form is a sound
 summary, not an accident of constants.
 """
 
-import numpy as np
 
-from repro.chgraph.cycle_model import record_hcg_microops, simulate_phase
-from repro.harness.runner import get_runner
-from repro.hypergraph.partition import contiguous_chunks
-from repro.sim.config import scaled_config
-
-
-def _measure():
-    runner = get_runner()
-    config = scaled_config()
-    hypergraph = runner.dataset("WEB")
-    resources = runner.resources(hypergraph, config)
-    chunks = contiguous_chunks(hypergraph.num_hyperedges, config.num_cores)
-
-    # Representative latencies: engine accesses mostly hit the L2, with the
-    # occasional L3/DRAM round trip folded into the mean.
-    hcg_lat = float(config.l2_latency + 4)
-    cp_lat = float(config.l2_latency + 18)
-
-    rows = []
-    for chunk, oag in list(zip(chunks, resources.hyperedge_oags))[:4]:
-        ops = record_hcg_microops(
-            np.ones(len(chunk), dtype=bool), oag, dense=True
-        )
-        cycle = simulate_phase(
-            ops, hypergraph, "hyperedge", config,
-            hcg_latency=lambda: hcg_lat, cp_latency=lambda: cp_lat,
-        )
-        # The engines' closed form for the same chunk.
-        tuples = cycle.tuples
-        selects = sum(1 for op in ops if op.kind == "select")
-        hcg_mem = sum(op.memory_accesses for op in ops)
-        closed_engine = (
-            len(ops) * config.hw_stage_cycles + hcg_mem * hcg_lat
-            + tuples * config.hw_stage_cycles
-            + tuples * 2 * cp_lat / config.engine_mlp
-        )
-        closed_core = tuples * (config.apply_cycles + config.fifo_pop_cycles)
-        closed_total = max(closed_engine, closed_core)
-        rows.append([
-            f"chunk {chunk.core}",
-            selects,
-            tuples,
-            cycle.total_cycles,
-            closed_total,
-            cycle.total_cycles / closed_total,
-        ])
-    return (
-        "Extension: cycle model vs closed-form engine timing (PR/WEB chunks)",
-        ["Chunk", "Elements", "Tuples", "Cycle model", "Closed form", "Ratio"],
-        rows,
-    )
-
-
-def test_ablation_cycle_model(benchmark, emit):
-    rows = emit(
-        "ablation_cycle_model",
-        benchmark.pedantic(_measure, rounds=1, iterations=1),
-    )
+def test_ablation_cycle_model(figure):
+    rows = figure("ablation_cycle_model")
     ratios = [row[5] for row in rows]
     # The two models must agree to within 2x in both directions — the
     # closed form's job is the right order of magnitude and the right

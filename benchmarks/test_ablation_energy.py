@@ -7,47 +7,9 @@ energy shrinks with its access reduction, and total energy follows, because
 DRAM dominates a memory-bound workload's energy.
 """
 
-from repro.engine import ChGraphEngine, HygraEngine
-from repro.harness.runner import get_runner
-from repro.sim.config import scaled_config
-from repro.sim.system import SimulatedSystem
 
-
-def _measure():
-    runner = get_runner()
-    config = scaled_config()
-    rows = []
-    for dataset in ("OK", "WEB"):
-        hypergraph = runner.dataset(dataset)
-        resources = runner.resources(hypergraph, config)
-        systems = {}
-        for name, engine in (
-            ("Hygra", HygraEngine()),
-            ("ChGraph", ChGraphEngine(resources)),
-        ):
-            system = SimulatedSystem(config)
-            engine.run(runner.algorithm("PR"), hypergraph, system)
-            systems[name] = system
-        for name, system in systems.items():
-            report = system.energy()
-            rows.append([
-                dataset,
-                name,
-                report.dram_total_nj,
-                report.total_nj,
-                report.memory_fraction,
-            ])
-    return (
-        "Extension: energy, PR (nJ)",
-        ["Dataset", "System", "DRAM nJ", "Total nJ", "DRAM fraction"],
-        rows,
-    )
-
-
-def test_ablation_energy(benchmark, emit):
-    rows = emit(
-        "ablation_energy", benchmark.pedantic(_measure, rounds=1, iterations=1)
-    )
+def test_ablation_energy(figure):
+    rows = figure("ablation_energy")
     by_key = {(row[0], row[1]): row for row in rows}
     for dataset in ("OK", "WEB"):
         hygra = by_key[(dataset, "Hygra")]

@@ -7,46 +7,24 @@ workload, and their DRAM counts must agree within a modest margin for the
 serial simplification to be sound.
 """
 
-from repro.engine import HygraEngine
-from repro.engine.interleaved import InterleavedHygraEngine
-from repro.harness.runner import get_runner
-from repro.sim.config import scaled_config
-from repro.sim.system import SimulatedSystem
-
 import numpy as np
 
-
-def _measure():
-    runner = get_runner()
-    config = scaled_config()
-    rows = []
-    for dataset in ("OK", "WEB"):
-        hypergraph = runner.dataset(dataset)
-        serial = HygraEngine().run(
-            runner.algorithm("PR"), hypergraph, SimulatedSystem(config)
-        )
-        interleaved = InterleavedHygraEngine().run(
-            runner.algorithm("PR"), hypergraph, SimulatedSystem(config)
-        )
-        assert np.allclose(serial.result, interleaved.result)
-        rows.append([
-            dataset,
-            serial.dram_accesses,
-            interleaved.dram_accesses,
-            interleaved.dram_accesses / serial.dram_accesses,
-        ])
-    return (
-        "Extension: core-interleaving sensitivity (Hygra PR DRAM accesses)",
-        ["Dataset", "Chunk-serial", "Round-robin", "Ratio"],
-        rows,
-    )
+from repro.harness.experiments import FIGURES
+from repro.harness.runner import get_runner
+from repro.harness.spec import RunSpec
 
 
-def test_ablation_interleaving(benchmark, emit):
-    rows = emit(
-        "ablation_interleaving",
-        benchmark.pedantic(_measure, rounds=1, iterations=1),
-    )
+def test_ablation_interleaving(figure):
+    rows = figure("ablation_interleaving")
     for row in rows:
         # The simplification is sound if the two extremes agree within ~30%.
         assert 0.7 <= row[3] <= 1.3
+    # Both extremes compute the same answer.  The figure's runs are memo
+    # hits by now, so nothing simulates again.
+    declared = FIGURES["ablation_interleaving"]
+    results = get_runner().run_many(declared.specs())
+    for dataset in declared.datasets:
+        serial, interleaved = (
+            results[RunSpec(engine, "PR", dataset)] for engine in declared.engines
+        )
+        assert np.allclose(serial.result, interleaved.result)

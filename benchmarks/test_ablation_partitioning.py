@@ -7,50 +7,9 @@ with chunk boundaries, densifying per-chunk OAGs (see
 ChGraph end to end.
 """
 
-from repro.engine import ChGraphEngine, GlaResources, HygraEngine
-from repro.harness.runner import get_runner
-from repro.hypergraph.community_partition import overlap_aware_renumber
-from repro.sim.config import scaled_config
-from repro.sim.system import SimulatedSystem
 
-
-def _measure():
-    runner = get_runner()
-    config = scaled_config()
-    hypergraph = runner.dataset("WEB")
-    partitioned = overlap_aware_renumber(hypergraph, side="both").hypergraph
-
-    rows = []
-    baseline_cycles = None
-    for label, graph in (("contiguous ids", hypergraph), ("chain-renumbered", partitioned)):
-        resources = GlaResources.build(graph, config.num_cores)
-        hygra = HygraEngine().run(
-            runner.algorithm("PR"), graph, SimulatedSystem(config)
-        )
-        chgraph = ChGraphEngine(resources).run(
-            runner.algorithm("PR"), graph, SimulatedSystem(config)
-        )
-        if baseline_cycles is None:
-            baseline_cycles = chgraph.cycles
-        rows.append([
-            label,
-            chgraph.cycles,
-            chgraph.speedup_over(hygra),
-            chgraph.dram_reduction_over(hygra),
-            baseline_cycles / chgraph.cycles,
-        ])
-    return (
-        "Extension: partitioning ablation, PR on WEB",
-        ["Partitioning", "ChGraph cycles", "vs Hygra", "DRAM red.", "vs default"],
-        rows,
-    )
-
-
-def test_ablation_partitioning(benchmark, emit):
-    rows = emit(
-        "ablation_partitioning",
-        benchmark.pedantic(_measure, rounds=1, iterations=1),
-    )
+def test_ablation_partitioning(figure):
+    rows = figure("ablation_partitioning")
     default, renumbered = rows
     # Renumbering must not hurt ChGraph materially, and typically helps.
     assert renumbered[4] > 0.9

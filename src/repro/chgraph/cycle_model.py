@@ -13,7 +13,7 @@ no per-cycle stepping: each operation's completion time is a recurrence over
 (unit previous completion, upstream data-ready time, downstream FIFO space),
 which is exact for this topology and fast enough to run inside tests.
 
-`benchmarks/test_ablation_cycle_model.py` cross-validates the engines'
+The ``ablation_cycle_model`` figure cross-validates the engines'
 closed-form estimates against this model.
 """
 

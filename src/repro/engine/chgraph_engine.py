@@ -52,12 +52,15 @@ class ChGraphEngine(ExecutionEngine):
         self.use_cp = use_cp
         # §VI-B optimization: dense (all-active) algorithms produce the same
         # chains every iteration, so they are generated once.  Disable to
-        # measure that optimization's worth (ablation bench).
+        # measure that optimization's worth (the ``ablation_chain_cache``
+        # figure).
         self.cache_dense_chains = cache_dense_chains
         if not use_hcg and use_cp:
             self.name = "ChGraph-CPonly"
         elif use_hcg and not use_cp:
             self.name = "ChGraph-HCGonly"
+        elif not cache_dense_chains:
+            self.name = "ChGraph-uncached"
         self._stats: dict[str, float] = {}
         self._dense_chain_cache: dict[str, list[list[int]]] = {}
         self._profiling = False

@@ -8,12 +8,13 @@ chain-driven idea" — the Apply side is identical to Hygra's, only the
 schedule order changes.
 
 The software engine regenerates chains every iteration (pass
-``cache_dense_chains=True`` to reuse a dense algorithm's first-iteration
-chains).  Regeneration is the default because it reproduces the paper's
-measured behaviour — a software-GLA slowdown that is stable in the
-iteration count (Fig 3 reports 1.14x slower for 10-iteration PR) — while
-PR still shows the mildest slowdown of all apps: its dense phases are the
-largest, so generation is best amortized (the §VI-B observation).
+``cache_dense_chains=True``, registered as ``GLA-cached``, to reuse a dense
+algorithm's first-iteration chains).  Regeneration is the default because
+it reproduces the paper's measured behaviour — a software-GLA slowdown that
+is stable in the iteration count (Fig 3 reports 1.14x slower for
+10-iteration PR) — while PR still shows the mildest slowdown of all apps:
+its dense phases are the largest, so generation is best amortized (the
+§VI-B observation).
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class SoftwareGlaEngine(ExecutionEngine):
     ) -> None:
         self.resources = resources
         self.cache_dense_chains = cache_dense_chains
+        if cache_dense_chains:
+            self.name = "GLA-cached"
         self._generator: ChainGenerator | None = None
         self._stats: dict[str, float] = {}
         self._dense_schedule_cache: dict[str, list[list[int]]] = {}

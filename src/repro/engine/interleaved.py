@@ -6,8 +6,8 @@ interleaving their access streams in the shared L3.  This engine processes
 one element per core in round-robin order, which is the opposite extreme
 (perfectly fair instruction-level interleaving).
 
-`benchmarks/test_ablation_interleaving.py` measures how much the choice
-moves DRAM counts; the gap bounds the error the serial simplification
+The ``ablation_interleaving`` figure measures how much the choice moves
+DRAM counts; the gap bounds the error the serial simplification
 introduces into the shared-LLC behaviour.
 """
 

@@ -8,7 +8,7 @@ destination values written once, sequentially) and loses when sparse (every
 destination probes every incident source's activity bit).
 
 This engine always pulls — it exists to study the direction trade-off
-(`benchmarks/test_ablation_pull.py`), not to replace the push baseline the
+(the ``ablation_pull`` figure), not to replace the push baseline the
 paper models.  Results are identical to push by construction: the same
 ``apply`` calls run, merely discovered from the other side.
 """

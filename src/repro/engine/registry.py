@@ -96,10 +96,22 @@ def _registry() -> dict[str, EngineSpec]:
             description="chain-driven scheduling entirely in software",
         ),
         EngineSpec(
+            "GLA-cached",
+            lambda resources: SoftwareGlaEngine(resources, cache_dense_chains=True),
+            needs_resources=True,
+            description="ablation: software GLA reusing dense-algorithm chains",
+        ),
+        EngineSpec(
             "ChGraph",
             lambda resources: ChGraphEngine(resources),
             needs_resources=True,
             description="hardware-accelerated chain-driven engine (the paper)",
+        ),
+        EngineSpec(
+            "ChGraph-uncached",
+            lambda resources: ChGraphEngine(resources, cache_dense_chains=False),
+            needs_resources=True,
+            description="ablation: ChGraph regenerating dense-algorithm chains",
         ),
         EngineSpec(
             "ChGraph-HCGonly",

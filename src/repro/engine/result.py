@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 import numpy as np
 
+from repro.sim.coherence import CoherenceStats
+from repro.sim.energy import EnergyReport
 from repro.sim.layout import ARRAY_GROUPS, ArrayId
 from repro.sim.telemetry import RunTelemetry
 
@@ -44,9 +45,14 @@ class RunResult:
         default_factory=dict
     )
     chain_stats: dict[str, float] = dataclasses.field(default_factory=dict)
-    extra: dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Populated only when the run was profiled (InstrumentedSystem attached).
     telemetry: RunTelemetry | None = None
+    #: The run's energy, recorded by the runner that built the simulated
+    #: system (``None`` from a bare ``engine.run``).
+    energy: EnergyReport | None = None
+    #: MESI protocol counters, recorded by the runner under
+    #: ``track_coherence`` (``None`` otherwise).
+    coherence: CoherenceStats | None = None
 
     @property
     def dram_by_group(self) -> dict[str, int]:

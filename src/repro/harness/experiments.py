@@ -4,8 +4,9 @@ Each :class:`Figure` declares its run grid once — engines × apps × datasets
 × configs × preprocessings — plus a reducer that builds ``(title, headers,
 rows)``, ready for :func:`repro.harness.report.render_table`, from the
 results of exactly that grid.  :data:`FIGURES` holds them in the paper's
-order; ``repro bench``/``repro experiment``, the benchmarks and the tests
-all resolve figures through it.
+order, followed by the ablations and extensions the paper argues from
+(``ablation_*``); ``repro bench``/``repro experiment``, the benchmarks and
+the tests all resolve figures through it.
 
 The runner executes a grid (serially, or sharded across worker processes by
 :mod:`repro.harness.parallel`); the reducer only reads, through a
@@ -20,13 +21,17 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from repro.chgraph.area import area_report
+from repro.chgraph.cycle_model import record_hcg_microops, simulate_phase
 from repro.engine import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
 from repro.harness.report import with_bars
 from repro.harness.runner import PAPER_APPS, Runner
 from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import PAPER_DATASETS
+from repro.hypergraph.partition import contiguous_chunks
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.hypergraph.stats import dataset_stats, overlap_curve
 from repro.sim.config import SystemConfig, scaled_config, table1_config
@@ -47,6 +52,9 @@ OAG_OP_CYCLES = 0.5
 #: as a registered pipeline stage in front of the engine, instead of
 #: hand-building reordered engines outside the runner.
 REORDER_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("locality-reorder"),))
+
+#: The partitioning ablation's record: overlap-aware renumbering as a stage.
+PARTITION_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("overlap-renumber"),))
 
 #: Figure 8's sharing thresholds.  The paper plots 2..7 for datasets with
 #: mean degrees 3-37; the scaled stand-ins keep paper-scale hyperedge
@@ -389,19 +397,18 @@ def _fig20(fig: Figure, data: FigureData) -> Table:
 
 
 def _preprocess_costs(
-    source: Runner | FigureData, dataset_key: str
+    data: FigureData, dataset_key: str
 ) -> tuple[float, float, int]:
     """(hygra_cycles, chgraph_extra_cycles, oag_bytes) for preprocessing.
 
     Hygra builds the two bipartite CSR directions (~4 ops per bipartite
     edge); ChGraph additionally builds the per-chunk OAGs, whose elementary
-    operation count the builder reports.  ``source`` is anything with the
-    runner's ``dataset``/``resources`` accessors.
+    operation count the builder reports.
     """
-    hypergraph = source.dataset(dataset_key)
+    hypergraph = data.dataset(dataset_key)
     config = scaled_config()
     bipartite_ops = 4 * hypergraph.num_bipartite_edges
-    resources = source.resources(hypergraph, config)
+    resources = data.resources(hypergraph, config)
     hygra_cycles = bipartite_ops * PREPROCESS_OP_CYCLES / config.num_cores
     oag_cycles = resources.build_operations * OAG_OP_CYCLES / config.num_cores
     return hygra_cycles, oag_cycles, resources.storage_bytes()
@@ -554,12 +561,196 @@ def _summary(fig: Figure, data: FigureData) -> Table:
     )
 
 
+# -- ablations and extensions ---------------------------------------------
+
+
+def _ablation_amortization(fig: Figure, data: FigureData) -> Table:
+    """Preprocessing amortization across applications (§VI-G): the OAG
+    build is paid once, and every app run after it shares the cost."""
+    (dataset,) = fig.datasets
+    hygra_pre, oag_pre, _ = _preprocess_costs(data, dataset)
+    hygra_total = hygra_pre
+    chg_total = hygra_pre + oag_pre
+    rows: list[list[object]] = []
+    for count, app in enumerate(fig.apps, start=1):
+        hygra, chg = data.runs(app, dataset)
+        hygra_total += hygra.cycles
+        chg_total += chg.cycles
+        rows.append([count, app, hygra_total / chg_total])
+    return (
+        "Extension: ChGraph total-time speedup as apps amortize the OAG "
+        f"build ({dataset})",
+        ["#Apps run", "Latest app", "Cumulative speedup"],
+        rows,
+    )
+
+
+def _ablation_chain_cache(fig: Figure, data: FigureData) -> Table:
+    """Dense-chain reuse across iterations (§VI-B), off and on per engine."""
+    (app,), (dataset,) = fig.apps, fig.datasets
+    labels = ("GLA (regenerate)", "GLA (cache)",
+              "ChGraph (regenerate)", "ChGraph (cache)")
+    rows: list[list[object]] = [
+        [label, run.cycles, run.chain_stats.get("generations", 0)]
+        for label, run in zip(labels, data.runs(app, dataset))
+    ]
+    return (
+        f"Ablation: dense-chain caching, {app} on {dataset}",
+        ["Configuration", "Cycles", "Generations"],
+        rows,
+    )
+
+
+def _ablation_coherence(fig: Figure, data: FigureData) -> Table:
+    """MESI coherence traffic under each scheduler (Table I's protocol)."""
+    (app,), (config,) = fig.apps, fig.configs
+    rows: list[list[object]] = []
+    for dataset in fig.datasets:
+        for name, run in zip(fig.engines, data.runs(app, dataset, config)):
+            stats = run.coherence
+            assert stats is not None, "declared config must track coherence"
+            rows.append([dataset, name, stats.invalidations, stats.downgrades,
+                         stats.read_misses_served_remote])
+    return (
+        f"Extension: MESI coherence traffic, {app}",
+        ["Dataset", "System", "Invalidations", "Downgrades", "Remote reads"],
+        rows,
+    )
+
+
+def _ablation_cycle_model(fig: Figure, data: FigureData) -> Table:
+    """The cycle-level model vs the engines' closed-form timing (§VI-A)."""
+    (dataset,) = fig.datasets
+    config = scaled_config()
+    hypergraph = data.dataset(dataset)
+    resources = data.resources(hypergraph, config)
+    chunks = contiguous_chunks(hypergraph.num_hyperedges, config.num_cores)
+    # Representative latencies: engine accesses mostly hit the L2, with the
+    # occasional L3/DRAM round trip folded into the mean.
+    hcg_lat = float(config.l2_latency + 4)
+    cp_lat = float(config.l2_latency + 18)
+    rows: list[list[object]] = []
+    for chunk, oag in list(zip(chunks, resources.hyperedge_oags))[:4]:
+        ops = record_hcg_microops(
+            np.ones(len(chunk), dtype=bool), oag, dense=True
+        )
+        cycle = simulate_phase(
+            ops, hypergraph, "hyperedge", config,
+            hcg_latency=lambda: hcg_lat, cp_latency=lambda: cp_lat,
+        )
+        # The engines' closed form for the same chunk.
+        tuples = cycle.tuples
+        selects = sum(1 for op in ops if op.kind == "select")
+        hcg_mem = sum(op.memory_accesses for op in ops)
+        closed_engine = (
+            len(ops) * config.hw_stage_cycles + hcg_mem * hcg_lat
+            + tuples * config.hw_stage_cycles
+            + tuples * 2 * cp_lat / config.engine_mlp
+        )
+        closed_core = tuples * (config.apply_cycles + config.fifo_pop_cycles)
+        closed_total = max(closed_engine, closed_core)
+        rows.append([f"chunk {chunk.core}", selects, tuples, cycle.total_cycles,
+                     closed_total, cycle.total_cycles / closed_total])
+    return (
+        f"Extension: cycle model vs closed-form engine timing (PR/{dataset} chunks)",
+        ["Chunk", "Elements", "Tuples", "Cycle model", "Closed form", "Ratio"],
+        rows,
+    )
+
+
+def _ablation_energy(fig: Figure, data: FigureData) -> Table:
+    """Per-system energy with the §VI-A McPAT/DDR-style energy model."""
+    (app,) = fig.apps
+    rows: list[list[object]] = []
+    for dataset in fig.datasets:
+        for name, run in zip(fig.engines, data.runs(app, dataset)):
+            report = run.energy
+            assert report is not None, "runner-built results carry energy"
+            rows.append([dataset, name, report.dram_total_nj, report.total_nj,
+                         report.memory_fraction])
+    return (
+        f"Extension: energy, {app} (nJ)",
+        ["Dataset", "System", "DRAM nJ", "Total nJ", "DRAM fraction"],
+        rows,
+    )
+
+
+def _ablation_interleaving(fig: Figure, data: FigureData) -> Table:
+    """Chunk-serial vs round-robin core interleaving (Hygra DRAM counts)."""
+    (app,) = fig.apps
+    rows: list[list[object]] = []
+    for dataset in fig.datasets:
+        serial, interleaved = data.runs(app, dataset)
+        rows.append([dataset, serial.dram_accesses, interleaved.dram_accesses,
+                     interleaved.dram_accesses / serial.dram_accesses])
+    return (
+        f"Extension: core-interleaving sensitivity (Hygra {app} DRAM accesses)",
+        ["Dataset", "Chunk-serial", "Round-robin", "Ratio"],
+        rows,
+    )
+
+
+def _ablation_partitioning(fig: Figure, data: FigureData) -> Table:
+    """Overlap-aware renumbering vs default contiguous chunking."""
+    (app,), (dataset,) = fig.apps, fig.datasets
+    labels = ("contiguous ids", "chain-renumbered")
+    runs = [data.runs(app, dataset, preprocessing=p) for p in fig.preprocessings]
+    baseline_cycles = runs[0][1].cycles
+    rows: list[list[object]] = [
+        [label, chgraph.cycles, chgraph.speedup_over(hygra),
+         chgraph.dram_reduction_over(hygra), baseline_cycles / chgraph.cycles]
+        for label, (hygra, chgraph) in zip(labels, runs)
+    ]
+    return (
+        f"Extension: partitioning ablation, {app} on {dataset}",
+        ["Partitioning", "ChGraph cycles", "vs Hygra", "DRAM red.", "vs default"],
+        rows,
+    )
+
+
+def _ablation_pull(fig: Figure, data: FigureData) -> Table:
+    """Push vs pull traversal, and ChGraph vs the better direction."""
+    (dataset,) = fig.datasets
+    rows: list[list[object]] = []
+    for app in fig.apps:
+        push, pull, chgraph = data.runs(app, dataset)
+        best = min(push.cycles, pull.cycles)
+        rows.append([app, push.cycles, pull.cycles, pull.cycles / push.cycles,
+                     best / chgraph.cycles])
+    return (
+        f"Extension: push vs pull on {dataset} (ChGraph vs the better direction)",
+        ["App", "Push cycles", "Pull cycles", "Pull/Push", "ChGraph speedup"],
+        rows,
+    )
+
+
+def _ablation_wmin_storage(fig: Figure, data: FigureData) -> Table:
+    """The W_min space/locality trade (§IV-A): OAG storage per threshold."""
+    (dataset,) = fig.datasets
+    hypergraph = data.dataset(dataset)
+    config = scaled_config()
+    baseline_bytes = hypergraph.size_bytes()
+    rows: list[list[object]] = []
+    for preprocessing in fig.preprocessings:
+        assert preprocessing is not None, "the sweep declares each W_min"
+        resources = data.resources(hypergraph, config, preprocessing)
+        oag_bytes = resources.storage_bytes()
+        edges = sum(oag.num_edges for oag in resources.hyperedge_oags)
+        rows.append([preprocessing.w_min, edges, oag_bytes,
+                     100.0 * oag_bytes / baseline_bytes])
+    return (
+        f"Ablation: OAG storage vs W_min on {dataset}",
+        ["W_min", "H-OAG edges", "OAG bytes", "Overhead (%)"],
+        rows,
+    )
+
+
 # -- the registry ---------------------------------------------------------------
 
 _PR_WEB = dict(apps=("PR",), datasets=("WEB",))
 
-#: Every reproduced table/figure by id, in the paper's order (``repro bench
-#: --figures all`` runs them in this order).
+#: Every reproduced table/figure by id, in the paper's order and then the
+#: ablations (``repro bench --figures all`` runs them in this order).
 FIGURES: dict[str, Figure] = {
     "table1": Figure(_table1),
     "table2": Figure(_table2, datasets=PAPER_DATASETS),
@@ -627,5 +818,41 @@ FIGURES: dict[str, Figure] = {
     "summary": Figure(
         _summary, engines=("Hygra", "ChGraph", "GLA"), apps=("BFS", "PR", "CC"),
         datasets=PAPER_DATASETS,
+    ),
+    "ablation_amortization": Figure(
+        _ablation_amortization, engines=("Hygra", "ChGraph"), apps=PAPER_APPS,
+        datasets=("WEB",),
+    ),
+    "ablation_chain_cache": Figure(
+        _ablation_chain_cache,
+        engines=("GLA", "GLA-cached", "ChGraph-uncached", "ChGraph"), **_PR_WEB,
+    ),
+    "ablation_coherence": Figure(
+        _ablation_coherence, engines=("Hygra", "ChGraph"), apps=("PR",),
+        datasets=("OK", "WEB"),
+        configs=(scaled_config().replace(track_coherence=True),),
+    ),
+    "ablation_cycle_model": Figure(_ablation_cycle_model, datasets=("WEB",)),
+    "ablation_energy": Figure(
+        _ablation_energy, engines=("Hygra", "ChGraph"), apps=("PR",),
+        datasets=("OK", "WEB"),
+    ),
+    "ablation_interleaving": Figure(
+        _ablation_interleaving, engines=("Hygra", "Hygra-interleaved"),
+        apps=("PR",), datasets=("OK", "WEB"),
+    ),
+    "ablation_partitioning": Figure(
+        _ablation_partitioning, engines=("Hygra", "ChGraph"), **_PR_WEB,
+        preprocessings=(None, PARTITION_PREPROCESS),
+    ),
+    "ablation_pull": Figure(
+        _ablation_pull, engines=("Hygra", "Hygra-pull", "ChGraph"),
+        apps=("PR", "BFS", "CC"), datasets=("WEB",),
+    ),
+    "ablation_wmin_storage": Figure(
+        _ablation_wmin_storage, datasets=("WEB",),
+        preprocessings=tuple(
+            PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33)
+        ),
     ),
 }

@@ -41,6 +41,7 @@ import signal
 import time
 from typing import TYPE_CHECKING
 
+from repro.engine.registry import ENGINE_REGISTRY
 from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
 
@@ -61,7 +62,7 @@ __all__ = [
 #: Engines that consume a ``GlaResources`` artifact (per-chunk OAGs); runs
 #: using the same artifact are scheduled onto the same shard.
 RESOURCE_ENGINES: frozenset[str] = frozenset(
-    {"GLA", "ChGraph", "ChGraph-HCGonly", "ChGraph-CPonly", "HATS-V"}
+    name for name, spec in ENGINE_REGISTRY.items() if spec.needs_resources
 )
 
 

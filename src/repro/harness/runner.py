@@ -298,8 +298,14 @@ class Runner:
             observers.append(InvariantChecker())
         # instrument() hands back the bare system when no observer is
         # attached, so unprofiled runs skip the middleware dispatch.
-        system = instrument(SimulatedSystem(spec.config), observers)
+        simulated = SimulatedSystem(spec.config)
+        system = instrument(simulated, observers)
         result = engine.run(algorithm, pipeline.hypergraph, system)
+        result.energy = simulated.energy()
+        directory = simulated.hierarchy.coherence
+        if directory is not None:
+            directory.check_invariants()
+            result.coherence = dataclasses.replace(directory.stats)
         if pipeline.vertex_perm is not None:
             result = _unpermute_result(result, pipeline.vertex_perm)
         self._results[spec] = result

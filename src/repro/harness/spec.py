@@ -32,10 +32,10 @@ __all__ = ["RunSpec"]
 class RunSpec:
     """One cell of the run matrix, picklable and hashable.
 
-    ``config=None`` means the default :func:`~repro.sim.config.scaled_config`
-    and ``pr_iterations=None``/``preprocessing=None`` mean the executing
-    runner's defaults — kept as ``None`` (not eagerly resolved) so specs
-    stay cheap to hash and compare.
+    ``config=None`` means the default :func:`~repro.sim.config.scaled_config`,
+    ``preprocessing=None`` the default :class:`PreprocessSpec` and
+    ``pr_iterations=None`` the executing runner's count — kept as ``None``
+    (not eagerly resolved) so specs stay cheap to hash and compare.
     """
 
     engine: str
@@ -62,11 +62,11 @@ class RunSpec:
     def normalized(
         self,
         pr_iterations: int = 2,
-        preprocessing: PreprocessSpec | None = None,
         profile: bool = False,
         check: bool = False,
     ) -> "RunSpec":
-        """Resolve every ``None`` field against the given runner defaults.
+        """Resolve every ``None`` field: ``pr_iterations`` to the runner's
+        count, ``config`` and ``preprocessing`` to their defaults.
 
         ``profile``/``check`` act as sticky overrides (a runner asked to
         profile a batch profiles specs that did not ask themselves);
@@ -85,11 +85,7 @@ class RunSpec:
             ),
             profile=self.profile or profile or checked,
             check=checked,
-            preprocessing=(
-                self.preprocessing
-                if self.preprocessing is not None
-                else (preprocessing or PreprocessSpec())
-            ),
+            preprocessing=self.resolved_preprocessing(),
         )
         resolved.validate()
         return resolved

@@ -8,10 +8,11 @@ then sees only a 1/num_chunks sliver of every cluster.
 
 This module renumbers a side's elements along **global** chains (a single
 full-hypergraph OAG walk, no depth cap), so overlap clusters occupy
-contiguous id ranges and land inside one chunk.  The effect is measured by
-`benchmarks/test_ablation_partitioning.py`: chunk OAGs get denser, chains
-longer, and ChGraph faster — at the price of a more expensive preprocessing
-pass (the full OAG instead of per-chunk ones).
+contiguous id ranges and land inside one chunk.  The pipeline stage
+``overlap-renumber`` runs it in front of the engine, and the
+``ablation_partitioning`` figure measures the effect: chunk OAGs get
+denser, chains longer, and ChGraph faster — at the price of a more
+expensive preprocessing pass (the full OAG instead of per-chunk ones).
 """
 
 from __future__ import annotations
@@ -33,19 +34,14 @@ class PartitionedHypergraph:
     """A renumbered hypergraph plus the permutations that produced it.
 
     ``hyperedge_perm[old_id] = new_id`` (identity when the side was not
-    renumbered), likewise ``vertex_perm``.  Results computed on the
-    renumbered hypergraph are mapped back with :meth:`restore_vertex_order`.
+    renumbered), likewise ``vertex_perm``.  As a pipeline stage, the
+    runner maps results computed on the renumbered hypergraph back to the
+    original vertex ids through ``vertex_perm``.
     """
 
     hypergraph: Hypergraph
     hyperedge_perm: np.ndarray
     vertex_perm: np.ndarray
-
-    def restore_vertex_order(self, values: np.ndarray) -> np.ndarray:
-        """Reorder a per-vertex result array back to original vertex ids."""
-        restored = np.empty_like(values)
-        restored[:] = values[self.vertex_perm]
-        return restored
 
 
 def _chain_permutation(hypergraph: Hypergraph, side: str, w_min: int) -> np.ndarray:

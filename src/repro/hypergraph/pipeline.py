@@ -6,14 +6,19 @@ between loading and simulation: the OAG build parameters (``w_min``,
 looked up in a registry so a spec is pure data — JSON-round-trippable,
 hashable into store keys, and executable anywhere.
 
-The first two registered stages are:
+The registered stages are:
 
 - ``identity`` — the no-op stage (useful for testing that stage plumbing
   itself is free);
 - ``locality-reorder`` — the §VI-H / Figure 24 BFS renumbering from
-  :mod:`repro.hypergraph.reorder`, lifted into the production path.  Stages
-  that permute vertices report the permutation so the runner can un-permute
-  algorithm results back to the original ids.
+  :mod:`repro.hypergraph.reorder`, lifted into the production path;
+- ``overlap-renumber`` — the overlap-aware partitioning of
+  :mod:`repro.hypergraph.community_partition`, which renumbers both sides
+  along global chains so overlap clusters land inside one chunk (the
+  ``ablation_partitioning`` figure).
+
+Stages that permute vertices report the permutation so the runner can
+un-permute algorithm results back to the original ids.
 
 Stage names and parameters are hashed into both ``resources_key`` and
 ``run_result_key`` (see :mod:`repro.store.keys`), so cached artifacts can
@@ -30,6 +35,7 @@ import numpy as np
 from repro.core.chain import DEFAULT_D_MAX
 from repro.core.oag import DEFAULT_W_MIN
 from repro.errors import ConfigurationError
+from repro.hypergraph.community_partition import overlap_aware_renumber
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.reorder import locality_reorder
 
@@ -211,6 +217,18 @@ def _locality_reorder(
         hypergraph=reordering.hypergraph,
         vertex_perm=reordering.vertex_perm,
         cost_accesses=reordering.cost_accesses,
+    )
+
+
+@stage("overlap-renumber")
+def _overlap_renumber(
+    hypergraph: Hypergraph, params: Mapping[str, ParamValue]
+) -> StageResult:
+    _reject_params("overlap-renumber", params)
+    partitioned = overlap_aware_renumber(hypergraph, side="both")
+    return StageResult(
+        hypergraph=partitioned.hypergraph,
+        vertex_perm=partitioned.vertex_perm,
     )
 
 

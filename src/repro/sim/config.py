@@ -49,7 +49,8 @@ class SystemConfig:
     # Track full MESI directory state (Table I).  Off by default: the
     # synchronous engines' results and timing do not depend on it; enable to
     # measure coherence traffic (see tests/sim/test_coherence.py and the
-    # coherence ablation bench).
+    # ``ablation_coherence`` figure, whose runs carry the counters on
+    # ``RunResult.coherence``).
     track_coherence: bool = False
     # Apply the DRAM bandwidth-contention model at each barrier: per-phase
     # demanded lines (fetches + writebacks) inflate that phase's memory

@@ -54,7 +54,11 @@ __all__ = [
 #: v5: runs build PageRank/Adsorption from the spec's ``pr_iterations``
 #: (v4 entries for a non-default count hold the runner's default count),
 #: and profiled runs' telemetry counts engine-channel accesses.
-STORE_SCHEMA_VERSION = 5
+#:
+#: v6: ``RunResult`` payloads carry the run's ``energy`` report and, under
+#: ``track_coherence``, its MESI ``coherence`` counters; the untyped
+#: ``extra`` record is gone.
+STORE_SCHEMA_VERSION = 6
 
 
 def _hash_arrays(h: "hashlib._Hash", *arrays: np.ndarray) -> None:

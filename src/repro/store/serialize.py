@@ -11,12 +11,13 @@ many-core resource sets.
 
 ``RunResult`` payloads are JSON: the value arrays at this repo's scale are
 thousands of elements, so ``tolist`` round-tripping is cheap and keeps the
-entries greppable on disk.  Non-JSON-serializable ``extra`` entries are
-dropped (and recorded) rather than failing the save.
+entries greppable on disk.  The optional ``telemetry``, ``energy`` and
+``coherence`` records are written as ``null`` when the run lacks them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -26,6 +27,8 @@ from repro.engine.resources import GlaResources
 from repro.engine.result import RunResult
 from repro.hypergraph.csr import Csr
 from repro.core.oag import Oag
+from repro.sim.coherence import CoherenceStats
+from repro.sim.energy import EnergyReport
 from repro.sim.layout import ArrayId
 from repro.sim.telemetry import RunTelemetry
 from repro.store.keys import STORE_SCHEMA_VERSION
@@ -169,16 +172,16 @@ def _array_from_json(d: dict) -> np.ndarray:
     return np.asarray(d["data"], dtype=np.dtype(d["dtype"]))
 
 
+def _record_to_json(record: EnergyReport | CoherenceStats | None) -> dict | None:
+    return None if record is None else dataclasses.asdict(record)
+
+
+def _record_from_json(cls: type, data: dict | None):
+    return None if data is None else cls(**data)
+
+
 def run_result_to_json(result: RunResult) -> dict:
     """A JSON-serializable dict for one memoized run."""
-    extra, dropped = {}, []
-    for key, value in result.extra.items():
-        try:
-            json.dumps(value)
-        except (TypeError, ValueError):
-            dropped.append(key)
-        else:
-            extra[key] = value
     return {
         "schema": STORE_SCHEMA_VERSION,
         "kind": "run_result",
@@ -200,11 +203,11 @@ def run_result_to_json(result: RunResult) -> dict:
             for k, v in result.dram_writebacks_by_array.items()
         },
         "chain_stats": result.chain_stats,
-        "extra": extra,
-        "extra_dropped": dropped,
         "telemetry": (
             result.telemetry.to_json() if result.telemetry is not None else None
         ),
+        "energy": _record_to_json(result.energy),
+        "coherence": _record_to_json(result.coherence),
     }
 
 
@@ -240,12 +243,13 @@ def run_result_from_json(payload: dict) -> RunResult:
                 for k, v in payload["dram_writebacks_by_array"].items()
             },
             chain_stats=payload["chain_stats"],
-            extra=payload["extra"],
             telemetry=(
                 RunTelemetry.from_json(telemetry_json)
                 if telemetry_json is not None
                 else None
             ),
+            energy=_record_from_json(EnergyReport, payload["energy"]),
+            coherence=_record_from_json(CoherenceStats, payload["coherence"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError("malformed run_result payload") from exc

@@ -73,7 +73,6 @@ def test_chgraph_engine_cycles_charged(setup):
     run = ChGraphEngine(resources).run(
         PageRank(iterations=2), hypergraph, SimulatedSystem(config)
     )
-    system_breakdown = run.extra  # noqa: F841 - breakdown is on the result
     assert run.cycles > 0
 
 

@@ -18,9 +18,9 @@ from repro.engine.pull import PullHygraEngine
 
 def test_registry_covers_every_engine_in_order():
     assert engine_names() == (
-        "Hygra", "Hygra-pull", "Hygra-interleaved", "GLA", "ChGraph",
-        "ChGraph-HCGonly", "ChGraph-CPonly", "Ligra", "EventPrefetcher",
-        "HATS-V",
+        "Hygra", "Hygra-pull", "Hygra-interleaved", "GLA", "GLA-cached",
+        "ChGraph", "ChGraph-uncached", "ChGraph-HCGonly", "ChGraph-CPonly",
+        "Ligra", "EventPrefetcher", "HATS-V",
     )
     # Spec names agree with the keys they are registered under, and with
     # the name each constructed engine reports.
@@ -45,6 +45,9 @@ def test_ablation_specs_set_their_switches(small_hypergraph):
     assert hcg_only.use_hcg and not hcg_only.use_cp
     cp_only = create_engine("ChGraph-CPonly", resources)
     assert not cp_only.use_hcg and cp_only.use_cp
+    assert create_engine("GLA-cached", resources).cache_dense_chains
+    assert not create_engine("GLA", resources).cache_dense_chains
+    assert not create_engine("ChGraph-uncached", resources).cache_dense_chains
 
 
 def test_engine_name_matches_registry_key(small_hypergraph):

@@ -23,6 +23,10 @@ def test_experiment_registry_covers_all_figures():
         "table1", "table2", "vi_e", "summary",
         *{f"fig{n:02d}" for n in (2, 3, 5, 7, 8, 14, 15, 16, 17, 18, 19,
                                    20, 21, 22, 23, 24, 25)},
+        *{f"ablation_{name}" for name in (
+            "amortization", "chain_cache", "coherence", "cycle_model",
+            "energy", "interleaving", "partitioning", "pull", "wmin_storage",
+        )},
     }
     assert set(FIGURES) == expected
 

@@ -12,40 +12,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.datasets import graph_dataset
 from repro.harness.experiments import FIGURES, render
-from repro.harness.runner import Runner
-from repro.hypergraph.generators import paper_dataset
 from repro.hypergraph.pipeline import PreprocessSpec
 from repro.sim.config import scaled_config
 
 
-class TinyRunner(Runner):
-    """Routes the paper datasets to ~20%-scale stand-ins."""
-
-    def __init__(self):
-        super().__init__(pr_iterations=1)
-        self._tiny = {}
-
-    def dataset(self, key):
-        if key in ("AZ", "PK"):
-            return graph_dataset(key)
-        if key not in self._tiny:
-            self._tiny[key] = paper_dataset(key, scale=0.12)
-        return self._tiny[key]
-
-
-@pytest.fixture(scope="module")
-def runner():
-    return TinyRunner()
-
-
 @pytest.fixture
-def table(runner):
+def table(tiny_runner):
     """Render a registry figure, optionally shrunk on its grid axes."""
 
     def _table(figure_id, **axes):
-        return render(replace(FIGURES[figure_id], **axes), runner)
+        return render(replace(FIGURES[figure_id], **axes), tiny_runner)
 
     return _table
 

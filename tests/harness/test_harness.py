@@ -122,6 +122,28 @@ def test_runner_distinguishes_modified_configs(monkeypatch):
     assert first.cycles != second.cycles
 
 
+def test_runner_records_energy_and_coherence(monkeypatch):
+    """Every runner-built result carries its energy; coherence counters
+    appear only under ``track_coherence``, which observes without
+    perturbing the simulation."""
+    from repro.sim.config import scaled_config
+
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    runner = Runner(pr_iterations=1)
+    small = hypergraph_dataset("FS", scale=0.15)
+    monkeypatch.setattr(runner, "dataset", lambda key: small)
+    config = scaled_config(num_cores=4, llc_kb=2)
+    plain = runner.run(RunSpec("Hygra", "PR", "FS", config))
+    tracked = runner.run(
+        RunSpec("Hygra", "PR", "FS", config.replace(track_coherence=True))
+    )
+    assert plain.energy is not None and plain.energy.total_nj > 0
+    assert plain.coherence is None
+    assert tracked.coherence is not None and tracked.coherence.invalidations > 0
+    assert tracked.cycles == plain.cycles
+    assert tracked.energy == plain.energy
+
+
 def test_with_bars_scaling():
     from repro.harness.report import with_bars
 

@@ -89,7 +89,8 @@ def test_plan_shards_dedupes_and_handles_trivial_inputs():
 
 def test_resource_engines_cover_the_oag_consumers():
     assert RESOURCE_ENGINES == {
-        "GLA", "ChGraph", "ChGraph-HCGonly", "ChGraph-CPonly", "HATS-V",
+        "GLA", "GLA-cached", "ChGraph", "ChGraph-uncached", "ChGraph-HCGonly",
+        "ChGraph-CPonly", "HATS-V",
     }
 
 

@@ -10,29 +10,27 @@ from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.sim.config import scaled_config
 from repro.store.keys import resources_key, run_result_key
 
-#: Pinned v5 keys for the fully-default spec against an all-zero dataset
+#: Pinned v6 keys for the fully-default spec against an all-zero dataset
 #: hash.  These change ONLY on a deliberate schema bump (update them and
 #: ``STORE_SCHEMA_VERSION`` together) — an accidental drift here would
 #: silently orphan every cached artifact in existing stores.
-GOLDEN_RUN_KEY = "6ba6c624ae13b8bb6c4da5de136ea845"
-GOLDEN_RESOURCES_KEY = "b03cb0930bb2fdea52136daab695aef7"
+GOLDEN_RUN_KEY = "1d40f17f429732bcb2b8e642bd3aae5e"
+GOLDEN_RESOURCES_KEY = "3680233415944423f7ab06b8e6b43b39"
 
 
 class TestNormalization:
     def test_none_fields_resolve_to_runner_defaults(self):
-        spec = RunSpec("ChGraph", "PR", "WEB").normalized(
-            pr_iterations=7, preprocessing=PreprocessSpec(w_min=5)
-        )
+        spec = RunSpec("ChGraph", "PR", "WEB").normalized(pr_iterations=7)
         assert spec.config == scaled_config()
         assert spec.pr_iterations == 7
-        assert spec.preprocessing == PreprocessSpec(w_min=5)
+        assert spec.preprocessing == PreprocessSpec()
 
     def test_explicit_fields_beat_runner_defaults(self):
         spec = RunSpec(
             "ChGraph", "PR", "WEB",
             pr_iterations=3,
             preprocessing=PreprocessSpec(d_max=8),
-        ).normalized(pr_iterations=7, preprocessing=PreprocessSpec(w_min=5))
+        ).normalized(pr_iterations=7)
         assert spec.pr_iterations == 3
         assert spec.preprocessing == PreprocessSpec(d_max=8)
 

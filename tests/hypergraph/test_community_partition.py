@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.pagerank import PageRank
 from repro.core.chain import ChainGenerator
 from repro.core.oag import build_chunk_oags
-from repro.engine.hygra import HygraEngine
+from repro.harness.runner import Runner
+from repro.harness.spec import RunSpec
 from repro.hypergraph.community_partition import overlap_aware_renumber
 from repro.hypergraph.partition import contiguous_chunks
+from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
+from repro.sim.config import scaled_config
 
 
 def test_permutations_are_bijections(small_hypergraph):
@@ -47,13 +49,18 @@ def test_unknown_side(small_hypergraph):
         overlap_aware_renumber(small_hypergraph, side="nope")
 
 
-def test_restore_vertex_order(small_hypergraph):
-    part = overlap_aware_renumber(small_hypergraph, side="both")
-    original = HygraEngine().run(PageRank(iterations=3), small_hypergraph)
-    renamed = HygraEngine().run(PageRank(iterations=3), part.hypergraph)
-    assert np.allclose(
-        part.restore_vertex_order(renamed.result), original.result
+def test_restore_vertex_order(small_hypergraph, monkeypatch):
+    """As the ``overlap-renumber`` pipeline stage, the runner maps results
+    on the renumbered hypergraph back to the original vertex ids."""
+    runner = Runner(pr_iterations=3, cache_dir=None)
+    monkeypatch.setattr(runner, "dataset", lambda key: small_hypergraph)
+    config = scaled_config(num_cores=4, llc_kb=2)
+    renumber = PreprocessSpec(stages=(StageSpec.make("overlap-renumber"),))
+    original = runner.run(RunSpec("Hygra", "PR", "small", config))
+    renamed = runner.run(
+        RunSpec("Hygra", "PR", "small", config, preprocessing=renumber)
     )
+    assert np.allclose(renamed.result, original.result)
 
 
 def test_renumbering_densifies_chunk_oags(small_hypergraph):

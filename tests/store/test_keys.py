@@ -122,8 +122,8 @@ def test_run_result_key_requires_normalized_iterations(figure1):
 
 
 def test_schema_version_bumped_for_spec_keys():
-    """v5: runs honour the spec's pr_iterations and profiled telemetry
-    counts engine accesses (v4: both store keys derive from
-    RunSpec/PreprocessSpec and hash the full preprocessing record; v3 added
-    DRAM write traffic)."""
-    assert STORE_SCHEMA_VERSION == 5
+    """v6: run payloads carry typed energy and coherence records (v5: runs
+    honour the spec's pr_iterations and profiled telemetry counts engine
+    accesses; v4: both store keys derive from RunSpec/PreprocessSpec and
+    hash the full preprocessing record; v3 added DRAM write traffic)."""
+    assert STORE_SCHEMA_VERSION == 6

@@ -3,6 +3,8 @@ a run with loaded resources equals a run with freshly built ones."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,12 +86,16 @@ def test_loaded_resources_drive_identical_runs(small_hypergraph):
 
 def test_run_result_json_roundtrip(small_hypergraph):
     resources = GlaResources.build(small_hypergraph, 4)
-    result = ChGraphEngine(resources).run(
-        PageRank(iterations=2), small_hypergraph, make_system()
+    system = SimulatedSystem(
+        scaled_config(num_cores=4, llc_kb=2).replace(track_coherence=True)
     )
-    result.extra["note"] = "kept"
-    result.extra["unserializable"] = object()
-    loaded = run_result_from_json(run_result_to_json(result))
+    result = ChGraphEngine(resources).run(
+        PageRank(iterations=2), small_hypergraph, system
+    )
+    result.energy = system.energy()
+    result.coherence = system.hierarchy.coherence.stats
+    text = json.dumps(run_result_to_json(result))
+    loaded = run_result_from_json(json.loads(text))
     assert isinstance(loaded, RunResult)
     assert loaded.engine == result.engine
     assert loaded.algorithm == result.algorithm
@@ -111,8 +117,10 @@ def test_run_result_json_roundtrip(small_hypergraph):
         isinstance(k, ArrayId) for k in loaded.dram_writebacks_by_array
     )
     assert loaded.chain_stats == result.chain_stats
-    assert loaded.extra == {"note": "kept"}
     assert loaded.dram_by_group == result.dram_by_group
+    assert loaded.energy == result.energy
+    assert loaded.coherence == result.coherence
+    assert loaded.coherence.invalidations > 0
 
 
 def test_profiled_run_result_roundtrips_with_telemetry(small_hypergraph):
