@@ -13,7 +13,9 @@ each vertex in a descending order according to their weights").
 
 The builder is vectorized: it counts every pivot row's co-occurring pairs
 with one sparse matrix product (or a NumPy expand-and-``np.unique``
-pipeline without scipy) and emits the CSR with one lexsort.  The original
+pipeline without scipy) and emits the CSR with one lexsort.  ``scipy``
+is imported by the first build (:func:`sparse_backend`), not by
+``import repro``: most processes never build an OAG.  The original
 per-element scalar counter is the parity oracle under ``tests/core/``;
 ``tests/core/test_fast_parity.py`` holds both to bit-identical CSRs
 (offsets, indices, weights) and identical ``build_operations`` counts, so
@@ -24,25 +26,45 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from typing import Any
 
 import numpy as np
-
-try:  # SpGEMM backend; numpy-only fallback below.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is optional
-    _sparse = None
 
 from repro.hypergraph.csr import Csr
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
 
-__all__ = ["Oag", "build_oag", "build_chunk_oags", "DEFAULT_W_MIN"]
+__all__ = ["Oag", "build_oag", "build_chunk_oags", "sparse_backend", "DEFAULT_W_MIN"]
 
 #: The paper's empirical sweet spot (§IV-A): "in this work we empirically
 #: set W_min = 3".  The scaled datasets keep paper-scale hyperedge degrees
 #: (45-58), so overlap weights are in the paper's range and the same
 #: threshold applies.
 DEFAULT_W_MIN = 3
+
+_UNRESOLVED = object()
+#: The SpGEMM backend: ``scipy.sparse`` once :func:`sparse_backend` has run,
+#: ``None`` when scipy is missing (the numpy fallback then counts pairs).
+_sparse: Any = _UNRESOLVED
+
+
+def sparse_backend() -> Any:
+    """``scipy.sparse``, imported on the first call; ``None`` without scipy.
+
+    Only OAG builds need it, so ``import repro`` does not pay the import.
+    Code that forks workers which build OAGs calls this first, so the
+    workers inherit the module instead of each importing it.  The handle
+    is resolved once: a ``None`` set in its place (as the parity tests do to
+    force the fallback) stays ``None``.
+    """
+    global _sparse
+    if _sparse is _UNRESOLVED:
+        try:
+            from scipy import sparse
+        except ImportError:
+            sparse = None
+        _sparse = sparse
+    return _sparse
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,11 +170,12 @@ def _unique_pair_counts(
     empty = np.zeros(0, dtype=np.int64)
     if vals.size == 0 or num_cols == 0:
         return empty, empty, empty
-    if _sparse is not None:
+    sparse = sparse_backend()
+    if sparse is not None:
         lens = lens.astype(np.int64, copy=False)
         indptr = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens, out=indptr[1:])
-        incidence = _sparse.csr_matrix(
+        incidence = sparse.csr_matrix(
             (np.ones(vals.size, dtype=np.int64), vals, indptr),
             shape=(lens.size, num_cols),
         )

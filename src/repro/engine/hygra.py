@@ -114,15 +114,28 @@ def process_elements_demand(
         write_bitmap,
     ) = ports
     charge = system.charge_compute
+    charge_run = system.charge_compute_run
+    tuple_cycles = apply_cycles + extra_tuple_cycles
     activated_bitmap = activated.bitmap
 
+    # The uniform per-tuple charges accumulate as a run, flushed through
+    # ``charge_compute_run`` before any *different* compute charge (the
+    # demand ports charge the memory accumulator, not this one), so the
+    # compute accumulator sees the same additions in the same order.
+    tuples = 0  # tuples processed, counted an element at a time
+    charged = 0  # tuples whose charge has been flushed
     for element in elements:
         if extra_element_cycles:
+            charge_run(core, tuple_cycles, tuples - charged)
+            charged = tuples
             charge(core, extra_element_cycles)
         read_src_offset(element)
         read_src_offset(element + 1)
         read_src(element)
         start, end = offsets[element], offsets[element + 1]
+        # ``tuple_base + position + 1`` counts the tuples done mid-element.
+        tuple_base = tuples - start
+        tuples += end - start
         for position in range(start, end):
             read_incident(position)
             dst = indices[position]
@@ -130,15 +143,17 @@ def process_elements_demand(
                 read_dst_offset(dst)
                 read_dst_offset(dst + 1)
             read_dst(dst)
-            modified = apply_fn(element, dst)
-            charge(core, apply_cycles + extra_tuple_cycles)
-            if modified:
+            if apply_fn(element, dst):
                 write_dst(dst)
                 if not activated_bitmap[dst]:
                     activated_bitmap[dst] = True
                     if not dense:
                         write_bitmap(dst)
+                        done = tuple_base + position + 1
+                        charge_run(core, tuple_cycles, done - charged)
+                        charged = done
                         charge(core, frontier_cycles)
+    charge_run(core, tuple_cycles, tuples - charged)
 
 
 def charge_frontier_traversal(

@@ -41,6 +41,7 @@ import signal
 import time
 from typing import TYPE_CHECKING
 
+from repro.core.oag import sparse_backend
 from repro.engine.registry import ENGINE_REGISTRY
 from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
@@ -306,6 +307,10 @@ def execute_runs(
     if jobs is None:
         jobs = os.cpu_count() or 1
     shards = plan_shards(unique, jobs)
+    if len(shards) > 1:
+        # OAG builds (resource engines, the overlap-renumber stage) need
+        # scipy: forked workers inherit it instead of each importing it.
+        sparse_backend()
     outcomes = run_tasks(
         _run_shard,
         [

@@ -16,7 +16,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections.abc import Callable
 
+from repro.hypergraph.csr import Csr
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = [
@@ -78,31 +80,56 @@ def _powerlaw_degree(rng: random.Random, mean: float, exponent: float, lo: int) 
     return min(value, lo + int(mean * 6))
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)``, drawn as ``Random.randrange(n)`` draws it.
+
+    ``Random.choice`` and ``Random.randrange`` both draw through
+    ``Random._randbelow``: ``r = getrandbits(n.bit_length())``, redrawn
+    while ``r >= n``.  Drawing the same way keeps every graph's random
+    stream, while the generator depends only on the public ``random()``
+    and ``getrandbits()``; ``tests/hypergraph/generator_ref.py`` keeps the
+    ``choice``/``randrange`` calls as the oracle.
+    """
+    if n <= 0:  # getrandbits(0) is 0, so the loop below would never end
+        raise ValueError(f"empty range: no int in [0, {n})")
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def generate_affiliation_hypergraph(
     config: AffiliationConfig, name: str = "affiliation"
 ) -> Hypergraph:
     """Generate a hypergraph with community-induced overlap."""
     rng = random.Random(config.seed)
+    random_draw = rng.random
+    getrandbits = rng.getrandbits
+    num_vertices = config.num_vertices
     communities: list[list[int]] = [[] for _ in range(config.num_communities)]
     run = max(1, config.vertex_run)
-    for start in range(0, config.num_vertices, run):
-        community = rng.randrange(config.num_communities)
-        communities[community].extend(
-            range(start, min(start + run, config.num_vertices))
-        )
+    for start in range(0, num_vertices, run):
+        community = _below(getrandbits, config.num_communities)
+        communities[community].extend(range(start, min(start + run, num_vertices)))
     # Guarantee no empty community so sampling below always terminates.
     for c, members in enumerate(communities):
         if not members:
-            members.append(rng.randrange(config.num_vertices))
+            members.append(_below(getrandbits, num_vertices))
 
     # Pre-assign each hyperedge's home community in contiguous runs.
     homes: list[int] = []
     h_run = max(1, config.hyperedge_run)
     while len(homes) < config.num_hyperedges:
-        home = rng.randrange(config.num_communities)
+        home = _below(getrandbits, config.num_communities)
         homes.extend([home] * h_run)
     del homes[config.num_hyperedges :]
 
+    # The member loop inlines ``_below`` (about five draws per kept member),
+    # with each pool's length and bit length taken once per hyperedge.
+    hub_bias = config.hub_bias
+    pool_cut = hub_bias + config.overlap_bias * (1.0 - hub_bias)
+    vertex_bits = num_vertices.bit_length()
     hyperedges: list[list[int]] = []
     for home in homes:
         cardinality = _powerlaw_degree(
@@ -113,26 +140,43 @@ def generate_affiliation_hypergraph(
         )
         pool = communities[home]
         hubs = pool[: config.hubs_per_community]
+        pool_size = len(pool)
+        pool_bits = pool_size.bit_length()
+        hub_count = len(hubs)
+        hub_bits = hub_count.bit_length()
+        # ``draw < 0.0`` never holds, so a hubless pool skips the hub branch.
+        hub_cut = hub_bias if hubs else 0.0
         members: set[int] = set()
-        attempts = 0
-        while len(members) < cardinality and attempts < cardinality * 20:
-            attempts += 1
-            draw = rng.random()
-            if hubs and draw < config.hub_bias:
-                members.add(rng.choice(hubs))
-            elif draw < config.hub_bias + config.overlap_bias * (
-                1.0 - config.hub_bias
-            ):
-                members.add(rng.choice(pool))
+        add = members.add
+        for _ in range(cardinality * 20):
+            if len(members) >= cardinality:
+                break
+            draw = random_draw()
+            if draw < hub_cut:
+                r = getrandbits(hub_bits)
+                while r >= hub_count:
+                    r = getrandbits(hub_bits)
+                add(hubs[r])
+            elif draw < pool_cut:
+                r = getrandbits(pool_bits)
+                while r >= pool_size:
+                    r = getrandbits(pool_bits)
+                add(pool[r])
             else:
-                members.add(rng.randrange(config.num_vertices))
+                r = getrandbits(vertex_bits)
+                while r >= num_vertices:
+                    r = getrandbits(vertex_bits)
+                add(r)
         if len(members) < 2:
-            members.add(rng.randrange(config.num_vertices))
-            members.add(rng.randrange(config.num_vertices))
+            add(_below(getrandbits, num_vertices))
+            add(_below(getrandbits, num_vertices))
         hyperedges.append(sorted(members))
 
-    return Hypergraph.from_hyperedge_lists(
-        hyperedges, num_vertices=config.num_vertices, name=name
+    # Each member list is already sorted, distinct and in range, so the CSR
+    # is built directly rather than re-normalized by ``from_hyperedge_lists``.
+    incidence = Csr.from_lists(hyperedges)
+    return Hypergraph(
+        incidence, incidence.transpose(num_cols=num_vertices), name=name
     )
 
 

@@ -85,6 +85,9 @@ class MemoryHierarchy:
         self._l1_latency = config.l1_latency
         self._l2_latency = config.l2_latency
         self._inclusive = config.inclusive_l3
+        # A line's owning array is its number's high bits: the integer
+        # ``layout.array_of_line`` wraps in an ``ArrayId``.
+        self._array_shift = MemoryLayout._REGION_SHIFT - self.layout._line_shift
 
     # -- internal helpers ---------------------------------------------------
 
@@ -114,7 +117,7 @@ class MemoryHierarchy:
 
     def _writeback_to_dram(self, line: int) -> None:
         """Retire a dirty line to memory, attributed to its owning array."""
-        self.dram_writebacks_by_array[self.layout.array_of_line(line)] += 1
+        self.dram_writebacks_by_array[line >> self._array_shift] += 1
         self.dram.record_write()
         if self.on_writeback is not None:
             self.on_writeback(line)

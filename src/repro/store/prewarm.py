@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from repro.core.chain import DEFAULT_D_MAX
-from repro.core.oag import DEFAULT_W_MIN
+from repro.core.oag import DEFAULT_W_MIN, sparse_backend
 from repro.engine.resources import GlaResources
 from repro.harness.datasets import load_dataset
 from repro.hypergraph.pipeline import PreprocessSpec
@@ -112,5 +112,7 @@ def prewarm(
     if not jobs:
         return []
     payloads = [(store_dir, job) for job in jobs]
+    # Forked workers inherit scipy instead of each importing it.
+    sparse_backend()
     outcomes = run_tasks(_run_job, payloads, workers=workers)
     return [outcome.value for outcome in outcomes]

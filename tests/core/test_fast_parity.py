@@ -7,7 +7,8 @@ identical generation counters.  The OAG oracle is ``oag_reference`` beside
 this file; the chain oracle is ``ChainGenerator``'s probed scalar walk,
 forced by passing a no-op ``ChainProbe()``.  Both OAG backends are covered —
 the SpGEMM path (scipy, when available) and the pure-NumPy fallback (forced
-by nulling the module's ``_sparse`` handle).
+by nulling the module's ``_sparse`` handle; the ``backend`` fixture checks
+which one counted the pairs).
 """
 
 from __future__ import annotations
@@ -62,12 +63,26 @@ def hypergraph(request):
 
 @pytest.fixture(params=["scipy", "numpy"])
 def backend(request, monkeypatch):
-    """Run each parity test against both fast backends."""
+    """Run each parity test against both fast backends, and prove which ran.
+
+    The numpy backend must count its pairs through ``_expand_pairs`` and
+    the scipy backend never: a loader that re-imported scipy over the
+    nulled handle would otherwise pass the ``numpy`` IDs on SpGEMM.
+    """
     if request.param == "numpy":
         monkeypatch.setattr(oag_module, "_sparse", None)
-    elif oag_module._sparse is None:  # pragma: no cover - scipy missing
+    elif oag_module.sparse_backend() is None:  # pragma: no cover - scipy missing
         pytest.skip("scipy not installed")
-    return request.param
+    expansions = []
+    expand_pairs = oag_module._expand_pairs
+
+    def counting_expand_pairs(vals, lens):
+        expansions.append(vals.size)
+        return expand_pairs(vals, lens)
+
+    monkeypatch.setattr(oag_module, "_expand_pairs", counting_expand_pairs)
+    yield request.param
+    assert bool(expansions) == (request.param == "numpy")
 
 
 def assert_identical_oags(scalar, fast):

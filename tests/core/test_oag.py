@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.oag import DEFAULT_W_MIN, build_chunk_oags, build_oag
 from repro.hypergraph.csr import Csr
 from repro.hypergraph.generators import generate_affiliation_hypergraph, AffiliationConfig
@@ -198,3 +204,41 @@ def test_is_weight_descending_allows_rise_across_row_boundary():
     assert Oag(csr=csr, side="hyperedge", w_min=1).is_weight_descending()
     bad = Csr.from_lists([[1, 2], [0], [0]], weights=[[3, 9], [3], [9]])
     assert not Oag(csr=bad, side="hyperedge", w_min=1).is_weight_descending()
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy loads with the first OAG build, not with ``import repro.cli``."""
+    loaded = _fresh_interpreter(
+        "import sys, repro.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert loaded == "[]"
+
+
+def test_missing_scipy_builds_with_numpy():
+    """Without scipy the first build falls back to the numpy pair count."""
+    built = _fresh_interpreter(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from repro.core import oag\n"
+        "from repro.hypergraph.hypergraph import Hypergraph\n"
+        "g = Hypergraph.from_hyperedge_lists([[0, 4, 6], [1, 2, 3, 5], [0, 2, 4], [1, 3, 6]])\n"
+        "h = oag.build_oag(g, 'hyperedge', w_min=1)\n"
+        "print(oag.sparse_backend(), h.csr.indices.tolist(), h.csr.weights.tolist())"
+    )
+    assert built == "None [2, 3, 3, 2, 0, 1, 1, 0] [2, 1, 2, 1, 2, 1, 2, 1]"
