@@ -55,9 +55,6 @@ class HypergraphAlgorithm(abc.ABC):
     #: engines skip activity-bitmap traffic for them (§VI-C: "there is no
     #: need to access the bitmap" for PageRank).
     dense_frontier: bool = False
-    #: Whether the update functions read the destination element's degree
-    #: (PR's VF does); engines charge the extra offset-array reads.
-    reads_dst_degree: bool = False
     #: Relative compute weight of one HF/VF application, scaling the
     #: engine's per-tuple Apply cost: BC's floating-point sigma/delta math
     #: outweighs BFS's compare-and-set.

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
-from repro.engine.base import PhaseSpec
+from repro.core.oag import Oag
 from repro.engine.chgraph_engine import ChGraphEngine
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -96,17 +95,16 @@ class HatsVEngine(ChGraphEngine):
     def _generate_chunk(
         self,
         system: MemorySystem,
+        hypergraph: Hypergraph,
+        side: str,
         frontier: Frontier,
         chunk: Chunk,
-        oag,
+        oag: Oag,
         edge_base: int,
         dense: bool,
-        core: int,
-    ) -> tuple[list[int], float, bool]:
+    ) -> tuple[list[int], float]:
         active = frontier.bitmap[chunk.first : chunk.last]
-        order, traversed = bdfs_order(
-            self._hypergraph, self._side_of_phase, active, chunk.first
-        )
+        order, traversed = bdfs_order(hypergraph, side, active, chunk.first)
         # Each traversal step is a pipeline beat plus an incident-array read.
         # Those reads walk the same arrays the prefetcher is streaming, so
         # they are predominantly L2 hits; charge them analytically rather
@@ -119,23 +117,4 @@ class HatsVEngine(ChGraphEngine):
         self._stats["chains"] += 1
         self._stats["elements"] += len(order)
         self._stats["inspections"] += traversed
-        return order, cycles, False
-
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
-        # Stash phase context for _generate_chunk (signature is shared with
-        # ChGraphEngine, which gets this from the OAG instead).
-        self._hypergraph = hypergraph
-        self._side_of_phase = spec.src_side
-        super()._run_phase(
-            system, hypergraph, algorithm, state, spec, frontier, chunks, activated
-        )
+        return order, cycles

@@ -16,11 +16,11 @@ from __future__ import annotations
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
 from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
+from repro.engine.chgraph_engine import process_elements_engine
 from repro.engine.hygra import charge_frontier_traversal
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
-from repro.sim.layout import ArrayId
 from repro.sim.protocol import MemorySystem
 
 __all__ = ["EventPrefetcherEngine"]
@@ -43,52 +43,24 @@ class EventPrefetcherEngine(ExecutionEngine):
         activated: Frontier,
     ) -> None:
         config = system.config
-        csr = hypergraph.side(spec.src_side)
-        offsets = csr.offsets_list()
-        indices = csr.indices_list()
         apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
-        dense = algorithm.dense_frontier
-        activated_bitmap = activated.bitmap
-
         for chunk in chunks:
-            core = chunk.core
-            charge_frontier_traversal(system, core, chunk, frontier, algorithm)
-            fetch_offset = system.port(core, spec.src_offset, "engine")
-            fetch_src = system.port(core, spec.src_value, "engine")
-            fetch_incident = system.port(core, spec.incident, "engine")
-            fetch_dst = system.port(core, spec.dst_value, "engine")
-            write_dst = system.port(core, spec.dst_value, "write")
-            write_bitmap = system.port(core, ArrayId.BITMAP, "write")
+            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
             dram_before = system.dram_accesses()
-            engine_latency = 0.0
-            beats = 0
-            for element in index_order_schedule(frontier, chunk):
-                # The prefetch engine chases the per-element indirections.
-                beats += 1
-                engine_latency += fetch_offset(element) + fetch_offset(element + 1)
-                engine_latency += fetch_src(element)
-                start, end = offsets[element], offsets[element + 1]
-                for position in range(start, end):
-                    dst = indices[position]
-                    beats += 1
-                    engine_latency += fetch_incident(position)
-                    engine_latency += fetch_dst(dst)
-                    modified = apply_fn(element, dst)
-                    system.charge_compute(
-                        core, config.apply_cycles * algorithm.apply_cost_factor
-                    )
-                    if modified:
-                        write_dst(dst)
-                        if not activated_bitmap[dst]:
-                            activated_bitmap[dst] = True
-                            if not dense:
-                                write_bitmap(dst)
-            engine_cycles = (
-                beats * config.hw_stage_cycles
-                + engine_latency / config.engine_mlp
+            # The prefetch engine chases the per-element indirections in
+            # index order; the core pays only Apply per tuple.
+            cost = process_elements_engine(
+                system,
+                hypergraph,
+                algorithm,
+                spec,
+                chunk.core,
+                index_order_schedule(frontier, chunk),
+                activated.bitmap,
+                apply_fn,
             )
             engine_cycles = max(
-                engine_cycles,
+                cost.engine_cycles(config.hw_stage_cycles, config.engine_mlp),
                 dram_floor(system, system.dram_accesses() - dram_before),
             )
-            system.charge_engine(core, engine_cycles)
+            system.charge_engine(chunk.core, engine_cycles)

@@ -5,9 +5,9 @@ The CP is a 4-stage pipeline — *element acquisition*, *offsets fetching*,
 packs ``{src, dst, src_value, dst_value}`` tuples into the bipartite-edge
 FIFO.  Unlike the HCG's pointer chase, the CP's loads for upcoming chain
 elements are independent, so their latencies overlap up to the engine's
-effective MLP (bounded by the FIFO depths).  The CP walk itself lives in
-the ChGraph engine's chunk loop, which interleaves it with the core's
-Apply and accumulates its counters here.
+effective MLP (bounded by the FIFO depths).  The CP walk itself is
+:func:`repro.engine.chgraph_engine.process_elements_engine`, which
+interleaves it with the core's Apply and returns its counters here.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ __all__ = ["CpCost"]
 
 @dataclasses.dataclass
 class CpCost:
-    """Cycle/traffic accounting of one CP activation."""
+    """Cycle accounting of one CP walk."""
 
-    beats: int = 0  # one per tuple packed (pipeline II=1)
+    beats: int = 0  # one per element acquired and per tuple packed (II=1)
     overlapped_latency: float = 0.0  # raw latency of independent prefetches
-    requests: int = 0
-    tuples: int = 0
 
     def engine_cycles(self, stage_cycles: float, engine_mlp: float) -> float:
         """Busy time of the CP: beat throughput plus overlapped miss time."""

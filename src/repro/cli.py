@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--timeout", type=float, default=None,
-        help="per-run timeout in seconds, enforced inside workers",
+        help="per-run timeout in seconds, enforced inside workers "
+        "(a one-shard plan runs inline and untimed)",
     )
     bench.add_argument(
         "--retries", type=int, default=2,
@@ -359,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-timeout", type=float, default=None,
-        help="per-job wall-clock budget inside a worker, in seconds",
+        help="per-job wall-clock budget inside a worker, in seconds "
+        "(a batch that plans to one shard runs inline and untimed)",
     )
     serve.add_argument(
         "--job-retries", type=int, default=1,

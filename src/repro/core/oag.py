@@ -25,7 +25,6 @@ Figure 21(a)'s preprocessing-cost reporting is the scalar walk's.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Any
 
 import numpy as np
@@ -80,7 +79,6 @@ class Oag:
     csr: Csr
     w_min: int
     first_id: int = 0
-    build_seconds: float = 0.0
     build_operations: int = 0
 
     @property
@@ -304,7 +302,6 @@ def build_oag(
     """
     if side not in ("hyperedge", "vertex"):
         raise ValueError(f"unknown side {side!r}")
-    start = time.perf_counter()
     universe = (
         hypergraph.num_hyperedges if side == "hyperedge" else hypergraph.num_vertices
     )
@@ -316,7 +313,6 @@ def build_oag(
         csr=_pairs_to_csr(lo, hi, weights, w_min, first_id, last_id - first_id),
         w_min=w_min,
         first_id=first_id,
-        build_seconds=time.perf_counter() - start,
         build_operations=operations,
     )
 
@@ -336,9 +332,7 @@ def build_chunk_oags(
     """
     if not chunks:
         return []
-    start = time.perf_counter()
     lo, hi, weights, operations = _chunk_overlap_pairs(hypergraph, side, chunks)
-    elapsed = time.perf_counter() - start
     oags = []
     for chunk in chunks:
         # ``lo`` ascends, and both pair endpoints share a chunk, so one
@@ -354,7 +348,6 @@ def build_chunk_oags(
                 ),
                 w_min=w_min,
                 first_id=chunk.first,
-                build_seconds=elapsed / len(chunks),
                 build_operations=operations // len(chunks),
             )
         )

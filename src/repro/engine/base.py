@@ -125,62 +125,42 @@ class ExecutionEngine(abc.ABC):
         while True:
             algorithm.begin_iteration(state, hypergraph, iteration)
             emit(EngineEvent(ITERATION_BEGIN, iteration))
-
-            algorithm.begin_phase(state, hypergraph, PHASE_HYPEREDGE)
-            emit(
-                EngineEvent(
-                    PHASE_BEGIN,
-                    iteration,
-                    phase=PHASE_HYPEREDGE,
-                    frontier_size=len(state.frontier_v),
-                    frontier_density=state.frontier_v.density(),
-                    frontier=state.frontier_v,
+            for phase in (PHASE_HYPEREDGE, PHASE_VERTEX):
+                hyperedge_phase = phase == PHASE_HYPEREDGE
+                algorithm.begin_phase(state, hypergraph, phase)
+                frontier = state.frontier_v if hyperedge_phase else state.frontier_e
+                emit(
+                    EngineEvent(
+                        PHASE_BEGIN,
+                        iteration,
+                        phase=phase,
+                        frontier_size=len(frontier),
+                        frontier_density=frontier.density(),
+                        frontier=frontier,
+                    )
                 )
-            )
-            activated = Frontier(hypergraph.num_hyperedges)
-            self._run_phase(
-                system,
-                hypergraph,
-                algorithm,
-                state,
-                PHASE_SPECS[PHASE_HYPEREDGE],
-                state.frontier_v,
-                chunks[PHASE_HYPEREDGE],
-                activated,
-            )
-            state.frontier_e = algorithm.end_phase(
-                state, hypergraph, PHASE_HYPEREDGE, activated
-            )
-            system.barrier()
-            emit(EngineEvent(PHASE_END, iteration, phase=PHASE_HYPEREDGE))
-
-            algorithm.begin_phase(state, hypergraph, PHASE_VERTEX)
-            emit(
-                EngineEvent(
-                    PHASE_BEGIN,
-                    iteration,
-                    phase=PHASE_VERTEX,
-                    frontier_size=len(state.frontier_e),
-                    frontier_density=state.frontier_e.density(),
-                    frontier=state.frontier_e,
+                activated = Frontier(
+                    hypergraph.num_hyperedges
+                    if hyperedge_phase
+                    else hypergraph.num_vertices
                 )
-            )
-            activated = Frontier(hypergraph.num_vertices)
-            self._run_phase(
-                system,
-                hypergraph,
-                algorithm,
-                state,
-                PHASE_SPECS[PHASE_VERTEX],
-                state.frontier_e,
-                chunks[PHASE_VERTEX],
-                activated,
-            )
-            state.frontier_v = algorithm.end_phase(
-                state, hypergraph, PHASE_VERTEX, activated
-            )
-            system.barrier()
-            emit(EngineEvent(PHASE_END, iteration, phase=PHASE_VERTEX))
+                self._run_phase(
+                    system,
+                    hypergraph,
+                    algorithm,
+                    state,
+                    PHASE_SPECS[phase],
+                    frontier,
+                    chunks[phase],
+                    activated,
+                )
+                activated = algorithm.end_phase(state, hypergraph, phase, activated)
+                if hyperedge_phase:
+                    state.frontier_e = activated
+                else:
+                    state.frontier_v = activated
+                system.barrier()
+                emit(EngineEvent(PHASE_END, iteration, phase=phase))
             emit(EngineEvent(ITERATION_END, iteration))
 
             if algorithm.finished(state, hypergraph, iteration):

@@ -9,13 +9,19 @@ through the phase timer's ``max(core, engine)`` rule.
 
 The CP's run-ahead is bounded by the 32-deep FIFOs, so the model interleaves
 prefetch and apply element-by-element: lines are consumed while still hot.
+``process_elements_engine`` is that interleaved walk, the one tuple loop on
+the engine channel; the event-triggered prefetcher baseline runs it too.
 
 Ablation switches reproduce Figure 16: ``use_hcg=False`` generates chains in
 software (charged to the core), ``use_cp=False`` leaves the loads on the
-core's demand path.
+core's demand path (:func:`~repro.engine.hygra.process_elements_demand`).
 """
 
 from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.chgraph.hcg import HardwareChainGenerator, HcgPorts
@@ -24,6 +30,7 @@ from repro.core.chain import ChainGenerator
 from repro.core.oag import Oag
 from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
 from repro.engine.gla_soft import _SoftwareChainProbe
+from repro.engine.hygra import DemandPorts, process_elements_demand
 from repro.engine.resources import GlaResources
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -32,7 +39,87 @@ from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem
 from repro.sim.protocol import MemorySystem
 
-__all__ = ["ChGraphEngine"]
+__all__ = ["ChGraphEngine", "process_elements_engine"]
+
+
+def process_elements_engine(
+    system: MemorySystem,
+    hypergraph: Hypergraph,
+    algorithm: HypergraphAlgorithm,
+    spec: PhaseSpec,
+    core: int,
+    elements: list[int],
+    activated_bitmap: np.ndarray | list[bool],
+    apply_fn: Callable[[int, int], bool],
+    extra_tuple_cycles: float = 0.0,
+    frontier_cycles: float = 0.0,
+) -> CpCost:
+    """Process scheduled elements with the loads on the engine channel.
+
+    A decoupled engine fetches each element's offsets pair and source value
+    and each tuple's incident id and destination value into the core's L2
+    (``engine`` ports) while the core runs Apply.  The core pays the
+    algorithm's Apply cost plus ``extra_tuple_cycles`` (ChGraph's
+    chain-FIFO pop) per tuple; on modification it writes the destination
+    value, and on a sparse frontier's first activation the next-frontier
+    bitmap plus ``frontier_cycles`` of bookkeeping, both on its demand path.
+    ``apply_fn`` and ``activated_bitmap`` are as for
+    :func:`~repro.engine.hygra.process_elements_demand`.
+
+    The engine stages run tuple by tuple, a bounded FIFO ahead of the core,
+    so each prefetched line is consumed (and written) while still resident:
+    the loads interleave with Apply at edge granularity.  Returns the
+    engine's counters: one beat per element and per tuple, and the summed
+    latency of its loads.
+    """
+    config = system.config
+    csr = hypergraph.side(spec.src_side)
+    offsets = csr.offsets_list()
+    indices = csr.indices_list()
+    dense = algorithm.dense_frontier
+    tuple_cycles = (
+        config.apply_cycles * algorithm.apply_cost_factor + extra_tuple_cycles
+    )
+    charge = system.charge_compute
+    charge_run = system.charge_compute_run
+    fetch_offset = system.port(core, spec.src_offset, "engine")
+    fetch_src = system.port(core, spec.src_value, "engine")
+    fetch_incident = system.port(core, spec.incident, "engine")
+    fetch_dst = system.port(core, spec.dst_value, "engine")
+    write_dst = system.port(core, spec.dst_value, "write")
+    write_bitmap = system.port(core, ArrayId.BITMAP, "write")
+
+    # The load latencies sum in a local (ints, so folding is exact) and
+    # land on the returned record once; the uniform per-tuple core charges
+    # accumulate as a run and are flushed through ``charge_compute_run``
+    # before any *different* compute charge, preserving the accumulator's
+    # addition order.
+    overlapped = 0
+    tuples = 0  # tuples processed, counted an element at a time
+    charged = 0  # tuples whose charge has been flushed
+    for element in elements:
+        overlapped += fetch_offset(element) + fetch_offset(element + 1)
+        overlapped += fetch_src(element)
+        start, end = offsets[element], offsets[element + 1]
+        # ``tuple_base + position + 1`` counts the tuples done mid-element.
+        tuple_base = tuples - start
+        tuples += end - start
+        for position in range(start, end):
+            dst = indices[position]
+            overlapped += fetch_incident(position)
+            overlapped += fetch_dst(dst)
+            if apply_fn(element, dst):
+                write_dst(dst)
+                if not activated_bitmap[dst]:
+                    activated_bitmap[dst] = True
+                    if not dense:
+                        write_bitmap(dst)
+                        done = tuple_base + position + 1
+                        charge_run(core, tuple_cycles, done - charged)
+                        charged = done
+                        charge(core, frontier_cycles)
+    charge_run(core, tuple_cycles, tuples - charged)
+    return CpCost(beats=len(elements) + tuples, overlapped_latency=overlapped)
 
 
 class ChGraphEngine(ExecutionEngine):
@@ -154,25 +241,29 @@ class ChGraphEngine(ExecutionEngine):
             if cached_orders is not None:
                 order = cached_orders[chunk_index]
             else:
-                order, gen_cycles, on_core = self._generate_chunk(
-                    system, frontier, chunk, oags[chunk_index], bases[chunk_index],
-                    dense, core,
+                order, gen_cycles = self._generate_chunk(
+                    system, hypergraph, spec.src_side, frontier, chunk,
+                    oags[chunk_index], bases[chunk_index], dense,
                 )
-                if on_core:
-                    system.charge_compute(core, gen_cycles)
-                else:
-                    engine_cycles += gen_cycles
+                engine_cycles += gen_cycles
                 new_orders.append(order)
 
             # -- Load + Apply, interleaved per element -------------------------
-            cp_cost = CpCost()
-            self._process_chunk(
-                system, hypergraph, algorithm, state, spec, core, order,
-                activated_bitmap, cp_cost, apply_fn,
-            )
             if self.use_cp:
+                cp_cost = process_elements_engine(
+                    system, hypergraph, algorithm, spec, core, order,
+                    activated_bitmap, apply_fn,
+                    extra_tuple_cycles=config.fifo_pop_cycles,
+                    frontier_cycles=config.frontier_op_cycles,
+                )
                 engine_cycles += cp_cost.engine_cycles(
                     config.hw_stage_cycles, config.engine_mlp
+                )
+            else:
+                process_elements_demand(
+                    system, hypergraph, algorithm, spec, core, order,
+                    activated_bitmap, DemandPorts.bind(system, spec, core),
+                    apply_fn, extra_tuple_cycles=config.fifo_pop_cycles,
                 )
 
             # The engine cannot outrun its share of DRAM bandwidth.
@@ -195,31 +286,30 @@ class ChGraphEngine(ExecutionEngine):
     def _generate_chunk(
         self,
         system: MemorySystem,
+        hypergraph: Hypergraph,
+        side: str,
         frontier: Frontier,
         chunk: Chunk,
         oag: Oag,
         edge_base: int,
         dense: bool,
-        core: int,
-    ) -> tuple[list[int], float, bool]:
-        """Generate one chunk's chain order.
+    ) -> tuple[list[int], float]:
+        """Generate one chunk's chain order over the ``side`` elements.
 
-        Returns ``(order, cycles, charged_on_core)``: with the HCG the cost
-        is engine-side; the ``use_hcg=False`` ablation runs Algorithm 3 in
-        software on the core instead.
+        Returns ``(order, engine_cycles)``: the HCG's cost is engine-side;
+        the ``use_hcg=False`` ablation runs Algorithm 3 in software, whose
+        probe charges the core directly, so it returns 0.0 engine cycles.
         """
         active = frontier.bitmap[chunk.first : chunk.last]
         if self.use_hcg:
             chains, cost = self._hcg.generate(
-                active, oag, HcgPorts.bind(system, core), edge_base, dense
+                active, oag, HcgPorts.bind(system, chunk.core), edge_base, dense
             )
             cycles = cost.engine_cycles(system.config.hw_stage_cycles)
-            on_core = False
         else:
-            probe = _SoftwareChainProbe(system, core, dense, edge_base, oag=oag)
+            probe = _SoftwareChainProbe(system, chunk.core, dense, edge_base, oag)
             chains = self._sw_generator.generate(active, oag, probe=probe)
-            cycles = 0.0  # the probe charged the core directly
-            on_core = True
+            cycles = 0.0
         self._stats["generations"] += 1
         self._stats["chains"] += chains.num_chains
         self._stats["elements"] += chains.num_elements
@@ -228,118 +318,4 @@ class ChGraphEngine(ExecutionEngine):
             longest = max(len(chain) for chain in chains.chains)
             if longest > self._max_chain_length:
                 self._max_chain_length = longest
-        return list(chains.order()), cycles, on_core
-
-    def _process_chunk(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        core: int,
-        order: list[int],
-        activated_bitmap: list[bool],
-        cp_cost: CpCost,
-        apply_fn,
-    ) -> None:
-        """Interleaved CP prefetch + core Apply for one chunk."""
-        config = system.config
-        csr = hypergraph.side(spec.src_side)
-        offsets = csr.offsets_list()
-        indices = csr.indices_list()
-        dense = algorithm.dense_frontier
-        dst_degree = algorithm.reads_dst_degree
-        per_tuple_core = (
-            config.apply_cycles * algorithm.apply_cost_factor
-            + config.fifo_pop_cycles
-        )
-        frontier_cycles = config.frontier_op_cycles
-        charge = system.charge_compute
-        read_dst_offset = system.port(core, spec.dst_offset, "read")
-        write_dst = system.port(core, spec.dst_value, "write")
-        write_bitmap = system.port(core, ArrayId.BITMAP, "write")
-
-        if not self.use_cp:
-            # Ablation: loads stay on the core's demand path.
-            read_src_offset = system.port(core, spec.src_offset, "read")
-            read_src = system.port(core, spec.src_value, "read")
-            read_incident = system.port(core, spec.incident, "read")
-            read_dst = system.port(core, spec.dst_value, "read")
-            for element in order:
-                read_src_offset(element)
-                read_src_offset(element + 1)
-                read_src(element)
-                start, end = offsets[element], offsets[element + 1]
-                for position in range(start, end):
-                    dst = indices[position]
-                    read_incident(position)
-                    read_dst(dst)
-                    if dst_degree:
-                        read_dst_offset(dst)
-                        read_dst_offset(dst + 1)
-                    modified = apply_fn(element, dst)
-                    charge(core, per_tuple_core)
-                    if modified:
-                        write_dst(dst)
-                        if not activated_bitmap[dst]:
-                            activated_bitmap[dst] = True
-                            if not dense:
-                                write_bitmap(dst)
-                                charge(core, frontier_cycles)
-            return
-
-        # CP stages run tuple-by-tuple, a bounded FIFO ahead of the core,
-        # so each prefetched line is consumed (and written) while still
-        # resident — model that by interleaving the CP loads with the
-        # core's Apply at edge granularity.  The CP counters accumulate in
-        # locals (ints, so folding is exact) and land on ``cp_cost`` once;
-        # the uniform per-tuple core charges accumulate as a run and are
-        # flushed through ``charge_compute_run`` before any *different*
-        # compute charge, preserving the accumulator's addition order.
-        charge_run = system.charge_compute_run
-        fetch_offset = system.port(core, spec.src_offset, "engine")
-        fetch_src = system.port(core, spec.src_value, "engine")
-        fetch_incident = system.port(core, spec.incident, "engine")
-        fetch_dst = system.port(core, spec.dst_value, "engine")
-
-        beats = 0
-        requests = 0
-        tuples = 0
-        charged = 0  # tuples whose core charge has been flushed
-        overlapped = 0
-        for element in order:
-            overlapped += fetch_offset(element) + fetch_offset(element + 1)
-            overlapped += fetch_src(element)
-            start, end = offsets[element], offsets[element + 1]
-            # CP counters per element: 1 beat + 3 requests for acquisition,
-            # then 1 beat + 2 requests per tuple — hoisted out of the tuple
-            # loop (int sums, exact).  ``tuple_base`` recovers the running
-            # tuple count mid-element for the charge-flush watermark.
-            n = end - start
-            beats += 1 + n
-            requests += 3 + 2 * n
-            tuple_base = tuples
-            tuples += n
-            for position in range(start, end):
-                dst = indices[position]
-                overlapped += fetch_incident(position)
-                overlapped += fetch_dst(dst)
-                if dst_degree:
-                    read_dst_offset(dst)
-                    read_dst_offset(dst + 1)
-                if apply_fn(element, dst):
-                    write_dst(dst)
-                    if not activated_bitmap[dst]:
-                        activated_bitmap[dst] = True
-                        if not dense:
-                            done = tuple_base + (position - start + 1)
-                            charge_run(core, per_tuple_core, done - charged)
-                            charged = done
-                            write_bitmap(dst)
-                            charge(core, frontier_cycles)
-        charge_run(core, per_tuple_core, tuples - charged)
-        cp_cost.beats += beats
-        cp_cost.requests += requests
-        cp_cost.tuples += tuples
-        cp_cost.overlapped_latency += overlapped
+        return list(chains.order()), cycles

@@ -52,7 +52,7 @@ class _SoftwareChainProbe(ChainProbe):
         core: int,
         dense: bool,
         edge_base: int,
-        oag: Oag | None = None,
+        oag: Oag,
     ) -> None:
         self.system = system
         self.core = core
@@ -72,13 +72,12 @@ class _SoftwareChainProbe(ChainProbe):
     def on_offsets_fetch(self, node: int) -> None:
         self.read_offset(node)
         self.read_offset(node + 1)
-        if self.oag is not None:
-            degree = self.oag.csr.degree(node)
-            if degree > 1:
-                comparisons = degree * max(1.0, math.log2(degree))
-                self.system.charge_compute(
-                    self.core, comparisons * self.system.config.sw_sort_cycles
-                )
+        degree = self.oag.csr.degree(node)
+        if degree > 1:
+            comparisons = degree * max(1.0, math.log2(degree))
+            self.system.charge_compute(
+                self.core, comparisons * self.system.config.sw_sort_cycles
+            )
 
     def on_neighbor_inspect(self, node: int, position: int) -> None:
         self.read_edge(self.edge_base + position)
@@ -153,7 +152,7 @@ class SoftwareGlaEngine(ExecutionEngine):
             oags = self.resources.oags_for(spec.src_side)
             bases = self.resources.edge_position_bases(spec.src_side)
             probes = [
-                _SoftwareChainProbe(system, chunk.core, dense, base, oag=oag)
+                _SoftwareChainProbe(system, chunk.core, dense, base, oag)
                 for chunk, base, oag in zip(chunks, bases, oags)
             ]
             schedules = generate_schedules(
@@ -175,13 +174,12 @@ class SoftwareGlaEngine(ExecutionEngine):
                 system,
                 hypergraph,
                 algorithm,
-                state,
                 spec,
                 chunk.core,
                 order,
-                activated,
+                activated.bitmap,
                 DemandPorts.bind(system, spec, chunk.core),
+                apply_fn,
                 extra_element_cycles=sw_load,
                 extra_tuple_cycles=sw_load,
-                apply_fn=apply_fn,
             )

@@ -5,19 +5,19 @@ uses it: each phase iterates its active elements in ascending index order
 (Algorithm 1's ``VertexPro`` / ``HyperedgePro``), streaming the CSR and
 issuing demand accesses from the general-purpose core.
 
-The demand-path element processor ``process_elements_demand`` is shared with
-the software GLA engine, which differs only in schedule order.
+``process_elements_demand`` is the one tuple loop on the demand channel:
+Hygra, Hygra-interleaved, Ligra, the software GLA engines and
+ChGraph-HCGonly differ only in the element order they hand it and in the
+extra cycles they charge on it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from repro.algorithms.base import (
-    PHASE_HYPEREDGE,
-    AlgorithmState,
-    HypergraphAlgorithm,
-)
+import numpy as np
+
+from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
 from repro.engine.base import ExecutionEngine, PhaseSpec
 from repro.hypergraph.frontier import Frontier
@@ -28,6 +28,9 @@ from repro.sim.protocol import MemorySystem, Port
 
 __all__ = ["DemandPorts", "HygraEngine", "process_elements_demand"]
 
+#: Frontier density at which the sparse element list flips to a bitmap scan.
+SPARSE_DENSE_THRESHOLD = 0.05
+
 
 class DemandPorts(NamedTuple):
     """One core's demand ports over one phase's arrays."""
@@ -35,7 +38,6 @@ class DemandPorts(NamedTuple):
     src_offset: Port
     src_value: Port
     incident: Port
-    dst_offset: Port
     dst_value: Port
     write_dst: Port
     write_bitmap: Port
@@ -46,7 +48,6 @@ class DemandPorts(NamedTuple):
             system.port(core, spec.src_offset, "read"),
             system.port(core, spec.src_value, "read"),
             system.port(core, spec.incident, "read"),
-            system.port(core, spec.dst_offset, "read"),
             system.port(core, spec.dst_value, "read"),
             system.port(core, spec.dst_value, "write"),
             system.port(core, ArrayId.BITMAP, "write"),
@@ -57,66 +58,45 @@ def process_elements_demand(
     system: MemorySystem,
     hypergraph: Hypergraph,
     algorithm: HypergraphAlgorithm,
-    state: AlgorithmState,
     spec: PhaseSpec,
     core: int,
     elements: list[int],
-    activated: Frontier,
+    activated_bitmap: np.ndarray | list[bool],
     ports: DemandPorts,
+    apply_fn: Callable[[int, int], bool],
     extra_element_cycles: float = 0.0,
     extra_tuple_cycles: float = 0.0,
-    apply_fn=None,
 ) -> None:
     """Process scheduled elements with all accesses on the core's demand path.
 
     Per element: the two offset reads and one source-value read; per
-    incident edge: the incident-id read, optional destination-degree reads,
-    the destination-value read, the apply compute, and on modification the
-    destination-value write plus the next-frontier bitmap write (the
-    frontier-membership *reads* are the traversal engine's job — dense scans
-    or sparse lists — and are charged by the caller).  The ``extra_*``
-    cycles let the software GLA engine charge its chain-queue indirection
-    and tuple-packing overhead on the same path.  ``ports`` are ``core``'s
-    bound demand ports for the phase (:meth:`DemandPorts.bind`); an
-    element's offsets pair is two reads of one port.
+    incident edge: the incident-id read, the destination-value read, the
+    apply compute, and on modification the destination-value write plus the
+    next-frontier bitmap write (the frontier-membership *reads* are the
+    traversal engine's job — dense scans or sparse lists — and are charged
+    by the caller).  The ``extra_*`` cycles let the software GLA engine
+    charge its chain-queue indirection and tuple packing, and ChGraph's
+    HCG-only ablation its chain-FIFO pop, on the same path.  ``ports`` are
+    ``core``'s bound demand ports for the phase (:meth:`DemandPorts.bind`);
+    an element's offsets pair is two reads of one port.
 
-    ``apply_fn`` is the phase's bound ``apply(src, dst)`` closure.  Engines
-    that call this once per phase should pass ``algorithm.phase_apply(...)``
-    themselves (the hook must run once per *phase*, not per chunk); when
-    omitted, the update methods are bound directly — always safe, never
-    mirror-backed.
+    ``apply_fn`` is the phase's bound ``algorithm.phase_apply(...)``
+    closure, taken once per *phase* by the caller (never per chunk: the
+    algorithm may hand out a mirror it reconciles in ``end_phase``).
+    ``activated_bitmap`` is the activated frontier's bitmap or a list
+    mirror of it that the caller flushes back.
     """
     config = system.config
     csr = hypergraph.side(spec.src_side)
     offsets = csr.offsets_list()
     indices = csr.indices_list()
-    if apply_fn is None:
-        fn = (
-            algorithm.apply_hf
-            if spec.phase == PHASE_HYPEREDGE
-            else algorithm.apply_vf
-        )
-
-        def apply_fn(src, dst, _fn=fn):
-            return _fn(state, hypergraph, src, dst)
-
     dense = algorithm.dense_frontier
-    dst_degree = algorithm.reads_dst_degree
     apply_cycles = config.apply_cycles * algorithm.apply_cost_factor
     frontier_cycles = config.frontier_op_cycles
-    (
-        read_src_offset,
-        read_src,
-        read_incident,
-        read_dst_offset,
-        read_dst,
-        write_dst,
-        write_bitmap,
-    ) = ports
+    read_src_offset, read_src, read_incident, read_dst, write_dst, write_bitmap = ports
     charge = system.charge_compute
     charge_run = system.charge_compute_run
     tuple_cycles = apply_cycles + extra_tuple_cycles
-    activated_bitmap = activated.bitmap
 
     # The uniform per-tuple charges accumulate as a run, flushed through
     # ``charge_compute_run`` before any *different* compute charge (the
@@ -139,9 +119,6 @@ def process_elements_demand(
         for position in range(start, end):
             read_incident(position)
             dst = indices[position]
-            if dst_degree:
-                read_dst_offset(dst)
-                read_dst_offset(dst + 1)
             read_dst(dst)
             if apply_fn(element, dst):
                 write_dst(dst)
@@ -162,7 +139,6 @@ def charge_frontier_traversal(
     chunk: Chunk,
     frontier: Frontier,
     algorithm: HypergraphAlgorithm,
-    threshold: float = 0.05,
 ) -> None:
     """Charge the cost of *finding* a chunk's active elements.
 
@@ -174,7 +150,7 @@ def charge_frontier_traversal(
     """
     if algorithm.dense_frontier:
         return
-    if frontier.density() >= threshold:
+    if frontier.density() >= SPARSE_DENSE_THRESHOLD:
         config = system.config
         stride = config.line_size  # one BITMAP probe per line of flags
         read_bitmap = system.port(core, ArrayId.BITMAP, "read")
@@ -190,9 +166,6 @@ class HygraEngine(ExecutionEngine):
 
     name = "Hygra"
 
-    #: Frontier density at which the sparse list flips to a bitmap scan.
-    sparse_dense_threshold = 0.05
-
     def _run_phase(
         self,
         system: MemorySystem,
@@ -206,20 +179,15 @@ class HygraEngine(ExecutionEngine):
     ) -> None:
         apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
         for chunk in chunks:
-            charge_frontier_traversal(
-                system, chunk.core, chunk, frontier, algorithm,
-                self.sparse_dense_threshold,
-            )
-            elements = index_order_schedule(frontier, chunk)
+            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
             process_elements_demand(
                 system,
                 hypergraph,
                 algorithm,
-                state,
                 spec,
                 chunk.core,
-                elements,
-                activated,
+                index_order_schedule(frontier, chunk),
+                activated.bitmap,
                 DemandPorts.bind(system, spec, chunk.core),
-                apply_fn=apply_fn,
+                apply_fn,
             )

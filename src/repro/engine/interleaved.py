@@ -49,10 +49,7 @@ class InterleavedHygraEngine(HygraEngine):
         apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
         schedules = []
         for chunk in chunks:
-            charge_frontier_traversal(
-                system, chunk.core, chunk, frontier, algorithm,
-                self.sparse_dense_threshold,
-            )
+            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
             # Ports are bound once per core per phase, not per element.
             schedules.append(
                 (
@@ -73,12 +70,11 @@ class InterleavedHygraEngine(HygraEngine):
                         system,
                         hypergraph,
                         algorithm,
-                        state,
                         spec,
                         core,
                         [elements[position]],
-                        activated,
+                        activated.bitmap,
                         ports,
-                        apply_fn=apply_fn,
+                        apply_fn,
                     )
             position += 1

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
-
 from typing import TYPE_CHECKING
 
 from repro.core.chain import DEFAULT_D_MAX
@@ -36,7 +34,6 @@ class GlaResources:
     d_max: int
     vertex_oags: list[Oag]
     hyperedge_oags: list[Oag]
-    build_seconds: float
     build_operations: int
 
     @classmethod
@@ -48,14 +45,12 @@ class GlaResources:
         d_max: int = DEFAULT_D_MAX,
     ) -> "GlaResources":
         """Construct both sides' chunk OAGs for an ``num_cores``-way run."""
-        start = time.perf_counter()
         vertex_chunks = contiguous_chunks(hypergraph.num_vertices, num_cores)
         hyperedge_chunks = contiguous_chunks(hypergraph.num_hyperedges, num_cores)
         vertex_oags = build_chunk_oags(hypergraph, "vertex", vertex_chunks, w_min)
         hyperedge_oags = build_chunk_oags(
             hypergraph, "hyperedge", hyperedge_chunks, w_min
         )
-        elapsed = time.perf_counter() - start
         operations = sum(
             oag.build_operations for oag in (*vertex_oags, *hyperedge_oags)
         )
@@ -65,7 +60,6 @@ class GlaResources:
             d_max=d_max,
             vertex_oags=vertex_oags,
             hyperedge_oags=hyperedge_oags,
-            build_seconds=elapsed,
             build_operations=operations,
         )
 

@@ -289,9 +289,13 @@ def execute_runs(
     retried up to ``retries`` times with exponential ``backoff``, then run
     inline.  Every result comes back by value in its :class:`RunReport`.
 
-    Runs that timed out or raised are reported failed and *not* re-run:
-    that policy belongs to the caller.  ``fault`` is the test-only
-    crash-injection hook documented on ``_maybe_fault``.
+    ``timeout`` bounds each run in a worker process only.  A one-shard
+    plan, and a shard retried inline, run untimed: the inline tier is the
+    ground truth, and its caller may be a thread (the service's executor),
+    where ``SIGALRM`` cannot be armed.  Runs that timed out or raised are
+    reported failed and *not* re-run: that policy belongs to the caller.
+    ``fault`` is the test-only crash-injection hook documented on
+    ``_maybe_fault``.
 
     Every spec must be normalized (see :meth:`RunSpec.normalized`): the
     executor runs exactly the specs it is given, so the caller's defaults —

@@ -6,8 +6,9 @@ Hygra/GLA/ChGraph on the same workloads).  The :class:`Runner` memoizes
 ``RunResult`` objects per key within the process so the whole benchmark
 suite pays for each simulation once.
 
-``REPRO_BENCH_FULL=1`` in the environment switches PageRank from the quick
-2-iteration default to the paper's 10 iterations and widens dataset scale.
+``REPRO_BENCH_FULL=1`` in the environment switches PageRank and Adsorption
+from the quick 2-iteration default to the paper's 10 iterations; it changes
+nothing else (dataset scale included).
 
 Setting ``REPRO_CACHE_DIR`` (or passing ``cache_dir=``) additionally
 persists both memo layers through the content-addressed

@@ -52,7 +52,6 @@ def _oag_meta(oag: Oag) -> dict:
         "side": oag.side,
         "w_min": oag.w_min,
         "first_id": oag.first_id,
-        "build_seconds": oag.build_seconds,
         "build_operations": oag.build_operations,
         "has_weights": oag.csr.weights is not None,
         "num_nodes": oag.num_nodes,
@@ -86,7 +85,6 @@ def resources_to_bytes(resources: GlaResources) -> bytes:
         "num_cores": resources.num_cores,
         "w_min": resources.w_min,
         "d_max": resources.d_max,
-        "build_seconds": resources.build_seconds,
         "build_operations": resources.build_operations,
         "vertex_oags": [_oag_meta(o) for o in resources.vertex_oags],
         "hyperedge_oags": [_oag_meta(o) for o in resources.hyperedge_oags],
@@ -127,7 +125,6 @@ def _unpack_side(npz, prefix: str, oag_metas: list[dict]) -> list[Oag]:
                 csr=Csr(offsets, indices, weights),
                 w_min=meta["w_min"],
                 first_id=meta["first_id"],
-                build_seconds=meta["build_seconds"],
                 build_operations=meta["build_operations"],
             )
         )
@@ -157,7 +154,6 @@ def resources_from_bytes(payload: bytes) -> GlaResources:
             d_max=meta["d_max"],
             vertex_oags=vertex_oags,
             hyperedge_oags=hyperedge_oags,
-            build_seconds=meta["build_seconds"],
             build_operations=meta["build_operations"],
         )
     except (KeyError, TypeError) as exc:

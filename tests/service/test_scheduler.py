@@ -14,6 +14,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -107,6 +108,21 @@ class TestStoreFastPath:
         from repro.store.serialize import run_result_from_json
 
         assert run_result_from_json(record.result).cycles > 0
+
+
+def test_one_job_batch_runs_inline_and_untimed(small_result):
+    """A one-shard plan runs inline on the executor thread, where no alarm
+    can be armed: a ``job_timeout`` far below the run time does not cut the
+    job short, and it finishes ``done`` from ``inline``."""
+    queue, scheduler, metrics = make_parts(job_timeout=0.001)
+    start = time.perf_counter()
+    record = run(serve_one(queue, scheduler, small_request(), "k1"))
+    assert time.perf_counter() - start > 10 * 0.001
+    assert record.state == "done"
+    assert record.served_from == "inline"
+    assert record.attempts == 1
+    assert record.result == run_result_to_json(small_result)
+    assert metrics.retries == 0
 
 
 class TestRetrySettlement:

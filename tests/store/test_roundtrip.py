@@ -3,6 +3,7 @@ a run with loaded resources equals a run with freshly built ones."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -33,7 +34,6 @@ def _assert_identical(built: GlaResources, loaded: GlaResources) -> None:
     assert loaded.w_min == built.w_min
     assert loaded.d_max == built.d_max
     assert loaded.build_operations == built.build_operations
-    assert loaded.build_seconds == built.build_seconds
     assert loaded.storage_bytes() == built.storage_bytes()
     for a, b in zip(
         (*built.vertex_oags, *built.hyperedge_oags),
@@ -53,6 +53,30 @@ def _assert_identical(built: GlaResources, loaded: GlaResources) -> None:
 def test_resources_bytes_roundtrip(small_hypergraph):
     built = GlaResources.build(small_hypergraph, 4)
     _assert_identical(built, resources_from_bytes(resources_to_bytes(built)))
+
+
+def test_two_builds_serialize_to_identical_bytes(small_hypergraph):
+    """An artifact is a function of its input alone: no host time rides in
+    the content-addressed payload."""
+    first = resources_to_bytes(GlaResources.build(small_hypergraph, 4))
+    second = resources_to_bytes(GlaResources.build(small_hypergraph, 4))
+    assert first == second
+
+
+def test_payload_with_build_seconds_still_loads(small_hypergraph):
+    """Older artifacts carry ``build_seconds`` entries in their metadata;
+    the loader ignores them."""
+    built = GlaResources.build(small_hypergraph, 4)
+    npz = np.load(io.BytesIO(resources_to_bytes(built)))
+    arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["build_seconds"] = 0.25
+    for oag_meta in (*meta["vertex_oags"], *meta["hyperedge_oags"]):
+        oag_meta["build_seconds"] = 0.125
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    _assert_identical(built, resources_from_bytes(buffer.getvalue()))
 
 
 def test_resources_file_roundtrip(small_hypergraph, tmp_path):
