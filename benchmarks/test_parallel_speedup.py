@@ -47,7 +47,7 @@ def _tables(runner: Runner, results) -> list[str]:
 def test_parallel_cold_run_speedup(benchmark, emit, tmp_path):
     specs = [spec for figure_id in SUITE for spec in FIGURES[figure_id].specs()]
     assert len(set(specs)) == 22
-    assert len(plan_shards(specs, JOBS)) == JOBS  # enough groups to fan out
+    assert len(plan_shards(specs, JOBS)) == JOBS  # enough runs to fan out
 
     def measure():
         serial = Runner(cache_dir=tmp_path / "serial")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.core.chain import ChainGenerator, ChainProbe, ChainSet
 from repro.core.oag import Oag
 from repro.hypergraph.frontier import Frontier
@@ -55,5 +57,10 @@ def generate_schedules(
 
 
 def index_order_schedule(frontier: Frontier, chunk: Chunk) -> list[int]:
-    """Hygra's schedule: active elements of the chunk in ascending index."""
-    return [int(i) for i in frontier.ids() if chunk.first <= i < chunk.last]
+    """Hygra's schedule: active elements of the chunk in ascending index.
+
+    ``frontier.ids()`` is sorted, so the chunk's ids are one slice of it.
+    """
+    ids = frontier.ids()
+    lo, hi = np.searchsorted(ids, (chunk.first, chunk.last))
+    return ids[lo:hi].tolist()

@@ -10,12 +10,14 @@ and hands every :class:`RunResult` back by value in its :class:`RunReport`.
 The artifact store, when the runner has one, is only a cache that workers
 fill on the way; results never travel through it.
 
-Sharding is deterministic and resource-aware: runs that consume the same
-``GlaResources`` artifact (same dataset and core count, for the
-OAG-consuming engines) are grouped onto one shard, so the expensive
-preprocessing is built exactly once instead of racing in several workers.
-Groups are packed onto shards longest-first onto the least-loaded shard —
-a deterministic LPT schedule.  A one-shard plan runs inline, on the
+Sharding is deterministic and balanced: runs are sorted so that those
+consuming the same ``GlaResources`` artifact (same dataset and core count,
+for the OAG-consuming engines) sit side by side, and the sorted list is cut
+into ``jobs`` contiguous shards whose run counts differ by at most one.  A
+run takes seconds and a resource build a small fraction of that, so
+balanced shards are worth an occasional second build: only the at most
+``jobs - 1`` groups that straddle a cut are built twice, in two workers.
+A one-shard plan (one job, or a one-run batch) runs inline, on the
 caller's runner itself.
 
 Robustness (see :func:`execute_runs`):
@@ -61,7 +63,7 @@ __all__ = [
 ]
 
 #: Engines that consume a ``GlaResources`` artifact (per-chunk OAGs); runs
-#: using the same artifact are scheduled onto the same shard.
+#: using the same artifact are planned side by side.
 RESOURCE_ENGINES: frozenset[str] = frozenset(
     name for name, spec in ENGINE_REGISTRY.items() if spec.needs_resources
 )
@@ -119,9 +121,10 @@ def resource_group(spec: RunSpec) -> tuple[str, int | None, PreprocessSpec]:
     OAG-consuming engines need the ``GlaResources`` artifact for
     ``(dataset, num_cores, preprocessing)``; the rest only need the
     (pipelined) dataset itself, which each worker also materializes once.
-    Runs with equal keys land on one shard so neither is built twice.  The
-    preprocessing record is part of the key because specs with different
-    stage lists or OAG parameters share no artifacts at all.
+    :func:`plan_shards` keeps runs with equal keys adjacent, so a key is
+    built in a second worker only where a shard boundary cuts its group.
+    The preprocessing record is part of the key because specs with
+    different stage lists or OAG parameters share no artifacts at all.
     """
     preprocessing = spec.resolved_preprocessing()
     if spec.engine in RESOURCE_ENGINES:
@@ -130,29 +133,26 @@ def resource_group(spec: RunSpec) -> tuple[str, int | None, PreprocessSpec]:
 
 
 def plan_shards(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
-    """Deterministically pack the run matrix into at most ``jobs`` shards.
+    """Deterministically cut the run matrix into at most ``jobs`` shards.
 
-    Specs are deduplicated (first occurrence wins), grouped by
-    :func:`resource_group`, and the groups LPT-packed: largest group first
-    onto the currently least-loaded shard, ties broken by shard index.
-    Equal inputs always produce the identical plan.
+    Specs are deduplicated (first occurrence wins) and stably sorted by
+    ``repr(resource_group(spec))``, so each group's runs, and one dataset's
+    groups, sit side by side.  The sorted list is cut into
+    ``min(jobs, len(runs))`` contiguous shards whose run counts differ by
+    at most one.  Only a group that straddles a cut is built twice, and at
+    most ``jobs - 1`` groups do; in exchange no worker idles while another
+    runs a large group alone, and two or more jobs plan one shard only for
+    a one-run batch.  Equal inputs always produce the identical plan.
     """
-    unique = list(dict.fromkeys(specs))
-    if jobs <= 1:
-        return [unique] if unique else []
-    groups: dict[tuple[str, int | None, PreprocessSpec], list[RunSpec]] = {}
-    for spec in unique:
-        groups.setdefault(resource_group(spec), []).append(spec)
-    ordered = sorted(
-        groups.items(), key=lambda item: (-len(item[1]), repr(item[0]))
+    unique = sorted(
+        dict.fromkeys(specs), key=lambda spec: repr(resource_group(spec))
     )
-    shards: list[list[RunSpec]] = [[] for _ in range(min(jobs, len(groups)))]
-    loads = [0] * len(shards)
-    for _, members in ordered:
-        target = loads.index(min(loads))
-        shards[target].extend(members)
-        loads[target] += len(members)
-    return [shard for shard in shards if shard]
+    count = min(max(jobs, 1), len(unique))
+    if count == 0:
+        return []
+    size, extra = divmod(len(unique), count)
+    bounds = [index * size + min(index, extra) for index in range(count + 1)]
+    return [unique[bounds[i] : bounds[i + 1]] for i in range(count)]
 
 
 # -- worker body -------------------------------------------------------------
@@ -281,13 +281,14 @@ def execute_runs(
 ) -> ExecutionReport:
     """Execute the run matrix, parallel where possible, and report.
 
-    The deduplicated matrix is packed by :func:`plan_shards` into at most
-    ``jobs`` shards (``None``: one per CPU).  Several shards go to worker
-    processes via :func:`~repro.store.pool.run_tasks`, each running on a
-    copy of ``runner`` (so with a store, workers fill it); one shard runs
-    inline on ``runner`` itself.  Shards whose worker crashed or hung are
-    retried up to ``retries`` times with exponential ``backoff``, then run
-    inline.  Every result comes back by value in its :class:`RunReport`.
+    The deduplicated matrix is cut by :func:`plan_shards` into at most
+    ``jobs`` shards of equal run counts (``None``: one per CPU).  Several
+    shards go to worker processes via :func:`~repro.store.pool.run_tasks`,
+    each running on a copy of ``runner`` (so with a store, workers fill
+    it); one shard runs inline on ``runner`` itself.  Shards whose worker
+    crashed or hung are retried up to ``retries`` times with exponential
+    ``backoff``, then run inline.  Every result comes back by value in its
+    :class:`RunReport`.
 
     ``timeout`` bounds each run in a worker process only.  A one-shard
     plan, and a shard retried inline, run untimed: the inline tier is the

@@ -8,9 +8,11 @@ two tiers, cheapest first:
    touching no worker (and no simulation).
 2. **Batch execution** — the remaining jobs go to
    :func:`~repro.harness.parallel.execute_runs`, the same executor
-   ``repro bench`` uses: jobs that consume one ``GlaResources`` artifact
-   share a worker and build it once, each job runs under a ``SIGALRM``
-   budget of ``job_timeout`` seconds, crashed workers are retried with
+   ``repro bench`` uses: the batch is cut into shards of equal job counts,
+   with jobs that consume one ``GlaResources`` artifact side by side (so
+   it is built twice only where a shard boundary cuts their group), each
+   job sent to a worker runs under a ``SIGALRM`` budget of
+   ``job_timeout`` seconds, crashed workers are retried with
    jittered backoff, and every result comes back by value — so the service
    works with or without a persistent store; with one, workers also fill
    it.  A job that timed out or raised is retried (the record goes back
@@ -45,14 +47,14 @@ MAX_BATCH = 32
 class SchedulerConfig:
     """Tunables for one :class:`Scheduler` instance."""
 
-    #: Worker processes per dispatch (``None``: one per group, capped at CPUs).
+    #: Worker processes per dispatch (``None``: one per job, capped at CPUs).
     workers: int | None = None
     #: Per-job wall-clock budget inside a worker (``None``: unbounded).
     job_timeout: float | None = None
     #: Re-dispatches after a failed/timed-out attempt before the job fails.
     job_retries: int = 1
     #: Seconds to linger after the first queued job so concurrent
-    #: submissions land in one resource-grouped batch.
+    #: submissions land in one batch.
     batch_window: float = 0.05
 
 

@@ -80,40 +80,30 @@ class MemoryHierarchy:
         # Which cores may hold a line in a private cache (for inclusive-L3
         # back-invalidation); maintained only when ``inclusive_l3`` is set.
         self._owners: dict[int, set[int]] = {}
-        self._l3_latency_cache: dict[int, int] = {}
         # Hot-path constants hoisted out of per-access attribute chains.
         self._l1_latency = config.l1_latency
         self._l2_latency = config.l2_latency
         self._inclusive = config.inclusive_l3
+        # Latency past an L2 miss before any DRAM fetch, per core and L3
+        # bank: the NoC round trip to the bank's tile (banks are striped
+        # across mesh tiles) plus the L3 latency.
+        banks = config.l3_banks
+        tiles = self.noc.num_tiles
+        stride = max(1, tiles // banks)
+        self._l3_banks = banks
+        self._l3_latency = [
+            [
+                self.noc.round_trip(core, (bank * stride) % tiles)
+                + config.l3_latency
+                for bank in range(banks)
+            ]
+            for core in range(config.num_cores)
+        ]
         # A line's owning array is its number's high bits: the integer
         # ``layout.array_of_line`` wraps in an ``ArrayId``.
         self._array_shift = MemoryLayout._REGION_SHIFT - self.layout._line_shift
 
     # -- internal helpers ---------------------------------------------------
-
-    def _l2_miss(self, core: int, array: ArrayId, line: int) -> int:
-        """Serve an L2 miss from the shared L3, or from DRAM on an L3 miss.
-
-        Returns the latency past the L2: the NoC round trip to the line's
-        L3 bank and, on an L3 miss, the DRAM fetch, which is attributed to
-        ``array`` and filled into the L3.  The demand and the engine path
-        both end here, so every DRAM fetch is counted in this one place.
-        """
-        banks = self.config.l3_banks
-        bank = line % banks
-        key = core * banks + bank
-        latency = self._l3_latency_cache.get(key)
-        if latency is None:
-            # Banks are striped across mesh tiles.
-            tiles = self.noc.num_tiles
-            tile = (bank * max(1, tiles // banks)) % tiles
-            latency = self.noc.round_trip(core, tile) + self.config.l3_latency
-            self._l3_latency_cache[key] = latency
-        if not self.l3.lookup(line):
-            latency += self.dram.record_access()
-            self.dram_by_array[array] += 1
-            self._fill_l3(line)
-        return latency
 
     def _writeback_to_dram(self, line: int) -> None:
         """Retire a dirty line to memory, attributed to its owning array."""
@@ -142,93 +132,106 @@ class MemoryHierarchy:
                 self.coherence.on_evict(core, line)
         return dirty
 
-    def _note_owner(self, line: int, core: int) -> None:
-        self._owners.setdefault(line, set()).add(core)
+    # -- the miss path: one body past the L2 ----------------------------------
+    #
+    # The fills below manipulate the caches' recency dicts directly rather
+    # than composing ``victim_of`` + ``is_dirty`` + ``fill``: same victim
+    # choice (the first key, taken with ``for victim in ways: break``), same
+    # stats bumps, same dirty-bit handling, without the calls.  Each fill
+    # runs with ``line`` absent from the cache it fills (the caller just
+    # took the miss, and back-invalidation only *removes* lines), so every
+    # victim is another line.
+    #
+    # Under ``inclusive_l3`` a core is noted as an owner of every line its
+    # L2 fills, and pruned from a victim's owners once neither of its
+    # private caches holds that line.  A demand L2 hit therefore needs no
+    # note: the core already owns the line its L2 holds.
 
-    def _prune_owner(self, line: int, core: int) -> None:
-        """Drop ``core`` from a line's owner set once neither private cache
-        holds the line, so back-invalidation never targets stale owners."""
-        if self.l1[core].contains(line) or self.l2[core].contains(line):
-            return
-        owners = self._owners.get(line)
-        if owners is not None:
-            owners.discard(core)
-            if not owners:
-                del self._owners[line]
+    def _l2_miss(self, core: int, array: ArrayId, line: int) -> int:
+        """Serve an L2 miss on either channel and fill the core's L2.
 
-    # -- fill helpers (victim dirty-bit propagation) --------------------------
+        Returns the latency past the L2: the NoC round trip to the line's
+        L3 bank, the L3 latency and, on an L3 miss, the DRAM fetch, which
+        is attributed to ``array`` and filled into the L3 (a dirty victim,
+        or one with a dirty private copy under inclusion, is written back
+        to memory).  The L2 fill then tells the directory about its victim;
+        a dirty victim is absorbed by the L3 copy or written back.  Both
+        channels end here, so every DRAM fetch is counted in this one place.
+        """
+        latency = self._l3_latency[core][line % self._l3_banks]
+        inclusive = self._inclusive
+        l3 = self.l3
+        l3_sets = l3._sets
+        l3_num_sets = l3.num_sets
+        ways = l3_sets[line % l3_num_sets]
+        if line in ways:
+            del ways[line]
+            ways[line] = None
+            l3.stats.hits += 1
+        else:
+            l3.stats.misses += 1
+            latency += self.dram.record_access()
+            self.dram_by_array[array] += 1
+            if len(ways) >= l3.associativity:
+                for victim in ways:
+                    break
+                del ways[victim]
+                l3.stats.evictions += 1
+                dirty = victim in l3._dirty
+                if dirty:
+                    l3._dirty.discard(victim)
+                    l3.stats.writebacks += 1
+                if inclusive and self._back_invalidate(victim):
+                    dirty = True
+                if dirty:
+                    self._writeback_to_dram(victim)
+            ways[line] = None
 
-    # The fills manipulate the cache's recency dicts directly rather than
-    # composing ``victim_of`` + ``is_dirty`` + ``fill`` — same victim
-    # choice, same stats bumps, same dirty-bit handling, three calls fewer
-    # on every miss.  They are only ever called with ``line`` absent (the
-    # caller just took the miss; back-invalidation can only *remove* lines).
-    # The L1 fill has a single caller and lives inline in ``_demand_miss``.
-
-    def _fill_l2(self, core: int, line: int) -> None:
-        """Fill the core's L2; a dirty victim is absorbed by the L3 copy or
-        written back to memory."""
         l2 = self.l2[core]
         ways = l2._sets[line % l2.num_sets]
-        victim = None
-        victim_dirty = False
         if len(ways) >= l2.associativity:
-            victim = next(iter(ways))
+            for victim in ways:
+                break
             del ways[victim]
             l2.stats.evictions += 1
+            if self.coherence is not None:
+                self.coherence.on_evict(core, victim)
             if victim in l2._dirty:
                 l2._dirty.discard(victim)
                 l2.stats.writebacks += 1
-                victim_dirty = True
+                if victim in l3_sets[victim % l3_num_sets]:
+                    l3._dirty.add(victim)
+                else:
+                    self._writeback_to_dram(victim)
+            if inclusive:
+                l1 = self.l1[core]
+                if victim not in l1._sets[victim % l1.num_sets]:
+                    owners = self._owners.get(victim)
+                    if owners is not None:
+                        owners.discard(core)
+                        if not owners:
+                            del self._owners[victim]
         ways[line] = None
-        if victim is None:
-            return
-        if self.coherence is not None:
-            self.coherence.on_evict(core, victim)
-        if victim_dirty:
-            l3 = self.l3
-            if victim in l3._sets[victim % l3.num_sets]:
-                l3._dirty.add(victim)
+        if inclusive:
+            owners = self._owners.get(line)
+            if owners is None:
+                self._owners[line] = {core}
             else:
-                self._writeback_to_dram(victim)
-        if self._inclusive:
-            self._prune_owner(victim, core)
-
-    def _fill_l3(self, line: int) -> None:
-        """Fill the shared L3; a dirty victim — or one with a dirty private
-        copy under inclusion — is written back to memory."""
-        l3 = self.l3
-        ways = l3._sets[line % l3.num_sets]
-        victim = None
-        victim_dirty = False
-        if len(ways) >= l3.associativity:
-            victim = next(iter(ways))
-            del ways[victim]
-            l3.stats.evictions += 1
-            if victim in l3._dirty:
-                l3._dirty.discard(victim)
-                l3.stats.writebacks += 1
-                victim_dirty = True
-        ways[line] = None
-        if victim is None:
-            return
-        if self._inclusive:
-            victim_dirty = self._back_invalidate(victim) or victim_dirty
-        if victim_dirty:
-            self._writeback_to_dram(victim)
+                owners.add(core)
+        return latency
 
     # -- ports: the one access path -------------------------------------------
     #
     # Every access enters through a port: a closure bound to one (core,
     # array, channel) with the line arithmetic, the set dicts, the stats
-    # object and the latencies already resolved, so each access is one call
+    # objects and the latencies already resolved, so each access is one call
     # with one integer argument.  There are two bodies — the demand body
-    # (read/write/serial: the core's L1 path) and the engine body (the
-    # decoupled engine's L2 path).  Their L1/L2 *hit* paths are inlined over
-    # the cache's dict sets rather than going through ``Cache.lookup``/
-    # ``mark_dirty``: the same operations (promote to MRU, bump the hit
-    # counter, set the dirty bit), minus two calls per probe on the path
-    # that serves most accesses.
+    # (read/write/serial: the core's L1, then L2) and the engine body (the
+    # decoupled engine's L2) — and both hand an L2 miss to ``_l2_miss``.
+    # Their probes and the demand body's L1 fill are inlined over the
+    # caches' dict sets rather than going through ``Cache.lookup``/
+    # ``fill``/``mark_dirty``: the same operations (promote to MRU, bump
+    # the counters, set the dirty bit), minus the calls on every access.
 
     def port(
         self,
@@ -262,10 +265,12 @@ class MemoryHierarchy:
     def _demand_port(
         self, core: int, array: ArrayId, write: bool, acc: list[float]
     ) -> Port:
-        """The demand body: L1, then :meth:`_demand_miss`.
+        """The demand body: L1, then L2, then :meth:`_l2_miss`.
 
         Under ``track_coherence`` the directory sees every access before
-        the L1 probe.
+        the L1 probe.  Every L1 miss ends in the L1 fill: a dirty victim is
+        absorbed by the copy in L2, else L3, else written back to memory
+        directly.
         """
         layout = self.layout
         base = layout._line_base[array]
@@ -278,10 +283,23 @@ class MemoryHierarchy:
         l1 = self.l1[core]
         sets = l1._sets
         num_sets = l1.num_sets
+        associativity = l1.associativity
         stats = l1.stats
         dirty_lines = l1._dirty
+        l2 = self.l2[core]
+        l2_sets = l2._sets
+        l2_num_sets = l2.num_sets
+        l2_stats = l2.stats
+        l2_dirty = l2._dirty
+        l3_sets = self.l3._sets
+        l3_num_sets = self.l3.num_sets
+        l3_dirty = self.l3._dirty
         l1_latency = self._l1_latency
-        demand_miss = self._demand_miss
+        l1_miss_latency = l1_latency + self._l2_latency
+        inclusive = self._inclusive
+        owner_sets = self._owners
+        l2_miss = self._l2_miss
+        writeback = self._writeback_to_dram
 
         def demand(index: int) -> int:
             line = base + ((index * elem_bytes) >> shift)
@@ -298,80 +316,66 @@ class MemoryHierarchy:
                 acc[core] += l1_latency
                 return l1_latency
             stats.misses += 1
-            latency = demand_miss(core, array, line, write)
+            l2_ways = l2_sets[line % l2_num_sets]
+            if line in l2_ways:
+                del l2_ways[line]
+                l2_ways[line] = None
+                l2_stats.hits += 1
+                latency = l1_miss_latency
+            else:
+                l2_stats.misses += 1
+                latency = l1_miss_latency + l2_miss(core, array, line)
+            # ``ways`` is still this line's L1 set: back-invalidation in
+            # ``_l2_miss`` deletes from set dicts but never replaces them.
+            if len(ways) >= associativity:
+                for victim in ways:
+                    break
+                del ways[victim]
+                stats.evictions += 1
+                in_l2 = victim in l2_sets[victim % l2_num_sets]
+                if victim in dirty_lines:
+                    dirty_lines.discard(victim)
+                    stats.writebacks += 1
+                    if in_l2:
+                        l2_dirty.add(victim)
+                    elif victim in l3_sets[victim % l3_num_sets]:
+                        l3_dirty.add(victim)
+                    else:
+                        writeback(victim)
+                if inclusive and not in_l2:
+                    owners = owner_sets.get(victim)
+                    if owners is not None:
+                        owners.discard(core)
+                        if not owners:
+                            del owner_sets[victim]
+            ways[line] = None
+            if write:
+                dirty_lines.add(line)
             acc[core] += latency
             return latency
 
         return demand
 
-    def _demand_miss(self, core: int, array: ArrayId, line: int, write: bool) -> int:
-        """The demand path past an L1 miss.
-
-        Ends in the L1 fill: a dirty victim is absorbed by the copy in L2,
-        else L3, else written back to memory directly.
-        """
-        latency = self._l1_latency + self._l2_latency
-        l2 = self.l2[core]
-        l2_ways = l2._sets[line % l2.num_sets]
-        if line in l2_ways:
-            del l2_ways[line]
-            l2_ways[line] = None
-            l2.stats.hits += 1
-        else:
-            l2.stats.misses += 1
-            latency += self._l2_miss(core, array, line)
-            self._fill_l2(core, line)
-
-        l1 = self.l1[core]
-        ways = l1._sets[line % l1.num_sets]
-        dirty_lines = l1._dirty
-        victim = None
-        victim_dirty = False
-        if len(ways) >= l1.associativity:
-            victim = next(iter(ways))
-            del ways[victim]
-            l1.stats.evictions += 1
-            if victim in dirty_lines:
-                dirty_lines.discard(victim)
-                l1.stats.writebacks += 1
-                victim_dirty = True
-        ways[line] = None
-        if write:
-            dirty_lines.add(line)
-        if victim is not None:
-            if victim_dirty:
-                if victim in l2._sets[victim % l2.num_sets]:
-                    l2._dirty.add(victim)
-                else:
-                    l3 = self.l3
-                    if victim in l3._sets[victim % l3.num_sets]:
-                        l3._dirty.add(victim)
-                    else:
-                        self._writeback_to_dram(victim)
-            if self._inclusive:
-                self._prune_owner(victim, core)
-        if self._inclusive:
-            self._note_owner(line, core)
-        return latency
-
     def _engine_port(self, core: int, array: ArrayId) -> Port:
-        """The engine body: L2, then :meth:`_engine_miss`.
+        """The engine body: L2, then :meth:`_l2_miss`.
 
         ChGraph sits beside the L1 but "accesses the main memory via the L2
         cache" (§V-A): it probes L2 directly and fills L2 (never the core's
         L1), so prefetched lines land where the core's demand misses will
-        find them without polluting the L1.
+        find them without polluting the L1.  Under ``track_coherence`` the
+        directory sees every L2 miss as a read before the fills.
         """
         layout = self.layout
         base = layout._line_base[array]
         elem_bytes = layout._elem_bytes[array]
         shift = layout._line_shift
+        on_read = None if self.coherence is None else self.coherence.on_read
         l2 = self.l2[core]
         sets = l2._sets
         num_sets = l2.num_sets
         stats = l2.stats
         l2_latency = self._l2_latency
-        engine_miss = self._engine_miss
+        l2_miss = self._l2_miss
 
         def engine(index: int) -> int:
             line = base + ((index * elem_bytes) >> shift)
@@ -383,19 +387,11 @@ class MemoryHierarchy:
                 stats.hits += 1
                 return l2_latency
             stats.misses += 1
-            return engine_miss(core, array, line)
+            if on_read is not None:
+                on_read(core, line)
+            return l2_latency + l2_miss(core, array, line)
 
         return engine
-
-    def _engine_miss(self, core: int, array: ArrayId, line: int) -> int:
-        """The engine path past an L2 miss."""
-        latency = self._l2_latency + self._l2_miss(core, array, line)
-        if self.coherence is not None:
-            self.coherence.on_read(core, line)
-        self._fill_l2(core, line)
-        if self._inclusive:
-            self._note_owner(line, core)
-        return latency
 
     # -- statistics -----------------------------------------------------------
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chain import ChainGenerator
 from repro.core.gla import ChunkSchedule, generate_schedules, index_order_schedule
@@ -21,6 +24,28 @@ def test_index_order_schedule_empty_frontier():
     frontier = Frontier(10)
     chunk = Chunk(core=0, first=0, last=10)
     assert index_order_schedule(frontier, chunk) == []
+
+
+@st.composite
+def _bitmap_and_chunk(draw):
+    """A random bitmap and a chunk of it: possibly empty, possibly touching
+    either end of the universe."""
+    bitmap = np.array(draw(st.lists(st.booleans(), max_size=64)), dtype=bool)
+    universe = len(bitmap)
+    first = draw(st.sampled_from([0, universe]) | st.integers(0, universe))
+    last = draw(st.sampled_from([first, universe]) | st.integers(first, universe))
+    return bitmap, Chunk(core=0, first=first, last=last)
+
+
+@given(_bitmap_and_chunk())
+@settings(max_examples=200, deadline=None)
+def test_index_order_schedule_matches_a_frontier_walk(case):
+    bitmap, chunk = case
+    frontier = Frontier.from_bitmap(bitmap)
+    walk = [int(i) for i in frontier.ids() if chunk.first <= i < chunk.last]
+    schedule = index_order_schedule(frontier, chunk)
+    assert schedule == walk
+    assert all(type(i) is int for i in schedule)
 
 
 def test_generate_schedules_partitions_frontier(figure1):

@@ -8,8 +8,11 @@ import functools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.harness.parallel as parallel_mod
+from repro.harness.experiments import FIGURES
 from repro.harness.parallel import (
     RESOURCE_ENGINES,
     RunSpec,
@@ -69,22 +72,81 @@ def test_plan_shards_is_deterministic_and_complete():
     assert first == plan_shards(list(specs), 4)
     flat = [spec for shard in first for spec in shard]
     assert sorted(flat, key=repr) == sorted(set(specs), key=repr)
-    # Runs sharing one GlaResources artifact never straddle two shards.
-    for group in {resource_group(s) for s in specs}:
-        owners = {
-            i
-            for i, shard in enumerate(first)
-            for spec in shard
-            if resource_group(spec) == group
-        }
-        assert len(owners) == 1, group
+    # Only a group cut by a shard boundary is built twice: at most
+    # ``jobs - 1`` groups straddle two shards.
+    assert len(_straddling_groups(first)) <= 4 - 1
+
+
+def _straddling_groups(shards):
+    """The resource groups whose runs land on more than one shard."""
+    owners = {}
+    for index, shard in enumerate(shards):
+        for spec in shard:
+            owners.setdefault(resource_group(spec), set()).add(index)
+    return [group for group, where in owners.items() if len(where) > 1]
 
 
 def test_plan_shards_dedupes_and_handles_trivial_inputs():
     spec = RunSpec("Hygra", "BFS", "FS", SMALL)
     assert plan_shards([spec, spec], 4) == [[spec]]
-    assert plan_shards([], 4) == []
+    for jobs in (0, 1, 2, 4):
+        assert plan_shards([], jobs) == []
     assert plan_shards([spec], 1) == [[spec]]
+
+
+def test_one_resource_group_splits_into_equal_shards():
+    """18 runs over one ``GlaResources`` artifact (fig16's grid) still use
+    both workers: two shards of nine, not one inline shard."""
+    specs = _specs(
+        engines=("GLA", "ChGraph-HCGonly", "ChGraph"),
+        apps=("BFS", "PR", "MIS", "BC", "CC", "k-core"),
+        datasets=("WEB",),
+    )
+    assert len({resource_group(spec) for spec in specs}) == 1
+    shards = plan_shards(specs, 2)
+    assert [len(shard) for shard in shards] == [9, 9]
+    assert sorted(sum(shards, []), key=repr) == sorted(specs, key=repr)
+
+
+_ENGINE_NAMES = ("Hygra", "GLA", "ChGraph", "HATS-V")
+
+
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.sampled_from(_ENGINE_NAMES),
+            st.sampled_from(("BFS", "PR", "CC")),
+            st.sampled_from(("FS", "OK", "WEB")),
+            st.sampled_from((2, 4)),
+        ),
+        max_size=40,
+    ),
+    jobs=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_plan_shards_balances_runs_and_bounds_straddles(cells, jobs):
+    specs = [
+        RunSpec(engine, app, dataset, scaled_config(num_cores=cores, llc_kb=2))
+        for engine, app, dataset, cores in cells
+    ]
+    unique = set(specs)
+    shards = plan_shards(specs, jobs)
+    assert shards == plan_shards(list(specs), jobs)
+    assert len(shards) == min(jobs, len(unique))
+    sizes = [len(shard) for shard in shards]
+    assert all(sizes) and max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert sorted(sum(shards, []), key=repr) == sorted(unique, key=repr)
+    assert len(_straddling_groups(shards)) <= jobs - 1
+
+
+@pytest.mark.parametrize(
+    "figure_id", [f for f in FIGURES if len(set(FIGURES[f].specs())) >= 2]
+)
+def test_every_multi_run_figure_plans_two_shards_at_two_jobs(figure_id):
+    specs = _normalized(FIGURES[figure_id].specs())
+    shards = plan_shards(specs, 2)
+    assert len(shards) == 2
+    assert abs(len(shards[0]) - len(shards[1])) <= 1
 
 
 def test_resource_engines_cover_the_oag_consumers():
@@ -164,12 +226,12 @@ def test_run_many_answers_a_filled_store_without_a_pool(tmp_path):
 
 
 def test_one_shard_plan_runs_inline_and_retries_nothing(tmp_path):
-    """Both runs share one GlaResources group, so the plan has one shard:
-    it runs inline, untimed (a 10 ms alarm would kill either run), and
-    counts as neither parallel nor retried."""
+    """A one-run batch plans one shard even at two jobs: it runs inline,
+    untimed (a 10 ms alarm would kill the run), and counts as neither
+    parallel nor retried."""
     runner = Runner(pr_iterations=1, cache_dir=tmp_path)
     runner.run_many(
-        _specs(engines=("ChGraph",), apps=("BFS", "CC")), jobs=2, timeout=0.01
+        _specs(engines=("ChGraph",), apps=("BFS",)), jobs=2, timeout=0.01
     )
     report = runner.last_execution_report
     assert report is not None and report.ok
