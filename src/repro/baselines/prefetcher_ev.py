@@ -15,8 +15,13 @@ from __future__ import annotations
 
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
-from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
-from repro.engine.chgraph_engine import process_elements_engine
+from repro.engine.base import (
+    ExecutionEngine,
+    PhasePorts,
+    PhaseSpec,
+    dram_floor,
+    process_elements,
+)
 from repro.engine.hygra import charge_frontier_traversal
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -48,8 +53,11 @@ class EventPrefetcherEngine(ExecutionEngine):
             charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
             dram_before = system.dram_accesses()
             # The prefetch engine chases the per-element indirections in
-            # index order; the core pays only Apply per tuple.
-            cost = process_elements_engine(
+            # index order; the core pays only Apply per tuple.  Unlike every
+            # other push engine it is charged no frontier bookkeeping on a
+            # sparse activation: an open model question, kept explicit here
+            # because answering it changes the fig23 table.
+            cost = process_elements(
                 system,
                 hypergraph,
                 algorithm,
@@ -57,7 +65,9 @@ class EventPrefetcherEngine(ExecutionEngine):
                 chunk.core,
                 index_order_schedule(frontier, chunk),
                 activated.bitmap,
+                PhasePorts.bind(system, spec, chunk.core, "engine"),
                 apply_fn,
+                frontier_cycles=0.0,
             )
             engine_cycles = max(
                 cost.engine_cycles(config.hw_stage_cycles, config.engine_mlp),

@@ -28,7 +28,7 @@ import numpy as np
 from repro.chgraph.fifo import BoundedFifo
 from repro.core.chain import ChainGenerator
 from repro.core.oag import Oag
-from repro.core.tuples import END_OF_CHAINS, BipartiteTuple
+from repro.core.tuples import END_OF_CHAINS, BipartiteTuple, TupleLoader
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.sim.config import SystemConfig
@@ -120,17 +120,13 @@ class ChGraphDevice:
             d_max=min(registers.d_max, self.config.stack_depth)
         )
         chains = generator.generate(registers.bitmap.astype(bool), registers.oag)
-        csr = registers.hypergraph.side(registers.scheduled_side)
+        loader = TupleLoader(registers.hypergraph, registers.scheduled_side)
         for chain in chains:
             for element in chain:
                 # The chain FIFO decouples HCG from CP; occupancy is modelled
                 # by pushing/popping each element through it.
                 self.chain_fifo.push(element)
-                src = self.chain_fifo.pop()
-                fresh = True
-                for neighbor in csr.neighbors(src):
-                    yield BipartiteTuple(src=src, dst=int(neighbor), fresh_src=fresh)
-                    fresh = False
+                yield from loader.edges_of(self.chain_fifo.pop())
 
     def drain(self) -> list[BipartiteTuple]:
         """Fetch every tuple until the sentinel (testing convenience)."""

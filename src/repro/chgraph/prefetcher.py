@@ -5,9 +5,10 @@ The CP is a 4-stage pipeline — *element acquisition*, *offsets fetching*,
 packs ``{src, dst, src_value, dst_value}`` tuples into the bipartite-edge
 FIFO.  Unlike the HCG's pointer chase, the CP's loads for upcoming chain
 elements are independent, so their latencies overlap up to the engine's
-effective MLP (bounded by the FIFO depths).  The CP walk itself is
-:func:`repro.engine.chgraph_engine.process_elements_engine`, which
-interleaves it with the core's Apply and returns its counters here.
+effective MLP (bounded by the FIFO depths).  The CP walk itself is the
+shared push loop, :func:`repro.engine.base.process_elements`, with its
+loads bound on the engine channel: it interleaves the walk with the core's
+Apply and returns its counters here.
 """
 
 from __future__ import annotations

@@ -4,12 +4,19 @@ Every engine runs the same synchronous loop — hyperedge computation (active
 vertices push HF) then vertex computation (active hyperedges push VF), with
 a barrier after each phase — and differs only in how a phase schedules and
 charges its work.  Subclasses implement :meth:`_run_phase`.
+
+:func:`process_elements` is the one push tuple loop; every engine but the
+pull ablation runs it, with its loads on the core's demand channel (Hygra,
+GLA) or on the decoupled engine's (ChGraph, HATS-V, the event prefetcher).
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from repro.algorithms.base import (
     PHASE_HYPEREDGE,
@@ -17,6 +24,7 @@ from repro.algorithms.base import (
     AlgorithmState,
     HypergraphAlgorithm,
 )
+from repro.chgraph.prefetcher import CpCost
 from repro.engine.result import RunResult
 from repro.errors import EngineError
 from repro.hypergraph.frontier import Frontier
@@ -32,9 +40,17 @@ from repro.sim.protocol import (
     PHASE_END,
     EngineEvent,
     MemorySystem,
+    Port,
 )
 
-__all__ = ["ExecutionEngine", "PhaseSpec", "PHASE_SPECS", "dram_floor"]
+__all__ = [
+    "ExecutionEngine",
+    "PhasePorts",
+    "PhaseSpec",
+    "PHASE_SPECS",
+    "dram_floor",
+    "process_elements",
+]
 
 #: Hard cap on engine iterations, guarding against a non-terminating
 #: algorithm implementation (each paper workload converges well below this).
@@ -90,6 +106,121 @@ def dram_floor(system: MemorySystem, lines: int) -> float:
     """
     config = system.config
     return lines / (config.peak_dram_lines_per_cycle / config.num_cores)
+
+
+class PhasePorts(NamedTuple):
+    """One core's ports over one phase's arrays.
+
+    The four loads share one channel (the core's ``read`` or the decoupled
+    ``engine``); the two writes are always the core's demand writes.
+    """
+
+    src_offset: Port
+    src_value: Port
+    incident: Port
+    dst_value: Port
+    write_dst: Port
+    write_bitmap: Port
+
+    @classmethod
+    def bind(
+        cls, system: MemorySystem, spec: PhaseSpec, core: int, channel: str
+    ) -> "PhasePorts":
+        return cls(
+            system.port(core, spec.src_offset, channel),
+            system.port(core, spec.src_value, channel),
+            system.port(core, spec.incident, channel),
+            system.port(core, spec.dst_value, channel),
+            system.port(core, spec.dst_value, "write"),
+            system.port(core, ArrayId.BITMAP, "write"),
+        )
+
+
+def process_elements(
+    system: MemorySystem,
+    hypergraph: Hypergraph,
+    algorithm: HypergraphAlgorithm,
+    spec: PhaseSpec,
+    core: int,
+    elements: list[int],
+    activated_bitmap: np.ndarray | list[bool],
+    ports: PhasePorts,
+    apply_fn: Callable[[int, int], bool],
+    extra_element_cycles: float = 0.0,
+    extra_tuple_cycles: float = 0.0,
+    frontier_cycles: float | None = None,
+) -> CpCost:
+    """Push each scheduled element along its incident edges.
+
+    Per element: the two offset loads and the source-value load; per
+    incident edge: the incident-id and destination-value loads, the Apply
+    compute, and on modification the destination-value write plus, on a
+    sparse frontier's first activation, the next-frontier bitmap write and
+    ``frontier_cycles`` (default ``config.frontier_op_cycles``) of
+    bookkeeping.  Finding the active elements is the caller's charge.  The
+    core pays Apply plus ``extra_tuple_cycles`` per tuple and
+    ``extra_element_cycles`` per element (software GLA's chain-queue
+    indirection and packing, ChGraph's chain-FIFO pop).
+
+    With ``ports`` (:meth:`PhasePorts.bind`) on the engine channel, a
+    decoupled engine issues the loads a bounded FIFO ahead of Apply, so
+    each prefetched line is consumed while still resident.  The returned
+    :class:`~repro.chgraph.prefetcher.CpCost` is that engine's count: a
+    beat per element and per tuple, and the summed load latency; callers
+    on the demand channel ignore it.
+
+    ``apply_fn`` is the phase's ``algorithm.phase_apply(...)`` closure,
+    taken once per *phase* (the algorithm may hand out a mirror it
+    reconciles in ``end_phase``); ``activated_bitmap`` is the activated
+    frontier's bitmap or a list mirror that the caller flushes back.
+    """
+    config = system.config
+    csr = hypergraph.side(spec.src_side)
+    offsets = csr.offsets_list()
+    indices = csr.indices_list()
+    dense = algorithm.dense_frontier
+    if frontier_cycles is None:
+        frontier_cycles = config.frontier_op_cycles
+    tuple_cycles = (
+        config.apply_cycles * algorithm.apply_cost_factor + extra_tuple_cycles
+    )
+    load_offset, load_src, load_incident, load_dst, write_dst, write_bitmap = ports
+    charge = system.charge_compute
+    charge_run = system.charge_compute_run
+
+    # Load latencies sum in a local (ints, so folding is exact), one
+    # addition per element and one per tuple.  The uniform per-tuple core
+    # charges accumulate as a run, flushed through ``charge_compute_run``
+    # before any *different* compute charge, so the compute accumulator
+    # sees the same additions in the same order.
+    loaded = 0
+    tuples = 0  # tuples processed, counted an element at a time
+    charged = 0  # tuples whose charge has been flushed
+    for element in elements:
+        if extra_element_cycles:
+            charge_run(core, tuple_cycles, tuples - charged)
+            charged = tuples
+            charge(core, extra_element_cycles)
+        loaded += load_offset(element) + load_offset(element + 1) + load_src(element)
+        start, end = offsets[element], offsets[element + 1]
+        # ``tuple_base + position + 1`` counts the tuples done mid-element.
+        tuple_base = tuples - start
+        tuples += end - start
+        for position in range(start, end):
+            dst = indices[position]
+            loaded += load_incident(position) + load_dst(dst)
+            if apply_fn(element, dst):
+                write_dst(dst)
+                if not activated_bitmap[dst]:
+                    activated_bitmap[dst] = True
+                    if not dense:
+                        write_bitmap(dst)
+                        done = tuple_base + position + 1
+                        charge_run(core, tuple_cycles, done - charged)
+                        charged = done
+                        charge(core, frontier_cycles)
+    charge_run(core, tuple_cycles, tuples - charged)
+    return CpCost(beats=len(elements) + tuples, overlapped_latency=loaded)
 
 
 class ExecutionEngine(abc.ABC):

@@ -9,117 +9,37 @@ through the phase timer's ``max(core, engine)`` rule.
 
 The CP's run-ahead is bounded by the 32-deep FIFOs, so the model interleaves
 prefetch and apply element-by-element: lines are consumed while still hot.
-``process_elements_engine`` is that interleaved walk, the one tuple loop on
-the engine channel; the event-triggered prefetcher baseline runs it too.
+That interleaved walk is the shared push loop
+(:func:`~repro.engine.base.process_elements`) with the loads bound on the
+engine channel; the event-triggered prefetcher baseline runs it too.
 
 Ablation switches reproduce Figure 16: ``use_hcg=False`` generates chains in
-software (charged to the core), ``use_cp=False`` leaves the loads on the
-core's demand path (:func:`~repro.engine.hygra.process_elements_demand`).
+software (charged to the core), ``use_cp=False`` binds the same loop's loads
+on the core's demand channel and charges no CP time.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.chgraph.hcg import HardwareChainGenerator, HcgPorts
-from repro.chgraph.prefetcher import CpCost
 from repro.core.chain import ChainGenerator
 from repro.core.oag import Oag
-from repro.engine.base import ExecutionEngine, PhaseSpec, dram_floor
+from repro.engine.base import (
+    ExecutionEngine,
+    PhasePorts,
+    PhaseSpec,
+    dram_floor,
+    process_elements,
+)
 from repro.engine.gla_soft import _SoftwareChainProbe
-from repro.engine.hygra import DemandPorts, process_elements_demand
 from repro.engine.resources import GlaResources
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
-from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem
 from repro.sim.protocol import MemorySystem
 
-__all__ = ["ChGraphEngine", "process_elements_engine"]
-
-
-def process_elements_engine(
-    system: MemorySystem,
-    hypergraph: Hypergraph,
-    algorithm: HypergraphAlgorithm,
-    spec: PhaseSpec,
-    core: int,
-    elements: list[int],
-    activated_bitmap: np.ndarray | list[bool],
-    apply_fn: Callable[[int, int], bool],
-    extra_tuple_cycles: float = 0.0,
-    frontier_cycles: float = 0.0,
-) -> CpCost:
-    """Process scheduled elements with the loads on the engine channel.
-
-    A decoupled engine fetches each element's offsets pair and source value
-    and each tuple's incident id and destination value into the core's L2
-    (``engine`` ports) while the core runs Apply.  The core pays the
-    algorithm's Apply cost plus ``extra_tuple_cycles`` (ChGraph's
-    chain-FIFO pop) per tuple; on modification it writes the destination
-    value, and on a sparse frontier's first activation the next-frontier
-    bitmap plus ``frontier_cycles`` of bookkeeping, both on its demand path.
-    ``apply_fn`` and ``activated_bitmap`` are as for
-    :func:`~repro.engine.hygra.process_elements_demand`.
-
-    The engine stages run tuple by tuple, a bounded FIFO ahead of the core,
-    so each prefetched line is consumed (and written) while still resident:
-    the loads interleave with Apply at edge granularity.  Returns the
-    engine's counters: one beat per element and per tuple, and the summed
-    latency of its loads.
-    """
-    config = system.config
-    csr = hypergraph.side(spec.src_side)
-    offsets = csr.offsets_list()
-    indices = csr.indices_list()
-    dense = algorithm.dense_frontier
-    tuple_cycles = (
-        config.apply_cycles * algorithm.apply_cost_factor + extra_tuple_cycles
-    )
-    charge = system.charge_compute
-    charge_run = system.charge_compute_run
-    fetch_offset = system.port(core, spec.src_offset, "engine")
-    fetch_src = system.port(core, spec.src_value, "engine")
-    fetch_incident = system.port(core, spec.incident, "engine")
-    fetch_dst = system.port(core, spec.dst_value, "engine")
-    write_dst = system.port(core, spec.dst_value, "write")
-    write_bitmap = system.port(core, ArrayId.BITMAP, "write")
-
-    # The load latencies sum in a local (ints, so folding is exact) and
-    # land on the returned record once; the uniform per-tuple core charges
-    # accumulate as a run and are flushed through ``charge_compute_run``
-    # before any *different* compute charge, preserving the accumulator's
-    # addition order.
-    overlapped = 0
-    tuples = 0  # tuples processed, counted an element at a time
-    charged = 0  # tuples whose charge has been flushed
-    for element in elements:
-        overlapped += fetch_offset(element) + fetch_offset(element + 1)
-        overlapped += fetch_src(element)
-        start, end = offsets[element], offsets[element + 1]
-        # ``tuple_base + position + 1`` counts the tuples done mid-element.
-        tuple_base = tuples - start
-        tuples += end - start
-        for position in range(start, end):
-            dst = indices[position]
-            overlapped += fetch_incident(position)
-            overlapped += fetch_dst(dst)
-            if apply_fn(element, dst):
-                write_dst(dst)
-                if not activated_bitmap[dst]:
-                    activated_bitmap[dst] = True
-                    if not dense:
-                        write_bitmap(dst)
-                        done = tuple_base + position + 1
-                        charge_run(core, tuple_cycles, done - charged)
-                        charged = done
-                        charge(core, frontier_cycles)
-    charge_run(core, tuple_cycles, tuples - charged)
-    return CpCost(beats=len(elements) + tuples, overlapped_latency=overlapped)
+__all__ = ["ChGraphEngine"]
 
 
 class ChGraphEngine(ExecutionEngine):
@@ -249,21 +169,17 @@ class ChGraphEngine(ExecutionEngine):
                 new_orders.append(order)
 
             # -- Load + Apply, interleaved per element -------------------------
+            cp_cost = process_elements(
+                system, hypergraph, algorithm, spec, core, order,
+                activated_bitmap,
+                PhasePorts.bind(
+                    system, spec, core, "engine" if self.use_cp else "read"
+                ),
+                apply_fn, extra_tuple_cycles=config.fifo_pop_cycles,
+            )
             if self.use_cp:
-                cp_cost = process_elements_engine(
-                    system, hypergraph, algorithm, spec, core, order,
-                    activated_bitmap, apply_fn,
-                    extra_tuple_cycles=config.fifo_pop_cycles,
-                    frontier_cycles=config.frontier_op_cycles,
-                )
                 engine_cycles += cp_cost.engine_cycles(
                     config.hw_stage_cycles, config.engine_mlp
-                )
-            else:
-                process_elements_demand(
-                    system, hypergraph, algorithm, spec, core, order,
-                    activated_bitmap, DemandPorts.bind(system, spec, core),
-                    apply_fn, extra_tuple_cycles=config.fifo_pop_cycles,
                 )
 
             # The engine cannot outrun its share of DRAM bandwidth.

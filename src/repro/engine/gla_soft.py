@@ -25,8 +25,7 @@ from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.gla import generate_schedules
 from repro.core.oag import Oag
-from repro.engine.base import ExecutionEngine, PhaseSpec
-from repro.engine.hygra import DemandPorts, process_elements_demand
+from repro.engine.base import ExecutionEngine, PhasePorts, PhaseSpec, process_elements
 from repro.engine.resources import GlaResources
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -170,7 +169,7 @@ class SoftwareGlaEngine(ExecutionEngine):
         sw_load = system.config.sw_load_cycles
         apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
         for chunk, order in zip(chunks, orders):
-            process_elements_demand(
+            process_elements(
                 system,
                 hypergraph,
                 algorithm,
@@ -178,7 +177,7 @@ class SoftwareGlaEngine(ExecutionEngine):
                 chunk.core,
                 order,
                 activated.bitmap,
-                DemandPorts.bind(system, spec, chunk.core),
+                PhasePorts.bind(system, spec, chunk.core, "read"),
                 apply_fn,
                 extra_element_cycles=sw_load,
                 extra_tuple_cycles=sw_load,

@@ -15,13 +15,8 @@ from __future__ import annotations
 
 from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
-from repro.engine.base import PhaseSpec
-from repro.engine.hygra import (
-    DemandPorts,
-    HygraEngine,
-    charge_frontier_traversal,
-    process_elements_demand,
-)
+from repro.engine.base import PhasePorts, PhaseSpec, process_elements
+from repro.engine.hygra import HygraEngine, charge_frontier_traversal
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
@@ -55,7 +50,7 @@ class InterleavedHygraEngine(HygraEngine):
                 (
                     chunk.core,
                     index_order_schedule(frontier, chunk),
-                    DemandPorts.bind(system, spec, chunk.core),
+                    PhasePorts.bind(system, spec, chunk.core, "read"),
                 )
             )
 
@@ -66,7 +61,7 @@ class InterleavedHygraEngine(HygraEngine):
             for core, elements, ports in schedules:
                 if position < len(elements):
                     live = True
-                    process_elements_demand(
+                    process_elements(
                         system,
                         hypergraph,
                         algorithm,

@@ -1,10 +1,10 @@
 """Cross-engine differential checking.
 
-Ten engines implement the same synchronous hyperedge/vertex loop over the
-same algorithms; they may only differ in *scheduling* and therefore in
-access counts and cycles — never in answers.  This harness exploits that
-redundancy: it sweeps seeded generator hypergraphs across every registry
-engine and asserts
+The twelve registry engines implement the same synchronous hyperedge/vertex
+loop over the same algorithms; they may only differ in *scheduling* and
+therefore in access counts and cycles — never in answers.  This harness
+exploits that redundancy: it sweeps seeded generator hypergraphs across
+every registry engine and asserts
 
 - **result identity** — each engine's algorithm output matches the
   reference engine's (``np.allclose`` with ``equal_nan``, the established
@@ -21,9 +21,9 @@ engine and asserts
 Engines that structurally cannot run an input (Ligra on non-2-uniform
 hypergraphs) are recorded as skips, not failures.
 
-:func:`inject_fault` deliberately breaks the hierarchy (reintroducing the
-bug classes this PR fixed) so tests and the ``repro check --inject-fault``
-smoke can prove the checker actually fires.
+:func:`inject_fault` deliberately breaks the hierarchy (reintroducing a
+lost-writeback or a mis-attribution bug) so tests and the
+``repro check --inject-fault`` smoke can prove the checker actually fires.
 """
 
 from __future__ import annotations

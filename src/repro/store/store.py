@@ -2,10 +2,12 @@
 
 Disk layout (all under one root directory, e.g. ``$REPRO_CACHE_DIR``)::
 
-    <root>/v1/resources/<key>.npz            GlaResources payload
-    <root>/v1/resources/<key>.npz.manifest   checksum + size sidecar
-    <root>/v1/results/<key>.json             RunResult payload
-    <root>/v1/results/<key>.json.manifest
+    <root>/v<N>/resources/<key>.npz            GlaResources payload
+    <root>/v<N>/resources/<key>.npz.manifest   checksum + size sidecar
+    <root>/v<N>/results/<key>.json             RunResult payload
+    <root>/v<N>/results/<key>.json.manifest
+
+where ``<N>`` is :data:`~repro.store.keys.STORE_SCHEMA_VERSION` (6 today).
 
 Writes are atomic: payloads land in a temp file in the destination
 directory and are ``os.replace``-d into place, then the manifest follows —
