@@ -29,14 +29,3 @@ __all__ = [
     "Sssp",
 ]
 
-
-def paper_suite(pr_iterations: int = 10) -> list[HypergraphAlgorithm]:
-    """The six applications of the paper's evaluation, in its order."""
-    return [
-        Bfs(),
-        PageRank(iterations=pr_iterations),
-        MaximalIndependentSet(),
-        BetweennessCentrality(),
-        ConnectedComponents(),
-        KCore(),
-    ]

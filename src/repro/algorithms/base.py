@@ -87,14 +87,15 @@ class HypergraphAlgorithm(abc.ABC):
     ) -> Callable[[int, int], bool]:
         """A per-phase bound form of the phase's update function.
 
-        Engines call this once per phase (never per chunk) and then invoke
-        the returned ``apply(src, dst) -> bool`` once per bipartite edge —
-        the hot call of every inner loop.  The default binds ``state`` and
-        ``hypergraph`` into :meth:`apply_hf`/:meth:`apply_vf` unchanged;
-        algorithms may override it to return a closure over cheaper private
-        state (plain-list mirrors of the numpy value arrays), provided they
-        reconcile that state in :meth:`end_phase` so the update arithmetic
-        stays bit-identical to the per-call methods.
+        ``ExecutionEngine.run`` calls this once per phase (never per chunk),
+        and the engines invoke the returned ``apply(src, dst) -> bool`` once
+        per bipartite edge — the hot call of every inner loop.  The default
+        binds ``state`` and ``hypergraph`` into :meth:`apply_hf`/
+        :meth:`apply_vf` unchanged; algorithms may override it to return a
+        closure over cheaper private state (plain-list mirrors of the numpy
+        value arrays), provided they reconcile that state in
+        :meth:`end_phase` so the update arithmetic stays bit-identical to
+        the per-call methods.
         """
         fn = self.apply_hf if phase == PHASE_HYPEREDGE else self.apply_vf
         return functools.partial(fn, state, hypergraph)

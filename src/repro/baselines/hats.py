@@ -23,11 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.oag import Oag
+from repro.engine.base import Phase
 from repro.engine.chgraph_engine import ChGraphEngine
-from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
-from repro.sim.protocol import MemorySystem
 
 __all__ = ["HatsVEngine", "bdfs_order"]
 
@@ -93,23 +92,17 @@ class HatsVEngine(ChGraphEngine):
     name = "HATS-V"
 
     def _generate_chunk(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        side: str,
-        frontier: Frontier,
-        chunk: Chunk,
-        oag: Oag,
-        edge_base: int,
-        dense: bool,
+        self, phase: Phase, chunk: Chunk, oag: Oag, edge_base: int
     ) -> tuple[list[int], float]:
-        active = frontier.bitmap[chunk.first : chunk.last]
-        order, traversed = bdfs_order(hypergraph, side, active, chunk.first)
+        active = phase.frontier.bitmap[chunk.first : chunk.last]
+        order, traversed = bdfs_order(
+            phase.hypergraph, phase.spec.src_side, active, chunk.first
+        )
         # Each traversal step is a pipeline beat plus an incident-array read.
         # Those reads walk the same arrays the prefetcher is streaming, so
         # they are predominantly L2 hits; charge them analytically rather
         # than perturbing the hierarchy state.
-        config = system.config
+        config = phase.system.config
         cycles = traversed * (
             config.hw_stage_cycles + config.l2_latency / config.engine_mlp
         )

@@ -13,20 +13,15 @@ time approaches the bandwidth floor.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
 from repro.engine.base import (
     ExecutionEngine,
+    Phase,
     PhasePorts,
-    PhaseSpec,
     dram_floor,
     process_elements,
 )
 from repro.engine.hygra import charge_frontier_traversal
-from repro.hypergraph.frontier import Frontier
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.partition import Chunk
-from repro.sim.protocol import MemorySystem
 
 __all__ = ["EventPrefetcherEngine"]
 
@@ -36,21 +31,11 @@ class EventPrefetcherEngine(ExecutionEngine):
 
     name = "EventPrefetcher"
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
+    def _run_phase(self, phase: Phase) -> None:
+        system = phase.system
         config = system.config
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
-        for chunk in chunks:
-            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
+        for chunk in phase.chunks:
+            charge_frontier_traversal(phase, chunk)
             dram_before = system.dram_accesses()
             # The prefetch engine chases the per-element indirections in
             # index order; the core pays only Apply per tuple.  Unlike every
@@ -58,15 +43,10 @@ class EventPrefetcherEngine(ExecutionEngine):
             # sparse activation: an open model question, kept explicit here
             # because answering it changes the fig23 table.
             cost = process_elements(
-                system,
-                hypergraph,
-                algorithm,
-                spec,
+                phase,
                 chunk.core,
-                index_order_schedule(frontier, chunk),
-                activated.bitmap,
-                PhasePorts.bind(system, spec, chunk.core, "engine"),
-                apply_fn,
+                index_order_schedule(phase.frontier, chunk),
+                PhasePorts.bind(phase, chunk.core, "engine"),
                 frontier_cycles=0.0,
             )
             engine_cycles = max(

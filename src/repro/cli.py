@@ -62,6 +62,7 @@ a traceback; ``repro --version`` reports the package version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections.abc import Sequence
 
@@ -606,7 +607,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"retried-inline={retried}, {report.seconds:.2f}s"
         )
     if runner.store is not None:
-        print(f"cache: {runner.store.stats} ({runner.store.root})")
+        stats = runner.store.stats
+        if report is not None:
+            # Workers write through their own copies of the store.
+            stats = dataclasses.replace(
+                stats, writes=stats.writes + report.worker_writes
+            )
+        print(f"cache: {stats} ({runner.store.root})")
     if args.check:
         violations = [
             f"{spec.label()}: {message}"

@@ -3,7 +3,9 @@
 Every engine runs the same synchronous loop — hyperedge computation (active
 vertices push HF) then vertex computation (active hyperedges push VF), with
 a barrier after each phase — and differs only in how a phase schedules and
-charges its work.  Subclasses implement :meth:`_run_phase`.
+charges its work.  :meth:`ExecutionEngine.run` binds each phase's inputs
+once into a :class:`Phase`, the only argument of the :meth:`_run_phase`
+that subclasses implement.
 
 :func:`process_elements` is the one push tuple loop; every engine but the
 pull ablation runs it, with its loads on the core's demand channel (Hygra,
@@ -15,8 +17,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from repro.algorithms.base import (
     PHASE_HYPEREDGE,
@@ -45,6 +45,7 @@ from repro.sim.protocol import (
 
 __all__ = [
     "ExecutionEngine",
+    "Phase",
     "PhasePorts",
     "PhaseSpec",
     "PHASE_SPECS",
@@ -108,6 +109,31 @@ def dram_floor(system: MemorySystem, lines: int) -> float:
     return lines / (config.peak_dram_lines_per_cycle / config.num_cores)
 
 
+@dataclasses.dataclass(frozen=True)
+class Phase:
+    """One phase's inputs, bound once by :meth:`ExecutionEngine.run`.
+
+    Algorithms 1 and 2 give every phase the same inputs: the active
+    ``frontier`` of the scheduled side, its per-core ``chunks``, the HF/VF
+    update and the next-frontier bitmap.  ``apply`` is the algorithm's
+    :meth:`~repro.algorithms.base.HypergraphAlgorithm.phase_apply` closure
+    (the algorithm may hand out a mirror it reconciles in ``end_phase``);
+    ``activated`` is a plain-list mirror of the activated frontier's
+    bitmap, because numpy bool indexing costs ~3x a list index in the tuple
+    loop.  ``run`` copies the mirror back into the frontier after
+    :meth:`ExecutionEngine._run_phase` returns.
+    """
+
+    system: MemorySystem
+    hypergraph: Hypergraph
+    algorithm: HypergraphAlgorithm
+    spec: PhaseSpec
+    frontier: Frontier
+    chunks: list[Chunk]
+    activated: list[bool]
+    apply: Callable[[int, int], bool]
+
+
 class PhasePorts(NamedTuple):
     """One core's ports over one phase's arrays.
 
@@ -123,9 +149,8 @@ class PhasePorts(NamedTuple):
     write_bitmap: Port
 
     @classmethod
-    def bind(
-        cls, system: MemorySystem, spec: PhaseSpec, core: int, channel: str
-    ) -> "PhasePorts":
+    def bind(cls, phase: Phase, core: int, channel: str) -> "PhasePorts":
+        system, spec = phase.system, phase.spec
         return cls(
             system.port(core, spec.src_offset, channel),
             system.port(core, spec.src_value, channel),
@@ -137,15 +162,10 @@ class PhasePorts(NamedTuple):
 
 
 def process_elements(
-    system: MemorySystem,
-    hypergraph: Hypergraph,
-    algorithm: HypergraphAlgorithm,
-    spec: PhaseSpec,
+    phase: Phase,
     core: int,
     elements: list[int],
-    activated_bitmap: np.ndarray | list[bool],
     ports: PhasePorts,
-    apply_fn: Callable[[int, int], bool],
     extra_element_cycles: float = 0.0,
     extra_tuple_cycles: float = 0.0,
     frontier_cycles: float | None = None,
@@ -169,16 +189,18 @@ def process_elements(
     beat per element and per tuple, and the summed load latency; callers
     on the demand channel ignore it.
 
-    ``apply_fn`` is the phase's ``algorithm.phase_apply(...)`` closure,
-    taken once per *phase* (the algorithm may hand out a mirror it
-    reconciles in ``end_phase``); ``activated_bitmap`` is the activated
-    frontier's bitmap or a list mirror that the caller flushes back.
+    Updates go through ``phase.apply`` and first activations into the
+    ``phase.activated`` mirror, both bound once per phase by
+    :meth:`ExecutionEngine.run`.
     """
+    system, algorithm = phase.system, phase.algorithm
     config = system.config
-    csr = hypergraph.side(spec.src_side)
+    csr = phase.hypergraph.side(phase.spec.src_side)
     offsets = csr.offsets_list()
     indices = csr.indices_list()
     dense = algorithm.dense_frontier
+    apply_fn = phase.apply
+    activated = phase.activated
     if frontier_cycles is None:
         frontier_cycles = config.frontier_op_cycles
     tuple_cycles = (
@@ -211,8 +233,8 @@ def process_elements(
             loaded += load_incident(position) + load_dst(dst)
             if apply_fn(element, dst):
                 write_dst(dst)
-                if not activated_bitmap[dst]:
-                    activated_bitmap[dst] = True
+                if not activated[dst]:
+                    activated[dst] = True
                     if not dense:
                         write_bitmap(dst)
                         done = tuple_base + position + 1
@@ -248,7 +270,7 @@ class ExecutionEngine(abc.ABC):
             PHASE_HYPEREDGE: contiguous_chunks(hypergraph.num_vertices, num_cores),
             PHASE_VERTEX: contiguous_chunks(hypergraph.num_hyperedges, num_cores),
         }
-        self._prepare(hypergraph, system, chunks)
+        self._prepare(hypergraph, system)
         emit = system.on_event
 
         state = algorithm.init_state(hypergraph)
@@ -275,16 +297,20 @@ class ExecutionEngine(abc.ABC):
                     if hyperedge_phase
                     else hypergraph.num_vertices
                 )
+                mirror = activated.bitmap.tolist()
                 self._run_phase(
-                    system,
-                    hypergraph,
-                    algorithm,
-                    state,
-                    PHASE_SPECS[phase],
-                    frontier,
-                    chunks[phase],
-                    activated,
+                    Phase(
+                        system,
+                        hypergraph,
+                        algorithm,
+                        PHASE_SPECS[phase],
+                        frontier,
+                        chunks[phase],
+                        mirror,
+                        algorithm.phase_apply(state, hypergraph, phase),
+                    )
                 )
+                activated.bitmap[:] = mirror
                 activated = algorithm.end_phase(state, hypergraph, phase, activated)
                 if hyperedge_phase:
                     state.frontier_e = activated
@@ -311,26 +337,11 @@ class ExecutionEngine(abc.ABC):
 
     # -- subclass hooks ------------------------------------------------------
 
-    def _prepare(
-        self,
-        hypergraph: Hypergraph,
-        system: MemorySystem,
-        chunks: dict[str, list[Chunk]],
-    ) -> None:
+    def _prepare(self, hypergraph: Hypergraph, system: MemorySystem) -> None:
         """Per-run setup (GLA engines attach per-chunk OAGs here)."""
 
     @abc.abstractmethod
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
+    def _run_phase(self, phase: Phase) -> None:
         """Process one phase: visit active elements, apply updates, charge."""
 
     # -- result assembly -------------------------------------------------------

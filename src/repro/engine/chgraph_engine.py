@@ -20,20 +20,18 @@ on the core's demand channel and charges no CP time.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.chgraph.hcg import HardwareChainGenerator, HcgPorts
 from repro.core.chain import ChainGenerator
 from repro.core.oag import Oag
 from repro.engine.base import (
     ExecutionEngine,
+    Phase,
     PhasePorts,
-    PhaseSpec,
     dram_floor,
     process_elements,
 )
 from repro.engine.gla_soft import _SoftwareChainProbe
 from repro.engine.resources import GlaResources
-from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
 from repro.sim.observe import InstrumentedSystem
@@ -76,12 +74,7 @@ class ChGraphEngine(ExecutionEngine):
 
     # -- setup ------------------------------------------------------------------
 
-    def _prepare(
-        self,
-        hypergraph: Hypergraph,
-        system: MemorySystem,
-        chunks: dict[str, list[Chunk]],
-    ) -> None:
+    def _prepare(self, hypergraph: Hypergraph, system: MemorySystem) -> None:
         if self.resources is None or self.resources.num_cores != (
             system.config.num_cores
         ):
@@ -123,20 +116,11 @@ class ChGraphEngine(ExecutionEngine):
 
     # -- phase execution -----------------------------------------------------
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
+    def _run_phase(self, phase: Phase) -> None:
         assert self.resources is not None
+        system, spec = phase.system, phase.spec
         config = system.config
-        dense = algorithm.dense_frontier
+        dense = phase.algorithm.dense_frontier
         oags = self.resources.oags_for(spec.src_side)
         bases = self.resources.edge_position_bases(spec.src_side)
         cached_orders = (
@@ -145,14 +129,8 @@ class ChGraphEngine(ExecutionEngine):
             else None
         )
         new_orders: list[list[int]] = []
-        # Bound once per phase: the apply closure (never per chunk — the
-        # algorithm may hand out a mirror it reconciles in end_phase) and a
-        # plain-list mirror of the activation bitmap (numpy bool indexing
-        # costs ~3x a list index; flushed back after the chunk loop).
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
-        activated_bitmap = activated.bitmap.tolist()
 
-        for chunk_index, chunk in enumerate(chunks):
+        for chunk_index, chunk in enumerate(phase.chunks):
             core = chunk.core
             dram_before = system.dram_accesses()
             engine_cycles = 0.0
@@ -162,20 +140,16 @@ class ChGraphEngine(ExecutionEngine):
                 order = cached_orders[chunk_index]
             else:
                 order, gen_cycles = self._generate_chunk(
-                    system, hypergraph, spec.src_side, frontier, chunk,
-                    oags[chunk_index], bases[chunk_index], dense,
+                    phase, chunk, oags[chunk_index], bases[chunk_index]
                 )
                 engine_cycles += gen_cycles
                 new_orders.append(order)
 
             # -- Load + Apply, interleaved per element -------------------------
             cp_cost = process_elements(
-                system, hypergraph, algorithm, spec, core, order,
-                activated_bitmap,
-                PhasePorts.bind(
-                    system, spec, core, "engine" if self.use_cp else "read"
-                ),
-                apply_fn, extra_tuple_cycles=config.fifo_pop_cycles,
+                phase, core, order,
+                PhasePorts.bind(phase, core, "engine" if self.use_cp else "read"),
+                extra_tuple_cycles=config.fifo_pop_cycles,
             )
             if self.use_cp:
                 engine_cycles += cp_cost.engine_cycles(
@@ -189,34 +163,26 @@ class ChGraphEngine(ExecutionEngine):
             )
             system.charge_engine(core, engine_cycles)
 
-        activated.bitmap[:] = activated_bitmap
-
         if (
             cached_orders is None
             and dense
             and self.cache_dense_chains
-            and not frontier.is_empty()
+            and not phase.frontier.is_empty()
         ):
             self._dense_chain_cache[spec.phase] = new_orders
 
     def _generate_chunk(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        side: str,
-        frontier: Frontier,
-        chunk: Chunk,
-        oag: Oag,
-        edge_base: int,
-        dense: bool,
+        self, phase: Phase, chunk: Chunk, oag: Oag, edge_base: int
     ) -> tuple[list[int], float]:
-        """Generate one chunk's chain order over the ``side`` elements.
+        """Generate one chunk's chain order over the phase's source elements.
 
         Returns ``(order, engine_cycles)``: the HCG's cost is engine-side;
         the ``use_hcg=False`` ablation runs Algorithm 3 in software, whose
         probe charges the core directly, so it returns 0.0 engine cycles.
         """
-        active = frontier.bitmap[chunk.first : chunk.last]
+        system = phase.system
+        dense = phase.algorithm.dense_frontier
+        active = phase.frontier.bitmap[chunk.first : chunk.last]
         if self.use_hcg:
             chains, cost = self._hcg.generate(
                 active, oag, HcgPorts.bind(system, chunk.core), edge_base, dense

@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.gla import generate_schedules
 from repro.core.oag import Oag
-from repro.engine.base import ExecutionEngine, PhasePorts, PhaseSpec, process_elements
+from repro.engine.base import ExecutionEngine, Phase, PhasePorts, process_elements
 from repro.engine.resources import GlaResources
-from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.partition import Chunk
 from repro.sim.layout import ArrayId
 from repro.sim.protocol import MemorySystem
 
@@ -106,12 +103,7 @@ class SoftwareGlaEngine(ExecutionEngine):
         self._stats: dict[str, float] = {}
         self._dense_schedule_cache: dict[str, list[list[int]]] = {}
 
-    def _prepare(
-        self,
-        hypergraph: Hypergraph,
-        system: MemorySystem,
-        chunks: dict[str, list[Chunk]],
-    ) -> None:
+    def _prepare(self, hypergraph: Hypergraph, system: MemorySystem) -> None:
         if self.resources is None or self.resources.num_cores != (
             system.config.num_cores
         ):
@@ -130,19 +122,12 @@ class SoftwareGlaEngine(ExecutionEngine):
     def _chain_stats(self) -> dict[str, float]:
         return dict(self._stats)
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
+    def _run_phase(self, phase: Phase) -> None:
         assert self.resources is not None and self._generator is not None
-        dense = algorithm.dense_frontier
+        system, spec, frontier, chunks = (
+            phase.system, phase.spec, phase.frontier, phase.chunks
+        )
+        dense = phase.algorithm.dense_frontier
         cacheable = dense and self.cache_dense_chains
         cached = cacheable and spec.phase in self._dense_schedule_cache
         if cached:
@@ -167,18 +152,12 @@ class SoftwareGlaEngine(ExecutionEngine):
                 self._dense_schedule_cache[spec.phase] = orders
 
         sw_load = system.config.sw_load_cycles
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
         for chunk, order in zip(chunks, orders):
             process_elements(
-                system,
-                hypergraph,
-                algorithm,
-                spec,
+                phase,
                 chunk.core,
                 order,
-                activated.bitmap,
-                PhasePorts.bind(system, spec, chunk.core, "read"),
-                apply_fn,
+                PhasePorts.bind(phase, chunk.core, "read"),
                 extra_element_cycles=sw_load,
                 extra_tuple_cycles=sw_load,
             )

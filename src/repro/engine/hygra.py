@@ -14,14 +14,10 @@ loop and in the extra cycles they charge on it.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
-from repro.engine.base import ExecutionEngine, PhasePorts, PhaseSpec, process_elements
-from repro.hypergraph.frontier import Frontier
-from repro.hypergraph.hypergraph import Hypergraph
+from repro.engine.base import ExecutionEngine, Phase, PhasePorts, process_elements
 from repro.hypergraph.partition import Chunk
 from repro.sim.layout import ArrayId
-from repro.sim.protocol import MemorySystem
 
 __all__ = ["HygraEngine"]
 
@@ -29,13 +25,7 @@ __all__ = ["HygraEngine"]
 SPARSE_DENSE_THRESHOLD = 0.05
 
 
-def charge_frontier_traversal(
-    system: MemorySystem,
-    core: int,
-    chunk: Chunk,
-    frontier: Frontier,
-    algorithm: HypergraphAlgorithm,
-) -> None:
+def charge_frontier_traversal(phase: Phase, chunk: Chunk) -> None:
     """Charge the cost of *finding* a chunk's active elements.
 
     Hygra switches representations like Ligra: a dense frontier is read by
@@ -44,16 +34,17 @@ def charge_frontier_traversal(
     sequential read is negligible next to the per-element CSR work.
     All-active algorithms (PR) skip the bitmap entirely (§VI-C).
     """
-    if algorithm.dense_frontier:
+    if phase.algorithm.dense_frontier:
         return
-    if frontier.density() >= SPARSE_DENSE_THRESHOLD:
+    if phase.frontier.density() >= SPARSE_DENSE_THRESHOLD:
+        system = phase.system
         config = system.config
         stride = config.line_size  # one BITMAP probe per line of flags
-        read_bitmap = system.port(core, ArrayId.BITMAP, "read")
+        read_bitmap = system.port(chunk.core, ArrayId.BITMAP, "read")
         for index in range(chunk.first, chunk.last, stride):
             read_bitmap(index)
         system.charge_compute(
-            core, len(chunk) * config.frontier_op_cycles / 8
+            chunk.core, len(chunk) * config.frontier_op_cycles / 8
         )
 
 
@@ -62,32 +53,12 @@ class HygraEngine(ExecutionEngine):
 
     name = "Hygra"
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
-        # A plain-list mirror of the activation bitmap, as ChGraph keeps:
-        # numpy bool indexing costs ~3x a list index in the tuple loop.
-        activated_bitmap = activated.bitmap.tolist()
-        for chunk in chunks:
-            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
+    def _run_phase(self, phase: Phase) -> None:
+        for chunk in phase.chunks:
+            charge_frontier_traversal(phase, chunk)
             process_elements(
-                system,
-                hypergraph,
-                algorithm,
-                spec,
+                phase,
                 chunk.core,
-                index_order_schedule(frontier, chunk),
-                activated_bitmap,
-                PhasePorts.bind(system, spec, chunk.core, "read"),
-                apply_fn,
+                index_order_schedule(phase.frontier, chunk),
+                PhasePorts.bind(phase, chunk.core, "read"),
             )
-        activated.bitmap[:] = activated_bitmap

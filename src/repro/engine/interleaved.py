@@ -13,14 +13,9 @@ introduces into the shared-LLC behaviour.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
 from repro.core.gla import index_order_schedule
-from repro.engine.base import PhasePorts, PhaseSpec, process_elements
+from repro.engine.base import Phase, PhasePorts, process_elements
 from repro.engine.hygra import HygraEngine, charge_frontier_traversal
-from repro.hypergraph.frontier import Frontier
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.partition import Chunk
-from repro.sim.protocol import MemorySystem
 
 __all__ = ["InterleavedHygraEngine"]
 
@@ -30,27 +25,16 @@ class InterleavedHygraEngine(HygraEngine):
 
     name = "Hygra-interleaved"
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
+    def _run_phase(self, phase: Phase) -> None:
         schedules = []
-        for chunk in chunks:
-            charge_frontier_traversal(system, chunk.core, chunk, frontier, algorithm)
+        for chunk in phase.chunks:
+            charge_frontier_traversal(phase, chunk)
             # Ports are bound once per core per phase, not per element.
             schedules.append(
                 (
                     chunk.core,
-                    index_order_schedule(frontier, chunk),
-                    PhasePorts.bind(system, spec, chunk.core, "read"),
+                    index_order_schedule(phase.frontier, chunk),
+                    PhasePorts.bind(phase, chunk.core, "read"),
                 )
             )
 
@@ -61,15 +45,5 @@ class InterleavedHygraEngine(HygraEngine):
             for core, elements, ports in schedules:
                 if position < len(elements):
                     live = True
-                    process_elements(
-                        system,
-                        hypergraph,
-                        algorithm,
-                        spec,
-                        core,
-                        [elements[position]],
-                        activated.bitmap,
-                        ports,
-                        apply_fn,
-                    )
+                    process_elements(phase, core, [elements[position]], ports)
             position += 1

@@ -15,15 +15,8 @@ paper models.  Results are identical to push by construction: the same
 
 from __future__ import annotations
 
-from repro.algorithms.base import (
-    AlgorithmState,
-    HypergraphAlgorithm,
-)
-from repro.engine.base import ExecutionEngine, PhaseSpec
-from repro.sim.protocol import MemorySystem
-from repro.hypergraph.frontier import Frontier
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.partition import Chunk, contiguous_chunks
+from repro.engine.base import ExecutionEngine, Phase
+from repro.hypergraph.partition import contiguous_chunks
 from repro.sim.layout import ArrayId
 
 __all__ = ["PullHygraEngine"]
@@ -34,26 +27,17 @@ class PullHygraEngine(ExecutionEngine):
 
     name = "Hygra-pull"
 
-    def _run_phase(
-        self,
-        system: MemorySystem,
-        hypergraph: Hypergraph,
-        algorithm: HypergraphAlgorithm,
-        state: AlgorithmState,
-        spec: PhaseSpec,
-        frontier: Frontier,
-        chunks: list[Chunk],
-        activated: Frontier,
-    ) -> None:
+    def _run_phase(self, phase: Phase) -> None:
+        system, algorithm, spec = phase.system, phase.algorithm, phase.spec
         config = system.config
         # Pull iterates the DESTINATION side: its CSR is the mirror of the
         # phase's source CSR (hyperedges' member lists during hyperedge
         # computation, where sources are vertices).
         dst_side = "hyperedge" if spec.src_side == "vertex" else "vertex"
-        dst_csr = hypergraph.side(dst_side)
+        dst_csr = phase.hypergraph.side(dst_side)
         offsets = dst_csr.offsets_list()
         indices = dst_csr.indices_list()
-        apply_fn = algorithm.phase_apply(state, hypergraph, spec.phase)
+        apply_fn = phase.apply
         # The positions walked are the destination side's incidence list
         # (e.g. incident_vertex while gathering into hyperedges), the mirror
         # of the push engines' array.
@@ -64,8 +48,8 @@ class PullHygraEngine(ExecutionEngine):
         )
         dense = algorithm.dense_frontier
         apply_cycles = config.apply_cycles * algorithm.apply_cost_factor
-        frontier_bitmap = frontier.bitmap
-        activated_bitmap = activated.bitmap
+        frontier_bitmap = phase.frontier.bitmap
+        activated = phase.activated
         charge = system.charge_compute
 
         # Destinations are chunked over their own universe.
@@ -101,7 +85,7 @@ class PullHygraEngine(ExecutionEngine):
                 if touched:
                     # One sequential write per destination (pull's payoff).
                     write_dst(dst)
-                    if not activated_bitmap[dst]:
-                        activated_bitmap[dst] = True
+                    if not activated[dst]:
+                        activated[dst] = True
                         if not dense:
                             write_bitmap(dst)

@@ -83,11 +83,17 @@ class RunReport:
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionReport:
-    """What :func:`execute_runs` did: shard plan plus per-run reports."""
+    """What :func:`execute_runs` did: shard plan plus per-run reports.
+
+    ``worker_writes`` counts the artifact-store writes that workers made
+    through their copies of the caller's store; the caller's own store
+    stats already count the writes of shards that ran inline.
+    """
 
     reports: tuple[RunReport, ...]
     shards: tuple[tuple[RunSpec, ...], ...]
     seconds: float
+    worker_writes: int = 0
 
     @property
     def parallel(self) -> bool:
@@ -241,12 +247,15 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _run_shard(payload: _ShardPayload) -> list[RunReport]:
+def _run_shard(payload: _ShardPayload) -> tuple[list[RunReport], int]:
     """Worker body: run one shard and report every run with its result.
 
     A run that times out or raises is reported failed as
     ``"<Type>: <message>"`` and the shard *continues*; only a worker death
-    loses the whole shard (and the pool machinery retries it).
+    loses the whole shard (and the pool machinery retries it).  Also
+    returns the store writes a worker made: its runner is a fresh copy, so
+    its store stats count this shard alone.  Inline, the caller's runner
+    wrote and counted them, so the shard reports 0.
     """
     where = "worker" if os.getpid() != payload.parent_pid else "inline"
     reports = []
@@ -264,7 +273,9 @@ def _run_shard(payload: _ShardPayload) -> list[RunReport]:
             spec=spec, ok=True, seconds=time.perf_counter() - start,
             where=where, result=result,
         ))
-    return reports
+    store = payload.runner.store
+    writes = store.stats.writes if where == "worker" and store is not None else 0
+    return reports, writes
 
 
 # -- the executor ------------------------------------------------------------
@@ -331,10 +342,11 @@ def execute_runs(
         backoff=backoff,
     )
     by_spec = {
-        report.spec: report for outcome in outcomes for report in outcome.value
+        report.spec: report for outcome in outcomes for report in outcome.value[0]
     }
     return ExecutionReport(
         reports=tuple(by_spec[spec] for spec in unique),
         shards=tuple(tuple(shard) for shard in shards),
         seconds=time.perf_counter() - start,
+        worker_writes=sum(outcome.value[1] for outcome in outcomes),
     )

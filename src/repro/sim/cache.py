@@ -77,9 +77,6 @@ class Cache:
         self._dirty: set[int] = set()
         self.stats = CacheStats()
 
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
     def lookup(self, line: int) -> bool:
         """Probe without allocating; promotes to MRU on hit."""
         ways = self._sets[line % self.num_sets]

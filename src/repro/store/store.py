@@ -66,9 +66,6 @@ class StoreStats:
     evictions: int = 0
     corruptions: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
     def __str__(self) -> str:
         return (
             f"{self.hits} hits, {self.misses} misses, {self.writes} writes, "

@@ -1,0 +1,64 @@
+"""Every engine gets each phase's update bound once, by the engine loop.
+
+``ExecutionEngine.run`` takes the algorithm's ``phase_apply`` closure once
+per phase and hands it to ``_run_phase`` in the
+:class:`~repro.engine.base.Phase` record.  A binding per chunk would not
+show in any number for an algorithm that keeps no list mirror, so this
+counts the bindings themselves: two per iteration, on every engine.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.algorithms import Bfs, PageRank
+from repro.engine.registry import engine_names
+from repro.harness.differential import seeded_graphs
+from repro.harness.runner import Runner
+from repro.hypergraph.generators import two_uniform_graph
+from repro.sim.config import scaled_config
+from repro.sim.system import SimulatedSystem
+
+CONFIG = scaled_config(num_cores=4, llc_kb=2)
+HYPERGRAPH = seeded_graphs(1)[0]
+#: Ligra accepts ordinary graphs only: a 64-vertex ring with chords.
+GRAPH = two_uniform_graph(
+    [(v, (v + 1) % 64) for v in range(64)] + [(v, v + 7) for v in range(0, 56, 3)],
+    num_vertices=64,
+    name="ring-64",
+)
+RUNNER = Runner(cache_dir=None)
+
+
+class _CountsBindings:
+    """Counts the algorithm's ``phase_apply`` calls."""
+
+    bindings = 0
+
+    def phase_apply(self, state, hypergraph, phase):
+        self.bindings += 1
+        return super().phase_apply(state, hypergraph, phase)
+
+
+class _Bfs(_CountsBindings, Bfs):
+    pass
+
+
+class _PageRank(_CountsBindings, PageRank):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make_algorithm",
+    [_Bfs, lambda: _PageRank(iterations=1)],
+    ids=["BFS", "PR"],
+)
+@pytest.mark.parametrize("engine", engine_names())
+def test_each_phase_binds_the_update_once(engine, make_algorithm):
+    graph = GRAPH if engine == "Ligra" else HYPERGRAPH
+    algorithm = make_algorithm()
+    result = RUNNER.engine(engine, graph, CONFIG).run(
+        algorithm, graph, SimulatedSystem(CONFIG)
+    )
+    assert result.iterations >= 1
+    assert algorithm.bindings == 2 * result.iterations

@@ -19,8 +19,9 @@ import pytest
 from repro.algorithms import Bfs, PageRank
 from repro.algorithms.base import PHASE_HYPEREDGE, PHASE_VERTEX
 from repro.chgraph.prefetcher import CpCost
-from repro.engine.base import PHASE_SPECS, PhasePorts, process_elements
+from repro.engine.base import PHASE_SPECS, Phase, PhasePorts, process_elements
 from repro.harness.differential import seeded_graphs
+from repro.hypergraph.partition import contiguous_chunks
 from repro.sim.config import scaled_config
 from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem, Observer
@@ -50,20 +51,22 @@ def _walk(
     spec = PHASE_SPECS[phase]
     log = _AccessLog()
     system = InstrumentedSystem(SimulatedSystem(scaled_config(num_cores=2)), [log])
-    destinations = (
-        GRAPH.num_hyperedges if phase == PHASE_HYPEREDGE else GRAPH.num_vertices
-    )
+    hyperedge_phase = phase == PHASE_HYPEREDGE
+    sources = GRAPH.num_vertices if hyperedge_phase else GRAPH.num_hyperedges
+    destinations = GRAPH.num_hyperedges if hyperedge_phase else GRAPH.num_vertices
     activated = [False] * destinations
-    cost = process_elements(
+    bound = Phase(
         system,
         GRAPH,
         algorithm,
         spec,
-        0,
-        elements,
+        state.frontier_v if hyperedge_phase else state.frontier_e,
+        contiguous_chunks(sources, 2),
         activated,
-        PhasePorts.bind(system, spec, 0, channel),
         algorithm.phase_apply(state, GRAPH, phase),
+    )
+    cost = process_elements(
+        bound, 0, elements, PhasePorts.bind(bound, 0, channel)
     )
     return log.accesses, activated, cost
 

@@ -176,6 +176,23 @@ def test_run_many_parallel_is_bit_identical_to_serial(tmp_path):
         assert result.memory_stall_fraction == expected.memory_stall_fraction
 
 
+def test_report_counts_the_workers_store_writes(tmp_path):
+    """Workers write through their own copies of the store, so the caller's
+    stats miss those writes; the report carries them back."""
+    runner = Runner(pr_iterations=1, cache_dir=tmp_path)
+    report = execute_runs(
+        _normalized(_specs(engines=("Hygra",), apps=("BFS", "CC"))),
+        runner,
+        jobs=2,
+        timeout=120,
+    )
+    assert report.parallel and report.ok
+    assert all(r.where == "worker" for r in report.reports)
+    assert report.worker_writes == 2
+    assert runner.store.stats.writes == 0
+    assert len(runner.store.ls()) == 2
+
+
 def test_execute_runs_without_store_runs_in_parallel():
     specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
     report = execute_runs(specs, Runner(pr_iterations=1, cache_dir=None), jobs=2)

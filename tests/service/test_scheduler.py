@@ -137,7 +137,7 @@ class TestRetrySettlement:
                     error="RuntimeError: injected",
                 )
                 for spec in payload.specs
-            ]
+            ], 0
 
         monkeypatch.setattr(parallel_mod, "_run_shard", flaky_shard)
         queue, scheduler, metrics = make_parts(job_retries=1)
@@ -160,11 +160,11 @@ class TestRetrySettlement:
                 return [RunReport(
                     spec=payload.specs[0], ok=False, seconds=0.0,
                     where="inline", error="OSError: transient",
-                )]
+                )], 0
             return [RunReport(
                 spec=payload.specs[0], ok=True, seconds=0.0, where="inline",
                 result=small_result,
-            )]
+            )], 0
 
         monkeypatch.setattr(parallel_mod, "_run_shard", flaky_once)
         queue, scheduler, metrics = make_parts(job_retries=1)
