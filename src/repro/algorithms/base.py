@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import functools
 from typing import Any, Callable
 
 import numpy as np
@@ -25,27 +24,77 @@ import numpy as np
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 
-__all__ = ["AlgorithmState", "HypergraphAlgorithm", "PHASE_HYPEREDGE", "PHASE_VERTEX"]
+__all__ = [
+    "AlgorithmState",
+    "HypergraphAlgorithm",
+    "PHASE_HYPEREDGE",
+    "PHASE_VERTEX",
+    "Update",
+    "check_source",
+]
 
 #: Hyperedge computation: active vertices push HF into hyperedges.
 PHASE_HYPEREDGE = "hyperedge"
 #: Vertex computation: active hyperedges push VF into vertices.
 PHASE_VERTEX = "vertex"
 
+#: A phase's ``apply(src, dst) -> bool`` (:meth:`HypergraphAlgorithm.phase_apply`).
+Update = Callable[[int, int], bool]
+
 
 @dataclasses.dataclass
 class AlgorithmState:
-    """Mutable per-run state: the two value arrays plus the frontiers."""
+    """Mutable per-run state: the two value arrays plus the frontiers.
+
+    Updates work on list mirrors of the arrays (:meth:`mirror`): indexing
+    numpy boxes a scalar on every tuple, while Python floats share float64
+    arithmetic and ``tolist`` round-trips floats, ints and bools exactly.
+    """
 
     vertex_values: np.ndarray
     hyperedge_values: np.ndarray
     frontier_v: Frontier
     frontier_e: Frontier
     extras: dict[str, Any] = dataclasses.field(default_factory=dict)
+    _lists: dict[str, list[Any]] = dataclasses.field(default_factory=dict, init=False)
+
+    def _array(self, name: str) -> np.ndarray:
+        return self.extras[name] if name in self.extras else getattr(self, name)
+
+    def mirror(self, name: str) -> list[Any]:
+        """The phase's list copy of ``vertex_values``, ``hyperedge_values``
+        or ``extras[name]``; the array itself is stale until :meth:`flush`."""
+        if name not in self._lists:
+            self._lists[name] = self._array(name).tolist()
+        return self._lists[name]
+
+    def sides(
+        self,
+        phase: str,
+        vertex: str = "vertex_values",
+        hyperedge: str = "hyperedge_values",
+    ) -> tuple[list[Any], list[Any]]:
+        """``(src, dst)`` mirrors of a vertex array and a hyperedge array:
+        the side ``phase`` schedules first, the side it updates second."""
+        if phase == PHASE_HYPEREDGE:
+            return self.mirror(vertex), self.mirror(hyperedge)
+        return self.mirror(hyperedge), self.mirror(vertex)
+
+    def flush(self) -> None:
+        """Copy every mirror back into its array and drop them."""
+        for name, values in self._lists.items():
+            self._array(name)[:] = values
+        self._lists.clear()
+
+
+def check_source(source: int, hypergraph: Hypergraph) -> None:
+    """Reject a source vertex outside ``[0, num_vertices)``."""
+    if not 0 <= source < hypergraph.num_vertices:
+        raise ValueError(f"source {source} is outside [0, {hypergraph.num_vertices})")
 
 
 class HypergraphAlgorithm(abc.ABC):
-    """A hypergraph application expressed as HF/VF plus lifecycle hooks."""
+    """A hypergraph application: one update plus lifecycle hooks."""
 
     #: Short name used in reports ("BFS", "PR", ...).
     name: str = "base"
@@ -65,47 +114,19 @@ class HypergraphAlgorithm(abc.ABC):
         """Initialise values and the seed vertex frontier (Lines 1-3)."""
 
     @abc.abstractmethod
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        """Apply vertex ``v``'s influence on hyperedge ``h``.
-
-        Returns True when ``h`` should join the hyperedge frontier.
-        """
-
-    @abc.abstractmethod
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        """Apply hyperedge ``h``'s influence on vertex ``v``.
-
-        Returns True when ``v`` should join the vertex frontier.
-        """
-
     def phase_apply(
         self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
-    ) -> Callable[[int, int], bool]:
-        """A per-phase bound form of the phase's update function.
+    ) -> Update:
+        """The phase's update: HF in the hyperedge phase, VF in the vertex one.
 
-        ``ExecutionEngine.run`` calls this once per phase (never per chunk),
-        and the engines invoke the returned ``apply(src, dst) -> bool`` once
-        per bipartite edge — the hot call of every inner loop.  The default
-        binds ``state`` and ``hypergraph`` into :meth:`apply_hf`/
-        :meth:`apply_vf` unchanged; algorithms may override it to return a
-        closure over cheaper private state (plain-list mirrors of the numpy
-        value arrays), provided they reconcile that state in
-        :meth:`end_phase` so the update arithmetic stays bit-identical to
-        the per-call methods.
+        ``ExecutionEngine.run`` calls this once per phase, after
+        :meth:`begin_phase`, and flushes the :meth:`AlgorithmState.mirror`
+        lists the update works on before :meth:`end_phase`.  The engines
+        call ``apply(src, dst)`` once per edge from an active ``src``; it
+        returns True when ``dst`` should join the next frontier.
         """
-        fn = self.apply_hf if phase == PHASE_HYPEREDGE else self.apply_vf
-        return functools.partial(fn, state, hypergraph)
 
     # -- lifecycle hooks (default no-ops) -----------------------------------
-
-    def begin_iteration(
-        self, state: AlgorithmState, hypergraph: Hypergraph, iteration: int
-    ) -> None:
-        """Called before each iteration's hyperedge phase."""
 
     def begin_phase(
         self, state: AlgorithmState, hypergraph: Hypergraph, phase: str

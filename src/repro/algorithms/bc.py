@@ -20,6 +20,8 @@ from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
+    check_source,
 )
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -43,6 +45,7 @@ class BetweennessCentrality(HypergraphAlgorithm):
     # -- setup -----------------------------------------------------------------
 
     def init_state(self, hypergraph: Hypergraph) -> AlgorithmState:
+        check_source(self.source, hypergraph)
         nv, nh = hypergraph.num_vertices, hypergraph.num_hyperedges
         state = AlgorithmState(
             vertex_values=np.full(nv, np.inf),  # forward: distance
@@ -65,43 +68,44 @@ class BetweennessCentrality(HypergraphAlgorithm):
 
     # -- update functions --------------------------------------------------------
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        x = state.extras
-        if x["mode"] == _FORWARD:
-            dist_v = state.vertex_values[v]
-            if state.hyperedge_values[h] == np.inf:
-                state.hyperedge_values[h] = dist_v + 1.0
-            if state.hyperedge_values[h] == dist_v + 1.0:
-                x["sigma_e"][h] += x["sigma_v"][v]
-                return True
-            return False
-        # Backward: vertex v at level L pushes dependency to hyperedge
-        # predecessors at level L-1.  v is a real endpoint: include the +1.
-        if state.hyperedge_values[h] == state.vertex_values[v] - 1.0:
-            x["delta_e"][h] += (x["sigma_e"][h] / x["sigma_v"][v]) * (
-                1.0 + x["delta_v"][v]
-            )
-        return False
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        dist_src, dist_dst = state.sides(phase)
+        if state.extras["mode"] == _FORWARD:
+            sigma_src, sigma_dst = state.sides(phase, "sigma_v", "sigma_e")
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        x = state.extras
-        if x["mode"] == _FORWARD:
-            dist_h = state.hyperedge_values[h]
-            if state.vertex_values[v] == np.inf:
-                state.vertex_values[v] = dist_h + 1.0
-            if state.vertex_values[v] == dist_h + 1.0:
-                x["sigma_v"][v] += x["sigma_e"][h]
-                return True
+            def forward(src: int, dst: int) -> bool:
+                dist = dist_src[src]
+                if dist_dst[dst] == np.inf:
+                    dist_dst[dst] = dist + 1.0
+                if dist_dst[dst] == dist + 1.0:
+                    sigma_dst[dst] += sigma_src[src]
+                    return True
+                return False
+
+            return forward
+        sigma_v, sigma_e = state.mirror("sigma_v"), state.mirror("sigma_e")
+        delta_v, delta_e = state.mirror("delta_v"), state.mirror("delta_e")
+        if phase == PHASE_HYPEREDGE:
+
+            def backward_h(v: int, h: int) -> bool:
+                # Vertex v at level L pushes dependency to hyperedge
+                # predecessors at level L-1.  v is a real endpoint: +1.
+                if dist_dst[h] == dist_src[v] - 1.0:
+                    delta_e[h] += (sigma_e[h] / sigma_v[v]) * (1.0 + delta_v[v])
+                return False
+
+            return backward_h
+
+        def backward_v(h: int, v: int) -> bool:
+            # Hyperedge h pushes dependency to vertex predecessors; h is not
+            # an endpoint, so no +1 term.
+            if dist_dst[v] == dist_src[h] - 1.0:
+                delta_v[v] += (sigma_v[v] / sigma_e[h]) * delta_e[h]
             return False
-        # Backward: hyperedge h pushes dependency to vertex predecessors;
-        # h is not an endpoint, so no +1 term.
-        if state.vertex_values[v] == state.hyperedge_values[h] - 1.0:
-            x["delta_v"][v] += (x["sigma_v"][v] / x["sigma_e"][h]) * x["delta_e"][h]
-        return False
+
+        return backward_v
 
     # -- level bookkeeping ----------------------------------------------------
 

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
+from repro.algorithms.base import (
+    AlgorithmState,
+    HypergraphAlgorithm,
+    Update,
+    check_source,
+)
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -30,6 +35,7 @@ class Bfs(HypergraphAlgorithm):
         self.source = source
 
     def init_state(self, hypergraph: Hypergraph) -> AlgorithmState:
+        check_source(self.source, hypergraph)
         vertex_values = np.full(hypergraph.num_vertices, UNREACHED)
         hyperedge_values = np.full(hypergraph.num_hyperedges, UNREACHED)
         vertex_values[self.source] = 0.0
@@ -40,18 +46,15 @@ class Bfs(HypergraphAlgorithm):
             frontier_e=Frontier(hypergraph.num_hyperedges),
         )
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        if state.hyperedge_values[h] != UNREACHED:
-            return False
-        state.hyperedge_values[h] = state.vertex_values[v] + 1.0
-        return True
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        src_values, dst_values = state.sides(phase)
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        if state.vertex_values[v] != UNREACHED:
-            return False
-        state.vertex_values[v] = state.hyperedge_values[h] + 1.0
-        return True
+        def apply(src: int, dst: int) -> bool:
+            if dst_values[dst] != UNREACHED:
+                return False
+            dst_values[dst] = src_values[src] + 1.0
+            return True
+
+        return apply

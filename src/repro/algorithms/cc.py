@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm
+from repro.algorithms.base import AlgorithmState, HypergraphAlgorithm, Update
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
 
@@ -31,20 +31,16 @@ class ConnectedComponents(HypergraphAlgorithm):
             frontier_e=Frontier(hypergraph.num_hyperedges),
         )
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        label = state.vertex_values[v]
-        if label < state.hyperedge_values[h]:
-            state.hyperedge_values[h] = label
-            return True
-        return False
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        src_values, dst_values = state.sides(phase)
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        label = state.hyperedge_values[h]
-        if label < state.vertex_values[v]:
-            state.vertex_values[v] = label
-            return True
-        return False
+        def apply(src: int, dst: int) -> bool:
+            label = src_values[src]
+            if label < dst_values[dst]:
+                dst_values[dst] = label
+                return True
+            return False
+
+        return apply

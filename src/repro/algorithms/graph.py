@@ -13,6 +13,8 @@ from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
+    check_source,
 )
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -40,43 +42,49 @@ class Sssp(HypergraphAlgorithm):
                 raise ValueError("SSSP requires non-negative hyperedge weights")
         self.weights = weights
 
-    def _weight(self, h: int) -> float:
-        return 1.0 if self.weights is None else float(self.weights[h])
-
     def init_state(self, hypergraph: Hypergraph) -> AlgorithmState:
-        if self.weights is not None and self.weights.size != (
-            hypergraph.num_hyperedges
-        ):
+        check_source(self.source, hypergraph)
+        nh = hypergraph.num_hyperedges
+        # A copy: the state flushes its mirrors into its own arrays.
+        weights = np.ones(nh) if self.weights is None else self.weights.copy()
+        if weights.size != nh:
             raise ValueError(
-                f"weights cover {self.weights.size} hyperedges, hypergraph "
-                f"has {hypergraph.num_hyperedges}"
+                f"weights cover {weights.size} hyperedges, hypergraph has {nh}"
             )
         vertex_values = np.full(hypergraph.num_vertices, np.inf)
         vertex_values[self.source] = 0.0
         return AlgorithmState(
             vertex_values=vertex_values,
-            hyperedge_values=np.full(hypergraph.num_hyperedges, np.inf),
+            hyperedge_values=np.full(nh, np.inf),
             frontier_v=Frontier(hypergraph.num_vertices, [self.source]),
-            frontier_e=Frontier(hypergraph.num_hyperedges),
+            frontier_e=Frontier(nh),
+            extras={"weights": weights},
         )
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        candidate = state.vertex_values[v] + self._weight(h)
-        if candidate < state.hyperedge_values[h]:
-            state.hyperedge_values[h] = candidate
-            return True
-        return False
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        src_values, dst_values = state.sides(phase)
+        if phase == PHASE_HYPEREDGE:
+            weights = state.mirror("weights")
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        candidate = state.hyperedge_values[h]
-        if candidate < state.vertex_values[v]:
-            state.vertex_values[v] = candidate
-            return True
-        return False
+            def apply_h(v: int, h: int) -> bool:
+                candidate = src_values[v] + weights[h]
+                if candidate < dst_values[h]:
+                    dst_values[h] = candidate
+                    return True
+                return False
+
+            return apply_h
+
+        def apply_v(h: int, v: int) -> bool:
+            candidate = src_values[h]
+            if candidate < dst_values[v]:
+                dst_values[v] = candidate
+                return True
+            return False
+
+        return apply_v
 
 
 class Adsorption(HypergraphAlgorithm):
@@ -93,6 +101,8 @@ class Adsorption(HypergraphAlgorithm):
     # degree lookups add no memory traffic beyond the value access.
 
     def __init__(self, iterations: int = 10, beta: float = 0.2, seed: int = 9) -> None:
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
         self.max_iterations = iterations
         self.beta = beta
         self.seed = seed
@@ -115,23 +125,29 @@ class Adsorption(HypergraphAlgorithm):
         if phase == PHASE_HYPEREDGE:
             state.hyperedge_values[:] = 0.0
         else:
-            state.extras["previous"] = state.vertex_values.copy()
             state.vertex_values[:] = 0.0
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        state.hyperedge_values[h] += state.vertex_values[v] / (
-            hypergraph.hyperedge_degree(h)
-        )
-        return True
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        src_values, dst_values = state.sides(phase)
+        if phase == PHASE_HYPEREDGE:
+            hdeg = hypergraph.hyperedges.degrees_list()
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        share = state.hyperedge_values[h] / hypergraph.vertex_degree(v)
-        state.vertex_values[v] += (1.0 - self.beta) * share
-        return True
+            def apply_h(v: int, h: int) -> bool:
+                dst_values[h] += src_values[v] / hdeg[h]
+                return True
+
+            return apply_h
+        vdeg = hypergraph.vertices.degrees_list()
+        keep = 1.0 - self.beta
+
+        def apply_v(h: int, v: int) -> bool:
+            share = src_values[h] / vdeg[v]
+            dst_values[v] += keep * share
+            return True
+
+        return apply_v
 
     def end_phase(
         self,

@@ -19,6 +19,7 @@ from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
 )
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -75,23 +76,25 @@ class KCore(HypergraphAlgorithm):
             # The active hyperedges die now.
             x["alive_e"][state.frontier_e.ids()] = False
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        x = state.extras
-        if not x["alive_e"][h]:
-            return False
-        state.hyperedge_values[h] -= 1.0
-        return state.hyperedge_values[h] < 2.0
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        if phase == PHASE_HYPEREDGE:
+            alive = state.mirror("alive_e")
+            count = state.mirror("hyperedge_values")
+            threshold = 2.0
+        else:
+            alive = state.mirror("alive_v")
+            count = state.mirror("degree")
+            threshold = state.extras["k"]
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        x = state.extras
-        if not x["alive_v"][v]:
-            return False
-        x["degree"][v] -= 1.0
-        return x["degree"][v] < x["k"]
+        def apply(src: int, dst: int) -> bool:
+            if not alive[dst]:
+                return False
+            count[dst] -= 1.0
+            return count[dst] < threshold
+
+        return apply
 
     def end_phase(
         self,

@@ -20,6 +20,7 @@ from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
 )
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -63,25 +64,34 @@ class MaximalIndependentSet(HypergraphAlgorithm):
         else:
             state.extras["vertex_min"][:] = np.inf
 
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        if state.vertex_values[v] != UNDECIDED:
-            return False
-        priority = state.extras["priority"][v]
-        if priority < state.hyperedge_values[h]:
-            state.hyperedge_values[h] = priority
-        return True
+    def phase_apply(
+        self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
+    ) -> Update:
+        status = state.mirror("vertex_values")
+        minima = state.mirror("hyperedge_values")
+        if phase == PHASE_HYPEREDGE:
+            priorities = state.mirror("priority")
 
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        if state.vertex_values[v] != UNDECIDED:
-            return False
-        minimum = state.hyperedge_values[h]
-        if minimum < state.extras["vertex_min"][v]:
-            state.extras["vertex_min"][v] = minimum
-        return True
+            def apply_h(v: int, h: int) -> bool:
+                if status[v] != UNDECIDED:
+                    return False
+                priority = priorities[v]
+                if priority < minima[h]:
+                    minima[h] = priority
+                return True
+
+            return apply_h
+        vertex_min = state.mirror("vertex_min")
+
+        def apply_v(h: int, v: int) -> bool:
+            if status[v] != UNDECIDED:
+                return False
+            minimum = minima[h]
+            if minimum < vertex_min[v]:
+                vertex_min[v] = minimum
+            return True
+
+        return apply_v
 
     def end_phase(
         self,

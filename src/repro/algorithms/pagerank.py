@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from typing import Callable
-
 from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
 )
 from repro.hypergraph.frontier import Frontier
 from repro.hypergraph.hypergraph import Hypergraph
@@ -39,21 +38,8 @@ class PageRank(HypergraphAlgorithm):
             raise ValueError("iterations must be >= 1")
         self.alpha = alpha
         self.max_iterations = iterations
-        self._vdeg: list[int] = []
-        self._hdeg: list[int] = []
-        self._num_vertices = 0
-        self._one_minus_alpha = 1.0 - alpha
-        # Live list mirror handed out by phase_apply: (phase, values list).
-        # Flushed back into the numpy state array by end_phase.
-        self._mirror: tuple[str, list[float]] | None = None
 
     def init_state(self, hypergraph: Hypergraph) -> AlgorithmState:
-        # Hot-loop constants for the apply functions: plain-list degree
-        # mirrors and the teleport numerator.  Same values the general
-        # accessors return, minus per-tuple method and numpy overhead.
-        self._vdeg = hypergraph.vertices.degrees_list()
-        self._hdeg = hypergraph.hyperedges.degrees_list()
-        self._num_vertices = hypergraph.num_vertices
         n = max(hypergraph.num_vertices, 1)
         return AlgorithmState(
             vertex_values=np.full(hypergraph.num_vertices, 1.0 / n),
@@ -67,65 +53,35 @@ class PageRank(HypergraphAlgorithm):
     ) -> None:
         # Ranks are recomputed from scratch each phase: zero the side about
         # to be written before its phase accumulates contributions.
-        self._mirror = None  # any un-flushed mirror is stale now
+        # Isolated vertices receive none, so they keep their teleport mass.
         if phase == PHASE_HYPEREDGE:
             state.hyperedge_values[:] = 0.0
         else:
-            state.extras["old_vertex_values"] = state.vertex_values.copy()
-            state.vertex_values[:] = 0.0
+            state.vertex_values[np.diff(hypergraph.vertices.offsets) > 0] = 0.0
 
     def phase_apply(
         self, state: AlgorithmState, hypergraph: Hypergraph, phase: str
-    ) -> Callable[[int, int], bool]:
-        """Bound apply over plain-list mirrors of the value arrays.
-
-        Python floats and numpy float64 share IEEE-754 double arithmetic, so
-        running the identical expression over ``.tolist()`` mirrors and
-        copying the result back (:meth:`end_phase`) is bit-identical to the
-        per-call numpy-indexing methods — minus the ~1µs/tuple numpy scalar
-        boxing that dominated the engines' inner loops.
-        """
+    ) -> Update:
+        src_values, dst_values = state.sides(phase)
+        vdeg = hypergraph.vertices.degrees_list()
         if phase == PHASE_HYPEREDGE:
-            values = state.hyperedge_values.tolist()
-            src = state.vertex_values.tolist()
-            vdeg = self._vdeg
-            self._mirror = (phase, values)
 
             def apply_h(v: int, h: int) -> bool:
-                values[h] += src[v] / vdeg[v]
+                dst_values[h] += src_values[v] / vdeg[v]
                 return True
 
             return apply_h
-        values = state.vertex_values.tolist()
-        src = state.hyperedge_values.tolist()
-        vdeg = self._vdeg
-        hdeg = self._hdeg
+        hdeg = hypergraph.hyperedges.degrees_list()
         alpha = self.alpha
-        teleport = self._one_minus_alpha
-        n = self._num_vertices
-        self._mirror = (phase, values)
+        teleport = 1.0 - alpha
+        n = hypergraph.num_vertices
 
         def apply_v(h: int, v: int) -> bool:
             addend = teleport / (n * vdeg[v])
-            values[v] += addend + (alpha * src[h] / hdeg[h])
+            dst_values[v] += addend + (alpha * src_values[h] / hdeg[h])
             return True
 
         return apply_v
-
-    def apply_hf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, v: int, h: int
-    ) -> bool:
-        state.hyperedge_values[h] += state.vertex_values[v] / self._vdeg[v]
-        return True
-
-    def apply_vf(
-        self, state: AlgorithmState, hypergraph: Hypergraph, h: int, v: int
-    ) -> bool:
-        addend = self._one_minus_alpha / (self._num_vertices * self._vdeg[v])
-        state.vertex_values[v] += addend + (
-            self.alpha * state.hyperedge_values[h] / self._hdeg[h]
-        )
-        return True
 
     def end_phase(
         self,
@@ -134,23 +90,9 @@ class PageRank(HypergraphAlgorithm):
         phase: str,
         activated: Frontier,
     ) -> Frontier:
-        # Reconcile the phase_apply list mirror before anything reads the
-        # numpy arrays again (the copy is exact: same doubles either way).
-        mirror = self._mirror
-        if mirror is not None and mirror[0] == phase:
-            if phase == PHASE_HYPEREDGE:
-                state.hyperedge_values[:] = mirror[1]
-            else:
-                state.vertex_values[:] = mirror[1]
-            self._mirror = None
         # PR is dense: every element stays active every iteration.
         if phase == PHASE_HYPEREDGE:
             return Frontier.all_active(hypergraph.num_hyperedges)
-        # Isolated vertices keep their teleport mass.
-        zero_degree = np.diff(hypergraph.vertices.offsets) == 0
-        if zero_degree.any():
-            old = state.extras["old_vertex_values"]
-            state.vertex_values[zero_degree] = old[zero_degree]
         return Frontier.all_active(hypergraph.num_vertices)
 
     def finished(

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.algorithms.base import (
     PHASE_HYPEREDGE,
     PHASE_VERTEX,
     AlgorithmState,
     HypergraphAlgorithm,
+    Update,
 )
 from repro.chgraph.prefetcher import CpCost
 from repro.engine.result import RunResult
@@ -117,11 +118,10 @@ class Phase:
     ``frontier`` of the scheduled side, its per-core ``chunks``, the HF/VF
     update and the next-frontier bitmap.  ``apply`` is the algorithm's
     :meth:`~repro.algorithms.base.HypergraphAlgorithm.phase_apply` closure
-    (the algorithm may hand out a mirror it reconciles in ``end_phase``);
-    ``activated`` is a plain-list mirror of the activated frontier's
-    bitmap, because numpy bool indexing costs ~3x a list index in the tuple
-    loop.  ``run`` copies the mirror back into the frontier after
-    :meth:`ExecutionEngine._run_phase` returns.
+    over the state's list mirrors; ``activated`` is a plain-list mirror of
+    the activated frontier's bitmap, because numpy bool indexing costs ~3x
+    a list index in the tuple loop.  ``run`` copies both kinds of mirror
+    back after :meth:`ExecutionEngine._run_phase` returns.
     """
 
     system: MemorySystem
@@ -131,7 +131,7 @@ class Phase:
     frontier: Frontier
     chunks: list[Chunk]
     activated: list[bool]
-    apply: Callable[[int, int], bool]
+    apply: Update
 
 
 class PhasePorts(NamedTuple):
@@ -276,7 +276,6 @@ class ExecutionEngine(abc.ABC):
         state = algorithm.init_state(hypergraph)
         iteration = 0
         while True:
-            algorithm.begin_iteration(state, hypergraph, iteration)
             emit(EngineEvent(ITERATION_BEGIN, iteration))
             for phase in (PHASE_HYPEREDGE, PHASE_VERTEX):
                 hyperedge_phase = phase == PHASE_HYPEREDGE
@@ -311,6 +310,7 @@ class ExecutionEngine(abc.ABC):
                     )
                 )
                 activated.bitmap[:] = mirror
+                state.flush()
                 activated = algorithm.end_phase(state, hypergraph, phase, activated)
                 if hyperedge_phase:
                     state.frontier_e = activated

@@ -3,15 +3,18 @@
 ``ExecutionEngine.run`` takes the algorithm's ``phase_apply`` closure once
 per phase and hands it to ``_run_phase`` in the
 :class:`~repro.engine.base.Phase` record.  A binding per chunk would not
-show in any number for an algorithm that keeps no list mirror, so this
-counts the bindings themselves: two per iteration, on every engine.
+show in any number for an algorithm whose mirrors hold no cross-chunk
+values, so this counts the bindings themselves: two per iteration, on
+every engine.  It also pins when ``run`` flushes the state's list mirrors:
+after the phase's last update and before ``end_phase`` reads the arrays.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.algorithms import Bfs, PageRank
+from repro.algorithms import PHASE_HYPEREDGE, Bfs, PageRank
 from repro.engine.registry import engine_names
 from repro.harness.differential import seeded_graphs
 from repro.harness.runner import Runner
@@ -62,3 +65,47 @@ def test_each_phase_binds_the_update_once(engine, make_algorithm):
     )
     assert result.iterations >= 1
     assert algorithm.bindings == 2 * result.iterations
+
+
+class _FlushProbe(Bfs):
+    """Counts its updates into an ``extras`` array through a mirror.
+
+    Each scheduled element's update runs once per incident edge, so by
+    ``end_phase`` the array must hold the frontier's degree sum.
+    """
+
+    def init_state(self, hypergraph):
+        state = super().init_state(hypergraph)
+        state.extras["calls"] = np.zeros(1)
+        return state
+
+    def begin_phase(self, state, hypergraph, phase):
+        super().begin_phase(state, hypergraph, phase)
+        hyperedge_phase = phase == PHASE_HYPEREDGE
+        frontier = state.frontier_v if hyperedge_phase else state.frontier_e
+        csr = hypergraph.vertices if hyperedge_phase else hypergraph.hyperedges
+        self.degree_sum = int(np.diff(csr.offsets)[frontier.ids()].sum())
+        state.extras["calls"][0] = 0.0
+
+    def phase_apply(self, state, hypergraph, phase):
+        update = super().phase_apply(state, hypergraph, phase)
+        calls = state.mirror("calls")
+
+        def apply(src, dst):
+            calls[0] += 1.0
+            return update(src, dst)
+
+        return apply
+
+    def end_phase(self, state, hypergraph, phase, activated):
+        assert state.extras["calls"].sum() == self.degree_sum
+        return super().end_phase(state, hypergraph, phase, activated)
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_mirrors_are_flushed_before_end_phase(engine):
+    graph = GRAPH if engine == "Ligra" else HYPERGRAPH
+    result = RUNNER.engine(engine, graph, CONFIG).run(
+        _FlushProbe(), graph, SimulatedSystem(CONFIG)
+    )
+    assert result.iterations > 1

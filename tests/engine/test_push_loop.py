@@ -46,7 +46,6 @@ def _walk(
 ) -> tuple[list[tuple[str, ArrayId, int, int]], list[bool], CpCost]:
     algorithm = ALGORITHMS[algorithm_name]()
     state = algorithm.init_state(GRAPH)
-    algorithm.begin_iteration(state, GRAPH, 0)
     algorithm.begin_phase(state, GRAPH, phase)
     spec = PHASE_SPECS[phase]
     log = _AccessLog()
