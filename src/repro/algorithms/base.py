@@ -153,8 +153,8 @@ class HypergraphAlgorithm(abc.ABC):
     ) -> bool:
         """Convergence test, checked after each iteration's vertex phase.
 
-        Engines additionally stop when both frontiers are empty and a
-        ``max_iterations`` cap exists in either place.
+        The default stops once both frontiers are empty.  Engines also stop
+        after ``max_iterations`` iterations, whatever this returns.
         """
         return state.frontier_v.is_empty() and state.frontier_e.is_empty()
 

@@ -164,8 +164,3 @@ class Adsorption(HypergraphAlgorithm):
         if isolated.any():
             state.vertex_values[isolated] = seeds[isolated]
         return Frontier.all_active(hypergraph.num_vertices)
-
-    def finished(
-        self, state: AlgorithmState, hypergraph: Hypergraph, iteration: int
-    ) -> bool:
-        return iteration + 1 >= self.max_iterations

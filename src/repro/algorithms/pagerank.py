@@ -94,8 +94,3 @@ class PageRank(HypergraphAlgorithm):
         if phase == PHASE_HYPEREDGE:
             return Frontier.all_active(hypergraph.num_hyperedges)
         return Frontier.all_active(hypergraph.num_vertices)
-
-    def finished(
-        self, state: AlgorithmState, hypergraph: Hypergraph, iteration: int
-    ) -> bool:
-        return iteration + 1 >= self.max_iterations

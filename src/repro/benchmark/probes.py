@@ -36,6 +36,7 @@ from repro.core.oag import build_oag
 from repro.engine import GlaResources
 from repro.engine.registry import create_engine
 from repro.harness.differential import seeded_graphs
+from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import paper_dataset
 from repro.sim.config import scaled_config
 from repro.sim.system import SimulatedSystem
@@ -158,13 +159,12 @@ def _serve_roundtrip():
     if not ready.wait(30):
         raise RuntimeError("bench service failed to start")
     client = ServiceClient(port=service.port)
-    request = JobRequest.build(
-        "Hygra",
-        "BFS",
-        "FS",
-        cores=_SMALL_CORES,
-        llc_kb=_SMALL_LLC_KB,
-        pr_iterations=1,
+    request = JobRequest(
+        RunSpec(
+            "Hygra", "BFS", "FS",
+            config=scaled_config(num_cores=_SMALL_CORES, llc_kb=_SMALL_LLC_KB),
+            pr_iterations=1,
+        ).normalized()
     )
     # Pay the one real simulation during setup so every timed round trip
     # is answered from the store fast path — the serving overhead itself.

@@ -11,12 +11,11 @@ Commands
 ``profile``
     Run engines on one workload under instrumentation and print per-phase
     cycle/DRAM breakdowns plus the per-iteration frontier timeline.
-``experiment``
-    Regenerate one paper table/figure by id (e.g. ``fig14``, ``table2``).
 ``bench``
-    Regenerate a set of figures, executing their combined run matrix on
-    the sharded parallel executor (``--jobs N --timeout S``); the tables
-    are byte-identical to serial execution.
+    Regenerate paper tables/figures by id (e.g. ``--figures fig14,table2``),
+    executing their combined run matrix on the sharded parallel executor
+    (``--jobs N --timeout S``); the tables are byte-identical to serial
+    execution.
 ``check``
     Run the invariant + cross-engine differential checking suite: every
     registry engine on seeded generator hypergraphs under an attached
@@ -50,7 +49,7 @@ Commands
     Poll a job by id, or print the service's /healthz + /stats overview.
 
 The artifact store root comes from ``--cache-dir`` or ``$REPRO_CACHE_DIR``;
-``run``/``compare``/``experiment`` transparently reuse persisted artifacts
+``run``/``compare``/``bench`` transparently reuse persisted artifacts
 whenever the environment variable is set.
 
 Errors derived from :class:`~repro.errors.ReproError` exit with their
@@ -64,7 +63,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro import __version__
 from repro.engine.registry import engine_names
@@ -190,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--quiet", action="store_true", help="suppress per-workload progress"
     )
-
-    experiment = sub.add_parser(
-        "experiment", help="regenerate one paper table/figure"
-    )
-    experiment.add_argument("id", choices=sorted(FIGURES), help="experiment id")
 
     def add_cache_dir_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -434,9 +428,7 @@ def _preprocess_spec(args: argparse.Namespace) -> PreprocessSpec:
     return PreprocessSpec(
         w_min=defaults.w_min if args.w_min is None else args.w_min,
         d_max=defaults.d_max if args.d_max is None else args.d_max,
-        stages=tuple(
-            StageSpec.make(name) for name in (args.preprocess or ())
-        ),
+        stages=tuple(StageSpec(name) for name in (args.preprocess or ())),
     )
 
 
@@ -450,6 +442,23 @@ def _workload_spec(args: argparse.Namespace, engine: str) -> RunSpec:
         pr_iterations=args.pr_iterations,
         preprocessing=_preprocess_spec(args),
     )
+
+
+class _UsageError(Exception):
+    """A bad entry in a comma-separated option; ``main`` exits 2."""
+
+
+def _comma_list(text: str, what: str, valid: Callable[[str], bool]) -> list[str]:
+    """The entries of a comma-separated option, each accepted by ``valid``.
+
+    Raises :class:`_UsageError` naming every entry ``valid`` rejects, after
+    ``what`` (e.g. ``"unknown engine(s)"``).
+    """
+    entries = [entry for entry in text.split(",") if entry]
+    bad = [entry for entry in entries if not valid(entry)]
+    if bad:
+        raise _UsageError(f"{what}: {', '.join(bad)}")
+    return entries
 
 
 def _print_figure(figure_id: str, runner: Runner, results=None) -> None:
@@ -519,11 +528,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    engines = [e for e in args.engines.split(",") if e]
-    unknown = [e for e in engines if e not in ENGINES]
-    if unknown:
-        print(f"unknown engine(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+    engines = _comma_list(args.engines, "unknown engine(s)", ENGINES.__contains__)
     runner = Runner()
     violations = 0
     for engine in engines:
@@ -545,24 +550,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    runner = Runner()
-    _print_figure(args.id, runner)
-    if runner.store is not None:
-        print(f"cache: {runner.store.stats} ({runner.store.root})")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     ids = (
         list(FIGURES)
         if args.figures == "all"
-        else [f for f in args.figures.split(",") if f]
+        else _comma_list(
+            args.figures, "unknown experiment id(s)", FIGURES.__contains__
+        )
     )
-    unknown = [f for f in ids if f not in FIGURES]
-    if unknown:
-        print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
     runner = Runner(cache_dir=args.cache_dir)
     results = runner.run_many(
         [spec for figure_id in ids for spec in FIGURES[figure_id].specs()],
@@ -636,16 +631,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     engines = None
     if args.engines:
-        engines = [e for e in args.engines.split(",") if e]
-        unknown = [e for e in engines if e not in ENGINES]
-        if unknown:
-            print(f"unknown engine(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
-    algorithms = tuple(a for a in args.algorithms.split(",") if a)
-    unknown = [a for a in algorithms if a not in ALGORITHMS]
-    if unknown:
-        print(f"unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        engines = _comma_list(
+            args.engines, "unknown engine(s)", ENGINES.__contains__
+        )
+    algorithms = tuple(
+        _comma_list(
+            args.algorithms, "unknown algorithm(s)", ALGORITHMS.__contains__
+        )
+    )
     config = scaled_config(num_cores=args.cores, llc_kb=args.llc_kb)
     log = None if args.quiet else (lambda message: print(f"  {message}"))
 
@@ -797,11 +790,20 @@ def _open_store(args: argparse.Namespace) -> ArtifactStore | None:
 
 
 def _cmd_prewarm(args: argparse.Namespace) -> int:
+    datasets = _comma_list(
+        args.datasets, "unknown dataset(s)", DATASETS.__contains__
+    )
+    core_counts = [
+        int(count)
+        for count in _comma_list(
+            args.cores,
+            "core counts must be positive ints, got",
+            lambda count: count.isdecimal() and int(count) > 0,
+        )
+    ]
     store = _open_store(args)
     if store is None:
         return 2
-    datasets = [d for d in args.datasets.split(",") if d]
-    core_counts = [int(c) for c in args.cores.split(",") if c]
     kwargs = {}
     if args.w_min is not None:
         kwargs["w_min"] = args.w_min
@@ -920,20 +922,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service import JobRequest, ServiceClient
 
-    request = JobRequest.build(
-        engine=args.engine,
-        algorithm=args.algorithm,
-        dataset=args.dataset,
-        cores=args.cores,
-        llc_kb=args.llc_kb,
-        pr_iterations=args.pr_iterations,
-        profile=args.profile,
-        check=args.check,
-        w_min=args.w_min,
-        d_max=args.d_max,
-        stages=tuple(args.preprocess or ()),
-        priority=args.priority,
-    )
+    # The spec `repro run` builds, so a served result equals a local one.
+    spec = dataclasses.replace(
+        _workload_spec(args, args.engine), profile=args.profile, check=args.check
+    ).normalized()
+    request = JobRequest(spec, args.priority)
     client = _client(args)
     if args.no_wait:
         job = client.submit(request)
@@ -1011,7 +1004,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "compare": _cmd_compare,
         "profile": _cmd_profile,
         "check": _cmd_check,
-        "experiment": _cmd_experiment,
         "bench": _cmd_bench,
         "prewarm": _cmd_prewarm,
         "cache": _cmd_cache,
@@ -1021,6 +1013,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except ReproError as exc:
         print(f"repro {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -320,14 +320,12 @@ class ExecutionEngine(abc.ABC):
                 emit(EngineEvent(PHASE_END, iteration, phase=phase))
             emit(EngineEvent(ITERATION_END, iteration))
 
-            if algorithm.finished(state, hypergraph, iteration):
-                break
-            iteration += 1
-            if (
+            if algorithm.finished(state, hypergraph, iteration) or (
                 algorithm.max_iterations is not None
-                and iteration >= algorithm.max_iterations
+                and iteration + 1 >= algorithm.max_iterations
             ):
                 break
+            iteration += 1
             if iteration >= MAX_ENGINE_ITERATIONS:
                 raise EngineError(
                     f"{algorithm.name} exceeded {MAX_ENGINE_ITERATIONS} iterations"

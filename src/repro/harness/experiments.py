@@ -5,8 +5,8 @@ Each :class:`Figure` declares its run grid once — engines × apps × datasets
 rows)``, ready for :func:`repro.harness.report.render_table`, from the
 results of exactly that grid.  :data:`FIGURES` holds them in the paper's
 order, followed by the ablations and extensions the paper argues from
-(``ablation_*``); ``repro bench``/``repro experiment``, the benchmarks and
-the tests all resolve figures through it.
+(``ablation_*``); ``repro bench``, the benchmarks and the tests all
+resolve figures through it.
 
 The runner executes a grid (serially, or sharded across worker processes by
 :mod:`repro.harness.parallel`); the reducer only reads, through a
@@ -51,10 +51,10 @@ OAG_OP_CYCLES = 0.5
 #: The Figure 24 preprocessing record: run the spatial locality reordering
 #: as a registered pipeline stage in front of the engine, instead of
 #: hand-building reordered engines outside the runner.
-REORDER_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("locality-reorder"),))
+REORDER_PREPROCESS = PreprocessSpec(stages=(StageSpec("locality-reorder"),))
 
 #: The partitioning ablation's record: overlap-aware renumbering as a stage.
-PARTITION_PREPROCESS = PreprocessSpec(stages=(StageSpec.make("overlap-renumber"),))
+PARTITION_PREPROCESS = PreprocessSpec(stages=(StageSpec("overlap-renumber"),))
 
 #: Figure 8's sharing thresholds.  The paper plots 2..7 for datasets with
 #: mean degrees 3-37; the scaled stand-ins keep paper-scale hyperedge

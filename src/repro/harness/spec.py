@@ -19,7 +19,7 @@ picklable, and JSON-round-trippable (:meth:`to_json`/:meth:`from_json`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.pipeline import PreprocessSpec
@@ -97,10 +97,21 @@ class RunSpec:
                 raise ConfigurationError(
                     f"RunSpec.{field} must be a non-empty string, got {value!r}"
                 )
-        if self.pr_iterations is not None and self.pr_iterations < 1:
+        iterations = self.pr_iterations
+        if iterations is not None and (
+            not isinstance(iterations, int)
+            or isinstance(iterations, bool)
+            or iterations < 1
+        ):
             raise ConfigurationError(
-                f"pr_iterations must be >= 1, got {self.pr_iterations}"
+                f"pr_iterations must be an int >= 1, got {iterations!r}"
             )
+        for field in ("profile", "check"):
+            value = getattr(self, field)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"RunSpec.{field} must be a bool, got {value!r}"
+                )
         if self.preprocessing is not None:
             self.preprocessing.validate()
 
@@ -129,11 +140,7 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "RunSpec":
-        known = {
-            "engine", "algorithm", "dataset", "config", "pr_iterations",
-            "profile", "check", "preprocessing",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown RunSpec fields: {sorted(unknown)}"
@@ -158,16 +165,11 @@ class RunSpec:
                     "RunSpec 'preprocessing' must be an object"
                 )
             preprocessing = PreprocessSpec.from_json(raw_pre)
-        raw_pr = data.get("pr_iterations")
-        spec = cls(
-            engine=str(data["engine"]),
-            algorithm=str(data["algorithm"]),
-            dataset=str(data["dataset"]),
-            config=config,
-            pr_iterations=None if raw_pr is None else int(raw_pr),
-            profile=bool(data.get("profile", False)),
-            check=bool(data.get("check", False)),
-            preprocessing=preprocessing,
-        )
+        scalars: dict[str, Any] = {
+            field: value
+            for field, value in data.items()
+            if field not in ("config", "preprocessing")
+        }
+        spec = cls(**scalars, config=config, preprocessing=preprocessing)
         spec.validate()
         return spec

@@ -20,7 +20,7 @@ The registered stages are:
 Stages that permute vertices report the permutation so the runner can
 un-permute algorithm results back to the original ids.
 
-Stage names and parameters are hashed into both ``resources_key`` and
+Stage names are hashed into both ``resources_key`` and
 ``run_result_key`` (see :mod:`repro.store.keys`), so cached artifacts can
 never alias across preprocessing pipelines.
 """
@@ -28,7 +28,7 @@ never alias across preprocessing pipelines.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -49,28 +49,16 @@ __all__ = [
     "apply_pipeline",
 ]
 
-#: JSON-compatible scalar parameter values a stage may take.
-ParamValue = bool | int | float | str
-
-
 @dataclasses.dataclass(frozen=True)
 class StageSpec:
-    """One named preprocessing stage with its parameters.
-
-    ``params`` is stored as a sorted tuple of ``(key, value)`` pairs so the
-    spec stays hashable and its JSON form is canonical.  Use
-    :meth:`StageSpec.make` to build one from keyword arguments.
-    """
+    """One named preprocessing stage; no registered stage takes parameters."""
 
     name: str
-    params: tuple[tuple[str, ParamValue], ...] = ()
 
     @classmethod
-    def make(cls, name: str, **params: ParamValue) -> "StageSpec":
-        return cls(name=name, params=tuple(sorted(params.items())))
-
-    def param_dict(self) -> dict[str, ParamValue]:
-        return dict(self.params)
+    def make(cls, name: str) -> "StageSpec":
+        """The stage registered as ``name`` (the same as ``StageSpec(name)``)."""
+        return cls(name)
 
     def validate(self) -> None:
         if self.name not in _STAGES:
@@ -81,10 +69,13 @@ class StageSpec:
             )
 
     def to_json(self) -> dict[str, object]:
-        return {"name": self.name, "params": self.param_dict()}
+        # No stage takes parameters; "params" stays so store keys do not move.
+        return {"name": self.name, "params": {}}
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "StageSpec":
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"a stage must be an object, got {data!r}")
         unknown = set(data) - {"name", "params"}
         if unknown:
             raise ConfigurationError(
@@ -94,9 +85,11 @@ class StageSpec:
         if not isinstance(name, str) or not name:
             raise ConfigurationError("StageSpec requires a non-empty 'name'")
         params = data.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigurationError("StageSpec 'params' must be an object")
-        spec = cls.make(name, **dict(params))
+        if params != {}:
+            raise ConfigurationError(
+                f"stage {name!r} takes no parameters, got {params!r}"
+            )
+        spec = cls(name)
         spec.validate()
         return spec
 
@@ -115,10 +108,12 @@ class PreprocessSpec:
     stages: tuple[StageSpec, ...] = ()
 
     def validate(self) -> None:
-        if self.w_min < 1:
-            raise ConfigurationError(f"w_min must be >= 1, got {self.w_min}")
-        if self.d_max < 1:
-            raise ConfigurationError(f"d_max must be >= 1, got {self.d_max}")
+        for field in ("w_min", "d_max"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigurationError(
+                    f"{field} must be an int >= 1, got {value!r}"
+                )
         for s in self.stages:
             s.validate()
 
@@ -139,10 +134,11 @@ class PreprocessSpec:
         raw_stages = data.get("stages", [])
         if not isinstance(raw_stages, (list, tuple)):
             raise ConfigurationError("PreprocessSpec 'stages' must be a list")
+        bounds: dict[str, Any] = {
+            field: data[field] for field in ("w_min", "d_max") if field in data
+        }
         spec = cls(
-            w_min=int(data.get("w_min", DEFAULT_W_MIN)),
-            d_max=int(data.get("d_max", DEFAULT_D_MAX)),
-            stages=tuple(StageSpec.from_json(s) for s in raw_stages),
+            **bounds, stages=tuple(StageSpec.from_json(s) for s in raw_stages)
         )
         spec.validate()
         return spec
@@ -170,7 +166,7 @@ class PipelineResult:
     cost_accesses: int
 
 
-StageFn = Callable[[Hypergraph, Mapping[str, ParamValue]], StageResult]
+StageFn = Callable[[Hypergraph], StageResult]
 
 _STAGES: dict[str, StageFn] = {}
 
@@ -192,26 +188,13 @@ def stage_names() -> tuple[str, ...]:
     return tuple(sorted(_STAGES))
 
 
-def _reject_params(name: str, params: Mapping[str, ParamValue]) -> None:
-    if params:
-        raise ConfigurationError(
-            f"stage {name!r} takes no parameters, got {sorted(params)}"
-        )
-
-
 @stage("identity")
-def _identity(
-    hypergraph: Hypergraph, params: Mapping[str, ParamValue]
-) -> StageResult:
-    _reject_params("identity", params)
+def _identity(hypergraph: Hypergraph) -> StageResult:
     return StageResult(hypergraph=hypergraph)
 
 
 @stage("locality-reorder")
-def _locality_reorder(
-    hypergraph: Hypergraph, params: Mapping[str, ParamValue]
-) -> StageResult:
-    _reject_params("locality-reorder", params)
+def _locality_reorder(hypergraph: Hypergraph) -> StageResult:
     reordering = locality_reorder(hypergraph)
     return StageResult(
         hypergraph=reordering.hypergraph,
@@ -221,10 +204,7 @@ def _locality_reorder(
 
 
 @stage("overlap-renumber")
-def _overlap_renumber(
-    hypergraph: Hypergraph, params: Mapping[str, ParamValue]
-) -> StageResult:
-    _reject_params("overlap-renumber", params)
+def _overlap_renumber(hypergraph: Hypergraph) -> StageResult:
     partitioned = overlap_aware_renumber(hypergraph, side="both")
     return StageResult(
         hypergraph=partitioned.hypergraph,
@@ -246,7 +226,7 @@ def apply_pipeline(
     composed: np.ndarray | None = None
     total_cost = 0
     for spec in preprocessing.stages:
-        result = _STAGES[spec.name](current, spec.param_dict())
+        result = _STAGES[spec.name](current)
         current = result.hypergraph
         total_cost += result.cost_accesses
         if result.vertex_perm is not None:

@@ -3,10 +3,11 @@
 ``repro submit``/``repro status`` are thin wrappers over this class; it is
 also the scripting surface for tests and CI smoke jobs::
 
+    from repro.harness.spec import RunSpec
     from repro.service import JobRequest, ServiceClient
 
     client = ServiceClient(port=8573)
-    job = client.run(JobRequest.build("ChGraph", "PR", "WEB"))
+    job = client.run(JobRequest(RunSpec("ChGraph", "PR", "WEB").normalized()))
     result = client.run_result(job)          # a full RunResult
 
 Transport errors (server unreachable, connection reset) surface as

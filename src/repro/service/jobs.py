@@ -26,11 +26,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import ReproError
 from repro.harness.spec import RunSpec
-from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.sim.config import SystemConfig
 
 __all__ = ["JOB_STATES", "JobRecord", "JobRequest"]
@@ -55,72 +54,12 @@ class JobRequest:
 
     The spec is carried fully normalized (no ``None`` fields), so the
     request's store key, the worker's execution, and an equivalent local
-    ``repro run`` all agree regardless of either process's environment.
+    ``repro run`` all agree regardless of either process's environment:
+    build one as ``JobRequest(spec.normalized(), priority)``.
     """
 
     spec: RunSpec
     priority: int = 0
-
-    @classmethod
-    def build(
-        cls,
-        engine: str,
-        algorithm: str,
-        dataset: str,
-        cores: int = 16,
-        llc_kb: int = 4,
-        pr_iterations: int = 2,
-        profile: bool = False,
-        check: bool = False,
-        w_min: int | None = None,
-        d_max: int | None = None,
-        stages: Sequence[str] = (),
-        priority: int = 0,
-    ) -> "JobRequest":
-        """Construct a request from ``repro submit``-style flat fields.
-
-        Raises ``ValueError`` on malformed values (the service maps that to
-        an HTTP 400); name validity is checked by :meth:`validate`.
-        """
-        from repro.sim.config import scaled_config
-
-        checks = [
-            ("cores", cores, 1), ("llc_kb", llc_kb, 1),
-            ("pr_iterations", pr_iterations, 1),
-        ]
-        if w_min is not None:
-            checks.append(("w_min", w_min, 1))
-        if d_max is not None:
-            checks.append(("d_max", d_max, 1))
-        for field, value, minimum in checks:
-            if not isinstance(value, int) or value < minimum:
-                raise ValueError(
-                    f"{field} must be an int >= {minimum}, got {value!r}"
-                )
-        for field, value in (("profile", profile), ("check", check)):
-            if not isinstance(value, bool):
-                raise ValueError(f"{field} must be a bool, got {value!r}")
-        if isinstance(stages, str) or not all(
-            isinstance(name, str) for name in stages
-        ):
-            raise ValueError(f"stages must be a list of names, got {stages!r}")
-        defaults = PreprocessSpec()
-        preprocessing = PreprocessSpec(
-            w_min=defaults.w_min if w_min is None else w_min,
-            d_max=defaults.d_max if d_max is None else d_max,
-            stages=tuple(StageSpec.make(name) for name in stages),
-        )
-        spec = RunSpec(
-            engine=engine,
-            algorithm=algorithm,
-            dataset=dataset,
-            config=scaled_config(num_cores=cores, llc_kb=llc_kb),
-            pr_iterations=pr_iterations,
-            profile=profile or check,
-            check=check,
-            preprocessing=preprocessing,
-        )
-        return cls(spec=spec, priority=priority)
 
     def validate(self) -> None:
         """Raise ``ValueError`` unless every field names something real."""
@@ -140,7 +79,7 @@ class JobRequest:
             raise ValueError(f"unknown dataset {self.spec.dataset!r}")
         if self.spec.pr_iterations is None:
             raise ValueError("job spec must carry concrete pr_iterations")
-        if not isinstance(self.priority, int):
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
             raise ValueError(f"priority must be an int, got {self.priority!r}")
 
     def config(self) -> SystemConfig:

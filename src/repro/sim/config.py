@@ -9,10 +9,30 @@ stay in the paper's regime while simulations finish in seconds.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import ConfigurationError
 
 __all__ = ["SystemConfig", "table1_config", "scaled_config"]
+
+
+#: The values each annotation admits; ``__post_init__`` also rejects a
+#: ``bool`` for a number, although ``bool`` subclasses ``int``.
+_ACCEPTS: dict[str, tuple[type, ...]] = {
+    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+}
+
+#: Numbers the model divides or shifts by, or that size a structure, must
+#: be > 0; every other number is a latency, a per-operation cost or a
+#: cache size (checked against the line) and must be >= 0.  All must be
+#: finite: JSON admits ``Infinity``, and an infinite ``mlp`` zeroes every
+#: memory stall.
+_POSITIVE = frozenset({
+    "num_cores", "frequency_ghz", "line_size",
+    "l1_assoc", "l2_assoc", "l3_assoc", "l3_banks",
+    "dram_controllers", "dram_gbps_per_controller", "mlp", "engine_mlp",
+    "chain_fifo_depth", "tuple_fifo_depth", "stack_depth",
+})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,14 +118,42 @@ class SystemConfig:
     stack_depth: int = 16
 
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ConfigurationError("num_cores must be >= 1")
-        if self.l3_banks < 1:
-            raise ConfigurationError("l3_banks must be >= 1")
-        for field in ("l1_size", "l2_size", "l3_size"):
-            size = getattr(self, field)
+        """Reject at construction what the model would reject, or divide
+        by, in a worker: wrong types, out-of-range numbers and cache
+        geometries that :class:`~repro.sim.cache.Cache` or
+        :class:`~repro.sim.layout.MemoryLayout` cannot build."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind = str(field.type)  # "int", ...: annotations are strings
+            if not isinstance(value, _ACCEPTS[kind]) or (
+                isinstance(value, bool) != (kind == "bool")
+            ):
+                raise ConfigurationError(
+                    f"{field.name} must be {kind}, got {value!r}"
+                )
+            if kind in ("int", "float"):
+                positive = field.name in _POSITIVE
+                if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+                    raise ConfigurationError(
+                        f"{field.name} must be finite and "
+                        f"{'>' if positive else '>='} 0, got {value!r}"
+                    )
+        if self.line_size & (self.line_size - 1):
+            raise ConfigurationError(
+                f"line_size must be a power of two, got {self.line_size}"
+            )
+        for level in ("l1", "l2", "l3"):
+            size = getattr(self, f"{level}_size")
+            way = getattr(self, f"{level}_assoc") * self.line_size
             if size < self.line_size:
-                raise ConfigurationError(f"{field}={size} smaller than a line")
+                raise ConfigurationError(
+                    f"{level}_size={size} smaller than a line"
+                )
+            if size % way:
+                raise ConfigurationError(
+                    f"{level}_size={size} is not a multiple of "
+                    f"{level}_assoc x line_size = {way}"
+                )
 
     @property
     def dram_bytes_per_cycle_per_controller(self) -> float:

@@ -94,8 +94,8 @@ def hypergraph_content_hash(hypergraph) -> str:
 def _preprocess_token(preprocessing: PreprocessSpec | None) -> str:
     """Canonical string form of a preprocessing record for key hashing.
 
-    Uses the sorted-key JSON dump of the spec's canonical serialization so
-    stage order is preserved but parameter order is not significant.
+    Uses the sorted-key JSON dump of the spec's canonical serialization,
+    which preserves stage order.
     """
     if preprocessing is None:
         preprocessing = PreprocessSpec()

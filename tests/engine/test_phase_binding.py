@@ -67,6 +67,24 @@ def test_each_phase_binds_the_update_once(engine, make_algorithm):
     assert algorithm.bindings == 2 * result.iterations
 
 
+class _CappedBfs(_Bfs):
+    max_iterations = 2
+
+
+#: A 10-vertex path: BFS from vertex 0 needs far more than two iterations.
+PATH = two_uniform_graph([(v, v + 1) for v in range(9)], num_vertices=10)
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_a_capped_run_reports_the_iterations_it_ran(engine):
+    algorithm = _CappedBfs()
+    result = RUNNER.engine(engine, PATH, CONFIG).run(
+        algorithm, PATH, SimulatedSystem(CONFIG)
+    )
+    assert algorithm.bindings == 4  # two iterations of two phases
+    assert result.iterations == 2
+
+
 class _FlushProbe(Bfs):
     """Counts its updates into an ``extras`` array through a mirror.
 

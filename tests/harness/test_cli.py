@@ -67,13 +67,6 @@ def test_compare_command_small(capsys):
     assert "Hygra" in out and "ChGraph" in out and "Speedup" in out
 
 
-def test_experiment_command_cheap(capsys):
-    assert main(["experiment", "table1"]) == 0
-    assert "Table I" in capsys.readouterr().out
-    assert main(["experiment", "vi_e"]) == 0
-    assert "area" in capsys.readouterr().out.lower()
-
-
 def test_bench_rejects_unknown_figures(capsys):
     assert main(["bench", "--figures", "fig99", "--jobs", "1"]) == 2
     assert "fig99" in capsys.readouterr().err
@@ -137,10 +130,10 @@ def test_prewarm_and_cache_lifecycle(capsys, tmp_path):
 
 def test_experiment_reports_cache_stats_when_enabled(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    assert main(["experiment", "fig21"]) == 0
+    assert main(["bench", "--figures", "fig21", "--jobs", "1"]) == 0
     cold = capsys.readouterr().out
     assert "cache:" in cold and "5 writes" in cold
-    assert main(["experiment", "fig21"]) == 0
+    assert main(["bench", "--figures", "fig21", "--jobs", "1"]) == 0
     warm = capsys.readouterr().out
     assert "5 hits" in warm and "0 misses" in warm
 
@@ -213,6 +206,23 @@ def test_check_command_detects_injected_fault(capsys):
 def test_check_command_rejects_unknown_names(capsys):
     assert main(["check", "--engines", "NoSuchEngine", "--quiet"]) == 2
     assert main(["check", "--algorithms", "NoSuchAlgo", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "option, value, bad",
+    [
+        ("--datasets", "WEB,NOPE", "NOPE"),
+        ("--cores", "4,0", "0"),
+        ("--cores", "x", "x"),
+    ],
+)
+def test_prewarm_rejects_bad_list_entries(capsys, tmp_path, option, value, bad):
+    assert main([
+        "prewarm", "--cache-dir", str(tmp_path), option, value,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f": {bad}")
+    assert not any(tmp_path.iterdir())  # nothing built
 
 
 def test_profile_check_flag_clean(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
+    Adsorption,
     Bfs,
     ConnectedComponents,
     KCore,
@@ -44,6 +45,22 @@ def run_everywhere(hypergraph, algorithm_factory):
 def test_empty_hypergraph():
     empty = Hypergraph.from_hyperedge_lists([], num_vertices=0)
     for run in run_everywhere(empty, ConnectedComponents):
+        assert run.result.size == 0
+
+
+@pytest.mark.parametrize(
+    "make_algorithm",
+    [lambda: PageRank(iterations=3), lambda: Adsorption(iterations=3)],
+    ids=["PR", "Adsorption"],
+)
+def test_dense_apps_stop_after_one_iteration_on_the_empty_hypergraph(
+    make_algorithm,
+):
+    """Both frontiers of an empty hypergraph are empty, so the dense apps
+    stop after one iteration, as every other app does, not at their cap."""
+    empty = Hypergraph.from_hyperedge_lists([], num_vertices=0)
+    for run in run_everywhere(empty, make_algorithm):
+        assert run.iterations == 1
         assert run.result.size == 0
 
 

@@ -8,10 +8,12 @@ teardown; tests talk to it over actual HTTP via :class:`ServiceClient`.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 
 import pytest
 
+from repro.harness.spec import RunSpec
 from repro.service import (
     JobRequest,
     SchedulerConfig,
@@ -19,17 +21,21 @@ from repro.service import (
     ServiceConfig,
     SimulationService,
 )
+from repro.sim.config import scaled_config
 
-#: The cheapest real workload (also used by tests/harness/test_cli.py).
-SMALL = dict(
-    engine="Hygra", algorithm="BFS", dataset="FS",
-    cores=4, llc_kb=2, pr_iterations=1,
+#: The cheapest real workload (``WORKLOAD`` in tests/service/test_cli.py
+#: spells it as flags).
+SMALL = RunSpec(
+    "Hygra", "BFS", "FS",
+    config=scaled_config(num_cores=4, llc_kb=2),
+    pr_iterations=1,
 )
 
 
-def small_request(**overrides) -> JobRequest:
-    """A fast-to-simulate request, tweakable per test."""
-    return JobRequest.build(**{**SMALL, **overrides})
+def small_request(priority: int = 0, **changes) -> JobRequest:
+    """A fast-to-simulate request; ``changes`` replace fields of ``SMALL``."""
+    spec = dataclasses.replace(SMALL, **changes).normalized()
+    return JobRequest(spec, priority)
 
 
 @pytest.fixture

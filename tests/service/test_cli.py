@@ -13,15 +13,11 @@ import pytest
 
 import repro
 from repro.cli import main
-from tests.service.conftest import SMALL
 
+#: ``SMALL`` of tests/service/conftest.py as workload flags.
 WORKLOAD = [
-    "--engine", SMALL["engine"],
-    "--algorithm", SMALL["algorithm"],
-    "--dataset", SMALL["dataset"],
-    "--cores", str(SMALL["cores"]),
-    "--llc-kb", str(SMALL["llc_kb"]),
-    "--pr-iterations", str(SMALL["pr_iterations"]),
+    "--engine", "Hygra", "--algorithm", "BFS", "--dataset", "FS",
+    "--cores", "4", "--llc-kb", "2", "--pr-iterations", "1",
 ]
 
 

@@ -4,31 +4,63 @@ from __future__ import annotations
 
 import pytest
 
+from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.service import JOB_STATES, JobRecord, JobRequest
+from repro.sim.config import scaled_config
 from tests.service.conftest import small_request
 
 
+def merged(base: dict, changes: dict) -> dict:
+    """``base`` with ``changes`` applied, nested objects key by key."""
+    out = dict(base)
+    for key, value in changes.items():
+        nested = isinstance(value, dict) and isinstance(base.get(key), dict)
+        out[key] = merged(base[key], value) if nested else value
+    return out
+
+
 class TestJobRequestValidation:
+    """The request boundary: wire payloads through ``JobRequest.from_json``,
+    the path the server takes before it answers HTTP 400."""
+
     def test_valid_request_passes(self):
-        small_request().validate()
+        request = JobRequest.from_json(small_request().to_json())
+        request.validate()
+        assert request == small_request()
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"engine": "NoSuchEngine"},
-            {"algorithm": "Dijkstra"},
-            {"dataset": "nope"},
-            {"cores": 0},
-            {"llc_kb": -1},
-            {"pr_iterations": 0},
-            {"cores": 2.5},
-            {"profile": 1},
+            {"spec": {"engine": "NoSuchEngine"}},
+            {"spec": {"algorithm": "Dijkstra"}},
+            {"spec": {"dataset": "nope"}},
+            {"spec": {"config": {"num_cores": 0}}},
+            {"spec": {"config": {"l3_size": -1024}}},
+            {"spec": {"pr_iterations": 0}},
+            {"spec": {"config": {"num_cores": 2.5}}},
+            {"spec": {"profile": 1}},
             {"priority": "high"},
+            {"spec": {"check": "false"}},
+            {"spec": {"profile": "no"}},
+            {"spec": {"pr_iterations": 2.7}},
+            {"spec": {"pr_iterations": True}},
+            {"spec": {"preprocessing": {"w_min": 3.9}}},
+            {"spec": {"preprocessing": {"stages": [
+                {"name": "locality-reorder", "params": {"level": 3}},
+            ]}}},
+            {"spec": {"config": {"mlp": "fast"}}},
+            {"spec": {"config": {"mlp": 0.0}}},
+            {"spec": {"config": {"mlp": float("inf")}}},
+            {"spec": {"config": {"track_coherence": "no"}}},
+            {"spec": {"config": {"l1_assoc": 0}}},
+            {"spec": {"config": {"line_size": 48}}},
+            {"priority": True},
         ],
     )
     def test_bad_field_rejected(self, overrides):
+        payload = merged(small_request().to_json(), overrides)
         with pytest.raises(ValueError):
-            small_request(**overrides).validate()
+            JobRequest.from_json(payload)
 
 
 class TestJobRequestJson:
@@ -93,16 +125,20 @@ class TestStoreKey:
 
     def test_key_distinguishes_config_and_profile(self):
         base = small_request().store_key()
-        assert small_request(cores=8).store_key() != base
+        eight_cores = scaled_config(num_cores=8, llc_kb=2)
+        assert small_request(config=eight_cores).store_key() != base
         assert small_request(profile=True).store_key() != base
 
     def test_key_distinguishes_preprocessing(self):
         # The v4 keys fix the latent aliasing: sweeps and staged runs were
         # previously indistinguishable from default runs.
         base = small_request().store_key()
-        assert small_request(w_min=5).store_key() != base
-        assert small_request(d_max=8).store_key() != base
-        assert small_request(stages=["locality-reorder"]).store_key() != base
+        for preprocessing in (
+            PreprocessSpec(w_min=5),
+            PreprocessSpec(d_max=8),
+            PreprocessSpec(stages=(StageSpec("locality-reorder"),)),
+        ):
+            assert small_request(preprocessing=preprocessing).store_key() != base
         assert small_request(check=True).store_key() != base
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.errors import JobNotFoundError, ServiceError, ServiceOverloadedError
+from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.service import SchedulerConfig
 from tests.service.conftest import small_request
 
@@ -81,7 +82,9 @@ class TestSpecFidelityEndToEnd:
         from repro.store.serialize import run_result_to_json
 
         request = small_request(
-            w_min=5, d_max=8, stages=["locality-reorder"]
+            preprocessing=PreprocessSpec(
+                w_min=5, d_max=8, stages=(StageSpec("locality-reorder"),)
+            )
         )
         service, client = make_service()
         job = client.run(request, timeout=120)
@@ -94,7 +97,10 @@ class TestSpecFidelityEndToEnd:
         """What /jobs echoes back parses to the submitted request."""
         from repro.service.jobs import JobRequest
 
-        request = small_request(w_min=5, stages=["identity"], priority=2)
+        request = small_request(
+            priority=2,
+            preprocessing=PreprocessSpec(w_min=5, stages=(StageSpec("identity"),)),
+        )
         service, client = make_service()
         job = client.submit(request)
         assert JobRequest.from_json(job["request"]) == request

@@ -57,6 +57,31 @@ def test_cache_smaller_than_line_rejected():
         SystemConfig(name="bad", l1_size=32)
 
 
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"num_cores": 2.5}, "num_cores must be int"),
+        ({"l1_assoc": 0}, "l1_assoc must be finite and > 0"),
+        ({"l2_latency": -5}, "l2_latency must be finite and >= 0"),
+        ({"mlp": float("inf")}, "mlp must be finite"),
+        ({"line_size": 48}, "line_size must be a power of two"),
+        ({"l1_size": 1000}, "l1_size=1000 is not a multiple"),
+    ],
+    ids=["type", "positive", "non-negative", "finite", "power-of-two", "divisible"],
+)
+def test_field_checks(changes, match):
+    with pytest.raises(ConfigurationError, match=match):
+        scaled_config().replace(**changes)
+
+
+def test_an_int_is_a_float_but_a_bool_is_no_number():
+    assert scaled_config().replace(mlp=3).mlp == 3
+    with pytest.raises(ConfigurationError, match="num_cores must be int"):
+        scaled_config().replace(num_cores=True)
+    with pytest.raises(ConfigurationError, match="track_coherence must be bool"):
+        scaled_config().replace(track_coherence=1)
+
+
 def test_dram_bytes_per_cycle():
     config = table1_config()
     assert config.dram_bytes_per_cycle_per_controller == pytest.approx(12.8 / 2.2)
