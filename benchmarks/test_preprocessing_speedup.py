@@ -3,9 +3,11 @@
 Guards the claim of the vectorized builders: the OAG builder is at least 5×
 faster than the scalar oracle (``tests/core/oag_reference.py``) on a
 generator-produced hypergraph with at least 2k hyperedges, while producing a
-bit-identical CSR.  Chain generation timings ride along for context: the
-scalar column is the probed walk under a no-op ``ChainProbe()`` (its parity
-is tested in ``tests/core/test_fast_parity.py``).
+bit-identical CSR.  Chain generation and locality-reorder timings ride
+along for context: the chain scalar column is the probed walk under a no-op
+``ChainProbe()`` (its parity is tested in ``tests/core/test_fast_parity.py``),
+the reorder one the numpy-indexed BFS kept in
+``tests/hypergraph/reorder_ref.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from repro.benchmark.measure import timed
 from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.oag import build_oag, sparse_backend
 from repro.hypergraph.generators import paper_dataset
+from repro.hypergraph.reorder import locality_reorder
 from tests.core import oag_reference
+from tests.hypergraph import reorder_ref
 
 MIN_SPEEDUP = 5.0
 
@@ -47,6 +51,16 @@ def test_preprocessing_speedup(benchmark, emit):
         )
         assert scalar_chains.chains == fast_chains.chains
 
+        scalar_reorder, reorder_scalar_s = timed(
+            lambda: reorder_ref.locality_reorder(hypergraph)
+        )
+        fast_reorder, reorder_fast_s = timed(lambda: locality_reorder(hypergraph))
+        assert np.array_equal(scalar_reorder.vertex_perm, fast_reorder.vertex_perm)
+        assert (
+            scalar_reorder.hypergraph.content_hash()
+            == fast_reorder.hypergraph.content_hash()
+        )
+
         rows = [
             [
                 "OAG build (H-OAG)",
@@ -59,6 +73,12 @@ def test_preprocessing_speedup(benchmark, emit):
                 round(chain_scalar_s * 1e3, 1),
                 round(chain_fast_s * 1e3, 1),
                 round(chain_scalar_s / chain_fast_s, 1),
+            ],
+            [
+                "Locality reorder",
+                round(reorder_scalar_s * 1e3, 1),
+                round(reorder_fast_s * 1e3, 1),
+                round(reorder_scalar_s / reorder_fast_s, 1),
             ],
         ]
         title = (

@@ -180,7 +180,7 @@ def _serve_roundtrip():
 
 @bench(
     "reorder-stage",
-    "locality_reorder (degree-sort + CSR rebuild) on a seeded hypergraph",
+    "locality_reorder (BFS renumbering + CSR rebuild) on a seeded hypergraph",
 )
 def _reorder_stage():
     from repro.hypergraph.reorder import locality_reorder

@@ -202,7 +202,10 @@ class ChainGenerator:
         """
         remaining = active.astype(bool, copy=True)
         result = ChainSet(chains=[], root_scans=int(active.size))
-        offsets = oag.csr.offsets
+        # Row bounds as Python ints: one list index per walk step instead of
+        # two numpy scalar reads.  The copy is local, not the Csr's cached
+        # mirror, so it does not live as long as the OAG.
+        offsets = oag.csr.offsets.tolist()
         edges = oag.csr.indices
         first_id = oag.first_id
         offsets_fetches = 0
@@ -210,23 +213,24 @@ class ChainGenerator:
         max_steps = self.d_max - 1
         chains = result.chains
 
-        for root in np.flatnonzero(remaining):
+        for root in np.flatnonzero(remaining).tolist():
             if not remaining[root]:
                 continue  # consumed by an earlier walk
-            chain = [first_id + int(root)]
+            chain = [first_id + root]
             remaining[root] = False
-            current = int(root)
+            current = root
             for _ in range(max_steps):
                 offsets_fetches += 1
-                row = edges[offsets[current] : offsets[current + 1]]
-                if row.size == 0:
+                start, end = offsets[current], offsets[current + 1]
+                if start == end:
                     break
                 # The row is weight-descending, so the first still-active
                 # slot is the maximal-weight successor.
+                row = edges[start:end]
                 alive = remaining[row]
-                hit = int(np.argmax(alive))
+                hit = int(alive.argmax())
                 if not alive[hit]:
-                    neighbor_inspections += int(row.size)
+                    neighbor_inspections += end - start
                     break
                 neighbor_inspections += hit + 1
                 current = int(row[hit])

@@ -11,15 +11,17 @@ The OAG is stored in CSR form with each node's neighbor list sorted in
 during chain generation (§IV-B: "we enforce to store the CSR-based edges of
 each vertex in a descending order according to their weights").
 
-The builder is vectorized: it counts every pivot row's co-occurring pairs
-with one sparse matrix product (or a NumPy expand-and-``np.unique``
-pipeline without scipy) and emits the CSR with one lexsort.  ``scipy``
-is imported by the first build (:func:`sparse_backend`), not by
-``import repro``: most processes never build an OAG.  The original
-per-element scalar counter is the parity oracle under ``tests/core/``;
-``tests/core/test_fast_parity.py`` holds both to bit-identical CSRs
-(offsets, indices, weights) and identical ``build_operations`` counts, so
-Figure 21(a)'s preprocessing-cost reporting is the scalar walk's.
+Construction is vectorized: it bins every pivot row's elements into
+``(row, chunk)`` segments, counts their co-occurring pairs in both
+directions with one sparse matrix product (or a NumPy expand-and-
+``np.unique`` pipeline without scipy), and emits every chunk's CSR from
+one stable argsort.  ``scipy`` is imported by the first build
+(:func:`sparse_backend`), not by ``import repro``: most processes never
+build an OAG.  The original per-element scalar counter is the parity
+oracle under ``tests/core/``; ``tests/core/test_fast_parity.py`` holds
+both to bit-identical CSRs (offsets, indices, weights) and identical
+``build_operations`` counts, so Figure 21(a)'s preprocessing-cost
+reporting is the scalar walk's.
 """
 
 from __future__ import annotations
@@ -154,138 +156,41 @@ def _expand_pairs(
     return left, right
 
 
-def _unique_pair_counts(
-    vals: np.ndarray, lens: np.ndarray, num_cols: int
+def _pair_counts(
+    vals: np.ndarray, segs: np.ndarray, num_segs: int, num_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique co-occurrence pairs of ``vals`` with their multiplicities.
+    """Co-occurrence pairs of ``vals`` in both directions, with weights.
 
-    ``vals`` holds element ids in ``[0, num_cols)`` concatenated per
-    segment; a pair's weight is the number of segments containing both ids.
-    Returns ``(lo, hi, weight)`` with ``lo < hi``, sorted by ``(lo, hi)``.
-    Uses one sparse matrix product (``B.T @ B`` over the segment incidence)
+    ``vals[i]`` is an element id in ``[0, num_cols)`` that belongs to
+    segment ``segs[i]``, in any order; a pair's weight is the number of
+    segments containing both ids.  Returns ``(row, col, weight)`` for every
+    pair with ``row != col``, sorted by ``(row, col)``.  Uses one sparse
+    matrix product (the symmetric ``B.T @ B`` over the segment incidence)
     when scipy is available, else a numpy repeat/advanced-indexing pipeline.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    if vals.size == 0 or num_cols == 0:
-        return empty, empty, empty
     sparse = sparse_backend()
     if sparse is not None:
-        lens = lens.astype(np.int64, copy=False)
-        indptr = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
         incidence = sparse.csr_matrix(
-            (np.ones(vals.size, dtype=np.int64), vals, indptr),
-            shape=(lens.size, num_cols),
+            (np.ones(vals.size, dtype=np.int64), (segs, vals)),
+            shape=(num_segs, num_cols),
         )
         gram = (incidence.T @ incidence).tocsr()
         gram.sort_indices()
         coo = gram.tocoo()
-        upper = coo.row < coo.col  # drop the degree diagonal + mirror half
+        off_diagonal = coo.row != coo.col  # the diagonal holds degrees
         return (
-            coo.row[upper].astype(np.int64),
-            coo.col[upper].astype(np.int64),
-            coo.data[upper].astype(np.int64),
+            coo.row[off_diagonal].astype(np.int64),
+            coo.col[off_diagonal].astype(np.int64),
+            coo.data[off_diagonal].astype(np.int64),
         )
-    left, right = _expand_pairs(vals, lens)
-    if left.size == 0:
-        return empty, empty, empty
-    lo = np.minimum(left, right)
-    hi = np.maximum(left, right)
+    order = np.argsort(segs, kind="stable")
+    left, right = _expand_pairs(vals[order], np.bincount(segs, minlength=num_segs))
     span = np.int64(num_cols)
-    keys, counts = np.unique(lo * span + hi, return_counts=True)
+    keys, counts = np.unique(
+        np.concatenate([left * span + right, right * span + left]),
+        return_counts=True,
+    )
     return keys // span, keys % span, counts.astype(np.int64)
-
-
-def _pairs_to_csr(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    weights: np.ndarray,
-    w_min: int,
-    first_id: int,
-    num_nodes: int,
-) -> Csr:
-    """Emit the weight-descending CSR for one node range from pair arrays."""
-    keep = weights >= w_min
-    lo = lo[keep] - first_id
-    hi = hi[keep] - first_id
-    kept = weights[keep]
-    # Each undirected overlap stores two directed slots.
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    flat_weights = np.concatenate([kept, kept])
-    # Row-major, weight-descending within a row, ascending id tiebreak —
-    # the scalar oracle's per-row sort key.
-    order = np.lexsort((cols, -flat_weights, rows))
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    if rows.size:
-        np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
-    return Csr(offsets, cols[order], flat_weights[order])
-
-
-def _overlap_pairs(
-    hypergraph: Hypergraph, side: str, first_id: int, last_id: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Overlap pairs among elements in ``[first_id, last_id)``.
-
-    For the hyperedge side, two hyperedges overlap once per shared vertex,
-    so counting co-occurrences over every vertex's incident-hyperedge list
-    yields exactly ``|N(h) ∩ N(h')|``.  Returns the unique pairs with their
-    weights, plus the number of elementary counting operations (Figure
-    21(a)): one per incident element in range, one per counted
-    (pre-collapse) pair.
-    """
-    pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
-    indices = pivot.indices
-    degrees = np.diff(pivot.offsets)
-    universe = (
-        hypergraph.num_hyperedges if side == "hyperedge" else hypergraph.num_vertices
-    )
-    if first_id == 0 and last_id == universe:
-        vals = indices
-        lens = degrees
-    else:
-        keep = (indices >= first_id) & (indices < last_id)
-        vals = indices[keep]
-        row_ids = np.repeat(np.arange(pivot.num_rows, dtype=np.int64), degrees)
-        lens = np.bincount(row_ids[keep], minlength=pivot.num_rows)
-    operations = int(vals.size) + int((lens * (lens - 1) // 2).sum())
-    lo, hi, weights = _unique_pair_counts(vals, lens, last_id)
-    return lo, hi, weights, operations
-
-
-def _chunk_overlap_pairs(
-    hypergraph: Hypergraph, side: str, chunks: list[Chunk]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One-pass pair counting restricted to same-chunk pairs.
-
-    Returns unique ``(lo, hi, weight)`` arrays sorted by ``lo`` (so chunk
-    ranges are contiguous) and the operation count of
-    :func:`_overlap_pairs`, summed over the ``(row, chunk)`` segments.
-    """
-    pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
-    indices = pivot.indices
-    degrees = np.diff(pivot.offsets)
-    bounds = np.array(
-        [chunk.first for chunk in chunks] + [chunks[-1].last], dtype=np.int64
-    )
-    row_ids = np.repeat(np.arange(pivot.num_rows, dtype=np.int64), degrees)
-    # Sort by (pivot row, element id) so each (row, chunk) run is contiguous;
-    # pair membership is order-independent, so the reorder is harmless.
-    order = np.lexsort((indices, row_ids))
-    vals = indices[order]
-    rows = row_ids[order]
-    if vals.size:
-        chunk_of = np.searchsorted(bounds, vals, side="right") - 1
-        new_seg = np.empty(vals.size, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = (rows[1:] != rows[:-1]) | (chunk_of[1:] != chunk_of[:-1])
-        seg_starts = np.flatnonzero(new_seg)
-        lens = np.diff(np.append(seg_starts, vals.size))
-    else:
-        lens = np.zeros(0, dtype=np.int64)
-    operations = int(vals.size) + int((lens * (lens - 1) // 2).sum())
-    lo, hi, weights = _unique_pair_counts(vals, lens, int(bounds[-1]))
-    return lo, hi, weights, operations
 
 
 def build_oag(
@@ -300,21 +205,9 @@ def build_oag(
     chunk members: each chunk is processed by one core with its own OAG
     (§IV-B), so cross-chunk overlap is intentionally invisible.
     """
-    if side not in ("hyperedge", "vertex"):
-        raise ValueError(f"unknown side {side!r}")
-    universe = (
-        hypergraph.num_hyperedges if side == "hyperedge" else hypergraph.num_vertices
-    )
-    first_id = chunk.first if chunk is not None else 0
-    last_id = chunk.last if chunk is not None else universe
-    lo, hi, weights, operations = _overlap_pairs(hypergraph, side, first_id, last_id)
-    return Oag(
-        side=side,
-        csr=_pairs_to_csr(lo, hi, weights, w_min, first_id, last_id - first_id),
-        w_min=w_min,
-        first_id=first_id,
-        build_operations=operations,
-    )
+    if chunk is None:
+        chunk = Chunk(0, 0, hypergraph.side(side).num_rows)
+    return build_chunk_oags(hypergraph, side, [chunk], w_min)[0]
 
 
 def build_chunk_oags(
@@ -325,30 +218,64 @@ def build_chunk_oags(
 ) -> list[Oag]:
     """One OAG per chunk (what each core's ChGraph engine is configured with).
 
-    Built in a single pass over the pivot side: each pivot row's incident
-    elements are binned by owning chunk and only same-chunk pairs counted,
-    which matches :func:`build_oag`'s per-chunk output (an edge requires
-    both endpoints inside the chunk) at a fraction of the cost.
+    Built in a single pass over the pivot side.  For the hyperedge side,
+    two hyperedges overlap once per shared vertex, so counting pairs over
+    every vertex's incident-hyperedge list yields ``|N(h) ∩ N(h')|``.  Each
+    pivot row's incident elements are binned by owning chunk into one
+    ``(row, chunk)`` segment, so only same-chunk pairs are counted (an edge
+    requires both endpoints inside the chunk); elements outside every chunk
+    are dropped.  ``build_operations`` (Figure 21(a)) counts one operation
+    per binned element and one per counted (pre-collapse) pair, split
+    evenly across the chunks.
     """
+    if side not in ("hyperedge", "vertex"):
+        raise ValueError(f"unknown side {side!r}")
     if not chunks:
         return []
-    lo, hi, weights, operations = _chunk_overlap_pairs(hypergraph, side, chunks)
+    pivot = hypergraph.vertices if side == "hyperedge" else hypergraph.hyperedges
+    num_chunks = len(chunks)
+    bounds = np.array(
+        [chunk.first for chunk in chunks] + [chunks[-1].last], dtype=np.int64
+    )
+    universe = int(bounds[-1])
+    chunk_of = np.searchsorted(bounds, pivot.indices, side="right") - 1
+    inside = (chunk_of >= 0) & (chunk_of < num_chunks)
+    pivot_rows = np.repeat(
+        np.arange(pivot.num_rows, dtype=np.int64), np.diff(pivot.offsets)
+    )
+    vals = pivot.indices[inside]
+    segs = pivot_rows[inside] * num_chunks + chunk_of[inside]
+    num_segs = pivot.num_rows * num_chunks
+    lens = np.bincount(segs, minlength=num_segs)
+    operations = int(vals.size) + int((lens * (lens - 1) // 2).sum())
+
+    row, col, weight = _pair_counts(vals, segs, num_segs, universe)
+    keep = weight >= w_min
+    row, col, weight = row[keep], col[keep], weight[keep]
+    # One stable sort for every chunk: row-major, weight-descending within a
+    # row; the (row, col) input order survives as the ascending-id tiebreak
+    # — the scalar oracle's per-row sort key.
+    top = int(weight.max()) + 1 if weight.size else 1
+    order = np.argsort(row * top + (top - 1 - weight), kind="stable")
+    col, weight = col[order], weight[order]
+    # Row offsets over the whole id range.  Both endpoints of an edge share
+    # a chunk, so each chunk's CSR is one slice of the flat arrays.
+    offsets = np.zeros(universe + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=universe), out=offsets[1:])
     oags = []
     for chunk in chunks:
-        # ``lo`` ascends, and both pair endpoints share a chunk, so one
-        # binary search per boundary slices out the chunk's pairs.
-        a = np.searchsorted(lo, chunk.first, side="left")
-        b = np.searchsorted(lo, chunk.last, side="left")
+        a, b = offsets[chunk.first], offsets[chunk.last]
         oags.append(
             Oag(
                 side=side,
-                csr=_pairs_to_csr(
-                    lo[a:b], hi[a:b], weights[a:b], w_min,
-                    chunk.first, chunk.last - chunk.first,
+                csr=Csr(
+                    offsets[chunk.first : chunk.last + 1] - a,
+                    col[a:b] - chunk.first,
+                    weight[a:b],
                 ),
                 w_min=w_min,
                 first_id=chunk.first,
-                build_operations=operations // len(chunks),
+                build_operations=operations // num_chunks,
             )
         )
     return oags

@@ -112,6 +112,16 @@ class RunSpec:
                 raise ConfigurationError(
                     f"RunSpec.{field} must be a bool, got {value!r}"
                 )
+        for field, record in (
+            ("config", SystemConfig),
+            ("preprocessing", PreprocessSpec),
+        ):
+            value = getattr(self, field)
+            if value is not None and not isinstance(value, record):
+                raise ConfigurationError(
+                    f"RunSpec.{field} must be None or a {record.__name__}, "
+                    f"got {value!r}"
+                )
         if self.preprocessing is not None:
             self.preprocessing.validate()
 

@@ -140,19 +140,23 @@ class Csr:
     def transpose(self, num_cols: int | None = None) -> "Csr":
         """Return the transposed adjacency (columns become rows).
 
-        Each output row lists the source rows in ascending order — the
-        stable sort keeps the row-major entry order within every column.
+        Each output row lists the source rows in ascending order.
         """
         if num_cols is None:
             num_cols = int(self.indices.max()) + 1 if self.indices.size else 0
         counts = np.bincount(self.indices, minlength=num_cols)
         offsets = np.zeros(num_cols + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        rows = np.repeat(
+        # Sorting packed (column, row) keys by value, in place, equals a
+        # stable argsort by column at a fraction of its time and memory.
+        span = max(self.num_rows, 1)
+        keys = self.indices * span
+        keys += np.repeat(
             np.arange(self.num_rows, dtype=np.int64), np.diff(self.offsets)
         )
-        order = np.argsort(self.indices, kind="stable")
-        return Csr(offsets, rows[order])
+        keys.sort()
+        keys %= span
+        return Csr(offsets, keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Csr):

@@ -10,10 +10,10 @@ plus the bookkeeping to apply / invert a permutation.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 
 import numpy as np
 
+from repro.hypergraph.csr import Csr
 from repro.hypergraph.hypergraph import Hypergraph
 
 __all__ = ["Reordering", "locality_reorder", "apply_vertex_permutation"]
@@ -49,41 +49,65 @@ class Reordering:
 def apply_vertex_permutation(
     hypergraph: Hypergraph, vertex_perm: np.ndarray
 ) -> Hypergraph:
-    """Renumber vertices by ``vertex_perm`` (old id -> new id)."""
-    renamed = [
-        sorted(int(vertex_perm[v]) for v in hypergraph.incident_vertices(h))
-        for h in range(hypergraph.num_hyperedges)
-    ]
-    return Hypergraph.from_hyperedge_lists(
-        renamed, num_vertices=hypergraph.num_vertices, name=hypergraph.name + "+reord"
+    """Renumber vertices by ``vertex_perm`` (old id -> new id).
+
+    Each hyperedge lists its renamed members in ascending order and the
+    vertex side is its transpose, as :meth:`Hypergraph.from_hyperedge_lists`
+    builds them.  ``vertex_perm`` is a bijection and a hyperedge never lists
+    a vertex twice (the list constructor dedups, the generators draw
+    distinct members), so a renamed row needs no dedup either.
+    """
+    hyperedges = hypergraph.hyperedges
+    renamed = Csr(
+        hyperedges.offsets, np.asarray(vertex_perm, dtype=np.int64)[hyperedges.indices]
+    )
+    # A transpose lists each row's sources in ascending order, so the
+    # transpose of the vertex side sorts every hyperedge's renamed members.
+    vertices = renamed.transpose(num_cols=hypergraph.num_vertices)
+    return Hypergraph(
+        vertices.transpose(num_cols=hypergraph.num_hyperedges),
+        vertices,
+        name=hypergraph.name + "+reord",
     )
 
 
 def locality_reorder(hypergraph: Hypergraph) -> Reordering:
     """BFS renumbering: members of the same hyperedge get close-by new ids."""
     num_vertices = hypergraph.num_vertices
-    vertex_perm = np.full(num_vertices, -1, dtype=np.int64)
+    # The walk turns each row into a plain list when it reaches it, and it
+    # reaches each row once: a list index costs several times less than a
+    # numpy scalar index, and no list copy of a whole CSR is held.
+    vertex_offsets = hypergraph.vertices.offsets.tolist()
+    vertex_edges = hypergraph.vertices.indices
+    hyperedge_offsets = hypergraph.hyperedges.offsets.tolist()
+    hyperedge_members = hypergraph.hyperedges.indices
+    perm = [-1] * num_vertices
+    visited = [False] * hypergraph.num_hyperedges
     next_id = 0
-    visited_hyperedges = np.zeros(hypergraph.num_hyperedges, dtype=bool)
 
     for seed in range(num_vertices):
-        if vertex_perm[seed] >= 0:
+        if perm[seed] >= 0:
             continue
-        queue: deque[int] = deque([seed])
-        vertex_perm[seed] = next_id
+        perm[seed] = next_id
         next_id += 1
-        while queue:
-            v = queue.popleft()
-            for h in hypergraph.incident_hyperedges(v):
-                if visited_hyperedges[h]:
+        # A FIFO queue: the loop also visits the vertices appended to it.
+        queue = [seed]
+        for v in queue:
+            edges = vertex_edges[vertex_offsets[v] : vertex_offsets[v + 1]]
+            for h in edges.tolist():
+                if visited[h]:
                     continue
-                visited_hyperedges[h] = True
-                for u in hypergraph.incident_vertices(int(h)):
-                    if vertex_perm[u] < 0:
-                        vertex_perm[u] = next_id
+                visited[h] = True
+                members = hyperedge_members[
+                    hyperedge_offsets[h] : hyperedge_offsets[h + 1]
+                ]
+                for u in members.tolist():
+                    if perm[u] < 0:
+                        perm[u] = next_id
                         next_id += 1
-                        queue.append(int(u))
+                        queue.append(u)
 
+    vertex_perm = np.array(perm, dtype=np.int64)
     reordered = apply_vertex_permutation(hypergraph, vertex_perm)
     # Reordering reads every bipartite edge twice (discover + rewrite) and
     # writes both CSR directions; that traffic is the technique's overhead.

@@ -19,13 +19,15 @@ import pytest
 import repro.core.oag as oag_module
 from repro.core.chain import ChainGenerator, ChainProbe
 from repro.core.oag import build_chunk_oags, build_oag
+from repro.hypergraph.csr import Csr
 from repro.hypergraph.generators import (
     AffiliationConfig,
     generate_affiliation_hypergraph,
     generate_rmat_bipartite,
     generate_uniform_random_hypergraph,
 )
-from repro.hypergraph.partition import contiguous_chunks
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.partition import Chunk, contiguous_chunks
 from tests.core import oag_reference
 
 W_MINS = [1, 3, 8]
@@ -120,15 +122,79 @@ def test_build_oag_chunk_parity(hypergraph, backend, w_min):
 @pytest.mark.parametrize("w_min", W_MINS)
 @pytest.mark.parametrize("side", ["hyperedge", "vertex"])
 def test_build_chunk_oags_parity(hypergraph, backend, side, w_min):
-    universe = (
-        hypergraph.num_hyperedges if side == "hyperedge" else hypergraph.num_vertices
-    )
-    chunks = contiguous_chunks(universe, 4)
+    chunks = contiguous_chunks(hypergraph.side(side).num_rows, 4)
+    assert_chunk_parity(hypergraph, side, chunks, w_min)
+
+
+def assert_chunk_parity(hypergraph, side, chunks, w_min):
     scalars = oag_reference.build_chunk_oags(hypergraph, side, chunks, w_min)
     fasts = build_chunk_oags(hypergraph, side, chunks, w_min)
     assert len(scalars) == len(fasts) == len(chunks)
     for scalar, fast in zip(scalars, fasts):
         assert_identical_oags(scalar, fast)
+
+
+def _shuffled_rows(csr, rng):
+    rows = [rng.permutation(csr.neighbors(row)) for row in range(csr.num_rows)]
+    return Csr.from_lists(rows)
+
+
+@pytest.mark.parametrize("w_min", [1, 3])
+@pytest.mark.parametrize("side", ["hyperedge", "vertex"])
+def test_unsorted_pivot_rows_parity(hypergraph, backend, side, w_min):
+    """Pivot rows need not list their members in ascending order."""
+    rng = np.random.default_rng(5)
+    shuffled = Hypergraph(
+        _shuffled_rows(hypergraph.hyperedges, rng),
+        _shuffled_rows(hypergraph.vertices, rng),
+    )
+    pivot = shuffled.vertices if side == "hyperedge" else shuffled.hyperedges
+    assert any(np.any(np.diff(pivot.neighbors(r)) < 0) for r in range(pivot.num_rows))
+    assert_identical_oags(
+        oag_reference.build_oag(shuffled, side, w_min=w_min),
+        build_oag(shuffled, side, w_min=w_min),
+    )
+    assert_chunk_parity(
+        shuffled, side, contiguous_chunks(shuffled.side(side).num_rows, 4), w_min
+    )
+
+
+@pytest.mark.parametrize("side", ["hyperedge", "vertex"])
+def test_empty_chunks_parity(hypergraph, backend, side):
+    """More cores than elements leaves empty chunks at the tail; a hand-cut
+    list puts them first and in the middle too."""
+    universe = hypergraph.side(side).num_rows
+    assert_chunk_parity(
+        hypergraph, side, contiguous_chunks(universe, universe + 3), 1
+    )
+    third = universe // 3
+    chunks = [
+        Chunk(0, 0, 0), Chunk(1, 0, third), Chunk(2, third, third),
+        Chunk(3, third, universe), Chunk(4, universe, universe),
+    ]
+    assert_chunk_parity(hypergraph, side, chunks, 1)
+
+
+@pytest.mark.parametrize("w_min", [1, 3])
+def test_build_oag_vertex_chunk_parity(hypergraph, backend, w_min):
+    """A partial vertex-side chunk drops the members outside it."""
+    chunk = contiguous_chunks(hypergraph.num_vertices, 3)[1]
+    assert_identical_oags(
+        oag_reference.build_oag(hypergraph, "vertex", w_min=w_min, chunk=chunk),
+        build_oag(hypergraph, "vertex", w_min=w_min, chunk=chunk),
+    )
+
+
+@pytest.mark.parametrize("side", ["hyperedge", "vertex"])
+def test_no_bipartite_edges_parity(backend, side):
+    edgeless = Hypergraph.from_hyperedge_lists([[], [], []], num_vertices=5)
+    assert_identical_oags(
+        oag_reference.build_oag(edgeless, side, w_min=1),
+        build_oag(edgeless, side, w_min=1),
+    )
+    assert_chunk_parity(
+        edgeless, side, contiguous_chunks(edgeless.side(side).num_rows, 2), 1
+    )
 
 
 def _active_patterns(size, seed=17):

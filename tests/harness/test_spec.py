@@ -57,6 +57,25 @@ class TestNormalization:
         with pytest.raises(ConfigurationError):
             RunSpec(**{**base, **fields}).validate()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"config": "x"},
+            {"config": PreprocessSpec()},
+            {"preprocessing": "x"},
+            {"preprocessing": scaled_config()},
+        ],
+        ids=["config-str", "config-preprocess", "preprocessing-str",
+             "preprocessing-config"],
+    )
+    def test_mistyped_records_rejected(self, fields):
+        """``config``/``preprocessing`` must be ``None`` or their record."""
+        spec = RunSpec("Hygra", "BFS", "FS", **fields)
+        with pytest.raises(ConfigurationError, match="must be None or a"):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match="must be None or a"):
+            spec.normalized()
+
 
 class TestJson:
     def test_round_trip_preserves_none_fields(self):

@@ -112,3 +112,15 @@ def test_transpose_is_involution(rows):
 def test_transpose_preserves_entry_count(rows):
     csr = Csr.from_lists(rows)
     assert csr.transpose(num_cols=31).num_entries == csr.num_entries
+
+
+@given(adjacency_strategy)
+@settings(max_examples=60, deadline=None)
+def test_transpose_lists_source_rows_in_ascending_order(rows):
+    """Each column lists every row holding it, ascending, with multiplicity."""
+    csr = Csr.from_lists(rows)
+    expected = [
+        [r for r, row in enumerate(rows) for c in row if c == col]
+        for col in range(31)
+    ]
+    assert csr.transpose(num_cols=31).to_lists() == expected
