@@ -1,13 +1,11 @@
 """Shared benchmark plumbing.
 
-Every figure benchmark renders one registry entry of
-:data:`~repro.harness.experiments.FIGURES` through the process-wide memoized
-:class:`~repro.harness.runner.Runner`, so simulations shared by several
-figures run once.  Each bench prints its table and also writes it to
-``results/<name>.txt`` so the regenerated evaluation survives the run.
+``emit`` prints a bench's table and writes it to ``results/<name>.txt``, so
+the regenerated evaluation survives the run: ``test_figures.py`` emits
+every registry figure, the ``*_speedup.py`` benches their host timings.
 
-Run with ``pytest benchmarks/ --benchmark-only``; set ``REPRO_BENCH_FULL=1``
-for the paper's full PageRank iteration count.
+Run with ``PYTHONPATH=src:. pytest benchmarks/ --benchmark-only``; set
+``REPRO_BENCH_FULL=1`` for the paper's full PageRank iteration count.
 """
 
 from __future__ import annotations
@@ -16,11 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import FIGURES, render
+from repro.benchmark.measure import timed
 from repro.harness.report import render_table
-from repro.harness.runner import get_runner
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+#: Timed calls per kernel in the host-timing benches, after one warm-up
+#: call: the fastest of them moves least from run to run.
+REPEATS = 5
 
 
 @pytest.fixture(scope="session")
@@ -44,14 +45,17 @@ def emit(results_dir):
 
 
 @pytest.fixture
-def figure(benchmark, emit):
-    """Render one registry figure (timed once), then print and persist it."""
+def best_time():
+    """Time ``fn`` as its fastest of :data:`REPEATS` calls after one warm-up
+    call; ``setup`` runs untimed before every call.  Returns ``(result of
+    the last call, seconds)``."""
 
-    def _figure(figure_id: str) -> list[list[object]]:
-        table = benchmark.pedantic(
-            render, args=(FIGURES[figure_id], get_runner()),
-            rounds=1, iterations=1,
-        )
-        return emit(figure_id, table)
+    def _best_time(fn, setup=lambda: None):
+        seconds = []
+        for _ in range(1 + REPEATS):
+            setup()
+            result, elapsed = timed(fn)
+            seconds.append(elapsed)
+        return result, min(seconds[1:])
 
-    return _figure
+    return _best_time

@@ -15,7 +15,8 @@ Commands
     Regenerate paper tables/figures by id (e.g. ``--figures fig14,table2``),
     executing their combined run matrix on the sharded parallel executor
     (``--jobs N --timeout S``); the tables are byte-identical to serial
-    execution.
+    execution.  After each table, one stderr line says whether the
+    figure's paper claim holds on it, naming each condition that fails.
 ``check``
     Run the invariant + cross-engine differential checking suite: every
     registry engine on seeded generator hypergraphs under an attached
@@ -461,9 +462,11 @@ def _comma_list(text: str, what: str, valid: Callable[[str], bool]) -> list[str]
     return entries
 
 
-def _print_figure(figure_id: str, runner: Runner, results=None) -> None:
+def _print_figure(figure_id: str, runner: Runner, results=None) -> str:
     title, headers, rows = render(FIGURES[figure_id], runner, results)
-    print(render_table(headers, rows, title=title))
+    text = render_table(headers, rows, title=title)
+    print(text)
+    return text
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:
@@ -565,8 +568,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         profile=args.profile or args.check, check=args.check,
     )
     for figure_id in ids:
-        _print_figure(figure_id, runner, results)
+        failures = FIGURES[figure_id].claim.failures(
+            _print_figure(figure_id, runner, results)
+        )
         print()
+        verdict = "does not hold: " + "; ".join(failures) if failures else "holds"
+        print(f"claim {figure_id}: {verdict}", file=sys.stderr)
     if args.profile:
         rows = []
         for spec, result in results.items():

@@ -240,9 +240,7 @@ def build_chunk_oags(
     universe = int(bounds[-1])
     chunk_of = np.searchsorted(bounds, pivot.indices, side="right") - 1
     inside = (chunk_of >= 0) & (chunk_of < num_chunks)
-    pivot_rows = np.repeat(
-        np.arange(pivot.num_rows, dtype=np.int64), np.diff(pivot.offsets)
-    )
+    pivot_rows = pivot.row_ids()
     vals = pivot.indices[inside]
     segs = pivot_rows[inside] * num_chunks + chunk_of[inside]
     num_segs = pivot.num_rows * num_chunks

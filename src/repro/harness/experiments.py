@@ -14,11 +14,18 @@ The runner executes a grid (serially, or sharded across worker processes by
 resources and pipeline accessors but no way to start a simulation.  Looking
 up a spec outside the declared grid raises ``KeyError``, so every result a
 figure consumes is one it declared.
+
+Each figure also states its paper claim once, as a :class:`Claim`: the
+conditions its table must meet, judged on the table's printed text, and
+for the paper's figures the EXPERIMENTS.md row that compares the paper's
+value with the committed ``results/<id>.txt``.  ``repro bench``, the
+figure benchmark and the tests all judge a table through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -27,7 +34,7 @@ from repro.chgraph.area import area_report
 from repro.chgraph.cycle_model import record_hcg_microops, simulate_phase
 from repro.engine import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
-from repro.harness.report import with_bars
+from repro.harness.report import format_value, parse_table, with_bars
 from repro.harness.runner import PAPER_APPS, Runner
 from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import PAPER_DATASETS
@@ -36,9 +43,15 @@ from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.hypergraph.stats import dataset_stats, overlap_curve
 from repro.sim.config import SystemConfig, scaled_config, table1_config
 
-__all__ = ["FIGURES", "Figure", "FigureData", "Table", "render"]
+__all__ = [
+    "FIGURES", "Claim", "Figure", "FigureData", "Table", "render",
+    "claims_table", "with_claims_table",
+]
 
 Table = tuple[str, list[str], list[list[object]]]
+#: A table's rows as :func:`~repro.harness.report.parse_table` reads them
+#: back: ints, floats and strings.
+Rows = list[list[Any]]
 
 #: Cycles charged per elementary preprocessing operation when converting
 #: host-side preprocessing work into simulated core cycles (Figs 21/22).
@@ -67,8 +80,66 @@ OVERLAP_THRESHOLDS = (2, 8, 32, 64)
 
 
 @dataclasses.dataclass(frozen=True)
+class Claim:
+    """What the paper claims for one figure, judged on its printed table.
+
+    ``conditions`` maps each condition the table must meet to a predicate
+    over the rows :func:`~repro.harness.report.parse_table` reads back, so
+    every judge sees the numbers at the precision the table prints.  A
+    claim with a ``measured`` formatter is one row of EXPERIMENTS.md:
+    ``experiment`` labels it, ``paper`` quotes the paper, ``measured``
+    formats the table's numbers and ``verdict`` compares the two.
+    """
+
+    conditions: Mapping[str, Callable[[Rows], bool]]
+    experiment: str = ""
+    paper: str = ""
+    measured: Callable[[Rows], str] | None = None
+    verdict: str = ""
+
+    def failures(self, text: str) -> list[str]:
+        """The conditions that do not hold on a rendered table's text."""
+        _, _, rows = parse_table(text)
+        return [name for name, holds in self.conditions.items() if not holds(rows)]
+
+
+def _col(rows: Rows, index: int) -> list[Any]:
+    return [row[index] for row in rows]
+
+
+def _where(rows: Rows, value: object, at: int = 0) -> Rows:
+    return [row for row in rows if row[at] == value]
+
+
+def _cell(rows: Rows, label: object, index: int, at: int = 0) -> Any:
+    """Cell ``index`` of the first row whose cell ``at`` is ``label``."""
+    return _where(rows, label, at)[0][index]
+
+
+def _cells(rows: Rows) -> list[Any]:
+    """Every cell but the first column's."""
+    return [value for row in rows for value in row[1:]]
+
+
+def _mean(values: list[Any]) -> float:
+    return float(sum(values) / len(values))
+
+
+def _span(values: list[Any]) -> str:
+    """``min–max`` of a column, each as the table prints it."""
+    return f"{format_value(min(values))}–{format_value(max(values))}"
+
+
+def _fig15_sum(rows: Rows, system: str, column: int) -> Any:
+    """One system's Figure 15 total of a column: 3 all, 5 incident, 6 value
+    or 7 OAG accesses."""
+    return sum(_col(_where(rows, system, 2), column))
+
+
+@dataclasses.dataclass(frozen=True)
 class Figure:
-    """One paper table/figure: a declared run grid and its reducer.
+    """One paper table/figure: a declared run grid, its reducer and the
+    claim its table must show.
 
     The grid is the cross product of the five axes; a figure with no
     engines declares no runs (config tables, dataset statistics).  Shrink
@@ -78,6 +149,7 @@ class Figure:
     """
 
     reduce: Callable[["Figure", "FigureData"], Table]
+    claim: Claim
     engines: tuple[str, ...] = ()
     apps: tuple[str, ...] = ()
     datasets: tuple[str, ...] = ()
@@ -750,109 +822,369 @@ def _ablation_wmin_storage(fig: Figure, data: FigureData) -> Table:
 _PR_WEB = dict(apps=("PR",), datasets=("WEB",))
 
 #: Every reproduced table/figure by id, in the paper's order and then the
-#: ablations (``repro bench --figures all`` runs them in this order).
+#: ablations (``repro bench --figures all`` runs them in this order).  Each
+#: claim's predicates take the table's parsed rows ``r``.
 FIGURES: dict[str, Figure] = {
-    "table1": Figure(_table1),
-    "table2": Figure(_table2, datasets=PAPER_DATASETS),
-    "fig02": Figure(_fig02, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB),
-    "fig03": Figure(_fig03, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB),
+    "table1": Figure(_table1, claim=Claim({
+        "the rows are Table I's seven structures": lambda r: _col(r, 0) == [
+            "Cores", "L1 caches", "L2 cache", "L3 cache", "NoC", "Coherence", "Main memory",
+        ],
+        "16 cores": lambda r: "16 cores" in r[0][1],
+        "a 32MB shared L3": lambda r: "32MB shared" in r[3][1],
+    }, "**Table I** (system config)",
+        "16 cores, 32KB/128KB/32MB caches, 4×4 mesh, 4 DDR controllers",
+        lambda r: "; ".join(row[1].split(",")[0] for row in r),
+        "✓ identical values in `table1_config()`; benches run its scaled variant")),
+    "table2": Figure(_table2, datasets=PAPER_DATASETS, claim=Claim({
+        "the five paper datasets, in order": lambda r: _col(r, 0) == list(PAPER_DATASETS),
+        "FS and WEB have more vertices than hyperedges":
+            lambda r: all(_cell(r, key, 1) > _cell(r, key, 2) for key in ("FS", "WEB")),
+        "OK, LJ and OG have more hyperedges than vertices":
+            lambda r: all(_cell(r, key, 2) > _cell(r, key, 1) for key in ("OK", "LJ", "OG")),
+        "OG has the densest hyperedges": lambda r: max(r, key=lambda x: x[3] / x[2])[0] == "OG",
+    }, "**Table II** (datasets)",
+        "5 hypergraphs, 0.4–4.6 GB; FS/WEB have V>H, others H>V; OG densest",
+        lambda r: f"{len(r)} scaled stand-ins, {_span(_col(r, 4))} MB",
+        "✓ V:H and density orderings preserved")),
+    "fig02": Figure(_fig02, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB, claim=Claim({
+        "GLA cuts DRAM accesses over 1.2x": lambda r: _cell(r, "GLA", 2) > 1.2,
+        "ChGraph cuts DRAM accesses over 1.2x": lambda r: _cell(r, "ChGraph", 2) > 1.2,
+    }, "**Fig 2** (GLA DRAM accesses, PR/WEB)", "4.09× fewer vs Hygra",
+        lambda r: f"{format_value(r[1][2])}× fewer ({r[0][1]:,} → {r[1][1]:,}); "
+        f"ChGraph {format_value(r[2][2])}×",
+        "≈ magnitude capped by chunk-scale reuse (DESIGN.md §7)")),
+    "fig03": Figure(_fig03, engines=("Hygra", "GLA", "ChGraph"), **_PR_WEB, claim=Claim({
+        "software GLA is slower than Hygra": lambda r: _cell(r, "GLA", 2) < 1.0,
+        "ChGraph is over 2x faster than Hygra": lambda r: _cell(r, "ChGraph", 2) > 2.0,
+    }, "**Fig 3** (GLA vs ChGraph time, PR/WEB)", "GLA 1.14× slower; ChGraph 4.39× faster",
+        lambda r: f"GLA {1 / r[1][2]:.2f}× slower ({format_value(r[1][2])} speedup); "
+        f"ChGraph {format_value(r[2][2])}× faster",
+        "✓ (GLA's slowdown is stable in the iteration count)")),
     "fig05": Figure(
-        _fig05, engines=("Hygra",), apps=("BFS", "PR", "BC", "CC"),
-        datasets=PAPER_DATASETS,
+        _fig05, engines=("Hygra",), apps=("BFS", "PR", "BC", "CC"), datasets=PAPER_DATASETS,
+        claim=Claim({
+            "every stall fraction is within 0.1-1":
+                lambda r: 0.1 <= min(_cells(r)) <= max(_cells(r)) <= 1.0,
+            "the mean stall fraction exceeds 0.4": lambda r: _mean(_cells(r)) > 0.4,
+            "PR on WEB stalls over half its time": lambda r: _cell(r, "PR", 4) > 0.5,
+        }, "**Fig 5** (memory stalls, Hygra)", "51% mean, up to 84% (PR/WEB)",
+            lambda r: f"mean {_mean(_cells(r)):.0%}, {min(_cells(r)):.0%}–"
+            f"{max(_cells(r)):.0%}; PR/WEB {_cell(r, 'PR', 4):.0%}",
+            "≈ same regime, less spread (scaled caches are uniformly starved)"),
     ),
     "fig07": Figure(
-        _fig07, engines=("HATS-V", "ChGraph"), apps=("BFS", "PR"),
-        datasets=PAPER_DATASETS,
+        _fig07, engines=("HATS-V", "ChGraph"), apps=("BFS", "PR"), datasets=PAPER_DATASETS,
+        claim=Claim(
+            {"ChGraph beats HATS-V on every (app, dataset)": lambda r: min(_col(r, 2)) > 1.0},
+            "**Fig 7** (vs HATS-V)", "ChGraph 2.56–3.01× faster",
+            lambda r: f"{_span(_col(r, 2))}× faster",
+            "≈ direction holds everywhere; HATS-V's two-hop penalty shrinks with "
+            "cache-resident structure"),
     ),
-    "fig08": Figure(_fig08, datasets=PAPER_DATASETS),
+    "fig08": Figure(_fig08, datasets=PAPER_DATASETS, claim=Claim({
+        "over half of every dataset's vertices are shared at >=2":
+            lambda r: min(_col(_where(r, "vertex"), 2)) > 0.5,
+        "every vertex curve falls with the threshold": lambda r: all(
+            row[2:] == sorted(row[2:], reverse=True) for row in _where(r, "vertex")
+        ),
+        # Vertex rows come first: a dataset's first row is its vertex curve.
+        "OK, LJ and OG share at least as much as FS and WEB at >=64":
+            lambda r: min(_cell(r, key, 5, 1) for key in ("OK", "LJ", "OG"))
+            >= max(_cell(r, key, 5, 1) for key in ("FS", "WEB")),
+    }, "**Fig 8** (overlap ratios)",
+        "55–96% of vertices shared by ≥2 hyperedges; OG/LJ/OK heavy vs FS/WEB light",
+        lambda r: f"{min(_col(r, 2)):.0%} of vertices at ≥2; at ≥64: "
+        + ", ".join(f"{row[1]} {format_value(row[5])}" for row in _where(r, "vertex")),
+        "≈ thresholds shifted with degree scale: the denser stand-ins share more at ≥2, "
+        "and the heavy/light split appears at ≥64")),
     "fig14": Figure(
-        _fig14, engines=("Hygra", "GLA", "ChGraph"), apps=PAPER_APPS,
-        datasets=PAPER_DATASETS,
+        _fig14, engines=("Hygra", "GLA", "ChGraph"), apps=PAPER_APPS, datasets=PAPER_DATASETS,
+        claim=Claim({
+            "six apps on five datasets": lambda r: len(r) == 30,
+            "software GLA loses to Hygra on average": lambda r: _mean(_col(r, 2)) < 1.0,
+            "ChGraph beats Hygra everywhere": lambda r: min(_col(r, 3)) > 1.0,
+            "ChGraph's mean speedup exceeds 2x": lambda r: _mean(_col(r, 3)) > 2.0,
+            "ChGraph cuts DRAM accesses on average": lambda r: _mean(_col(r, 4)) > 1.0,
+            "PR has the mildest GLA slowdown": lambda r: _mean(_col(_where(r, "PR"), 2))
+            >= _mean([row[2] for row in r if row[0] != "PR"]),
+        }, "**Fig 14** (6 apps × 5 datasets)",
+            "GLA 1.13–1.62× slower (PR mildest); ChGraph 3.39–4.73× faster (avg 4.12×); "
+            "DRAM 2.77–4.56× fewer",
+            lambda r: f"GLA {_span(_col(r, 2))} speedup, mean {_mean(_col(r, 2)):.2f} "
+            f"(PR {_mean(_col(_where(r, 'PR'), 2)):.2f}); ChGraph {_span(_col(r, 3))}× "
+            f"(k-core {_span(_col(_where(r, 'k-core'), 3))}×); DRAM {_span(_col(r, 4))}× fewer",
+            "✓ speedups (k-core weakest, see Fig 15); DRAM reduction capped by scale"),
     ),
     "fig15": Figure(
-        _fig15, engines=("Hygra", "ChGraph"), apps=PAPER_APPS,
-        datasets=PAPER_DATASETS,
+        _fig15, engines=("Hygra", "ChGraph"), apps=PAPER_APPS, datasets=PAPER_DATASETS,
+        claim=Claim({
+            "value arrays take over 60% of Hygra's DRAM accesses":
+                lambda r: _fig15_sum(r, "H", 6) / _fig15_sum(r, "H", 3) > 0.6,
+            "Hygra never touches the OAG": lambda r: _fig15_sum(r, "H", 7) == 0,
+            "the OAG takes under 20% of ChGraph's DRAM accesses":
+                lambda r: 0.0 < _fig15_sum(r, "C", 7) / _fig15_sum(r, "C", 3) < 0.2,
+            "ChGraph fetches fewer value-array lines":
+                lambda r: _fig15_sum(r, "C", 6) < _fig15_sum(r, "H", 6),
+            "ChGraph fetches at least as many incident-array lines":
+                lambda r: _fig15_sum(r, "C", 5) >= _fig15_sum(r, "H", 5),
+        }, "**Fig 15** (DRAM breakdown)",
+            "value arrays >90% of Hygra's accesses; ChGraph cuts them, slightly raises "
+            "incident; OAG 6.9–12.1%",
+            lambda r: "; ".join([
+                f"value arrays {_fig15_sum(r, 'H', 6) / _fig15_sum(r, 'H', 3):.1%} of Hygra's",
+                f"ChGraph cuts them {_fig15_sum(r, 'H', 6) / _fig15_sum(r, 'C', 6):.2f}× "
+                f"and its total {_fig15_sum(r, 'H', 3) / _fig15_sum(r, 'C', 3):.2f}×",
+                f"incident {_fig15_sum(r, 'C', 5) / _fig15_sum(r, 'H', 5) - 1:+.0%}",
+                f"OAG {_fig15_sum(r, 'C', 7) / _fig15_sum(r, 'C', 3):.1%} of ChGraph's total",
+            ]),
+            "✓ (k-core's tiny cascading frontiers leave little reuse while still paying "
+            "the OAG tax)"),
     ),
     "fig16": Figure(
         _fig16, engines=("GLA", "ChGraph-HCGonly", "ChGraph"), apps=PAPER_APPS,
         datasets=("WEB",),
+        claim=Claim({
+            "the HCG helps on average": lambda r: _mean(_col(r, 1)) > 1.0,
+            "the CP helps on average": lambda r: _mean(_col(r, 2)) > 1.0,
+            "the full engine keeps 95% of every app's HCG-only speedup":
+                lambda r: all(row[3] >= row[1] * 0.95 for row in r),
+            "the full engine is over 2x faster than GLA on average":
+                lambda r: _mean(_col(r, 3)) > 2.0,
+        }, "**Fig 16** (HCG/CP breakdown)",
+            "HCG 4.42× over software GLA (92% of benefit); CP adds 1.37× (full ≈ 6×)",
+            lambda r: f"HCG {_span(_col(r, 1))}×; CP adds {_span(_col(r, 2))}×; "
+            f"full {_span(_col(r, 3))}× over GLA",
+            "✗ split inverted: our cache-resident OAG shrinks the software generation cost "
+            "HCG removes, so CP's latency hiding carries more (DESIGN.md §7)"),
     ),
     "fig17": Figure(
         _fig17, engines=("ChGraph",), **_PR_WEB,
-        preprocessings=tuple(
-            PreprocessSpec(d_max=d) for d in (2, 4, 8, 16, 32, 64)
-        ),
+        preprocessings=tuple(PreprocessSpec(d_max=d) for d in (2, 4, 8, 16, 32, 64)),
+        claim=Claim({
+            "D_max 16 is at least as fast as D_max 2": lambda r: _cell(r, 16, 2) >= r[0][2],
+            "D_max 16 is within 5% of the best D_max":
+                lambda r: _cell(r, 16, 2) >= 0.95 * max(_col(r, 2)),
+        }, "**Fig 17** (D_max sweep)", "improves to a sweet spot at 16, declines past it",
+            lambda r: " → ".join(format_value(row[2]) for row in r)
+            + f" over D_max {r[0][0]}–{r[-1][0]}",
+            "✓ peak at 16 (no decline past it: our chains are shorter than 16 already)"),
     ),
     "fig18": Figure(
         _fig18, engines=("ChGraph",), **_PR_WEB,
-        preprocessings=tuple(
-            PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33, 65)
-        ),
+        preprocessings=tuple(PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33, 65)),
+        claim=Claim({
+            "W_min 1 is the baseline": lambda r: _cell(r, 1, 2) == 1.0,
+            "W_min 3 keeps over 80% of the performance": lambda r: _cell(r, 3, 2) > 0.8,
+            "W_min 65 is below the best W_min": lambda r: _cell(r, 65, 2) < max(_col(r, 2)),
+            "W_min 65 is no faster than W_min 3": lambda r: _cell(r, 65, 2) <= _cell(r, 3, 2),
+        }, "**Fig 18** (W_min sweep)", "best at 1, −1.26% at 3, degrades by 9",
+            lambda r: ", ".join(f"{format_value(row[2])} @ {row[0]}" for row in r),
+            "≈ same shape at weight-scaled thresholds (DESIGN.md §7)"),
     ),
     "fig19": Figure(
         _fig19, engines=("ChGraph",), **_PR_WEB,
         configs=tuple(scaled_config(llc_kb=llc) for llc in (2, 4, 6, 8)),
+        claim=Claim({
+            "the largest LLC is at least as fast as the smallest": lambda r: r[-1][2] >= 1.0,
+            "the largest LLC gains under 3x": lambda r: r[-1][2] < 3.0,
+        }, "**Fig 19** (LLC sweep)", "1.30× from 8→32 MB, mild for ChGraph",
+            lambda r: f"{format_value(r[-1][2])}× from {r[0][0]} to {r[-1][0]}",
+            "✓ mild improvement"),
     ),
     "fig20": Figure(
         _fig20, engines=("Hygra", "ChGraph"), **_PR_WEB,
         configs=tuple(scaled_config(num_cores=n) for n in (4, 8, 16)),
+        claim=Claim({
+            "ChGraph gets faster with every core count": lambda r: r[0][2] > r[1][2] > r[2][2],
+            "ChGraph's 8->16 core gain is at most ~its 4->8 gain":
+                lambda r: r[0][2] / r[1][2] >= r[1][2] / r[2][2] * 0.9,
+            "ChGraph beats Hygra at every core count": lambda r: min(_col(r, 3)) > 1.0,
+        }, "**Fig 20** (core scaling)",
+            "improves with cores, growth rate decreases; ChGraph scales better",
+            lambda r: "ChGraph " + " → ".join(format_value(c) for c in _col(r, 2))
+            + f" cycles; {_span(_col(r, 3))}× over Hygra", "✓"),
     ),
-    "fig21": Figure(_fig21, datasets=PAPER_DATASETS),
+    "fig21": Figure(_fig21, datasets=PAPER_DATASETS, claim=Claim({
+        "ChGraph preprocesses longer on every dataset": lambda r: min(_col(r, 1)) > 0,
+        "ChGraph's extra storage is within 0-100% on every dataset":
+            lambda r: 0 < min(_col(r, 2)) <= max(_col(r, 2)) < 100,
+    }, "**Fig 21** (preprocessing)", "+13.6–46% time, +13.9–20.4% storage",
+        lambda r: f"+{_span(_col(r, 1))}% time, +{_span(_col(r, 2))}% storage",
+        "✓ time in band; storage above it (dense sibling overlap inflates OAG edges)")),
     "fig22": Figure(
-        _fig22, engines=("Hygra", "ChGraph"), apps=("BFS", "PR", "CC"),
-        datasets=PAPER_DATASETS,
+        _fig22, engines=("Hygra", "ChGraph"), apps=("BFS", "PR", "CC"), datasets=PAPER_DATASETS,
+        claim=Claim(
+            {"ChGraph wins on average, preprocessing included": lambda r: _mean(_col(r, 2)) > 1},
+            "**Fig 22** (total time incl. preprocessing)", "ChGraph still 2.20–3.89× faster",
+            lambda r: f"{_span(_col(r, 2))}× faster", "✓"),
     ),
     "fig23": Figure(
-        _fig23, engines=("EventPrefetcher", "ChGraph", "Hygra"),
-        apps=("BFS", "PR", "CC"), datasets=PAPER_DATASETS,
+        _fig23, engines=("EventPrefetcher", "ChGraph", "Hygra"), apps=("BFS", "PR", "CC"),
+        datasets=PAPER_DATASETS,
+        claim=Claim({
+            "the prefetcher beats Hygra on average": lambda r: _mean(_col(r, 2)) > 1.0,
+            "ChGraph beats the prefetcher on average": lambda r: _mean(_col(r, 3)) > 1.0,
+        }, "**Fig 23** (vs event-driven prefetcher)",
+            "prefetcher helps; ChGraph still 1.56–2.88× faster",
+            lambda r: f"prefetcher {_span(_col(r, 2))}× over Hygra; "
+            f"ChGraph {_span(_col(r, 3))}× over prefetcher",
+            "✓ ordering (ChGraph > prefetcher > Hygra)"),
     ),
     "fig24": Figure(
         _fig24, engines=("Hygra", "ChGraph"), **_PR_WEB,
         preprocessings=(None, REORDER_PREPROCESS),
+        claim=Claim({
+            "ChGraph beats reordered Hygra":
+                lambda r: _cell(r, "ChGraph", 2) > _cell(r, "Hygra+Reorder", 2),
+            "ChGraph beats Hygra": lambda r: _cell(r, "ChGraph", 2) > 1.0,
+            "reordered Hygra stays under 2x reordered ChGraph":
+                lambda r: _cell(r, "Hygra+Reorder", 2) < _cell(r, "ChGraph+Reorder", 2) * 2,
+        }, "**Fig 24** (vs reordering)", "reordering's cost offsets its benefit; no win",
+            lambda r: "; ".join(f"{row[0]} {format_value(row[2])}×" for row in r[1:]),
+            "✓ reordering is a net loss once its cost is charged"),
     ),
     "fig25": Figure(
-        _fig25, engines=("Ligra", "HATS-V", "ChGraph"),
-        apps=("Adsorption", "SSSP"), datasets=GRAPH_DATASETS,
+        _fig25, engines=("Ligra", "HATS-V", "ChGraph"), apps=("Adsorption", "SSSP"),
+        datasets=GRAPH_DATASETS,
+        claim=Claim({
+            "ChGraph beats Ligra on average": lambda r: _mean(_col(r, 2)) > 1.0,
+            "ChGraph is within 0.3-5x of HATS everywhere":
+                lambda r: 0.3 < min(_col(r, 3)) <= max(_col(r, 3)) < 5.0,
+        }, "**Fig 25** (graph apps)", "2.13× over Ligra; ≈parity with HATS",
+            lambda r: "; ".join(
+                f"{app} {_span(_col(_where(r, app), 2))}× over Ligra"
+                for app in dict.fromkeys(_col(r, 0))
+            ) + f"; vs HATS {_span(_col(r, 3))}", "✓"),
     ),
-    "vi_e": Figure(_vi_e),
+    "vi_e": Figure(_vi_e, claim=Claim({
+        "buffers 1216/128/768/84 B": lambda r: _col(r[:4], 1) == [
+            "1216 B", "128 B", "768 B", "84 B",
+        ],
+        "the total area is 0.09x mm2, 0.26% of a core": lambda r: r[4][1].startswith("0.09")
+        and r[5][1] == "0.26%",
+        "the total power is 60-62 mW, 0.19% of a core's TDP":
+            lambda r: r[6][1] in ("61 mW", "62 mW", "60 mW") and r[7][1] == "0.19%",
+    }, "**§VI-E** (area/power)",
+        "0.094 mm², 61 mW; 0.26% area, 0.19% TDP; buffers 1216/128/768/84 B",
+        lambda r: ", ".join(_col(r[4:], 1)) + "; buffers "
+        + "/".join(row[1].removesuffix(" B") for row in r[:4]) + " B",
+        "✓ identical buffer derivation")),
     "summary": Figure(
         _summary, engines=("Hygra", "ChGraph", "GLA"), apps=("BFS", "PR", "CC"),
         datasets=PAPER_DATASETS,
+        claim=Claim({
+            "every app's ChGraph beats Hygra everywhere": lambda r: min(_col(r, 1)) > 1.0,
+            "every app's DRAM accesses shrink everywhere": lambda r: min(_col(r, 3)) > 1.0,
+            "every app's software GLA loses on average": lambda r: max(_col(r, 5)) < 1.0,
+        }),
     ),
     "ablation_amortization": Figure(
         _ablation_amortization, engines=("Hygra", "ChGraph"), apps=PAPER_APPS,
         datasets=("WEB",),
+        claim=Claim({
+            "ChGraph wins once every app has run": lambda r: r[-1][2] > 1.0,
+            "running more apps does not shrink the speedup": lambda r: r[-1][2] >= r[0][2],
+        }),
     ),
     "ablation_chain_cache": Figure(
         _ablation_chain_cache,
         engines=("GLA", "GLA-cached", "ChGraph-uncached", "ChGraph"), **_PR_WEB,
+        # Rows: GLA regenerating, GLA caching, ChGraph regenerating, ChGraph caching.
+        claim=Claim({
+            "caching speeds up software GLA": lambda r: r[1][1] < r[0][1],
+            "cached GLA generates once per phase kind": lambda r: r[1][2] == 2,
+            "regenerating GLA generates more than twice": lambda r: r[0][2] > 2,
+            "regeneration costs ChGraph less than software GLA":
+                lambda r: r[2][1] / r[3][1] < r[0][1] / r[1][1],
+        }),
     ),
     "ablation_coherence": Figure(
         _ablation_coherence, engines=("Hygra", "ChGraph"), apps=("PR",),
-        datasets=("OK", "WEB"),
-        configs=(scaled_config().replace(track_coherence=True),),
+        datasets=("OK", "WEB"), configs=(scaled_config().replace(track_coherence=True),),
+        claim=Claim({"every run invalidates shared lines": lambda r: min(_col(r, 2)) > 0}),
     ),
-    "ablation_cycle_model": Figure(_ablation_cycle_model, datasets=("WEB",)),
+    "ablation_cycle_model": Figure(
+        _ablation_cycle_model, datasets=("WEB",),
+        claim=Claim({
+            "the cycle model is within 2x of the closed form on every chunk":
+                lambda r: 0.5 <= min(_col(r, 5)) <= max(_col(r, 5)) <= 2.0,
+        }),
+    ),
     "ablation_energy": Figure(
-        _ablation_energy, engines=("Hygra", "ChGraph"), apps=("PR",),
-        datasets=("OK", "WEB"),
+        _ablation_energy, engines=("Hygra", "ChGraph"), apps=("PR",), datasets=("OK", "WEB"),
+        # Each dataset's rows: Hygra, then ChGraph.
+        claim=Claim({
+            "ChGraph spends less DRAM energy on every dataset":
+                lambda r: all(c[2] < h[2] for h, c in zip(r[::2], r[1::2])),
+            "ChGraph spends less total energy on every dataset":
+                lambda r: all(c[3] < h[3] for h, c in zip(r[::2], r[1::2])),
+            "ChGraph's DRAM fraction is within (0, 1] on every dataset":
+                lambda r: 0.0 < min(_col(r[1::2], 4)) <= max(_col(r[1::2], 4)) <= 1.0,
+        }),
     ),
     "ablation_interleaving": Figure(
-        _ablation_interleaving, engines=("Hygra", "Hygra-interleaved"),
-        apps=("PR",), datasets=("OK", "WEB"),
+        _ablation_interleaving, engines=("Hygra", "Hygra-interleaved"), apps=("PR",),
+        datasets=("OK", "WEB"),
+        claim=Claim({
+            "chunk-serial and round-robin DRAM counts agree within 30%":
+                lambda r: 0.7 <= min(_col(r, 3)) <= max(_col(r, 3)) <= 1.3,
+        }),
     ),
     "ablation_partitioning": Figure(
         _ablation_partitioning, engines=("Hygra", "ChGraph"), **_PR_WEB,
         preprocessings=(None, PARTITION_PREPROCESS),
+        claim=Claim({
+            "renumbering costs ChGraph under 10%": lambda r: r[1][4] > 0.9,
+            "ChGraph beats Hygra under either partitioning": lambda r: min(_col(r, 2)) > 1.0,
+        }),
     ),
     "ablation_pull": Figure(
-        _ablation_pull, engines=("Hygra", "Hygra-pull", "ChGraph"),
-        apps=("PR", "BFS", "CC"), datasets=("WEB",),
+        _ablation_pull, engines=("Hygra", "Hygra-pull", "ChGraph"), apps=("PR", "BFS", "CC"),
+        datasets=("WEB",),
+        claim=Claim({
+            "sparse BFS is over 1.2x slower pulling": lambda r: _cell(r, "BFS", 3) > 1.2,
+            "dense PR's pull/push gap is smaller than BFS's":
+                lambda r: _cell(r, "PR", 3) < _cell(r, "BFS", 3),
+            "ChGraph beats the better direction on every app": lambda r: min(_col(r, 4)) > 1.0,
+        }),
     ),
     "ablation_wmin_storage": Figure(
         _ablation_wmin_storage, datasets=("WEB",),
-        preprocessings=tuple(
-            PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33)
-        ),
+        preprocessings=tuple(PreprocessSpec(w_min=w) for w in (1, 3, 9, 17, 33)),
+        claim=Claim({
+            "H-OAG edges never grow with W_min":
+                lambda r: _col(r, 1) == sorted(_col(r, 1), reverse=True),
+            "OAG bytes never grow with W_min":
+                lambda r: _col(r, 2) == sorted(_col(r, 2), reverse=True),
+            "W_min 3 stores less than W_min 1": lambda r: r[1][2] < r[0][2],
+        }),
     ),
 }
+
+
+# -- EXPERIMENTS.md ----------------------------------------------------------------
+
+#: The markers around EXPERIMENTS.md's rendered paper-vs-measured table.
+CLAIMS_BEGIN = "<!-- claims: rendered by benchmarks/test_figures.py; do not edit -->"
+CLAIMS_END = "<!-- /claims -->"
+
+
+def claims_table(results: Path) -> str:
+    """EXPERIMENTS.md's paper-vs-measured table: one row per claim with a
+    ``measured`` formatter, filled from the tables in ``results``."""
+    lines = ["| Experiment | Paper | Measured (this repo) | Verdict |", "|---|---|---|---|"]
+    for figure_id, figure in FIGURES.items():
+        claim = figure.claim
+        if claim.measured is not None:
+            text = (results / f"{figure_id}.txt").read_text(encoding="utf-8")
+            measured = claim.measured(parse_table(text)[2])
+            lines.append(f"| {claim.experiment} | {claim.paper} | {measured} | {claim.verdict} |")
+    return "\n".join(lines)
+
+
+def with_claims_table(document: str, results: Path) -> str:
+    """``document`` with the table between its claims markers rendered
+    afresh from ``results``."""
+    head, rest = document.split(CLAIMS_BEGIN)
+    _, tail = rest.split(CLAIMS_END)
+    return f"{head}{CLAIMS_BEGIN}\n{claims_table(results)}\n{CLAIMS_END}{tail}"

@@ -1,15 +1,17 @@
-"""Fixed-width table rendering for benchmark output."""
+"""Fixed-width table rendering for benchmark output, and reading it back."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.sim.telemetry import RunTelemetry
 
 __all__ = [
     "render_table",
+    "parse_table",
     "format_value",
     "with_bars",
     "render_phase_profile",
@@ -55,6 +57,43 @@ def render_table(
     for row in cells:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+_CELL_GAP = re.compile(" {2,}")
+_INT_CELL = re.compile(r"-?\d{1,3}(,\d{3})*")
+_FLOAT_CELL = re.compile(r"-?\d+\.\d+")
+
+
+def _parse_cell(cell: str) -> Any:
+    if _INT_CELL.fullmatch(cell):
+        return int(cell.replace(",", ""))
+    return float(cell) if _FLOAT_CELL.fullmatch(cell) else cell
+
+
+def parse_table(text: str) -> tuple[str, list[str], list[list[Any]]]:
+    """Read a titled :func:`render_table` text back as ``(title, headers,
+    rows)``: cells split on runs of two or more spaces, numbers back to
+    ``int``/``float``.
+
+    Data cells are right-aligned, so a data line ending in a space has an
+    empty last cell (an empty bar); the header line's trailing padding says
+    nothing.  The widest row sets the column count, and shorter rows and
+    headers are padded with ``""``.  Not an exact inverse of
+    :func:`format_value`: 0.9996 reads back as 1.0, the value as printed.
+    """
+    title, header, _rule, *body = text.strip("\n").split("\n")
+    headers = _CELL_GAP.split(header.strip())
+    rows = [
+        [_parse_cell(cell) for cell in _CELL_GAP.split(line.strip())]
+        + ([""] if line.endswith(" ") else [])
+        for line in body
+    ]
+    width = max([len(headers), *map(len, rows)])
+    return (
+        title,
+        headers + [""] * (width - len(headers)),
+        [row + [""] * (width - len(row)) for row in rows],
+    )
 
 
 def with_bars(

@@ -130,6 +130,12 @@ class Csr:
             raise HypergraphFormatError("this CSR carries no weights")
         return self.weights[self.offsets[row] : self.offsets[row + 1]]
 
+    def row_ids(self) -> np.ndarray:
+        """The row of every entry, parallel to ``indices``."""
+        return np.repeat(
+            np.arange(self.num_rows, dtype=np.int64), np.diff(self.offsets)
+        )
+
     def row_slice(self, row: int) -> tuple[int, int]:
         """Return ``(start, end)`` positions of ``row`` in ``indices``."""
         return int(self.offsets[row]), int(self.offsets[row + 1])
@@ -151,9 +157,7 @@ class Csr:
         # stable argsort by column at a fraction of its time and memory.
         span = max(self.num_rows, 1)
         keys = self.indices * span
-        keys += np.repeat(
-            np.arange(self.num_rows, dtype=np.int64), np.diff(self.offsets)
-        )
+        keys += self.row_ids()
         keys.sort()
         keys %= span
         return Csr(offsets, keys)

@@ -29,7 +29,10 @@ class Hypergraph:
         CSR mapping each hyperedge to its incident vertices.
     vertices:
         CSR mapping each vertex to its incident hyperedges.  When omitted it
-        is derived by transposing ``hyperedges``.
+        is derived by transposing ``hyperedges``.  Unless ``directed``, it
+        must be the transpose of ``hyperedges`` (rows may list their members
+        in any order) and no row may list a member twice; anything else
+        raises :class:`~repro.errors.HypergraphFormatError`.
     name:
         Optional dataset name used in reports.
     """
@@ -69,6 +72,26 @@ class Hypergraph:
             raise HypergraphFormatError("incident vertex id out of range")
         if vertices.indices.size and vertices.indices.max() >= hyperedges.num_rows:
             raise HypergraphFormatError("incident hyperedge id out of range")
+        if directed:
+            return
+        # Both sides as sorted packed (hyperedge, vertex) keys: equal arrays
+        # make the vertex side the transpose, whatever order rows list
+        # their members in.
+        span = max(vertices.num_rows, 1)
+        pairs = hyperedges.row_ids() * span + hyperedges.indices
+        pairs.sort()
+        repeated = np.flatnonzero(pairs[1:] == pairs[:-1])
+        if repeated.size:
+            hyperedge, vertex = divmod(int(pairs[repeated[0]]), span)
+            raise HypergraphFormatError(
+                f"hyperedge {hyperedge} lists vertex {vertex} more than once"
+            )
+        mirrored = vertices.indices * span + vertices.row_ids()
+        mirrored.sort()
+        if not np.array_equal(pairs, mirrored):
+            raise HypergraphFormatError(
+                "the vertex-side CSR is not the transpose of the hyperedge side"
+            )
 
     # -- construction -----------------------------------------------------
 

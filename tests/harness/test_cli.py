@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.cli import ENGINES, build_parser, main
-from repro.harness.experiments import FIGURES
+from repro.harness.experiments import FIGURES, Claim
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 def test_parser_requires_command():
@@ -76,8 +81,19 @@ def test_bench_without_store_warns_and_degrades(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     assert main(["bench", "--figures", "table1,vi_e"]) == 0
     captured = capsys.readouterr()
-    assert "Table I" in captured.out
-    assert "area" in captured.out.lower()
+    # stdout is exactly the committed tables; each verdict goes to stderr.
+    assert captured.out == "".join(
+        (RESULTS / f"{figure_id}.txt").read_text(encoding="utf-8") + "\n"
+        for figure_id in ("table1", "vi_e")
+    )
+    assert captured.err.splitlines() == ["claim table1: holds", "claim vi_e: holds"]
+
+
+def test_bench_names_the_conditions_a_table_fails(capsys, monkeypatch):
+    claim = Claim({"holds": lambda r: True, "a": lambda r: False, "b": lambda r: False})
+    monkeypatch.setitem(FIGURES, "vi_e", dataclasses.replace(FIGURES["vi_e"], claim=claim))
+    assert main(["bench", "--figures", "vi_e", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == "claim vi_e: does not hold: a; b\n"
 
 
 def test_bench_parallel_smoke(capsys, tmp_path, monkeypatch):

@@ -80,6 +80,23 @@ def test_mismatched_sides_rejected():
         Hypergraph(hyperedges, vertices)
 
 
+@pytest.mark.parametrize(
+    "hyperedges, vertices",
+    [
+        # Hyperedge 0 lists vertex 0 twice, and the vertex side puts vertex
+        # 0 in hyperedge 1 only: equal entry counts, ids in range.
+        ([[0, 0], [1]], [[1], [0], [0]]),
+        # The vertex side is the transpose, but hyperedge 0 repeats vertex 1.
+        ([[1, 0, 1]], [[0], [0, 0]]),
+        # Right degrees, wrong members.
+        ([[0, 1], [2]], [[0], [1], [0]]),
+    ],
+)
+def test_sides_must_be_duplicate_free_transposes(hyperedges, vertices):
+    with pytest.raises(HypergraphFormatError):
+        Hypergraph(Csr.from_lists(hyperedges), Csr.from_lists(vertices))
+
+
 def test_size_bytes_scales_with_structure(figure1):
     base = figure1.size_bytes()
     bigger = Hypergraph.from_hyperedge_lists(
