@@ -164,7 +164,7 @@ def _serve_roundtrip():
             "Hygra", "BFS", "FS",
             config=scaled_config(num_cores=_SMALL_CORES, llc_kb=_SMALL_LLC_KB),
             pr_iterations=1,
-        ).normalized()
+        )
     )
     # Pay the one real simulation during setup so every timed round trip
     # is answered from the store fast path — the serving overhead itself.

@@ -63,6 +63,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -337,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--host", default="127.0.0.1", help="service host")
         p.add_argument(
             "--port", type=int, default=None,
-            help="service port (default: $REPRO_SERVICE_PORT or "
-                 f"{service_default_port()})",
+            help="service port (default: $REPRO_SERVICE_PORT, else "
+                 "repro.service.DEFAULT_PORT)",
         )
 
     serve = sub.add_parser(
@@ -561,6 +563,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.figures, "unknown experiment id(s)", FIGURES.__contains__
         )
     )
+    _check_seconds("--timeout", args.timeout)
     runner = Runner(cache_dir=args.cache_dir)
     results = runner.run_many(
         [spec for figure_id in ids for spec in FIGURES[figure_id].specs()],
@@ -869,6 +872,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.max_mb is None:
             print("cache gc requires --max-mb", file=sys.stderr)
             return 2
+        if not 0 <= args.max_mb < math.inf:
+            raise _UsageError(f"--max-mb must be a size >= 0, got {args.max_mb}")
         evicted = store.gc(int(args.max_mb * 1024 * 1024))
         print(f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'}")
     elif args.action == "clear":
@@ -877,20 +882,32 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def service_default_port() -> int:
-    """``$REPRO_SERVICE_PORT`` when set, else the package default port."""
-    import os
+def _check_seconds(option: str, seconds: float | None) -> None:
+    """Exit 2 unless an optional time budget is a finite number > 0."""
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise _UsageError(f"{option} must be seconds > 0, got {seconds}")
 
+
+def _service_port(args: argparse.Namespace) -> int:
+    """``--port``, else ``$REPRO_SERVICE_PORT``, else the service default;
+    exit 2 unless it is an integer port 0-65535."""
     from repro.service.server import DEFAULT_PORT
 
-    return int(os.environ.get("REPRO_SERVICE_PORT", DEFAULT_PORT))
+    if args.port is not None:
+        port, source = args.port, f"--port {args.port}"
+    else:
+        text = os.environ.get("REPRO_SERVICE_PORT", str(DEFAULT_PORT))
+        port = int(text) if text.isdecimal() else -1
+        source = f"REPRO_SERVICE_PORT={text!r}"
+    if not 0 <= port <= 65535:
+        raise _UsageError(f"{source} is not an integer port 0-65535")
+    return port
 
 
 def _client(args: argparse.Namespace):
     from repro.service import ServiceClient
 
-    port = args.port if args.port is not None else service_default_port()
-    return ServiceClient(host=args.host, port=port)
+    return ServiceClient(host=args.host, port=_service_port(args))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -898,10 +915,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import SchedulerConfig, ServiceConfig, SimulationService
 
+    _check_seconds("--job-timeout", args.job_timeout)
     root = resolve_cache_dir(args.cache_dir)
     config = ServiceConfig(
         host=args.host,
-        port=args.port if args.port is not None else service_default_port(),
+        port=_service_port(args),
         cache_dir=None if root is None else str(root),
         max_depth=args.max_queue,
         scheduler=SchedulerConfig(
@@ -932,7 +950,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     # The spec `repro run` builds, so a served result equals a local one.
     spec = dataclasses.replace(
         _workload_spec(args, args.engine), profile=args.profile, check=args.check
-    ).normalized()
+    )
     request = JobRequest(spec, args.priority)
     client = _client(args)
     if args.no_wait:

@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.records import Record
 from repro.sim.coherence import CoherenceStats
 from repro.sim.energy import EnergyReport
 from repro.sim.layout import ARRAY_GROUPS, ArrayId
@@ -23,7 +24,7 @@ def group_dram_breakdown(by_array: dict[ArrayId, int]) -> dict[str, int]:
 
 
 @dataclasses.dataclass
-class RunResult:
+class RunResult(Record):
     """Everything a benchmark needs from one (engine, algorithm, dataset) run."""
 
     engine: str

@@ -25,8 +25,12 @@ class HypergraphFormatError(ReproError):
     exit_code = 65  # EX_DATAERR
 
 
-class ConfigurationError(ReproError):
-    """Raised when a simulator or engine is configured inconsistently."""
+class ConfigurationError(ReproError, ValueError):
+    """Raised when a simulator or engine is configured inconsistently.
+
+    A ``ValueError`` too, so a bad job payload is one error type from the
+    field check through the service's HTTP 400.
+    """
 
     exit_code = 78  # EX_CONFIG
 

@@ -13,23 +13,24 @@ the same local run for *any* expressible configuration.
 
 ``None`` fields mean "use the executing runner's default"; call
 :meth:`RunSpec.normalized` to resolve them.  Specs are frozen, hashable,
-picklable, and JSON-round-trippable (:meth:`to_json`/:meth:`from_json`).
+picklable, and JSON-round-trippable through :class:`repro.records.Record`
+(``to_json`` writes a ``None`` field as ``null``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.pipeline import PreprocessSpec
+from repro.records import Record, check_fields
 from repro.sim.config import SystemConfig, scaled_config
 
 __all__ = ["RunSpec"]
 
 
 @dataclasses.dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Record):
     """One cell of the run matrix, picklable and hashable.
 
     ``config=None`` means the default :func:`~repro.sim.config.scaled_config`,
@@ -91,95 +92,14 @@ class RunSpec:
         return resolved
 
     def validate(self) -> None:
+        check_fields(self)
         for field in ("engine", "algorithm", "dataset"):
-            value = getattr(self, field)
-            if not isinstance(value, str) or not value:
-                raise ConfigurationError(
-                    f"RunSpec.{field} must be a non-empty string, got {value!r}"
-                )
-        iterations = self.pr_iterations
-        if iterations is not None and (
-            not isinstance(iterations, int)
-            or isinstance(iterations, bool)
-            or iterations < 1
-        ):
+            if not getattr(self, field):
+                raise ConfigurationError(f"RunSpec.{field} must not be empty")
+        if self.pr_iterations is not None and self.pr_iterations < 1:
             raise ConfigurationError(
-                f"pr_iterations must be an int >= 1, got {iterations!r}"
+                f"pr_iterations must be >= 1, got {self.pr_iterations!r}"
             )
-        for field in ("profile", "check"):
-            value = getattr(self, field)
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"RunSpec.{field} must be a bool, got {value!r}"
-                )
-        for field, record in (
-            ("config", SystemConfig),
-            ("preprocessing", PreprocessSpec),
-        ):
-            value = getattr(self, field)
-            if value is not None and not isinstance(value, record):
-                raise ConfigurationError(
-                    f"RunSpec.{field} must be None or a {record.__name__}, "
-                    f"got {value!r}"
-                )
-        if self.preprocessing is not None:
-            self.preprocessing.validate()
 
     def label(self) -> str:
         return f"{self.engine}/{self.algorithm}/{self.dataset}"
-
-    # -- JSON ----------------------------------------------------------------
-
-    def to_json(self) -> dict[str, object]:
-        """A JSON-compatible dict; ``None`` fields are omitted so the
-        round trip preserves "use the runner default"."""
-        data: dict[str, object] = {
-            "engine": self.engine,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "profile": self.profile,
-            "check": self.check,
-        }
-        if self.config is not None:
-            data["config"] = dataclasses.asdict(self.config)
-        if self.pr_iterations is not None:
-            data["pr_iterations"] = self.pr_iterations
-        if self.preprocessing is not None:
-            data["preprocessing"] = self.preprocessing.to_json()
-        return data
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "RunSpec":
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown RunSpec fields: {sorted(unknown)}"
-            )
-        for required in ("engine", "algorithm", "dataset"):
-            if required not in data:
-                raise ConfigurationError(f"RunSpec is missing {required!r}")
-        config = None
-        raw_config = data.get("config")
-        if raw_config is not None:
-            if not isinstance(raw_config, Mapping):
-                raise ConfigurationError("RunSpec 'config' must be an object")
-            try:
-                config = SystemConfig(**dict(raw_config))
-            except TypeError as exc:
-                raise ConfigurationError(f"bad RunSpec config: {exc}") from None
-        preprocessing = None
-        raw_pre = data.get("preprocessing")
-        if raw_pre is not None:
-            if not isinstance(raw_pre, Mapping):
-                raise ConfigurationError(
-                    "RunSpec 'preprocessing' must be an object"
-                )
-            preprocessing = PreprocessSpec.from_json(raw_pre)
-        scalars: dict[str, Any] = {
-            field: value
-            for field, value in data.items()
-            if field not in ("config", "preprocessing")
-        }
-        spec = cls(**scalars, config=config, preprocessing=preprocessing)
-        spec.validate()
-        return spec

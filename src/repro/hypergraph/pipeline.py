@@ -28,7 +28,7 @@ never alias across preprocessing pipelines.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.hypergraph.community_partition import overlap_aware_renumber
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.reorder import locality_reorder
+from repro.records import Record, check_fields
 
 __all__ = [
     "StageSpec",
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 @dataclasses.dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Record):
     """One named preprocessing stage; no registered stage takes parameters."""
 
     name: str
@@ -61,6 +62,7 @@ class StageSpec:
         return cls(name)
 
     def validate(self) -> None:
+        check_fields(self)
         if self.name not in _STAGES:
             known = ", ".join(sorted(_STAGES)) or "(none)"
             raise ConfigurationError(
@@ -68,34 +70,24 @@ class StageSpec:
                 f"registered stages: {known}"
             )
 
-    def to_json(self) -> dict[str, object]:
-        # No stage takes parameters; "params" stays so store keys do not move.
-        return {"name": self.name, "params": {}}
-
     @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "StageSpec":
-        if not isinstance(data, Mapping):
+    def from_json(cls, data: object) -> "StageSpec":
+        """Also read the ``"params": {}`` that stages were once written
+        with (store keys still hash it, see :mod:`repro.store.keys`)."""
+        if not isinstance(data, dict):
             raise ConfigurationError(f"a stage must be an object, got {data!r}")
-        unknown = set(data) - {"name", "params"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown StageSpec fields: {sorted(unknown)}"
-            )
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError("StageSpec requires a non-empty 'name'")
         params = data.get("params", {})
         if params != {}:
             raise ConfigurationError(
-                f"stage {name!r} takes no parameters, got {params!r}"
+                f"stage {data.get('name')!r} takes no parameters, got {params!r}"
             )
-        spec = cls(name)
-        spec.validate()
-        return spec
+        return super().from_json(
+            {key: value for key, value in data.items() if key != "params"}
+        )
 
 
 @dataclasses.dataclass(frozen=True)
-class PreprocessSpec:
+class PreprocessSpec(Record):
     """Everything done to a hypergraph before simulation.
 
     ``w_min``/``d_max`` parameterize the OAG/chain build (they always ran
@@ -108,40 +100,11 @@ class PreprocessSpec:
     stages: tuple[StageSpec, ...] = ()
 
     def validate(self) -> None:
+        check_fields(self)
         for field in ("w_min", "d_max"):
             value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigurationError(
-                    f"{field} must be an int >= 1, got {value!r}"
-                )
-        for s in self.stages:
-            s.validate()
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "w_min": self.w_min,
-            "d_max": self.d_max,
-            "stages": [s.to_json() for s in self.stages],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "PreprocessSpec":
-        unknown = set(data) - {"w_min", "d_max", "stages"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown PreprocessSpec fields: {sorted(unknown)}"
-            )
-        raw_stages = data.get("stages", [])
-        if not isinstance(raw_stages, (list, tuple)):
-            raise ConfigurationError("PreprocessSpec 'stages' must be a list")
-        bounds: dict[str, Any] = {
-            field: data[field] for field in ("w_min", "d_max") if field in data
-        }
-        spec = cls(
-            **bounds, stages=tuple(StageSpec.from_json(s) for s in raw_stages)
-        )
-        spec.validate()
-        return spec
+            if value < 1:
+                raise ConfigurationError(f"{field} must be >= 1, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,7 +7,7 @@ also the scripting surface for tests and CI smoke jobs::
     from repro.service import JobRequest, ServiceClient
 
     client = ServiceClient(port=8573)
-    job = client.run(JobRequest(RunSpec("ChGraph", "PR", "WEB").normalized()))
+    job = client.run(JobRequest(RunSpec("ChGraph", "PR", "WEB")))
     result = client.run_result(job)          # a full RunResult
 
 Transport errors (server unreachable, connection reset) surface as

@@ -28,8 +28,9 @@ import itertools
 import time
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError
 from repro.harness.spec import RunSpec
+from repro.records import Record, check_fields
 from repro.sim.config import SystemConfig
 
 __all__ = ["JOB_STATES", "JobRecord", "JobRequest"]
@@ -48,39 +49,40 @@ def _new_job_id() -> str:
 
 
 @dataclasses.dataclass(frozen=True)
-class JobRequest:
+class JobRequest(Record):
     """One requested simulation: a :class:`~repro.harness.spec.RunSpec`
     plus a queue ``priority`` (higher runs sooner).
 
-    The spec is carried fully normalized (no ``None`` fields), so the
-    request's store key, the worker's execution, and an equivalent local
-    ``repro run`` all agree regardless of either process's environment:
-    build one as ``JobRequest(spec.normalized(), priority)``.
+    The spec is carried normalized (no ``None`` fields), so the request's
+    store key, the worker's execution, and an equivalent local
+    ``repro run`` all agree regardless of either process's environment.
+    Its wire form is ``{"spec": {...}, "priority": n}``
+    (:class:`~repro.records.Record`); every bad payload raises
+    :class:`~repro.errors.ConfigurationError`, a ``ValueError``.
     """
 
     spec: RunSpec
     priority: int = 0
 
+    def __post_init__(self) -> None:
+        # Normalize with the environment-independent defaults so the
+        # coalescing key and the worker agree.
+        object.__setattr__(self, "spec", self.spec.normalized())
+
     def validate(self) -> None:
-        """Raise ``ValueError`` unless every field names something real."""
+        """Raise unless every field names something registered."""
         from repro.engine.registry import engine_names
         from repro.harness.datasets import DATASETS
         from repro.harness.runner import ALGORITHM_NAMES
 
-        try:
-            self.spec.validate()
-        except ReproError as exc:
-            raise ValueError(str(exc)) from None
-        if self.spec.engine not in engine_names():
-            raise ValueError(f"unknown engine {self.spec.engine!r}")
-        if self.spec.algorithm not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {self.spec.algorithm!r}")
-        if self.spec.dataset not in DATASETS:
-            raise ValueError(f"unknown dataset {self.spec.dataset!r}")
-        if self.spec.pr_iterations is None:
-            raise ValueError("job spec must carry concrete pr_iterations")
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
-            raise ValueError(f"priority must be an int, got {self.priority!r}")
+        check_fields(self)
+        for what, name, known in (
+            ("engine", self.spec.engine, engine_names()),
+            ("algorithm", self.spec.algorithm, ALGORITHM_NAMES),
+            ("dataset", self.spec.dataset, DATASETS),
+        ):
+            if name not in known:
+                raise ConfigurationError(f"unknown {what} {name!r}")
 
     def config(self) -> SystemConfig:
         """The :class:`~repro.sim.config.SystemConfig` this request runs under."""
@@ -104,36 +106,6 @@ class JobRequest:
     def label(self) -> str:
         """Short human-readable tag for logs and stats lines."""
         return self.spec.label()
-
-    def to_json(self) -> dict[str, Any]:
-        """Plain-dict form for the HTTP API (the spec-wrapping wire format)."""
-        return {"spec": self.spec.to_json(), "priority": self.priority}
-
-    @classmethod
-    def from_json(cls, obj: Any) -> "JobRequest":
-        """Parse and validate a ``{"spec": {...}, "priority": n}`` payload;
-        ``ValueError`` on anything else."""
-        if not isinstance(obj, dict):
-            raise ValueError("job request must be a JSON object")
-        if "spec" not in obj:
-            raise ValueError(
-                'job request must wrap its run as {"spec": {...}, '
-                f'"priority": n}}; got field(s): {", ".join(sorted(obj))}'
-            )
-        unknown = sorted(set(obj) - {"spec", "priority"})
-        if unknown:
-            raise ValueError(
-                f"unknown job request field(s): {', '.join(unknown)}"
-            )
-        try:
-            # Normalize service-side with the environment-independent
-            # defaults so the coalescing key and the worker agree.
-            spec = RunSpec.from_json(obj["spec"]).normalized()
-        except ReproError as exc:
-            raise ValueError(str(exc)) from None
-        request = cls(spec=spec, priority=obj.get("priority", 0))
-        request.validate()
-        return request
 
 
 @dataclasses.dataclass

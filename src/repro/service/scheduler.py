@@ -80,7 +80,7 @@ class Scheduler:
         from repro.harness.runner import Runner
         from repro.store.serialize import run_result_to_json
 
-        specs = [record.request.spec.normalized() for record in records]
+        specs = [record.request.spec for record in records]
         # A runner per batch: the inline tier memoizes into it, and a
         # long-lived memo would grow with every job the service ever ran.
         runner = Runner(cache_dir=None if self.store is None else self.store.root)

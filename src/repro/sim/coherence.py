@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.records import Record
+
 __all__ = ["MesiDirectory", "CoherenceStats", "MODIFIED", "EXCLUSIVE", "SHARED"]
 
 MODIFIED = "M"
@@ -30,7 +32,7 @@ SHARED = "S"
 
 
 @dataclasses.dataclass
-class CoherenceStats:
+class CoherenceStats(Record):
     """Protocol event counters."""
 
     invalidations: int = 0  # copies killed by a remote write

@@ -12,15 +12,9 @@ import dataclasses
 import math
 
 from repro.errors import ConfigurationError
+from repro.records import Record, check_fields
 
 __all__ = ["SystemConfig", "table1_config", "scaled_config"]
-
-
-#: The values each annotation admits; ``__post_init__`` also rejects a
-#: ``bool`` for a number, although ``bool`` subclasses ``int``.
-_ACCEPTS: dict[str, tuple[type, ...]] = {
-    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
-}
 
 #: Numbers the model divides or shifts by, or that size a structure, must
 #: be > 0; every other number is a latency, a per-operation cost or a
@@ -36,7 +30,7 @@ _POSITIVE = frozenset({
 
 
 @dataclasses.dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """Parameters of the simulated multi-core system (Table I).
 
     Cache sizes are per-core for L1/L2 and total for the shared L3.  Latency
@@ -119,25 +113,21 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         """Reject at construction what the model would reject, or divide
-        by, in a worker: wrong types, out-of-range numbers and cache
-        geometries that :class:`~repro.sim.cache.Cache` or
+        by, in a worker: wrong types (the field rule of
+        :mod:`repro.records`), out-of-range numbers and cache geometries
+        that :class:`~repro.sim.cache.Cache` or
         :class:`~repro.sim.layout.MemoryLayout` cannot build."""
+        check_fields(self)
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            kind = str(field.type)  # "int", ...: annotations are strings
-            if not isinstance(value, _ACCEPTS[kind]) or (
-                isinstance(value, bool) != (kind == "bool")
-            ):
+            if type(value) not in (int, float):
+                continue
+            positive = field.name in _POSITIVE
+            if not (0 < value < math.inf if positive else 0 <= value < math.inf):
                 raise ConfigurationError(
-                    f"{field.name} must be {kind}, got {value!r}"
+                    f"{field.name} must be finite and "
+                    f"{'>' if positive else '>='} 0, got {value!r}"
                 )
-            if kind in ("int", "float"):
-                positive = field.name in _POSITIVE
-                if not (0 < value < math.inf if positive else 0 <= value < math.inf):
-                    raise ConfigurationError(
-                        f"{field.name} must be finite and "
-                        f"{'>' if positive else '>='} 0, got {value!r}"
-                    )
         if self.line_size & (self.line_size - 1):
             raise ConfigurationError(
                 f"line_size must be a power of two, got {self.line_size}"

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.records import Record
 from repro.sim.hierarchy import MemoryHierarchy
 
 __all__ = ["EnergyModel", "EnergyReport"]
 
 
 @dataclasses.dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     """Energy totals in nanojoules, split by component.
 
     ``dram_nj`` is the *read* side (line fetches); ``dram_write_nj`` is the

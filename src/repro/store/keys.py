@@ -16,7 +16,6 @@ what key one simulation hashes to.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from typing import TYPE_CHECKING
@@ -94,12 +93,15 @@ def hypergraph_content_hash(hypergraph) -> str:
 def _preprocess_token(preprocessing: PreprocessSpec | None) -> str:
     """Canonical string form of a preprocessing record for key hashing.
 
-    Uses the sorted-key JSON dump of the spec's canonical serialization,
-    which preserves stage order.
+    Uses the sorted-key JSON dump of the spec's JSON form, which preserves
+    stage order.  Each stage hashes with the ``"params": {}`` that stages
+    were written with before none took parameters, so keys do not move.
     """
     if preprocessing is None:
         preprocessing = PreprocessSpec()
-    return json.dumps(preprocessing.to_json(), sort_keys=True)
+    token = preprocessing.to_json()
+    token["stages"] = [{**stage, "params": {}} for stage in token["stages"]]
+    return json.dumps(token, sort_keys=True)
 
 
 def resources_key(
@@ -139,9 +141,7 @@ def run_result_key(spec: "RunSpec", dataset_hash: str) -> str:
             "run_result_key needs a spec with concrete pr_iterations; "
             "call RunSpec.normalized() first"
         )
-    config_json = json.dumps(
-        dataclasses.asdict(spec.resolved_config()), sort_keys=True
-    )
+    config_json = json.dumps(spec.resolved_config().to_json(), sort_keys=True)
     profile = spec.profile or spec.check
     h = hashlib.sha256(b"repro/run/")
     h.update(

@@ -17,7 +17,6 @@ entries greppable on disk.  The optional ``telemetry``, ``energy`` and
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 
@@ -25,12 +24,9 @@ import numpy as np
 
 from repro.engine.resources import GlaResources
 from repro.engine.result import RunResult
+from repro.errors import ConfigurationError
 from repro.hypergraph.csr import Csr
 from repro.core.oag import Oag
-from repro.sim.coherence import CoherenceStats
-from repro.sim.energy import EnergyReport
-from repro.sim.layout import ArrayId
-from repro.sim.telemetry import RunTelemetry
 from repro.store.keys import STORE_SCHEMA_VERSION
 
 __all__ = [
@@ -160,50 +156,13 @@ def resources_from_bytes(payload: bytes) -> GlaResources:
         raise SerializationError("malformed resources metadata") from exc
 
 
-def _array_to_json(a: np.ndarray) -> dict:
-    return {"dtype": str(a.dtype), "data": np.asarray(a).tolist()}
-
-
-def _array_from_json(d: dict) -> np.ndarray:
-    return np.asarray(d["data"], dtype=np.dtype(d["dtype"]))
-
-
-def _record_to_json(record: EnergyReport | CoherenceStats | None) -> dict | None:
-    return None if record is None else dataclasses.asdict(record)
-
-
-def _record_from_json(cls: type, data: dict | None):
-    return None if data is None else cls(**data)
-
-
 def run_result_to_json(result: RunResult) -> dict:
-    """A JSON-serializable dict for one memoized run."""
+    """A JSON-serializable dict for one memoized run: the schema header,
+    then the record's own JSON (:class:`repro.records.Record`)."""
     return {
         "schema": STORE_SCHEMA_VERSION,
         "kind": "run_result",
-        "engine": result.engine,
-        "algorithm": result.algorithm,
-        "dataset": result.dataset,
-        "result": _array_to_json(result.result),
-        "vertex_values": _array_to_json(result.vertex_values),
-        "hyperedge_values": _array_to_json(result.hyperedge_values),
-        "iterations": result.iterations,
-        "cycles": result.cycles,
-        "compute_cycles": result.compute_cycles,
-        "memory_stall_cycles": result.memory_stall_cycles,
-        "dram_accesses": result.dram_accesses,
-        "dram_by_array": {str(int(k)): int(v) for k, v in result.dram_by_array.items()},
-        "dram_writebacks": result.dram_writebacks,
-        "dram_writebacks_by_array": {
-            str(int(k)): int(v)
-            for k, v in result.dram_writebacks_by_array.items()
-        },
-        "chain_stats": result.chain_stats,
-        "telemetry": (
-            result.telemetry.to_json() if result.telemetry is not None else None
-        ),
-        "energy": _record_to_json(result.energy),
-        "coherence": _record_to_json(result.coherence),
+        **result.to_json(),
     }
 
 
@@ -216,36 +175,8 @@ def run_result_from_json(payload: dict) -> RunResult:
         or payload.get("kind") != "run_result"
     ):
         raise SerializationError("not a run_result payload of this schema")
-    telemetry_json = payload.get("telemetry")
+    fields = {k: v for k, v in payload.items() if k not in ("schema", "kind")}
     try:
-        return RunResult(
-            engine=payload["engine"],
-            algorithm=payload["algorithm"],
-            dataset=payload["dataset"],
-            result=_array_from_json(payload["result"]),
-            vertex_values=_array_from_json(payload["vertex_values"]),
-            hyperedge_values=_array_from_json(payload["hyperedge_values"]),
-            iterations=payload["iterations"],
-            cycles=payload["cycles"],
-            compute_cycles=payload["compute_cycles"],
-            memory_stall_cycles=payload["memory_stall_cycles"],
-            dram_accesses=payload["dram_accesses"],
-            dram_by_array={
-                ArrayId(int(k)): v for k, v in payload["dram_by_array"].items()
-            },
-            dram_writebacks=payload["dram_writebacks"],
-            dram_writebacks_by_array={
-                ArrayId(int(k)): v
-                for k, v in payload["dram_writebacks_by_array"].items()
-            },
-            chain_stats=payload["chain_stats"],
-            telemetry=(
-                RunTelemetry.from_json(telemetry_json)
-                if telemetry_json is not None
-                else None
-            ),
-            energy=_record_from_json(EnergyReport, payload["energy"]),
-            coherence=_record_from_json(CoherenceStats, payload["coherence"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError("malformed run_result payload") from exc
+        return RunResult.from_json(fields)
+    except ConfigurationError as exc:
+        raise SerializationError(f"malformed run_result payload: {exc}") from exc

@@ -112,6 +112,42 @@ def test_bench_parallel_smoke(capsys, tmp_path, monkeypatch):
     assert "cache:" in out
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["bench", "--figures", "fig02", "--jobs", "2", "--timeout", "-1"],
+         "--timeout"),
+        (["bench", "--figures", "fig02", "--timeout", "0"], "--timeout"),
+        (["serve", "--job-timeout", "0"], "--job-timeout"),
+        (["serve", "--job-timeout", "nan"], "--job-timeout"),
+        (["cache", "gc", "--max-mb", "-1"], "--max-mb"),
+    ],
+)
+def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, option):
+    """Rejected before anything runs, binds or evicts."""
+    store = tmp_path / "store"
+    main(["prewarm", "--cache-dir", str(store), "--datasets", "FS",
+          "--cores", "4", "--workers", "1"])
+    entries = sorted(store.rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, "--cache-dir", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and option in err
+    assert sorted(store.rglob("*")) == entries
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "65536", ""])
+def test_a_bad_service_port_variable_fails_only_service_commands(
+    capsys, monkeypatch, value
+):
+    monkeypatch.setenv("REPRO_SERVICE_PORT", value)
+    assert main(["area"]) == 0
+    capsys.readouterr()
+    assert main(["status"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "REPRO_SERVICE_PORT" in err
+
+
 def test_cache_commands_require_a_store(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     assert main(["cache", "stats"]) == 2

@@ -16,6 +16,11 @@ from repro.store.keys import resources_key, run_result_key
 #: silently orphan every cached artifact in existing stores.
 GOLDEN_RUN_KEY = "1d40f17f429732bcb2b8e642bd3aae5e"
 GOLDEN_RESOURCES_KEY = "3680233415944423f7ab06b8e6b43b39"
+#: sha256 over the run and resources keys of all 413 ``FIGURES`` specs
+#: against the all-zero dataset hash: any drift orphans a figure's entries.
+GOLDEN_FIGURE_KEYS = (
+    "74030d756725f111176529d978a4128b67cf328c083fb7c674b64662c11b6d68"
+)
 
 
 class TestNormalization:
@@ -140,6 +145,25 @@ class TestGoldenKeys:
         ).normalized()
         back = RunSpec.from_json(spec.to_json())
         assert run_result_key(back, "0" * 64) == run_result_key(spec, "0" * 64)
+
+    def test_every_figure_key_is_pinned(self):
+        import hashlib
+
+        from repro.harness.experiments import FIGURES
+
+        digest = hashlib.sha256()
+        specs = [
+            spec.normalized()
+            for figure in FIGURES.values()
+            for spec in figure.specs()
+        ]
+        for spec in specs:
+            digest.update(run_result_key(spec, "0" * 64).encode())
+            digest.update(resources_key(
+                "0" * 64, spec.config.num_cores, spec.preprocessing
+            ).encode())
+        assert len(specs) == 413
+        assert digest.hexdigest() == GOLDEN_FIGURE_KEYS
 
     def test_key_is_dataset_name_blind(self):
         # Keys address *content*: renaming a dataset (same structure, same

@@ -100,6 +100,21 @@ class TestJobRequestJson:
 
 
 class TestStoreKey:
+    def test_an_int_and_a_float_config_value_share_a_key(self):
+        """Equal specs must be one run to the memo, the store and the
+        service's coalescing alike."""
+        from repro.store.keys import run_result_key
+
+        requests = [
+            JobRequest.from_json(
+                merged(small_request().to_json(), {"spec": {"config": {"mlp": mlp}}})
+            )
+            for mlp in (2, 2.0)
+        ]
+        assert requests[0] == requests[1]
+        keys = {run_result_key(r.spec, "0" * 64) for r in requests}
+        assert len(keys) == 1
+
     def test_matches_runner_key(self):
         """The service key IS the run_result_key of the equivalent local
         spec — the property both coalescing and the store fast path rest
