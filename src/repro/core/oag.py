@@ -34,6 +34,7 @@ import numpy as np
 from repro.hypergraph.csr import Csr
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import Chunk
+from repro.records import Record
 
 __all__ = ["Oag", "build_oag", "build_chunk_oags", "sparse_backend", "DEFAULT_W_MIN"]
 
@@ -69,7 +70,7 @@ def sparse_backend() -> Any:
 
 
 @dataclasses.dataclass(frozen=True)
-class Oag:
+class Oag(Record):
     """A weighted CSR over one side's elements, weight-descending per row.
 
     ``side`` is ``"hyperedge"`` (H-OAG, nodes are hyperedges) or ``"vertex"``

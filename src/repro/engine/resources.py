@@ -17,6 +17,7 @@ from repro.core.chain import DEFAULT_D_MAX
 from repro.core.oag import DEFAULT_W_MIN, Oag, build_chunk_oags
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.partition import contiguous_chunks
+from repro.records import Record
 
 if TYPE_CHECKING:
     from repro.hypergraph.pipeline import PreprocessSpec
@@ -26,7 +27,7 @@ __all__ = ["GlaResources"]
 
 
 @dataclasses.dataclass
-class GlaResources:
+class GlaResources(Record):
     """Per-chunk V-OAGs and H-OAGs plus preprocessing accounting."""
 
     num_cores: int

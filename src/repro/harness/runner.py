@@ -66,11 +66,21 @@ __all__ = ["ALGORITHM_NAMES", "Runner", "get_runner", "PAPER_APPS"]
 #: The six applications of the paper's evaluation, in its order.
 PAPER_APPS: tuple[str, ...] = ("BFS", "PR", "MIS", "BC", "CC", "k-core")
 
-#: Every algorithm :meth:`Runner.algorithm` can build — the single source
-#: of truth for CLI/server request validation.
-ALGORITHM_NAMES: tuple[str, ...] = (
-    "BFS", "PR", "MIS", "BC", "CC", "k-core", "SSSP", "Adsorption",
-)
+#: Every algorithm :meth:`Runner.algorithm` can build, by name, from the
+#: run's ``pr_iterations`` (PR and Adsorption iterate that many times).
+_ALGORITHMS: dict[str, Callable[[int], HypergraphAlgorithm]] = {
+    "BFS": lambda _: Bfs(),
+    "PR": lambda iterations: PageRank(iterations=iterations),
+    "MIS": lambda _: MaximalIndependentSet(),
+    "BC": lambda _: BetweennessCentrality(),
+    "CC": lambda _: ConnectedComponents(),
+    "k-core": lambda _: KCore(),
+    "SSSP": lambda _: Sssp(),
+    "Adsorption": lambda iterations: Adsorption(iterations=iterations),
+}
+
+#: The single source of truth for CLI/server request validation.
+ALGORITHM_NAMES: tuple[str, ...] = tuple(_ALGORITHMS)
 
 
 def _full_mode() -> bool:
@@ -106,20 +116,9 @@ def _unpermute_result(result: RunResult, vertex_perm: np.ndarray) -> RunResult:
 def _make_algorithm(name: str, pr_iterations: int) -> HypergraphAlgorithm:
     """A fresh algorithm instance; PR and Adsorption iterate ``pr_iterations``
     times."""
-    factories: dict[str, Callable[[], HypergraphAlgorithm]] = {
-        "BFS": Bfs,
-        "PR": lambda: PageRank(iterations=pr_iterations),
-        "MIS": MaximalIndependentSet,
-        "BC": BetweennessCentrality,
-        "CC": ConnectedComponents,
-        "k-core": KCore,
-        "SSSP": Sssp,
-        "Adsorption": lambda: Adsorption(iterations=pr_iterations),
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        raise KeyError(f"unknown algorithm {name!r}") from None
+    if name not in _ALGORITHMS:
+        raise KeyError(f"unknown algorithm {name!r}")
+    return _ALGORITHMS[name](pr_iterations)
 
 
 class Runner:

@@ -9,16 +9,19 @@ carries per-edge weights.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import HypergraphFormatError
+from repro.records import Record
 
 __all__ = ["Csr"]
 
 
-class Csr:
+@dataclasses.dataclass(eq=False)
+class Csr(Record):
     """A CSR adjacency: ``offsets``/``indices`` and optional ``weights``.
 
     ``offsets`` has length ``num_rows + 1``; the neighbors of row ``r`` are
@@ -26,23 +29,13 @@ class Csr:
     parallel to ``indices``.
     """
 
-    __slots__ = (
-        "offsets",
-        "indices",
-        "weights",
-        "_offsets_list",
-        "_indices_list",
-        "_degrees_list",
-    )
+    offsets: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray | None = None
 
-    def __init__(
-        self,
-        offsets: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        offsets = np.asarray(offsets, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+    def __post_init__(self) -> None:
+        offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        indices = self.indices = np.asarray(self.indices, dtype=np.int64)
         if offsets.ndim != 1 or indices.ndim != 1:
             raise HypergraphFormatError("offsets and indices must be 1-D arrays")
         if offsets.size == 0:
@@ -53,13 +46,10 @@ class Csr:
             )
         if np.any(np.diff(offsets) < 0):
             raise HypergraphFormatError("offsets must be non-decreasing")
-        if weights is not None:
-            weights = np.asarray(weights)
-            if weights.shape != indices.shape:
+        if self.weights is not None:
+            self.weights = np.asarray(self.weights)
+            if self.weights.shape != indices.shape:
                 raise HypergraphFormatError("weights must parallel indices")
-        self.offsets = offsets
-        self.indices = indices
-        self.weights = weights
         # Lazily-built plain-list mirrors for the simulator inner loops: a
         # Python-int list index is several times cheaper than extracting a
         # numpy scalar per element.  The structure is immutable (see

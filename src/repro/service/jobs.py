@@ -109,7 +109,7 @@ class JobRequest(Record):
 
 
 @dataclasses.dataclass
-class JobRecord:
+class JobRecord(Record):
     """The service-side lifecycle of one accepted :class:`JobRequest`."""
 
     request: JobRequest
@@ -122,7 +122,7 @@ class JobRecord:
     attempts: int = 0
     error: str | None = None
     #: Serialized ``RunResult`` (the store's JSON payload) once finished.
-    result: dict[str, Any] | None = None
+    result: dict | None = None
     #: Primary job this record coalesced onto, if any.
     coalesced_into: str | None = None
     #: Where the answer came from: ``worker``/``inline``/``store``/``coalesced``.
@@ -141,21 +141,10 @@ class JobRecord:
         return self.finished_at - self.submitted_at
 
     def status_json(self, include_result: bool = False) -> dict[str, Any]:
-        """The JSON the HTTP API serves for this job."""
-        payload: dict[str, Any] = {
-            "job_id": self.job_id,
-            "state": self.state,
-            "key": self.key,
-            "request": self.request.to_json(),
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "attempts": self.attempts,
-            "error": self.error,
-            "coalesced_into": self.coalesced_into,
-            "served_from": self.served_from,
-            "latency": self.latency,
-        }
-        if include_result and self.result is not None:
-            payload["result"] = self.result
+        """The JSON the HTTP API serves for this job: the record's own plus
+        ``latency``, and ``result`` only when asked for and present."""
+        payload = self.to_json()
+        if not include_result or self.result is None:
+            del payload["result"]
+        payload["latency"] = self.latency
         return payload

@@ -17,8 +17,9 @@ the rename race.  Loads verify the manifest checksum over the full payload
 and treat any mismatch, truncation or schema drift as a *miss*: the corrupt
 entry is deleted, a counter is bumped, and the caller rebuilds.
 
-The schema version is part of the path, so a layout change simply makes old
-entries invisible rather than misread.
+The schema version is part of the path, and every payload carries a
+``schema``/``kind`` header (:mod:`repro.store.serialize`): an entry in
+another layout reads as a miss, never as a misread artifact.
 """
 
 from __future__ import annotations

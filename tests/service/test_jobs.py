@@ -182,3 +182,20 @@ class TestJobRecord:
         import json
 
         json.dumps(record.status_json(include_result=True))
+
+    def test_status_json_serves_every_field_and_the_latency(self):
+        record = JobRecord(request=small_request(), key="k", state="done")
+        record.finished_at = record.submitted_at + 1.5
+        record.result = {"cycles": 1}
+        status = record.status_json(include_result=True)
+        assert set(status) == {
+            "job_id", "state", "key", "request", "submitted_at", "started_at",
+            "finished_at", "attempts", "error", "coalesced_into", "served_from",
+            "latency", "result",
+        }
+        assert status["request"] == small_request().to_json()
+        assert status["latency"] == pytest.approx(1.5)
+        assert status["result"] is record.result
+        # A record without a result serves none, even when asked.
+        record.result = None
+        assert "result" not in record.status_json(include_result=True)

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank
+from repro.core.oag import Oag
 from repro.engine import ChGraphEngine, GlaResources
 from repro.engine.result import RunResult
+from repro.hypergraph.csr import Csr
 from repro.sim.config import scaled_config
 from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem
 from repro.sim.system import SimulatedSystem
 from repro.store import ArtifactStore, SerializationError
+from repro.store.keys import resources_key
 from repro.store.serialize import (
     resources_from_bytes,
     resources_to_bytes,
@@ -44,15 +47,19 @@ def _assert_identical(built: GlaResources, loaded: GlaResources) -> None:
         assert a.first_id == b.first_id
         assert a.w_min == b.w_min
         assert a.build_operations == b.build_operations
-        assert np.array_equal(a.csr.offsets, b.csr.offsets)
-        assert np.array_equal(a.csr.indices, b.csr.indices)
-        assert np.array_equal(a.csr.weights, b.csr.weights)
+        for name in ("offsets", "indices", "weights"):
+            built_array, loaded_array = getattr(a.csr, name), getattr(b.csr, name)
+            assert np.array_equal(built_array, loaded_array)
+            assert built_array.dtype == loaded_array.dtype
         assert b.is_weight_descending() == a.is_weight_descending()
 
 
 def test_resources_bytes_roundtrip(small_hypergraph):
-    built = GlaResources.build(small_hypergraph, 4)
-    _assert_identical(built, resources_from_bytes(resources_to_bytes(built)))
+    for cores in (1, 4, 16):
+        built = GlaResources.build(small_hypergraph, cores)
+        _assert_identical(built, resources_from_bytes(resources_to_bytes(built)))
+    # At 16 cores some chunk's OAG has no edges: its arrays are empty slices.
+    assert min(oag.num_edges for oag in built.hyperedge_oags) == 0
 
 
 def test_two_builds_serialize_to_identical_bytes(small_hypergraph):
@@ -63,20 +70,94 @@ def test_two_builds_serialize_to_identical_bytes(small_hypergraph):
     assert first == second
 
 
-def test_payload_with_build_seconds_still_loads(small_hypergraph):
-    """Older artifacts carry ``build_seconds`` entries in their metadata;
-    the loader ignores them."""
-    built = GlaResources.build(small_hypergraph, 4)
-    npz = np.load(io.BytesIO(resources_to_bytes(built)))
-    arrays = {name: npz[name] for name in npz.files}
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["build_seconds"] = 0.25
-    for oag_meta in (*meta["vertex_oags"], *meta["hyperedge_oags"]):
-        oag_meta["build_seconds"] = 0.125
+def _per_side_payload(resources: GlaResources) -> bytes:
+    """``resources`` as schema-6 stores held it before the pooled layout:
+    three flat members per side and a hand-listed ``meta``."""
+    arrays: dict[str, np.ndarray] = {}
+    meta: dict = {
+        "schema": 6, "kind": "gla_resources", "num_cores": resources.num_cores,
+        "w_min": resources.w_min, "d_max": resources.d_max,
+        "build_operations": resources.build_operations,
+    }
+    for prefix, side in (("v", "vertex"), ("h", "hyperedge")):
+        oags = resources.oags_for(side)
+        for name in ("offsets", "indices", "weights"):
+            arrays[f"{prefix}_{name}"] = np.concatenate(
+                [getattr(oag.csr, name) for oag in oags]
+            )
+        meta[f"{side}_oags"] = [
+            {"side": oag.side, "w_min": oag.w_min, "first_id": oag.first_id,
+             "build_operations": oag.build_operations, "has_weights": True,
+             "num_nodes": oag.num_nodes, "num_edges": oag.num_edges}
+            for oag in oags
+        ]
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
-    _assert_identical(built, resources_from_bytes(buffer.getvalue()))
+    return buffer.getvalue()
+
+
+def test_a_payload_in_the_per_side_layout_is_a_miss_and_rebuilt(
+    small_hypergraph, tmp_path
+):
+    store = ArtifactStore(tmp_path)
+    built = GlaResources.build(small_hypergraph, 4)
+    key = resources_key(small_hypergraph.content_hash(), 4)
+    store.put_bytes("resources", key, _per_side_payload(built))
+    rebuilt = GlaResources.build_or_load(small_hypergraph, 4, store=store)
+    _assert_identical(built, rebuilt)
+    stats = store.stats
+    assert (stats.hits, stats.misses, stats.corruptions, stats.writes) == (0, 1, 1, 2)
+    _assert_identical(built, store.get_resources(key))
+    assert store.stats.hits == 1
+
+
+def _one_oag(csr: Csr | None = None, num_cores: object = 1) -> bytes:
+    """The payload of a resource set with one vertex OAG over ``csr``."""
+    csr = csr or Csr.from_lists([[0]], weights=[[1]])
+    return resources_to_bytes(GlaResources(
+        num_cores=num_cores, w_min=1, d_max=4,
+        vertex_oags=[Oag("vertex", csr, w_min=1)], hyperedge_oags=[],
+        build_operations=0,
+    ))
+
+
+def _meta_a_list() -> bytes:
+    npz = np.load(io.BytesIO(_one_oag()))
+    arrays = {name: npz[name] for name in npz.files}
+    arrays["meta"] = np.frombuffer(b"[6]", dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _offsets_past_indices() -> bytes:
+    csr = Csr.from_lists([[0]], weights=[[1]])
+    csr.offsets = np.array([0, 5])  # a built Csr is checked: break it after
+    return _one_oag(csr)
+
+
+MALFORMED = {
+    "meta-a-list": _meta_a_list,
+    "offsets-past-indices": _offsets_past_indices,
+    "num-cores-a-string": lambda: _one_oag(num_cores="x"),
+    "truncated": lambda: _one_oag()[:200],
+    "empty": lambda: b"",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_payload_is_a_serialization_error_and_a_miss(case, tmp_path):
+    payload = MALFORMED[case]()
+    path = tmp_path / "resources.npz"
+    path.write_bytes(payload)
+    with pytest.raises(SerializationError):
+        GlaResources.load(path)
+    store = ArtifactStore(tmp_path / "store")
+    store.put_bytes("resources", "k", payload)
+    assert store.get_resources("k") is None
+    stats = store.stats
+    assert (stats.hits, stats.misses, stats.corruptions) == (0, 1, 1)
 
 
 def test_resources_file_roundtrip(small_hypergraph, tmp_path):

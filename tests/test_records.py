@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.oag import Oag
+from repro.engine.resources import GlaResources
 from repro.engine.result import RunResult
 from repro.errors import ConfigurationError
 from repro.harness.spec import RunSpec
+from repro.hypergraph.csr import Csr
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.service import JobRequest
 from repro.sim.coherence import CoherenceStats
@@ -78,10 +82,21 @@ RESULT = RunResult(
     telemetry=TELEMETRY, energy=ENERGY, coherence=COHERENCE,
 )
 
+CSR = Csr(
+    np.array([0, 2, 2, 3]), np.array([1, 2, 0]), np.array([0.5, 0.25, 1.0])
+)
+OAG = Oag("vertex", Csr.from_lists([[1], [0]], weights=[[4], [4]]), w_min=3,
+          first_id=8, build_operations=11)
+RESOURCES = GlaResources(
+    num_cores=2, w_min=3, d_max=16, vertex_oags=[OAG, OAG],
+    hyperedge_oags=[dataclasses.replace(OAG, side="hyperedge")],
+    build_operations=33,
+)
+
 RECORDS = [
     CONFIG, StageSpec("locality-reorder"), PREPROCESS, SPEC,
     JobRequest(SPEC, priority=3), SAMPLE, PROFILE, ITERATION, TELEMETRY,
-    ENERGY, COHERENCE, RESULT,
+    ENERGY, COHERENCE, RESULT, CSR, OAG, RESOURCES,
 ]
 
 
@@ -201,3 +216,59 @@ class TestFieldRule:
         """One error type from the field check to the service's HTTP 400."""
         with pytest.raises(ValueError):
             dataclasses.replace(SPEC, pr_iterations=0).validate()
+
+
+def rewritten(payload: bytes, **members: np.ndarray) -> bytes:
+    """The npz ``payload`` with ``members`` put in place of its own."""
+    with np.load(io.BytesIO(payload)) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **{**arrays, **members})
+    return buffer.getvalue()
+
+
+class TestNpzForm:
+    HEADER = {"schema": 6, "kind": "csr"}
+
+    def test_every_array_is_a_slice_of_its_dtype_pool(self):
+        payload = CSR.to_npz(self.HEADER)
+        with np.load(io.BytesIO(payload)) as npz:
+            assert sorted(npz.files) == ["float64", "int64", "meta"]
+            meta = json.loads(npz["meta"].tobytes())
+            assert npz["int64"].tolist() == [0, 2, 2, 3, 1, 2, 0]
+        assert meta == {
+            **self.HEADER,
+            "offsets": {"dtype": "int64", "at": 0, "size": 4},
+            "indices": {"dtype": "int64", "at": 4, "size": 3},
+            "weights": {"dtype": "float64", "at": 0, "size": 3},
+        }
+        back = Csr.from_npz(payload, self.HEADER)
+        assert back == CSR and back.weights.dtype == np.float64
+
+    def test_the_payload_is_what_savez_compressed_writes(self):
+        payload = CSR.to_npz(self.HEADER)
+        assert rewritten(payload) == payload
+
+    def test_a_nested_record_round_trips(self):
+        back = GlaResources.from_npz(RESOURCES.to_npz(self.HEADER), self.HEADER)
+        assert back == RESOURCES
+
+    @pytest.mark.parametrize(
+        "members, match",
+        [
+            ({"int64": np.arange(6)}, "slice"),
+            ({"int64": np.arange(8)}, "no field reads"),
+            ({"int64": np.arange(7.0)}, "flat array of its dtype"),
+            ({"meta": np.frombuffer(b"{}", dtype=np.uint8)}, "does not carry"),
+        ],
+        ids=["past-the-end", "unread", "wrong-dtype", "no-header"],
+    )
+    def test_a_payload_that_does_not_tile_is_rejected(self, members, match):
+        payload = rewritten(CSR.to_npz(self.HEADER), **members)
+        with pytest.raises(ConfigurationError, match=match):
+            Csr.from_npz(payload, self.HEADER)
+
+    def test_json_keeps_the_inline_array_form(self):
+        assert CSR.to_json()["weights"] == {
+            "dtype": "float64", "data": [0.5, 0.25, 1.0],
+        }
