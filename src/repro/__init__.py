@@ -11,31 +11,35 @@ Quick start::
     hygra = HygraEngine().run(PageRank(), hg, SimulatedSystem(scaled_config()))
     chg = ChGraphEngine().run(PageRank(), hg, SimulatedSystem(scaled_config()))
     print(chg.speedup_over(hygra), chg.dram_reduction_over(hygra))
+
+The names below resolve on first use (:mod:`repro._exports`).
 """
 
-from repro.algorithms import (
-    Adsorption,
-    BetweennessCentrality,
-    Bfs,
-    ConnectedComponents,
-    KCore,
-    MaximalIndependentSet,
-    PageRank,
-    Sssp,
-)
-from repro.engine import (
-    ChGraphEngine,
-    GlaResources,
-    HygraEngine,
-    RunResult,
-    SoftwareGlaEngine,
-)
-from repro.hypergraph import Csr, Frontier, Hypergraph
-from repro.store import ArtifactStore
+from repro._exports import exports
 
 #: Source-tree fallback; must match ``[project] version`` in pyproject.toml
 #: (``tests/test_public_api.py`` pins the two together).
 _FALLBACK_VERSION = "1.2.0"
+
+_export, __all__ = exports(__name__, {
+    "Adsorption": "algorithms.graph",
+    "ArtifactStore": "store.store",
+    "BetweennessCentrality": "algorithms.bc",
+    "Bfs": "algorithms.bfs",
+    "ChGraphEngine": "engine.chgraph_engine",
+    "ConnectedComponents": "algorithms.cc",
+    "Csr": "hypergraph.csr",
+    "Frontier": "hypergraph.frontier",
+    "GlaResources": "engine.resources",
+    "Hypergraph": "hypergraph.hypergraph",
+    "HygraEngine": "engine.hygra",
+    "KCore": "algorithms.kcore",
+    "MaximalIndependentSet": "algorithms.mis",
+    "PageRank": "algorithms.pagerank",
+    "RunResult": "engine.result",
+    "SoftwareGlaEngine": "engine.gla_soft",
+    "Sssp": "algorithms.graph",
+})
 
 
 def _detect_version() -> str:
@@ -53,24 +57,12 @@ def _detect_version() -> str:
         return _FALLBACK_VERSION
 
 
-__version__ = _detect_version()
-
-__all__ = [
-    "Adsorption",
-    "ArtifactStore",
-    "BetweennessCentrality",
-    "Bfs",
-    "ChGraphEngine",
-    "ConnectedComponents",
-    "Csr",
-    "Frontier",
-    "GlaResources",
-    "Hypergraph",
-    "HygraEngine",
-    "KCore",
-    "MaximalIndependentSet",
-    "PageRank",
-    "RunResult",
-    "SoftwareGlaEngine",
-    "Sssp",
-]
+def __getattr__(name: str) -> object:
+    """``__version__``, read from package metadata on first use (importing
+    ``importlib.metadata`` costs every start-up that does), else an
+    export."""
+    if name == "__version__":
+        global __version__
+        __version__ = _detect_version()
+        return __version__
+    return _export(name)

@@ -33,14 +33,14 @@ import numpy as np
 from repro.benchmark.registry import bench
 from repro.core.chain import ChainGenerator
 from repro.core.oag import build_oag
-from repro.engine import GlaResources
+from repro.engine.resources import GlaResources
 from repro.engine.registry import create_engine
 from repro.harness.differential import seeded_graphs
 from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import paper_dataset
 from repro.sim.config import scaled_config
 from repro.sim.system import SimulatedSystem
-from repro.store import ArtifactStore
+from repro.store.store import ArtifactStore
 
 __all__: list[str] = []
 

@@ -1,19 +1,15 @@
 """ChGraph hardware models: FIFOs, HCG, CP, device interface, area."""
 
-from repro.chgraph.area import AreaReport, area_report
-from repro.chgraph.engine import ChGraphConfigRegisters, ChGraphDevice
-from repro.chgraph.fifo import BoundedFifo
-from repro.chgraph.hcg import HardwareChainGenerator, HcgCost, HcgPorts
-from repro.chgraph.prefetcher import CpCost
+from repro._exports import exports
 
-__all__ = [
-    "AreaReport",
-    "BoundedFifo",
-    "ChGraphConfigRegisters",
-    "ChGraphDevice",
-    "CpCost",
-    "HardwareChainGenerator",
-    "HcgCost",
-    "HcgPorts",
-    "area_report",
-]
+__getattr__, __all__ = exports(__name__, {
+    "AreaReport": "area",
+    "BoundedFifo": "fifo",
+    "ChGraphConfigRegisters": "engine",
+    "ChGraphDevice": "engine",
+    "CpCost": "prefetcher",
+    "HardwareChainGenerator": "hcg",
+    "HcgCost": "hcg",
+    "HcgPorts": "hcg",
+    "area_report": "area",
+})

@@ -68,10 +68,8 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-from repro import __version__
 from repro.engine.registry import engine_names
 from repro.errors import ReproError
-from repro.harness import differential
 from repro.harness.datasets import DATASETS
 from repro.harness.experiments import FIGURES, render
 from repro.harness.report import render_table, render_telemetry
@@ -80,7 +78,7 @@ from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import PAPER_DATASETS
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec, stage_names
 from repro.sim.config import scaled_config
-from repro.store import ArtifactStore, prewarm, prewarm_jobs, resolve_cache_dir
+from repro.store.store import ArtifactStore, resolve_cache_dir
 
 __all__ = ["main", "build_parser"]
 
@@ -90,6 +88,18 @@ ENGINES = engine_names()
 #: Algorithm choices come from the harness (the layer that builds them).
 ALGORITHMS = ALGORITHM_NAMES
 
+
+class _Version(argparse.Action):
+    """``--version``, reading ``repro.__version__`` only when asked (it
+    imports ``importlib.metadata``, which no other command needs)."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        import repro
+
+        print(f"{parser.prog} {repro.__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -97,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="ChGraph (HPCA 2022) reproduction toolkit",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+        "--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=101, help="base generator seed"
     )
     check.add_argument(
-        "--algorithms", default=",".join(differential.DEFAULT_ALGORITHMS),
+        "--algorithms", default=None,
         help="comma-separated algorithms (default: PR,BFS,CC)",
     )
     check.add_argument(
@@ -186,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the overlap-heavy DRAM-ordering checks",
     )
     check.add_argument(
-        "--inject-fault", default=None, choices=differential.FAULT_KINDS,
-        help="deliberately break the hierarchy; the command must then FAIL",
+        "--inject-fault", default=None, metavar="KIND",
+        help="deliberately break the hierarchy (lost-writeback or "
+             "skewed-attribution); the command must then FAIL",
     )
     check.add_argument(
         "--quiet", action="store_true", help="suppress per-workload progress"
@@ -639,16 +651,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.harness import differential
+
     engines = None
     if args.engines:
         engines = _comma_list(
             args.engines, "unknown engine(s)", ENGINES.__contains__
         )
-    algorithms = tuple(
-        _comma_list(
-            args.algorithms, "unknown algorithm(s)", ALGORITHMS.__contains__
+    algorithms = differential.DEFAULT_ALGORITHMS
+    if args.algorithms is not None:
+        algorithms = tuple(
+            _comma_list(
+                args.algorithms, "unknown algorithm(s)", ALGORITHMS.__contains__
+            )
         )
-    )
+    if args.inject_fault not in (None, *differential.FAULT_KINDS):
+        raise _UsageError(
+            f"unknown fault kind {args.inject_fault!r}; expected one of "
+            f"{', '.join(differential.FAULT_KINDS)}"
+        )
     config = scaled_config(num_cores=args.cores, llc_kb=args.llc_kb)
     log = None if args.quiet else (lambda message: print(f"  {message}"))
 
@@ -800,6 +821,8 @@ def _open_store(args: argparse.Namespace) -> ArtifactStore | None:
 
 
 def _cmd_prewarm(args: argparse.Namespace) -> int:
+    from repro.store.prewarm import prewarm, prewarm_jobs
+
     datasets = _comma_list(
         args.datasets, "unknown dataset(s)", DATASETS.__contains__
     )

@@ -1,15 +1,13 @@
 """The paper's contribution: OAG, chains, and the GLA execution model."""
 
-from repro.core.chain import ChainGenerator, ChainSet
-from repro.core.metrics import ChainQuality, chain_quality, schedule_affinity
-from repro.core.oag import Oag, build_oag
+from repro._exports import exports
 
-__all__ = [
-    "ChainGenerator",
-    "ChainQuality",
-    "ChainSet",
-    "Oag",
-    "build_oag",
-    "chain_quality",
-    "schedule_affinity",
-]
+__getattr__, __all__ = exports(__name__, {
+    "ChainGenerator": "chain",
+    "ChainQuality": "metrics",
+    "ChainSet": "chain",
+    "Oag": "oag",
+    "build_oag": "oag",
+    "chain_quality": "metrics",
+    "schedule_affinity": "metrics",
+})

@@ -1,33 +1,20 @@
 """Execution engines: Hygra baseline, software GLA, and ChGraph."""
 
-from repro.engine.base import ExecutionEngine, PhaseSpec, PHASE_SPECS
-from repro.engine.chgraph_engine import ChGraphEngine
-from repro.engine.gla_soft import SoftwareGlaEngine
-from repro.engine.hygra import HygraEngine
-from repro.engine.interleaved import InterleavedHygraEngine
-from repro.engine.pull import PullHygraEngine
-from repro.engine.registry import (
-    ENGINE_REGISTRY,
-    EngineSpec,
-    create_engine,
-    engine_names,
-)
-from repro.engine.resources import GlaResources
-from repro.engine.result import RunResult
+from repro._exports import exports
 
-__all__ = [
-    "ENGINE_REGISTRY",
-    "PHASE_SPECS",
-    "ChGraphEngine",
-    "EngineSpec",
-    "ExecutionEngine",
-    "GlaResources",
-    "HygraEngine",
-    "InterleavedHygraEngine",
-    "PullHygraEngine",
-    "PhaseSpec",
-    "RunResult",
-    "SoftwareGlaEngine",
-    "create_engine",
-    "engine_names",
-]
+__getattr__, __all__ = exports(__name__, {
+    "ENGINE_REGISTRY": "registry",
+    "PHASE_SPECS": "base",
+    "ChGraphEngine": "chgraph_engine",
+    "EngineSpec": "registry",
+    "ExecutionEngine": "base",
+    "GlaResources": "resources",
+    "HygraEngine": "hygra",
+    "InterleavedHygraEngine": "interleaved",
+    "PullHygraEngine": "pull",
+    "PhaseSpec": "base",
+    "RunResult": "result",
+    "SoftwareGlaEngine": "gla_soft",
+    "create_engine": "registry",
+    "engine_names": "registry",
+})

@@ -21,7 +21,7 @@ from repro.records import Record
 
 if TYPE_CHECKING:
     from repro.hypergraph.pipeline import PreprocessSpec
-    from repro.store import ArtifactStore
+    from repro.store.store import ArtifactStore
 
 __all__ = ["GlaResources"]
 

@@ -1,26 +1,17 @@
 """Experiment harness: dataset registry, memoized runner, report tables,
 and the sharded parallel experiment executor."""
 
-from repro.harness.datasets import graph_dataset, hypergraph_dataset
-from repro.harness.parallel import (
-    ExecutionReport,
-    RunReport,
-    execute_runs,
-    plan_shards,
-)
-from repro.harness.report import render_table
-from repro.harness.runner import Runner, get_runner
-from repro.harness.spec import RunSpec
+from repro._exports import exports
 
-__all__ = [
-    "ExecutionReport",
-    "RunReport",
-    "RunSpec",
-    "Runner",
-    "execute_runs",
-    "get_runner",
-    "graph_dataset",
-    "hypergraph_dataset",
-    "plan_shards",
-    "render_table",
-]
+__getattr__, __all__ = exports(__name__, {
+    "ExecutionReport": "parallel",
+    "RunReport": "parallel",
+    "RunSpec": "spec",
+    "Runner": "runner",
+    "execute_runs": "parallel",
+    "get_runner": "runner",
+    "graph_dataset": "datasets",
+    "hypergraph_dataset": "datasets",
+    "plan_shards": "parallel",
+    "render_table": "report",
+})

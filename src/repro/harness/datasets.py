@@ -5,14 +5,24 @@ The five Table II hypergraphs come from
 needs two ordinary graphs — com-Amazon (AZ) and soc-Pokec (PK) — which are
 generated as 2-uniform hypergraphs with community structure (AZ: mild
 power-law co-purchase graph; PK: denser social graph).
+
+:func:`load_dataset` is the one loader.  Given an artifact store, it reads
+the dataset from the store and generates (and stores) it only on a miss.
+The store keys a dataset by its name, its scale and the source of the
+modules that generate it (:func:`repro.store.keys.dataset_key`), which is
+why this module imports no more of ``repro`` than generation needs.
 """
 
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.hypergraph.generators import PAPER_DATASETS, paper_dataset
 from repro.hypergraph.hypergraph import Hypergraph
+
+if TYPE_CHECKING:
+    from repro.store.store import ArtifactStore
 
 __all__ = [
     "hypergraph_dataset",
@@ -112,9 +122,28 @@ def graph_dataset(key: str) -> Hypergraph:
     return graph
 
 
-def load_dataset(key: str) -> Hypergraph:
+def load_dataset(key: str, store: ArtifactStore | None = None) -> Hypergraph:
     """Any harness dataset by key: a :data:`GRAPH_DATASETS` graph, else a
-    Table II hypergraph."""
+    Table II hypergraph.
+
+    With a ``store``, the dataset is read from it, and on a miss generated
+    and written to it, even when this process has generated it before: a
+    store's entries then never depend on what the process did earlier.
+    Without one it is generated, or taken from this module's cache.
+    """
+    if store is None:
+        return _generate(key)
+    from repro.store.keys import dataset_key
+
+    artifact_key = dataset_key(key, scale=1.0)
+    hypergraph = store.get_dataset(artifact_key)
+    if hypergraph is None:
+        hypergraph = _generate(key)
+        store.put_dataset(artifact_key, hypergraph)
+    return hypergraph
+
+
+def _generate(key: str) -> Hypergraph:
     if key in GRAPH_DATASETS:
         return graph_dataset(key)
     return hypergraph_dataset(key)

@@ -34,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.engine import RunResult
+from repro.engine.result import RunResult
 from repro.engine.registry import engine_names
 from repro.errors import EngineError
 from repro.harness.runner import Runner

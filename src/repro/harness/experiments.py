@@ -30,9 +30,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.chgraph.area import area_report
-from repro.chgraph.cycle_model import record_hcg_microops, simulate_phase
-from repro.engine import RunResult
+from repro.engine.result import RunResult
 from repro.harness.datasets import GRAPH_DATASETS
 from repro.harness.report import format_value, parse_table, with_bars
 from repro.harness.runner import PAPER_APPS, Runner
@@ -40,7 +38,6 @@ from repro.harness.spec import RunSpec
 from repro.hypergraph.generators import PAPER_DATASETS
 from repro.hypergraph.partition import contiguous_chunks
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
-from repro.hypergraph.stats import dataset_stats, overlap_curve
 from repro.sim.config import SystemConfig, scaled_config, table1_config
 
 __all__ = [
@@ -180,7 +177,7 @@ class FigureData:
     ) -> None:
         self._engines = figure.engines
         self._results = {spec: results[spec] for spec in figure.specs()}
-        self.dataset = runner.dataset
+        self.dataset = runner._dataset
         self.resources = runner.resources
         self.pipeline = runner.pipeline
 
@@ -236,6 +233,8 @@ def _table1(fig: Figure, data: FigureData) -> Table:
 
 
 def _table2(fig: Figure, data: FigureData) -> Table:
+    from repro.hypergraph.stats import dataset_stats
+
     rows = []
     for key in fig.datasets:
         stats = dataset_stats(data.dataset(key))
@@ -318,6 +317,8 @@ def _fig07(fig: Figure, data: FigureData) -> Table:
 
 def _fig08(fig: Figure, data: FigureData) -> Table:
     """Sharable ratios of vertices and hyperedges (two panels in one table)."""
+    from repro.hypergraph.stats import overlap_curve
+
     rows = []
     for side in ("vertex", "hyperedge"):
         for dataset in fig.datasets:
@@ -594,6 +595,8 @@ def _fig25(fig: Figure, data: FigureData) -> Table:
 
 def _vi_e(fig: Figure, data: FigureData) -> Table:
     """The §VI-E area/power/storage accounting."""
+    from repro.chgraph.area import area_report
+
     report = area_report()
     rows = [
         ["Stack storage", f"{report.stack_bytes} B"],
@@ -692,6 +695,8 @@ def _ablation_coherence(fig: Figure, data: FigureData) -> Table:
 
 def _ablation_cycle_model(fig: Figure, data: FigureData) -> Table:
     """The cycle-level model vs the engines' closed-form timing (§VI-A)."""
+    from repro.chgraph.cycle_model import record_hcg_microops, simulate_phase
+
     (dataset,) = fig.datasets
     config = scaled_config()
     hypergraph = data.dataset(dataset)

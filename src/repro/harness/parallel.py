@@ -44,12 +44,12 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.core.oag import sparse_backend
-from repro.engine.registry import ENGINE_REGISTRY
+from repro.engine.registry import ENGINE_REGISTRY, import_engines
 from repro.harness.spec import RunSpec
 from repro.hypergraph.pipeline import PreprocessSpec
 
 if TYPE_CHECKING:
-    from repro.engine import RunResult
+    from repro.engine.result import RunResult
     from repro.harness.runner import Runner
 
 __all__ = [
@@ -324,9 +324,16 @@ def execute_runs(
         jobs = os.cpu_count() or 1
     shards = plan_shards(unique, jobs)
     if len(shards) > 1:
-        # OAG builds (resource engines, the overlap-renumber stage) need
-        # scipy: forked workers inherit it instead of each importing it.
+        # Forked workers inherit what is imported here instead of each
+        # importing it: the engines with the simulator they drive, and
+        # scipy, which OAG builds need (resource engines, the
+        # overlap-renumber stage).  With a store, every dataset is put
+        # there first, so workers read it rather than race to write it.
+        import_engines()
         sparse_backend()
+        if runner.store is not None:
+            for dataset in dict.fromkeys(spec.dataset for spec in unique):
+                runner._dataset(dataset)
     outcomes = run_tasks(
         _run_shard,
         [

@@ -11,36 +11,25 @@ from the quick 2-iteration default to the paper's 10 iterations; it changes
 nothing else (dataset scale included).
 
 Setting ``REPRO_CACHE_DIR`` (or passing ``cache_dir=``) additionally
-persists both memo layers through the content-addressed
-:mod:`repro.store`: ``GlaResources`` and ``RunResult`` artifacts then
-survive the interpreter, so a second benchmark invocation skips all
-preprocessing and simulation it has already paid for.
+persists the datasets and both memo layers through the content-addressed
+:mod:`repro.store`: dataset, ``GlaResources`` and ``RunResult`` artifacts
+then survive the interpreter, so a second benchmark invocation skips all
+generation, preprocessing and simulation it has already paid for, and
+imports no simulator module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.algorithms import (
-    Adsorption,
-    BetweennessCentrality,
-    Bfs,
-    ConnectedComponents,
-    KCore,
-    MaximalIndependentSet,
-    PageRank,
-    Sssp,
-)
-import dataclasses
-
 import numpy as np
 
-from repro.algorithms.base import HypergraphAlgorithm
-from repro.engine import GlaResources, RunResult
-from repro.engine.base import ExecutionEngine
 from repro.engine.registry import ENGINE_REGISTRY, create_engine
+from repro.engine.resources import GlaResources
+from repro.engine.result import RunResult
 from repro.harness.datasets import load_dataset
 from repro.harness.spec import RunSpec
 from repro.hypergraph.hypergraph import Hypergraph
@@ -50,15 +39,12 @@ from repro.hypergraph.pipeline import (
     apply_pipeline,
 )
 from repro.sim.config import SystemConfig
-from repro.sim.observe import (
-    IterationTimeline,
-    Observer,
-    PhaseProfiler,
-    instrument,
-)
-from repro.sim.system import SimulatedSystem
+from repro.store.keys import run_result_key
+from repro.store.store import ArtifactStore, resolve_cache_dir
 
 if TYPE_CHECKING:
+    from repro.algorithms.base import HypergraphAlgorithm
+    from repro.engine.base import ExecutionEngine
     from repro.harness.parallel import ExecutionReport
 
 __all__ = ["ALGORITHM_NAMES", "Runner", "get_runner", "PAPER_APPS"]
@@ -66,18 +52,21 @@ __all__ = ["ALGORITHM_NAMES", "Runner", "get_runner", "PAPER_APPS"]
 #: The six applications of the paper's evaluation, in its order.
 PAPER_APPS: tuple[str, ...] = ("BFS", "PR", "MIS", "BC", "CC", "k-core")
 
-#: Every algorithm :meth:`Runner.algorithm` can build, by name, from the
-#: run's ``pr_iterations`` (PR and Adsorption iterate that many times).
-_ALGORITHMS: dict[str, Callable[[int], HypergraphAlgorithm]] = {
-    "BFS": lambda _: Bfs(),
-    "PR": lambda iterations: PageRank(iterations=iterations),
-    "MIS": lambda _: MaximalIndependentSet(),
-    "BC": lambda _: BetweennessCentrality(),
-    "CC": lambda _: ConnectedComponents(),
-    "k-core": lambda _: KCore(),
-    "SSSP": lambda _: Sssp(),
-    "Adsorption": lambda iterations: Adsorption(iterations=iterations),
+#: Every algorithm :meth:`Runner.algorithm` can build, by name: its class
+#: in :mod:`repro.algorithms`, imported on the first build.
+_ALGORITHMS: dict[str, str] = {
+    "BFS": "Bfs",
+    "PR": "PageRank",
+    "MIS": "MaximalIndependentSet",
+    "BC": "BetweennessCentrality",
+    "CC": "ConnectedComponents",
+    "k-core": "KCore",
+    "SSSP": "Sssp",
+    "Adsorption": "Adsorption",
 }
+
+#: The algorithms that iterate the run's ``pr_iterations`` times.
+_ITERATED = frozenset({"PR", "Adsorption"})
 
 #: The single source of truth for CLI/server request validation.
 ALGORITHM_NAMES: tuple[str, ...] = tuple(_ALGORITHMS)
@@ -118,16 +107,22 @@ def _make_algorithm(name: str, pr_iterations: int) -> HypergraphAlgorithm:
     times."""
     if name not in _ALGORITHMS:
         raise KeyError(f"unknown algorithm {name!r}")
-    return _ALGORITHMS[name](pr_iterations)
+    import repro.algorithms
+
+    build: Callable[..., HypergraphAlgorithm] = getattr(
+        repro.algorithms, _ALGORITHMS[name]
+    )
+    return build(iterations=pr_iterations) if name in _ITERATED else build()
 
 
 class Runner:
     """Builds engines/algorithms by name and memoizes simulation runs.
 
     ``cache_dir`` (or ``$REPRO_CACHE_DIR`` when it is ``None``) opts into
-    the persistent artifact store: resources and run results are then
-    loaded from / written to disk around the in-process memo, so repeated
-    invocations across interpreters skip preprocessing and simulation.
+    the persistent artifact store: datasets, resources and run results are
+    then loaded from / written to disk around the in-process memo, so
+    repeated invocations across interpreters skip generation,
+    preprocessing and simulation.
     """
 
     def __init__(
@@ -142,8 +137,6 @@ class Runner:
         self._resources: dict[tuple, GlaResources] = {}
         self._pipelines: dict[tuple, PipelineResult] = {}
         self._datasets: dict[str, Hypergraph] = {}
-        from repro.store import ArtifactStore, resolve_cache_dir
-
         resolved = resolve_cache_dir(cache_dir)
         #: The persistent artifact store, or ``None`` when caching is off.
         self.store = ArtifactStore(resolved) if resolved is not None else None
@@ -211,11 +204,14 @@ class Runner:
         return self._pipelines[key]
 
     def dataset(self, key: str) -> Hypergraph:
-        return load_dataset(key)
+        """The harness dataset ``key``, through the runner's store when it
+        has one (:func:`~repro.harness.datasets.load_dataset`)."""
+        return load_dataset(key, self.store)
 
     def _dataset(self, key: str) -> Hypergraph:
-        """:meth:`dataset`, resolved once per key: a run's store key and its
-        simulation share one load."""
+        """:meth:`dataset`, resolved once per key: a run's store key, its
+        simulation and the figure reducers share one load (and one store
+        lookup)."""
         if key not in self._datasets:
             self._datasets[key] = self.dataset(key)
         return self._datasets[key]
@@ -268,8 +264,6 @@ class Runner:
         return cached
 
     def _store_key(self, spec: RunSpec) -> str:
-        from repro.store import run_result_key
-
         # Keys hash the *loaded* dataset's content plus the spec's full
         # preprocessing record — the stage list is part of the key, so the
         # pipeline only runs on a genuine miss.
@@ -280,6 +274,15 @@ class Runner:
         cached = self._cached(spec)
         if cached is not None:
             return cached
+        # Imported only here, where a run misses the memo and the store.
+        from repro.sim.observe import (
+            IterationTimeline,
+            Observer,
+            PhaseProfiler,
+            instrument,
+        )
+        from repro.sim.system import SimulatedSystem
+
         hypergraph = self._dataset(spec.dataset)
         preprocessing = spec.resolved_preprocessing()
         pipeline = self.pipeline(hypergraph, preprocessing)
@@ -337,8 +340,6 @@ class Runner:
         ``None`` when every spec was a hit) is left on
         :attr:`last_execution_report`.
         """
-        from repro.harness.parallel import execute_runs
-
         resolved = {
             spec: spec.normalized(
                 pr_iterations=self.pr_iterations, profile=profile, check=check
@@ -351,6 +352,8 @@ class Runner:
         ]
         self.last_execution_report = None
         if misses:
+            from repro.harness.parallel import execute_runs
+
             report = execute_runs(
                 misses, self, jobs=jobs, timeout=timeout, retries=retries
             )
@@ -366,8 +369,6 @@ _runners: dict[tuple, Runner] = {}
 
 def _environment_key() -> tuple:
     """What the shared runner's construction read from the environment."""
-    from repro.store import resolve_cache_dir
-
     cache = resolve_cache_dir(None)
     return (None if cache is None else str(cache), _full_mode())
 

@@ -1,25 +1,15 @@
 """Hypergraph representation substrate (bipartite CSR, Figure 4)."""
 
-from repro.hypergraph.csr import Csr
-from repro.hypergraph.directed import DirectedHypergraph
-from repro.hypergraph.frontier import Frontier
-from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.pipeline import (
-    PipelineResult,
-    PreprocessSpec,
-    StageSpec,
-    apply_pipeline,
-    stage_names,
-)
+from repro._exports import exports
 
-__all__ = [
-    "Csr",
-    "DirectedHypergraph",
-    "Frontier",
-    "Hypergraph",
-    "PipelineResult",
-    "PreprocessSpec",
-    "StageSpec",
-    "apply_pipeline",
-    "stage_names",
-]
+__getattr__, __all__ = exports(__name__, {
+    "Csr": "csr",
+    "DirectedHypergraph": "directed",
+    "Frontier": "frontier",
+    "Hypergraph": "hypergraph",
+    "PipelineResult": "pipeline",
+    "PreprocessSpec": "pipeline",
+    "StageSpec": "pipeline",
+    "apply_pipeline": "pipeline",
+    "stage_names": "pipeline",
+})

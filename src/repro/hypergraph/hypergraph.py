@@ -10,14 +10,28 @@ is immutable, values are per-run state.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.errors import HypergraphFormatError
 from repro.hypergraph.csr import Csr
+from repro.records import Record
 
 __all__ = ["Hypergraph"]
+
+
+@dataclasses.dataclass
+class _Structure(Record):
+    """What a :class:`Hypergraph` is made of: the record its npz form
+    writes."""
+
+    name: str
+    directed: bool
+    hyperedges: Csr
+    vertices: Csr
 
 
 class Hypergraph:
@@ -68,10 +82,14 @@ class Hypergraph:
                 f"of bipartite edges ({hyperedges.num_entries} vs "
                 f"{vertices.num_entries})"
             )
-        if hyperedges.indices.size and hyperedges.indices.max() >= vertices.num_rows:
-            raise HypergraphFormatError("incident vertex id out of range")
-        if vertices.indices.size and vertices.indices.max() >= hyperedges.num_rows:
-            raise HypergraphFormatError("incident hyperedge id out of range")
+        for csr, ids, kind in (
+            (hyperedges, vertices.num_rows, "vertex"),
+            (vertices, hyperedges.num_rows, "hyperedge"),
+        ):
+            if csr.indices.size and not (
+                0 <= csr.indices.min() and csr.indices.max() < ids
+            ):
+                raise HypergraphFormatError(f"incident {kind} id out of range")
         if directed:
             return
         # Both sides as sorted packed (hyperedge, vertex) keys: equal arrays
@@ -117,6 +135,27 @@ class Hypergraph:
             )
         vertex_csr = hyperedge_csr.transpose(num_cols=num_vertices)
         return cls(hyperedge_csr, vertex_csr, name=name)
+
+    def to_npz(self, header: dict[str, Any]) -> bytes:
+        """The npz form (:meth:`repro.records.Record.to_npz`) of the name,
+        the ``directed`` flag and both CSR sides, under ``header``."""
+        return _Structure(
+            self.name, self.directed, self.hyperedges, self.vertices
+        ).to_npz(header)
+
+    @classmethod
+    def from_npz(cls, payload: bytes, header: dict[str, Any]) -> "Hypergraph":
+        """The hypergraph :meth:`to_npz` wrote under ``header``, validated
+        as any other: raises :class:`~repro.errors.ConfigurationError` or
+        :class:`~repro.errors.HypergraphFormatError` on a malformed
+        payload."""
+        structure = _Structure.from_npz(payload, header)
+        return cls(
+            structure.hyperedges,
+            structure.vertices,
+            name=structure.name,
+            directed=structure.directed,
+        )
 
     # -- basic queries ------------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.service.jobs import JobRequest
 from repro.service.server import DEFAULT_PORT
 
 if TYPE_CHECKING:
-    from repro.engine import RunResult
+    from repro.engine.result import RunResult
 
 __all__ = ["ServiceClient"]
 

@@ -88,7 +88,7 @@ class SimulationService:
         self.queue = JobQueue(metrics=self.metrics, max_depth=self.config.max_depth)
         self.store = None
         if self.config.cache_dir is not None:
-            from repro.store import ArtifactStore
+            from repro.store.store import ArtifactStore
 
             self.store = ArtifactStore(self.config.cache_dir)
         self.scheduler = Scheduler(

@@ -1,46 +1,27 @@
 """Simulated multi-core memory system (the paper's Table I substrate)."""
 
-from repro.sim.config import SystemConfig, scaled_config, table1_config
-from repro.sim.layout import ArrayId, MemoryLayout
-from repro.sim.null import NullSystem
-from repro.sim.observe import (
-    InstrumentedSystem,
-    IterationTimeline,
-    Observer,
-    PhaseProfiler,
-    TraceObserver,
-    instrument,
-)
-from repro.sim.protocol import EngineEvent, MemorySystem
-from repro.sim.reuse import ReuseProfile, profile_stream
-from repro.sim.system import SimulatedSystem
-from repro.sim.telemetry import (
-    IterationProfile,
-    PhaseProfile,
-    PhaseSample,
-    RunTelemetry,
-)
+from repro._exports import exports
 
-__all__ = [
-    "ArrayId",
-    "EngineEvent",
-    "InstrumentedSystem",
-    "IterationProfile",
-    "IterationTimeline",
-    "MemoryLayout",
-    "MemorySystem",
-    "NullSystem",
-    "Observer",
-    "PhaseProfile",
-    "PhaseProfiler",
-    "PhaseSample",
-    "ReuseProfile",
-    "RunTelemetry",
-    "SimulatedSystem",
-    "SystemConfig",
-    "TraceObserver",
-    "instrument",
-    "profile_stream",
-    "scaled_config",
-    "table1_config",
-]
+__getattr__, __all__ = exports(__name__, {
+    "ArrayId": "layout",
+    "EngineEvent": "protocol",
+    "InstrumentedSystem": "observe",
+    "IterationProfile": "telemetry",
+    "IterationTimeline": "observe",
+    "MemoryLayout": "layout",
+    "MemorySystem": "protocol",
+    "NullSystem": "null",
+    "Observer": "observe",
+    "PhaseProfile": "telemetry",
+    "PhaseProfiler": "observe",
+    "PhaseSample": "telemetry",
+    "ReuseProfile": "reuse",
+    "RunTelemetry": "telemetry",
+    "SimulatedSystem": "system",
+    "SystemConfig": "config",
+    "TraceObserver": "observe",
+    "instrument": "observe",
+    "profile_stream": "reuse",
+    "scaled_config": "config",
+    "table1_config": "config",
+})

@@ -8,9 +8,12 @@ timing, only *relative* energy between schedulers is meaningful.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.records import Record
-from repro.sim.hierarchy import MemoryHierarchy
+
+if TYPE_CHECKING:
+    from repro.sim.hierarchy import MemoryHierarchy
 
 __all__ = ["EnergyModel", "EnergyReport"]
 

@@ -1,49 +1,39 @@
 """Persistent content-addressed artifact store (preprocessing-as-a-service).
 
 The paper amortizes OAG/chain preprocessing across algorithms; this package
-amortizes it across *processes*: ``GlaResources`` (per-chunk OAG CSRs) and
-memoized ``RunResult``s are persisted under content-derived keys, verified
-by checksum on load, and rebuilt transparently on any corruption or schema
-drift.  See :mod:`repro.store.store` for the disk format,
-:mod:`repro.store.keys` for key derivation, and
-:mod:`repro.store.prewarm` for the parallel prewarming pipeline.
+amortizes it across *processes*: harness datasets (both bipartite CSR
+sides), ``GlaResources`` (per-chunk OAG CSRs) and memoized ``RunResult``s
+are persisted under content-derived keys, verified by checksum on load,
+and rebuilt transparently on any corruption or schema drift.  See
+:mod:`repro.store.store` for the disk format, :mod:`repro.store.keys` for
+key derivation, and :mod:`repro.store.prewarm` for the parallel prewarming
+pipeline.
 
 Opt in by passing ``cache_dir=`` to :class:`~repro.harness.runner.Runner`
 or by setting ``$REPRO_CACHE_DIR``; manage the store with
 ``python -m repro prewarm`` and ``python -m repro cache {stats,ls,gc,clear}``.
+The names below resolve on first use, so importing the package loads
+neither the process pool (``multiprocessing``) nor the prewarm pipeline.
 """
 
-from repro.store.keys import (
-    STORE_SCHEMA_VERSION,
-    hypergraph_content_hash,
-    resources_key,
-    run_result_key,
-)
-from repro.store.pool import TaskOutcome, backoff_delays, run_tasks
-from repro.store.prewarm import PrewarmJob, PrewarmReport, prewarm, prewarm_jobs
-from repro.store.serialize import SerializationError
-from repro.store.store import (
-    ArtifactStore,
-    StoreEntry,
-    StoreStats,
-    resolve_cache_dir,
-)
+from repro._exports import exports
 
-__all__ = [
-    "STORE_SCHEMA_VERSION",
-    "ArtifactStore",
-    "PrewarmJob",
-    "PrewarmReport",
-    "SerializationError",
-    "StoreEntry",
-    "StoreStats",
-    "TaskOutcome",
-    "backoff_delays",
-    "hypergraph_content_hash",
-    "prewarm",
-    "prewarm_jobs",
-    "resolve_cache_dir",
-    "resources_key",
-    "run_result_key",
-    "run_tasks",
-]
+__getattr__, __all__ = exports(__name__, {
+    "STORE_SCHEMA_VERSION": "keys",
+    "ArtifactStore": "store",
+    "PrewarmJob": "prewarm",
+    "PrewarmReport": "prewarm",
+    "SerializationError": "serialize",
+    "StoreEntry": "store",
+    "StoreStats": "store",
+    "TaskOutcome": "pool",
+    "backoff_delays": "pool",
+    "dataset_key": "keys",
+    "hypergraph_content_hash": "keys",
+    "prewarm": "prewarm",
+    "prewarm_jobs": "prewarm",
+    "resolve_cache_dir": "store",
+    "resources_key": "keys",
+    "run_result_key": "keys",
+    "run_tasks": "pool",
+})

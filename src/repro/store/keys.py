@@ -8,6 +8,11 @@ and the ordered stage list of the
 Renaming a dataset keeps its cache entries valid; regenerating it with
 different structure invalidates them automatically.
 
+A stored dataset is the one exception, since its content is what a lookup
+wants to learn: :func:`dataset_key` hashes its recipe (name and scale) and
+the source of every module that generates it, so an edit to the generator
+turns its entries into misses, never into stale hits.
+
 This module is the **only** place key components are concatenated:
 ``resources_key`` and ``run_result_key`` both derive from a spec here, so
 the CLI, runner, parallel executor, and service can never disagree about
@@ -17,7 +22,9 @@ what key one simulation hashes to.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +35,9 @@ if TYPE_CHECKING:  # imported lazily to avoid a store <-> harness cycle
     from repro.harness.spec import RunSpec
 
 __all__ = [
+    "DATASET_MODULES",
     "STORE_SCHEMA_VERSION",
+    "dataset_key",
     "hypergraph_content_hash",
     "resources_key",
     "run_result_key",
@@ -60,6 +69,23 @@ __all__ = [
 STORE_SCHEMA_VERSION = 6
 
 
+#: Every ``repro`` module that importing :mod:`repro.harness.datasets`
+#: loads, hence every module whose source can change a generated dataset
+#: (``tests/store/test_keys.py`` pins the list to that import).
+DATASET_MODULES: tuple[str, ...] = (
+    "repro",
+    "repro._exports",
+    "repro.errors",
+    "repro.records",
+    "repro.hypergraph",
+    "repro.hypergraph.csr",
+    "repro.hypergraph.hypergraph",
+    "repro.hypergraph.generators",
+    "repro.harness",
+    "repro.harness.datasets",
+)
+
+
 def _hash_arrays(h: "hashlib._Hash", *arrays: np.ndarray) -> None:
     """Feed arrays into ``h`` with dtype/shape framing so that e.g. an
     empty-offsets/indices swap cannot collide."""
@@ -88,6 +114,18 @@ def hypergraph_content_hash(hypergraph) -> str:
         hypergraph.vertices.indices,
     )
     return h.hexdigest()
+
+
+def dataset_key(name: str, scale: float) -> str:
+    """Store key for the harness dataset ``name`` generated at ``scale``,
+    by the source of :data:`DATASET_MODULES` as it stands."""
+    h = hashlib.sha256(b"repro/dataset/")
+    h.update(f"v{STORE_SCHEMA_VERSION}:{name}:scale={scale!r}:".encode())
+    for module in DATASET_MODULES:
+        source = Path(importlib.import_module(module).__file__).read_bytes()
+        h.update(f"{module}:{len(source)}:".encode())
+        h.update(source)
+    return h.hexdigest()[:32]
 
 
 def _preprocess_token(preprocessing: PreprocessSpec | None) -> str:

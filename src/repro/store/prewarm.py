@@ -3,10 +3,11 @@
 The paper's amortization argument (Fig 21/22) assumes OAG preprocessing is
 paid once and reused across algorithms; this module makes that literal by
 building ``GlaResources`` for a set of (dataset, num_cores) combinations in
-parallel worker *processes* and writing each into one shared
-:class:`~repro.store.store.ArtifactStore`.  Atomic store writes make
-concurrent workers targeting the same directory safe; a worker that finds
-its artifact already present reports a skip instead of rebuilding.
+parallel worker *processes* and writing each, with the dataset it is built
+from, into one shared :class:`~repro.store.store.ArtifactStore`.  Atomic
+store writes make concurrent workers targeting the same directory safe; a
+worker that finds its artifact already present reports a skip instead of
+rebuilding.
 """
 
 from __future__ import annotations
@@ -71,16 +72,17 @@ def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     """
     store_dir, job = payload
     store = ArtifactStore(store_dir)
-    hypergraph = load_dataset(job.dataset)
+    hypergraph = load_dataset(job.dataset, store)
     preprocessing = PreprocessSpec(w_min=job.w_min, d_max=job.d_max)
     key = resources_key(
         hypergraph_content_hash(hypergraph), job.num_cores, preprocessing
     )
     start = time.perf_counter()
+    writes = store.stats.writes
     GlaResources.build_or_load(
         hypergraph, job.num_cores, store=store, preprocessing=preprocessing
     )
-    built = store.stats.writes > 0
+    built = store.stats.writes > writes
     path = store._payload_path("resources", key)
     try:
         payload_bytes = path.stat().st_size

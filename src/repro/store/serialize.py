@@ -1,10 +1,14 @@
-"""Artifact (de)serialization: ``GlaResources`` ↔ npz, ``RunResult`` ↔ JSON.
+"""Artifact (de)serialization: ``GlaResources`` and datasets ↔ npz,
+``RunResult`` ↔ JSON.
 
-Both payloads are a record's own form (:class:`repro.records.Record`)
-under a ``schema``/``kind`` header.  ``GlaResources`` takes the npz form:
-its JSON in a ``meta`` member, the CSR arrays stored verbatim in one flat
-member per dtype, so a load reproduces the in-memory artifact
-bit-identically (the parity the warm-speedup benchmark asserts).
+Every payload is a record's own form (:class:`repro.records.Record`)
+under a ``schema``/``kind`` header.  ``GlaResources`` and a dataset
+(:meth:`Hypergraph.to_npz <repro.hypergraph.hypergraph.Hypergraph.to_npz>`:
+its name and both CSR sides) take the npz form: their JSON in a ``meta``
+member, the CSR arrays stored verbatim in one flat member per dtype, so a
+load reproduces the in-memory artifact bit-identically (the parity the
+warm-speedup benchmark asserts).  A loaded dataset is validated as any
+:class:`~repro.hypergraph.hypergraph.Hypergraph` is.
 
 ``RunResult`` payloads are JSON: the value arrays at this repo's scale are
 thousands of elements, so ``tolist`` round-tripping is cheap and keeps the
@@ -17,9 +21,12 @@ from __future__ import annotations
 from repro.engine.resources import GlaResources
 from repro.engine.result import RunResult
 from repro.errors import ConfigurationError, HypergraphFormatError
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.store.keys import STORE_SCHEMA_VERSION
 
 __all__ = [
+    "dataset_to_bytes",
+    "dataset_from_bytes",
     "resources_to_bytes",
     "resources_from_bytes",
     "run_result_to_json",
@@ -31,6 +38,7 @@ __all__ = [
 #: ``gla_resources`` named fails this header, so it reads as a miss and is
 #: rebuilt, while the schema (which every store key hashes) stays.
 _RESOURCES_HEADER = {"schema": STORE_SCHEMA_VERSION, "kind": "gla_resources_pooled"}
+_DATASET_HEADER = {"schema": STORE_SCHEMA_VERSION, "kind": "dataset"}
 
 
 class SerializationError(ValueError):
@@ -50,6 +58,21 @@ def resources_from_bytes(payload: bytes) -> GlaResources:
         return GlaResources.from_npz(payload, _RESOURCES_HEADER)
     except (ConfigurationError, HypergraphFormatError) as exc:
         raise SerializationError(f"malformed resources payload: {exc}") from exc
+
+
+def dataset_to_bytes(hypergraph: Hypergraph) -> bytes:
+    """Serialize a dataset to an in-memory npz payload (compressed)."""
+    return hypergraph.to_npz(_DATASET_HEADER)
+
+
+def dataset_from_bytes(payload: bytes) -> Hypergraph:
+    """Decode :func:`dataset_to_bytes` output; raises
+    :class:`SerializationError` on any malformed or mismatched payload,
+    including one that fails :class:`Hypergraph`'s own validation."""
+    try:
+        return Hypergraph.from_npz(payload, _DATASET_HEADER)
+    except (ConfigurationError, HypergraphFormatError) as exc:
+        raise SerializationError(f"malformed dataset payload: {exc}") from exc
 
 
 def run_result_to_json(result: RunResult) -> dict:

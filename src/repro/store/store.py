@@ -2,8 +2,10 @@
 
 Disk layout (all under one root directory, e.g. ``$REPRO_CACHE_DIR``)::
 
+    <root>/v<N>/datasets/<key>.npz             harness dataset payload
+    <root>/v<N>/datasets/<key>.npz.manifest    checksum + size sidecar
     <root>/v<N>/resources/<key>.npz            GlaResources payload
-    <root>/v<N>/resources/<key>.npz.manifest   checksum + size sidecar
+    <root>/v<N>/resources/<key>.npz.manifest
     <root>/v<N>/results/<key>.json             RunResult payload
     <root>/v<N>/results/<key>.json.manifest
 
@@ -13,9 +15,10 @@ Writes are atomic: payloads land in a temp file in the destination
 directory and are ``os.replace``-d into place, then the manifest follows —
 so concurrent writers (the parallel prewarm pipeline) can target one store
 directory safely; the worst case is one writer's identical bytes winning
-the rename race.  Loads verify the manifest checksum over the full payload
-and treat any mismatch, truncation or schema drift as a *miss*: the corrupt
-entry is deleted, a counter is bumped, and the caller rebuilds.
+the rename race.  Loads verify the manifest (its schema, and the kind and
+key it was written for) and its checksum over the full payload, and treat
+any mismatch, truncation or schema drift as a *miss*: the corrupt entry is
+deleted, a counter is bumped, and the caller rebuilds.
 
 The schema version is part of the path, and every payload carries a
 ``schema``/``kind`` header (:mod:`repro.store.serialize`): an entry in
@@ -33,7 +36,8 @@ from pathlib import Path
 
 from repro.store.keys import STORE_SCHEMA_VERSION
 from repro.store.serialize import (
-    SerializationError,
+    dataset_from_bytes,
+    dataset_to_bytes,
     resources_from_bytes,
     resources_to_bytes,
     run_result_from_json,
@@ -45,7 +49,7 @@ __all__ = ["ArtifactStore", "StoreStats", "StoreEntry", "resolve_cache_dir"]
 #: Environment variable that opts the harness into persistent caching.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-_KIND_SUFFIX = {"resources": ".npz", "results": ".json"}
+_KIND_SUFFIX = {"datasets": ".npz", "resources": ".npz", "results": ".json"}
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path | None:
@@ -185,9 +189,14 @@ class ArtifactStore:
                 self.stats.corruptions += 1
             self.stats.misses += 1
             return None
-        if (
-            manifest.get("schema") != STORE_SCHEMA_VERSION
-            or manifest.get("checksum") != self._checksum(payload)
+        expected = {
+            "schema": STORE_SCHEMA_VERSION,
+            "kind": kind,
+            "key": key,
+            "checksum": self._checksum(payload),
+        }
+        if not isinstance(manifest, dict) or any(
+            manifest.get(field) != value for field, value in expected.items()
         ):
             self._discard(path)
             self.stats.corruptions += 1
@@ -202,39 +211,45 @@ class ArtifactStore:
 
     # -- typed helpers -----------------------------------------------------
 
+    def put_dataset(self, key: str, hypergraph) -> Path:
+        return self.put_bytes("datasets", key, dataset_to_bytes(hypergraph))
+
+    def get_dataset(self, key: str):
+        return self._get("datasets", key, dataset_from_bytes)
+
     def put_resources(self, key: str, resources) -> Path:
         return self.put_bytes("resources", key, resources_to_bytes(resources))
 
     def get_resources(self, key: str):
-        payload = self.get_bytes("resources", key)
-        if payload is None:
-            return None
-        try:
-            return resources_from_bytes(payload)
-        except SerializationError:
-            self._corrupt_after_hit("resources", key)
-            return None
+        return self._get("resources", key, resources_from_bytes)
 
     def put_run_result(self, key: str, result) -> Path:
         payload = json.dumps(run_result_to_json(result)).encode("utf-8")
         return self.put_bytes("results", key, payload)
 
     def get_run_result(self, key: str):
-        payload = self.get_bytes("results", key)
+        return self._get(
+            "results",
+            key,
+            lambda payload: run_result_from_json(json.loads(payload.decode("utf-8"))),
+        )
+
+    def _get(self, kind: str, key: str, decode):
+        """One decoded artifact, or ``None`` on a miss.  A payload that
+        passed its checksum but does not decode (``ValueError``, which
+        :class:`~repro.store.serialize.SerializationError` is) reclassifies
+        the hit as a corruption and a miss."""
+        payload = self.get_bytes(kind, key)
         if payload is None:
             return None
         try:
-            return run_result_from_json(json.loads(payload.decode("utf-8")))
-        except (ValueError, SerializationError):
-            self._corrupt_after_hit("results", key)
+            return decode(payload)
+        except ValueError:
+            self._discard(self._payload_path(kind, key))
+            self.stats.hits -= 1
+            self.stats.misses += 1
+            self.stats.corruptions += 1
             return None
-
-    def _corrupt_after_hit(self, kind: str, key: str) -> None:
-        """Checksum passed but decoding failed: reclassify the hit."""
-        self._discard(self._payload_path(kind, key))
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        self.stats.corruptions += 1
 
     # -- maintenance -------------------------------------------------------
 

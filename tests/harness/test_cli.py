@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,7 +177,7 @@ def test_prewarm_and_cache_lifecycle(capsys, tmp_path):
     assert main(["cache", "gc", "--cache-dir", cache]) == 2  # needs --max-mb
     capsys.readouterr()
     assert main(["cache", "gc", "--cache-dir", cache, "--max-mb", "0"]) == 0
-    assert "evicted 1" in capsys.readouterr().out
+    assert "evicted 2" in capsys.readouterr().out  # the resources and WEB
 
     assert main(["cache", "clear", "--cache-dir", cache]) == 0
     assert "removed 0" in capsys.readouterr().out
@@ -184,10 +187,53 @@ def test_experiment_reports_cache_stats_when_enabled(capsys, tmp_path, monkeypat
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["bench", "--figures", "fig21", "--jobs", "1"]) == 0
     cold = capsys.readouterr().out
-    assert "cache:" in cold and "5 writes" in cold
+    # Five datasets and their five resources.
+    assert "cache:" in cold and "10 writes" in cold
     assert main(["bench", "--figures", "fig21", "--jobs", "1"]) == 0
     warm = capsys.readouterr().out
-    assert "5 hits" in warm and "0 misses" in warm
+    assert "10 hits" in warm and "0 misses" in warm
+
+
+#: ``repro bench`` on a fig02 cut to BFS on FS (three runs), in a fresh
+#: interpreter; prints the simulator modules it loaded.
+_SMALL_BENCH = """
+import dataclasses, sys
+from repro.harness.experiments import FIGURES
+FIGURES["fig02"] = dataclasses.replace(
+    FIGURES["fig02"], apps=("BFS",), datasets=("FS",)
+)
+from repro.cli import main
+code = main(["bench", "--figures", "fig02", "--jobs", "1", "--cache-dir", sys.argv[1]])
+print("loaded:", *(name for name in sys.argv[2:] if name in sys.modules))
+sys.exit(code)
+"""
+
+#: What a bench answered from the store must not load.
+_SIMULATOR_MODULES = (
+    "repro.sim.hierarchy", "repro.engine.base", "repro.algorithms.base",
+    "repro.chgraph.engine", "repro.harness.parallel", "repro.store.pool",
+    "multiprocessing", "importlib.metadata",
+)
+
+
+def test_a_warm_bench_reads_the_store_and_loads_no_simulator(tmp_path):
+    env = {**os.environ, "REPRO_BENCH_FULL": ""}
+    command = [sys.executable, "-c", _SMALL_BENCH, str(tmp_path), *_SIMULATOR_MODULES]
+    cold, warm = (
+        subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+        for _ in range(2)
+    )
+    assert "cache: 4 hits, 0 misses, 0 writes," in warm.stdout  # FS, 3 runs
+    assert warm.stdout.splitlines()[-1] == "loaded:"
+
+    def table(out: str) -> list[str]:
+        return [
+            line for line in out.splitlines()
+            if not line.startswith(("bench:", "cache:", "loaded:"))
+        ]
+
+    assert table(warm.stdout) == table(cold.stdout)
+    assert "Figure 2: main-memory accesses, BFS on FS" in warm.stdout
 
 
 def test_parser_lists_registry_engines():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.harness.runner as runner_mod
+import repro.sim.system as system_mod
 from repro.cli import main
 from repro.harness.experiments import FIGURES, FigureData, render
 from repro.harness.report import render_table
@@ -166,15 +166,16 @@ def test_undeclared_lookup_raises_key_error():
 
 
 def _count_simulations(monkeypatch) -> list[str]:
-    """Record every simulated system the runner builds (one per simulation)."""
+    """Record every simulated system the runner builds (one per simulation;
+    the runner imports the class when it simulates)."""
     built: list[str] = []
-    real = runner_mod.SimulatedSystem
+    real = system_mod.SimulatedSystem
 
     def counting(config):
         built.append(config.name)
         return real(config)
 
-    monkeypatch.setattr(runner_mod, "SimulatedSystem", counting)
+    monkeypatch.setattr(system_mod, "SimulatedSystem", counting)
     return built
 
 

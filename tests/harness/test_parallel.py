@@ -178,7 +178,8 @@ def test_run_many_parallel_is_bit_identical_to_serial(tmp_path):
 
 def test_report_counts_the_workers_store_writes(tmp_path):
     """Workers write through their own copies of the store, so the caller's
-    stats miss those writes; the report carries them back."""
+    stats miss those writes; the report carries them back.  The caller
+    writes the dataset, before the workers start."""
     runner = Runner(pr_iterations=1, cache_dir=tmp_path)
     report = execute_runs(
         _normalized(_specs(engines=("Hygra",), apps=("BFS", "CC"))),
@@ -189,8 +190,8 @@ def test_report_counts_the_workers_store_writes(tmp_path):
     assert report.parallel and report.ok
     assert all(r.where == "worker" for r in report.reports)
     assert report.worker_writes == 2
-    assert runner.store.stats.writes == 0
-    assert len(runner.store.ls()) == 2
+    assert runner.store.stats.writes == 1
+    assert len(runner.store.ls()) == 3
 
 
 def test_execute_runs_without_store_runs_in_parallel():
@@ -237,7 +238,7 @@ def test_run_many_answers_a_filled_store_without_a_pool(tmp_path):
     fresh = Runner(pr_iterations=1, cache_dir=tmp_path)
     results = fresh.run_many(specs, jobs=2, timeout=120)
     assert fresh.last_execution_report is None  # no executor, no pool
-    assert fresh.store.stats.hits == len(specs)
+    assert fresh.store.stats.hits == len(specs) + 1  # and the dataset
     assert fresh.store.stats.misses == 0
     assert set(results) == set(specs)
 

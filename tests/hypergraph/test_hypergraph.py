@@ -90,6 +90,9 @@ def test_mismatched_sides_rejected():
         ([[1, 0, 1]], [[0], [0, 0]]),
         # Right degrees, wrong members.
         ([[0, 1], [2]], [[0], [1], [0]]),
+        # Vertex -1 in hyperedge 0, mirrored as hyperedge -1 in the last
+        # vertex row: only the range check sees a negative id.
+        ([[-1, 0]], [[0], [-1]]),
     ],
 )
 def test_sides_must_be_duplicate_free_transposes(hyperedges, vertices):

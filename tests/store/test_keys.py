@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.sim.config import scaled_config
 from repro.store import (
     STORE_SCHEMA_VERSION,
+    dataset_key,
     hypergraph_content_hash,
     resources_key,
     run_result_key,
 )
+from repro.store.keys import DATASET_MODULES
 
 EDGES = [[0, 4, 6], [1, 2, 3, 5], [0, 2, 4], [1, 3, 6]]
 
@@ -127,3 +134,38 @@ def test_schema_version_bumped_for_spec_keys():
     accesses; v4: both store keys derive from RunSpec/PreprocessSpec and
     hash the full preprocessing record; v3 added DRAM write traffic)."""
     assert STORE_SCHEMA_VERSION == 6
+
+
+def test_dataset_modules_are_what_generation_imports():
+    """A fresh interpreter importing the dataset layer loads exactly the
+    ``repro`` modules whose source the dataset key hashes."""
+    code = (
+        "import sys, repro.harness.datasets\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert sorted(loaded) == sorted(DATASET_MODULES)
+
+
+def test_dataset_key_covers_the_recipe():
+    key = dataset_key("WEB", scale=1.0)
+    assert key == dataset_key("WEB", scale=1.0)
+    assert len({key, dataset_key("OK", scale=1.0), dataset_key("WEB", scale=0.5)}) == 3
+
+
+def test_an_edited_generator_misses_its_old_entries(tmp_path, monkeypatch):
+    from repro.harness.datasets import load_dataset
+    from repro.store.store import ArtifactStore
+
+    load_dataset("FS", ArtifactStore(tmp_path / "store"))
+    key = dataset_key("FS", scale=1.0)
+    generators = importlib.import_module("repro.hypergraph.generators")
+    edited = tmp_path / "generators.py"
+    edited.write_bytes(Path(generators.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(generators, "__file__", str(edited))
+    assert dataset_key("FS", scale=1.0) != key
+    store = ArtifactStore(tmp_path / "store")
+    load_dataset("FS", store)
+    assert (store.stats.hits, store.stats.misses, store.stats.writes) == (0, 1, 1)

@@ -41,7 +41,7 @@ def test_concurrent_prewarm_into_one_store_dir(tmp_path):
     assert len(reports) == 4
     assert all(r.payload_bytes > 0 for r in reports)
     store = ArtifactStore(tmp_path)
-    assert len(store.ls()) == 4
+    assert len(store.ls()) == 6  # four resources and their two datasets
     for report in reports:
         loaded = store.get_resources(report.key)
         assert loaded is not None
@@ -49,6 +49,31 @@ def test_concurrent_prewarm_into_one_store_dir(tmp_path):
     # A second pass over the same combos is all cache hits, in any worker.
     again = prewarm(tmp_path, jobs, workers=2)
     assert [r.built for r in again] == [False] * 4
+
+
+def test_prewarm_stores_the_datasets_it_loads(tmp_path, monkeypatch):
+    """After a prewarm, a runner reads the dataset and generates nothing;
+    ``built`` still means the resources were built."""
+    import repro.harness.datasets as datasets_mod
+
+    (report,) = prewarm(tmp_path, [PrewarmJob(dataset="FS", num_cores=2)], workers=1)
+    assert report.built
+
+    def refuse(key):
+        raise AssertionError(f"generated {key}")
+
+    monkeypatch.setattr(datasets_mod, "_generate", refuse)
+    runner = Runner(cache_dir=tmp_path)
+    runner._dataset("FS")
+    assert (runner.store.stats.hits, runner.store.stats.misses) == (1, 0)
+    monkeypatch.undo()
+    store = ArtifactStore(tmp_path)
+    for entry in store.ls():
+        if entry.kind == "datasets":
+            entry.path.unlink()
+            entry.path.with_name(entry.path.name + ".manifest").unlink()
+    (again,) = prewarm(tmp_path, [PrewarmJob(dataset="FS", num_cores=2)], workers=1)
+    assert not again.built  # the dataset was written again, the resources hit
 
 
 def test_prewarmed_artifacts_match_direct_builds(tmp_path):

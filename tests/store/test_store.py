@@ -48,6 +48,32 @@ def test_tampered_manifest_is_a_miss(tmp_path):
     assert store.stats.corruptions == 1
 
 
+@pytest.mark.parametrize(
+    "kind, key, manifest_of",
+    [
+        ("results", "other", lambda manifest: manifest),
+        ("resources", "k2", lambda manifest: manifest),
+        ("results", "k2", lambda manifest: [manifest]),
+    ],
+    ids=["another-key", "another-kind", "not-an-object"],
+)
+def test_an_entry_read_as_another_entry_is_a_miss(tmp_path, kind, key, manifest_of):
+    """An intact payload and manifest read under a kind or key they were
+    not written for are a corruption and a miss, never a hit."""
+    source = ArtifactStore(tmp_path).put_bytes("results", "k2", b"{}")
+    manifest = json.loads(source.with_name(source.name + ".manifest").read_bytes())
+    store = ArtifactStore(tmp_path)
+    target = store._payload_path(kind, key)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(source.read_bytes())
+    target.with_name(target.name + ".manifest").write_text(
+        json.dumps(manifest_of(manifest))
+    )
+    assert store.get_bytes(kind, key) is None
+    assert (store.stats.hits, store.stats.misses, store.stats.corruptions) == (0, 1, 1)
+    assert not target.exists()
+
+
 def test_schema_drift_is_a_miss(tmp_path):
     store = ArtifactStore(tmp_path)
     path = store.put_bytes("results", "k3", b"{}")
