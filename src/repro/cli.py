@@ -231,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(a one-shard plan runs inline and untimed)",
     )
     bench.add_argument(
-        "--retries", type=int, default=2,
-        help="retries for crashed/hung worker shards (default: 2)",
-    )
-    bench.add_argument(
         "--profile", action="store_true",
         help="run under instrumentation and append a telemetry summary "
              "(tables are unchanged: observation charges nothing)",
@@ -576,10 +572,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     )
     _check_seconds("--timeout", args.timeout)
+    _check_count("--jobs", args.jobs)
     runner = Runner(cache_dir=args.cache_dir)
     results = runner.run_many(
         [spec for figure_id in ids for spec in FIGURES[figure_id].specs()],
-        jobs=args.jobs, timeout=args.timeout, retries=args.retries,
+        jobs=args.jobs, timeout=args.timeout,
         profile=args.profile or args.check, check=args.check,
     )
     for figure_id in ids:
@@ -653,6 +650,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.harness import differential
 
+    _check_count("--graphs", args.graphs)
     engines = None
     if args.engines:
         engines = _comma_list(
@@ -834,6 +832,7 @@ def _cmd_prewarm(args: argparse.Namespace) -> int:
             lambda count: count.isdecimal() and int(count) > 0,
         )
     ]
+    _check_count("--workers", args.workers)
     store = _open_store(args)
     if store is None:
         return 2
@@ -911,6 +910,12 @@ def _check_seconds(option: str, seconds: float | None) -> None:
         raise _UsageError(f"{option} must be seconds > 0, got {seconds}")
 
 
+def _check_count(option: str, count: int | None, least: int = 1) -> None:
+    """Exit 2 unless an optional count is at least ``least``."""
+    if count is not None and count < least:
+        raise _UsageError(f"{option} must be an integer >= {least}, got {count}")
+
+
 def _service_port(args: argparse.Namespace) -> int:
     """``--port``, else ``$REPRO_SERVICE_PORT``, else the service default;
     exit 2 unless it is an integer port 0-65535."""
@@ -939,6 +944,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import SchedulerConfig, ServiceConfig, SimulationService
 
     _check_seconds("--job-timeout", args.job_timeout)
+    _check_count("--max-queue", args.max_queue)
+    _check_count("--workers", args.workers)
+    _check_count("--job-retries", args.job_retries, least=0)
     root = resolve_cache_dir(args.cache_dir)
     config = ServiceConfig(
         host=args.host,

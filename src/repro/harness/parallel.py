@@ -4,11 +4,13 @@ The figure suite drives hundreds of (engine, algorithm, dataset, config)
 simulations, and ``repro serve`` drains batches of served jobs; each run is
 seconds of single-threaded work.  :func:`execute_runs` is the only code
 that runs such a batch of specs (:class:`~repro.harness.spec.RunSpec`) in
-worker *processes*: it partitions the batch into shards, runs each shard in
-a worker on a copy of the caller's :class:`~repro.harness.runner.Runner`,
-and hands every :class:`RunResult` back by value in its :class:`RunReport`.
-The artifact store, when the runner has one, is only a cache that workers
-fill on the way; results never travel through it.
+worker *processes*: it partitions the batch into shards, computes each
+shard in a worker on a copy of the caller's
+:class:`~repro.harness.runner.Runner` (``Runner.compute``: the caller has
+already looked every run up, so a shard never does), and hands every
+:class:`RunResult` back by value in its :class:`RunReport`.  The artifact
+store, when the runner has one, is only a cache that workers fill on the
+way; results never travel through it.
 
 Sharding is deterministic and balanced: runs are sorted so that those
 consuming the same ``GlaResources`` artifact (same dataset and core count,
@@ -31,8 +33,9 @@ Robustness (see :func:`execute_runs`):
   shard that keeps failing runs inline in the calling process.
 
 Failed runs are reported, not re-run: each caller applies its own policy
-(``Runner.run_many`` re-runs them inline and untimed; the service
-scheduler requeues or fails the job).
+(``Runner.run_many`` computes them inline and untimed; the service
+scheduler requeues or fails the job).  A shard retried after its worker
+died recomputes the runs that worker had finished.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class ExecutionReport:
         """Runs a worker failed or lost.
 
         A lost shard already ran inline here; a run that failed in its
-        worker is left to the caller (``run_many`` re-runs it inline).
+        worker is left to the caller (``run_many`` computes it inline).
         """
         if not self.parallel:
             return []
@@ -216,7 +219,7 @@ def _maybe_fault(payload: _ShardPayload, spec: RunSpec) -> None:
 
 
 def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
-    """Execute one spec on the payload's runner.
+    """Compute one spec on the payload's runner.
 
     In a worker process the run gets ``payload.timeout`` seconds of
     ``SIGALRM`` budget.  Inline in the calling process it runs untimed:
@@ -232,7 +235,7 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
         or not hasattr(signal, "SIGALRM")
     ):
         _maybe_fault(payload, spec)
-        return payload.runner.run(spec)
+        return payload.runner.compute(spec)
 
     def _on_alarm(signum: int, frame: object) -> None:
         raise _RunTimeout(f"run exceeded {timeout}s")
@@ -241,7 +244,7 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         _maybe_fault(payload, spec)
-        return payload.runner.run(spec)
+        return payload.runner.compute(spec)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
@@ -295,8 +298,9 @@ def execute_runs(
     The deduplicated matrix is cut by :func:`plan_shards` into at most
     ``jobs`` shards of equal run counts (``None``: one per CPU).  Several
     shards go to worker processes via :func:`~repro.store.pool.run_tasks`,
-    each running on a copy of ``runner`` (so with a store, workers fill
-    it); one shard runs inline on ``runner`` itself.  Shards whose worker
+    each computed on a copy of ``runner`` (so with a store, workers fill
+    it); one shard runs inline on ``runner`` itself.  Nothing here looks a
+    run up: the caller passes only its misses.  Shards whose worker
     crashed or hung are retried up to ``retries`` times with exponential
     ``backoff``, then run inline.  Every result comes back by value in its
     :class:`RunReport`.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -137,6 +138,8 @@ class Runner:
         self._resources: dict[tuple, GlaResources] = {}
         self._pipelines: dict[tuple, PipelineResult] = {}
         self._datasets: dict[str, Hypergraph] = {}
+        # The service keys requests on several threads with one runner.
+        self._dataset_lock = threading.Lock()
         resolved = resolve_cache_dir(cache_dir)
         #: The persistent artifact store, or ``None`` when caching is off.
         self.store = ArtifactStore(resolved) if resolved is not None else None
@@ -211,9 +214,13 @@ class Runner:
     def _dataset(self, key: str) -> Hypergraph:
         """:meth:`dataset`, resolved once per key: a run's store key, its
         simulation and the figure reducers share one load (and one store
-        lookup)."""
+        lookup), also when threads key runs at once.  Only a first load
+        takes the lock, so the service's event loop, whose lookups find
+        their dataset loaded, never waits on another request's load."""
         if key not in self._datasets:
-            self._datasets[key] = self.dataset(key)
+            with self._dataset_lock:
+                if key not in self._datasets:
+                    self._datasets[key] = self.dataset(key)
         return self._datasets[key]
 
     # -- memoized execution ------------------------------------------------------
@@ -222,7 +229,7 @@ class Runner:
         self, spec: RunSpec, profile: bool = False, check: bool = False
     ) -> RunResult:
         """Simulate (memoized) a :class:`~repro.harness.spec.RunSpec` and
-        return the :class:`RunResult`.
+        return the :class:`RunResult`: :meth:`lookup`, else :meth:`compute`.
 
         The ``profile``/``check`` keywords act as sticky overrides on a spec
         that did not set them itself.  ``profile=True`` runs the simulation
@@ -239,42 +246,38 @@ class Runner:
         store — the whole point of checking is to re-execute the simulation,
         and a store hit would silently skip the audit.
         """
-        return self._run_spec(
-            spec.normalized(
-                pr_iterations=self.pr_iterations, profile=profile, check=check
-            )
+        run = spec.normalized(
+            pr_iterations=self.pr_iterations, profile=profile, check=check
         )
+        result = self.lookup(run)
+        return result if result is not None else self.compute(run)
 
-    def _cached(self, spec: RunSpec) -> RunResult | None:
-        """The memoized or stored result of a normalized spec, if any.
+    # key/lookup/compute take a normalized spec (RunSpec.normalized): the
+    # unit the memo and the store key on, hashable because it is frozen.
+
+    def key(self, spec: RunSpec) -> str:
+        """The store key of a run: its spec, preprocessing record included
+        (so keying never runs the pipeline), and the content of its dataset
+        as loaded, through this runner's store and once per runner."""
+        return run_result_key(spec, self._dataset(spec.dataset).content_hash())
+
+    def lookup(self, spec: RunSpec) -> RunResult | None:
+        """The memoized, else the stored, result of a run, if any.
 
         Checked runs never come from the store: checking means executing
         the simulation under the checker, and a hit would skip the audit.
+        A store hit is returned, not memoized, so the memo holds only what
+        this runner or its workers computed.
         """
-        # RunSpec is frozen and fully resolved here, hence hashable: keying
-        # on the whole spec keeps modified configs and preprocessing
-        # pipelines distinct.
-        if spec in self._results:
-            return self._results[spec]
-        if self.store is None or spec.check:
-            return None
-        cached = self.store.get_run_result(self._store_key(spec))
-        if cached is not None:
-            self._results[spec] = cached
-        return cached
+        result = self._results.get(spec)
+        if result is None and self.store is not None and not spec.check:
+            result = self.store.get_run_result(self.key(spec))
+        return result
 
-    def _store_key(self, spec: RunSpec) -> str:
-        # Keys hash the *loaded* dataset's content plus the spec's full
-        # preprocessing record — the stage list is part of the key, so the
-        # pipeline only runs on a genuine miss.
-        return run_result_key(spec, self._dataset(spec.dataset).content_hash())
-
-    def _run_spec(self, spec: RunSpec) -> RunResult:
-        """Execute one fully-normalized spec (the memo and store unit)."""
-        cached = self._cached(spec)
-        if cached is not None:
-            return cached
-        # Imported only here, where a run misses the memo and the store.
+    def compute(self, spec: RunSpec) -> RunResult:
+        """Simulate a run, memoize its result and, unless it is checked,
+        store it.  It never looks the run up: its callers have."""
+        # Imported only here, where a run is simulated.
         from repro.sim.observe import (
             IterationTimeline,
             Observer,
@@ -313,7 +316,7 @@ class Runner:
             result = _unpermute_result(result, pipeline.vertex_perm)
         self._results[spec] = result
         if self.store is not None and not spec.check:
-            self.store.put_run_result(self._store_key(spec), result)
+            self.store.put_run_result(self.key(spec), result)
         return result
 
     def run_many(
@@ -327,13 +330,14 @@ class Runner:
     ) -> dict[RunSpec, RunResult]:
         """Batch :meth:`run`: execute a whole run matrix, sharded in parallel.
 
-        Memo and store hits are answered here.  The misses go to
+        Each distinct run is looked up once.  The misses go to
         :func:`~repro.harness.parallel.execute_runs`, which shards them
-        across up to ``jobs`` worker processes (``timeout`` seconds per run)
-        and hands every result back by value; they are memoized like any
-        other run.  A run that a worker failed is re-run here, inline and
-        untimed, so a deterministic error surfaces as its original
-        exception.
+        across up to ``jobs`` worker processes (``timeout`` seconds per
+        run), computes each shard on a copy of this runner (a one-shard
+        plan on this runner itself) and hands every result back by value;
+        they are memoized like any other computed run.  A run that a worker
+        failed is computed here, inline and untimed, so a deterministic
+        error surfaces as its original exception.
 
         Returns ``{spec: RunResult}`` keyed by the specs as given; the
         executor's :class:`~repro.harness.parallel.ExecutionReport` (or
@@ -346,10 +350,11 @@ class Runner:
             )
             for spec in specs
         }
-        misses = [
-            run for run in dict.fromkeys(resolved.values())
-            if self._cached(run) is None
-        ]
+        runs = dict.fromkeys(resolved.values())
+        results = {
+            run: hit for run in runs if (hit := self.lookup(run)) is not None
+        }
+        misses = [run for run in runs if run not in results]
         self.last_execution_report = None
         if misses:
             from repro.harness.parallel import execute_runs
@@ -358,10 +363,14 @@ class Runner:
                 misses, self, jobs=jobs, timeout=timeout, retries=retries
             )
             self.last_execution_report = report
-            for run_report in report.reports:
-                if run_report.result is not None:
-                    self._results[run_report.spec] = run_report.result
-        return {spec: self._run_spec(run) for spec, run in resolved.items()}
+            for miss in report.reports:
+                results[miss.spec] = (
+                    self.compute(miss.spec)
+                    if miss.result is None
+                    # A worker's result joins the memo; an inline one is in it.
+                    else self._results.setdefault(miss.spec, miss.result)
+                )
+        return {spec: results[run] for spec, run in resolved.items()}
 
 
 _runners: dict[tuple, Runner] = {}

@@ -1,14 +1,15 @@
 """The simulation-serving subsystem: the repo's traffic-facing layer.
 
 ``repro serve`` turns the one-shot harness into a long-lived asyncio
-service: requests are typed jobs keyed by the content-addressed
-:func:`~repro.store.keys.run_result_key`, a bounded priority queue
-coalesces concurrent identical requests onto one in-flight execution and
-sheds load with retryable rejections, and a scheduler drains batches
-through :func:`~repro.harness.parallel.execute_runs`, the batch executor
-``repro bench`` uses — with a store-backed fast path that answers repeat
-requests without simulating at all.  A served result is byte-identical to
-what the same ``repro run`` invocation prints.
+service: requests are typed jobs keyed by the service's one
+:class:`~repro.harness.runner.Runner` (``Runner.key``, the run's
+content-addressed store key), a bounded priority queue coalesces
+concurrent identical requests onto one in-flight execution and sheds load
+with retryable rejections, and a scheduler drains batches through
+:func:`~repro.harness.parallel.execute_runs`, the batch executor
+``repro bench`` uses — with a store fast path (``Runner.lookup``) that
+answers repeat requests without simulating at all.  A served result is
+byte-identical to what the same ``repro run`` invocation prints.
 
 Layout
 ------
@@ -17,8 +18,8 @@ Layout
 :mod:`repro.service.queue`
     ``JobQueue``: coalescing, admission control, drain.
 :mod:`repro.service.scheduler`
-    ``Scheduler``: store fast path, then ``execute_runs`` worker dispatch
-    with per-job timeout/retry.
+    ``Scheduler``: the runner's store fast path, then ``execute_runs``
+    worker dispatch with per-job timeout/retry.
 :mod:`repro.service.server`
     ``SimulationService``: the asyncio JSON-over-HTTP front end
     (``POST /jobs``, ``GET /jobs/<id>``, ``GET /healthz``, ``GET /stats``)

@@ -2,16 +2,16 @@
 
 A :class:`JobRequest` wraps one :class:`~repro.harness.spec.RunSpec` —
 the same typed record ``repro run`` executes locally — plus a queue
-``priority``; its :meth:`JobRequest.store_key` is the
-:func:`~repro.store.keys.run_result_key` derived from that spec, which
-makes the request *content-addressed*: two requests share a key iff a
-completed result for one could legally serve the other (same dataset
-content, same config, same pr-iterations, same preprocessing pipeline,
-same profile/check flags).  That key is what request coalescing and the
-store-backed fast path both hang off.  Because the spec travels verbatim
-to the worker's runner, a served result is byte-identical to the same
-local run for *any* expressible configuration, including the §VI-H
-``w_min``/``d_max`` sensitivity sweeps and preprocessing stages.
+``priority``.  The service keys it with its runner's
+:meth:`~repro.harness.runner.Runner.key`, the run's store key, which makes
+the request *content-addressed*: two requests share a key iff a completed
+result for one could legally serve the other (same dataset content, same
+config, same pr-iterations, same preprocessing pipeline, same
+profile/check flags).  That key is what request coalescing hangs off.
+Because the spec travels verbatim to the worker's runner, a served result
+is byte-identical to the same local run for *any* expressible
+configuration, including the §VI-H ``w_min``/``d_max`` sensitivity sweeps
+and preprocessing stages.
 
 A :class:`JobRecord` is the service-side lifecycle of one accepted request:
 ``queued → running → done | failed``, with timestamps, retry attempts, the
@@ -54,8 +54,8 @@ class JobRequest(Record):
     plus a queue ``priority`` (higher runs sooner).
 
     The spec is carried normalized (no ``None`` fields), so the request's
-    store key, the worker's execution, and an equivalent local
-    ``repro run`` all agree regardless of either process's environment.
+    key, the worker's execution, and an equivalent local ``repro run`` all
+    agree regardless of either process's environment.
     Its wire form is ``{"spec": {...}, "priority": n}``
     (:class:`~repro.records.Record`); every bad payload raises
     :class:`~repro.errors.ConfigurationError`, a ``ValueError``.
@@ -87,21 +87,6 @@ class JobRequest(Record):
     def config(self) -> SystemConfig:
         """The :class:`~repro.sim.config.SystemConfig` this request runs under."""
         return self.spec.resolved_config()
-
-    def store_key(self) -> str:
-        """The content-addressed :func:`~repro.store.keys.run_result_key`.
-
-        Loads (or generates) the dataset to hash its structure — cached
-        across calls by the harness dataset layer, so only the first
-        request for a dataset pays the materialization.  The key hashes
-        the dataset *as loaded*; the preprocessing stage list enters via
-        the spec, so keying a request never runs its pipeline.
-        """
-        from repro.harness.datasets import load_dataset
-        from repro.store.keys import run_result_key
-
-        hypergraph = load_dataset(self.spec.dataset)
-        return run_result_key(self.spec, hypergraph.content_hash())
 
     def label(self) -> str:
         """Short human-readable tag for logs and stats lines."""

@@ -1,11 +1,12 @@
 """The scheduler: drains the job queue through the batch executor.
 
 Batches popped from the :class:`~repro.service.queue.JobQueue` flow through
-two tiers, cheapest first:
+two tiers of the service's one :class:`~repro.harness.runner.Runner`,
+cheapest first:
 
-1. **Store fast path** — a job whose ``run_result_key`` already has a
-   verified, decodable artifact in the store is answered immediately,
-   touching no worker (and no simulation).
+1. **Store fast path** — a job that ``Runner.lookup`` finds (a verified,
+   decodable result in the runner's store; never for a checked run) is
+   answered immediately, touching no worker (and no simulation).
 2. **Batch execution** — the remaining jobs go to
    :func:`~repro.harness.parallel.execute_runs`, the same executor
    ``repro bench`` uses: the batch is cut into shards of equal job counts,
@@ -15,7 +16,9 @@ two tiers, cheapest first:
    ``job_timeout`` seconds, crashed workers are retried with
    jittered backoff, and every result comes back by value — so the service
    works with or without a persistent store; with one, workers also fill
-   it.  A job that timed out or raised is retried (the record goes back
+   it.  Each batch runs on a copy of the runner, whose memo starts empty
+   (``Runner.__reduce__``), so the service's runner never holds a result.
+   A job that timed out or raised is retried (the record goes back
    through the queue) up to ``job_retries`` times before it is failed.
 
 The blocking ``execute_runs`` call runs in the event loop's default
@@ -25,13 +28,17 @@ executor, keeping the HTTP endpoints responsive while simulations execute.
 from __future__ import annotations
 
 import asyncio
+import copy
 import dataclasses
 import functools
-from typing import Any
+from typing import TYPE_CHECKING
 
 from repro.service.jobs import JobRecord
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
+
+if TYPE_CHECKING:
+    from repro.harness.runner import Runner
 
 __all__ = ["Scheduler", "SchedulerConfig"]
 
@@ -65,32 +72,29 @@ class Scheduler:
         self,
         queue: JobQueue,
         metrics: ServiceMetrics,
-        store: Any | None = None,
+        runner: Runner,
         config: SchedulerConfig | None = None,
     ) -> None:
         self.queue = queue
         self.metrics = metrics
-        #: Optional :class:`~repro.store.ArtifactStore` backing the fast path.
-        self.store = store
+        #: The service's runner: its lookup is the fast path, and copies of
+        #: it compute each batch's misses.
+        self.runner = runner
         self.config = config if config is not None else SchedulerConfig()
 
     async def _dispatch(self, records: list[JobRecord]) -> None:
         """Run one batch through the executor and settle every record."""
         from repro.harness.parallel import execute_runs
-        from repro.harness.runner import Runner
         from repro.store.serialize import run_result_to_json
 
         specs = [record.request.spec for record in records]
-        # A runner per batch: the inline tier memoizes into it, and a
-        # long-lived memo would grow with every job the service ever ran.
-        runner = Runner(cache_dir=None if self.store is None else self.store.root)
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
             None,
             functools.partial(
                 execute_runs,
                 specs,
-                runner,
+                copy.copy(self.runner),
                 jobs=self.config.workers,
                 timeout=self.config.job_timeout,
                 retries=POOL_RETRIES,
@@ -115,15 +119,7 @@ class Scheduler:
 
         compute: list[JobRecord] = []
         for record in batch:
-            # Checked runs must re-execute the simulation under the
-            # invariant checker — never answer them from the store (their
-            # keys are distinct anyway, and checked results are never
-            # persisted; this makes the contract explicit).
-            hit = (
-                None
-                if self.store is None or record.request.spec.check
-                else self.store.get_run_result(record.key)
-            )
+            hit = self.runner.lookup(record.request.spec)
             if hit is not None:
                 self.metrics.store_hits += 1
                 await self.queue.complete(record, run_result_to_json(hit), "store")

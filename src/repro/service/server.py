@@ -60,7 +60,8 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    #: Artifact store root (``None``: in-memory service, no fast path).
+    #: Artifact store root (``None``: ``$REPRO_CACHE_DIR`` as for any
+    #: ``Runner``; unset, an in-memory service with no fast path).
     cache_dir: str | None = None
     #: Admission bound on queued primaries.
     max_depth: int = 64
@@ -86,14 +87,15 @@ class SimulationService:
         self.log = log if log is not None else (lambda message: None)
         self.metrics = ServiceMetrics()
         self.queue = JobQueue(metrics=self.metrics, max_depth=self.config.max_depth)
-        self.store = None
-        if self.config.cache_dir is not None:
-            from repro.store.store import ArtifactStore
+        # Imported here: `repro submit` imports this package, not a runner.
+        from repro.harness.runner import Runner
 
-            self.store = ArtifactStore(self.config.cache_dir)
+        #: The one runner over the service's store, for its lifetime: it
+        #: keys every request and answers store hits, and each batch's
+        #: misses run on a copy of it, so it never holds a result.
+        self.runner = Runner(cache_dir=self.config.cache_dir)
         self.scheduler = Scheduler(
-            self.queue, self.metrics, store=self.store,
-            config=self.config.scheduler,
+            self.queue, self.metrics, self.runner, config=self.config.scheduler
         )
         #: Actual bound port, available after :meth:`start` (``port=0`` asks
         #: the OS for a free one).
@@ -120,10 +122,8 @@ class SimulationService:
             self._stats_task = asyncio.create_task(self._stats_loop())
         from repro import __version__
 
-        store_note = (
-            f"store={self.config.cache_dir}" if self.store is not None
-            else "no store"
-        )
+        store = self.runner.store
+        store_note = "no store" if store is None else f"store={store.root}"
         self.log(
             f"repro-serve v{__version__} listening on "
             f"{self.config.host}:{self.port} ({store_note}, "
@@ -316,10 +316,11 @@ class SimulationService:
             raise ValueError("request body is not valid JSON") from None
         request = JobRequest.from_json(obj)
         self.metrics.submitted += 1
-        # Hashing the dataset can materialize it (first request only);
-        # keep that off the event loop so health/status stay responsive.
+        # Keying loads the dataset (the runner's first request for it
+        # only); keep that off the event loop so health/status stay
+        # responsive.
         loop = asyncio.get_running_loop()
-        key = await loop.run_in_executor(None, request.store_key)
+        key = await loop.run_in_executor(None, self.runner.key, request.spec)
         record, coalesced = await self.queue.submit(request, key)
         if coalesced:
             self.log(

@@ -124,6 +124,11 @@ def test_bench_parallel_smoke(capsys, tmp_path, monkeypatch):
         (["serve", "--job-timeout", "0"], "--job-timeout"),
         (["serve", "--job-timeout", "nan"], "--job-timeout"),
         (["cache", "gc", "--max-mb", "-1"], "--max-mb"),
+        (["bench", "--figures", "fig02", "--jobs", "0"], "--jobs"),
+        (["prewarm", "--datasets", "FS", "--workers", "0"], "--workers"),
+        (["serve", "--max-queue", "0"], "--max-queue"),
+        (["serve", "--workers", "-2"], "--workers"),
+        (["serve", "--job-retries", "-1"], "--job-retries"),
     ],
 )
 def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, option):
@@ -137,6 +142,23 @@ def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, option):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and option in err
     assert sorted(store.rglob("*")) == entries
+
+
+def test_a_check_of_no_graphs_exits_2(capsys):
+    """A sweep over no graphs would check nothing and pass."""
+    assert main(["check", "--graphs", "0", "--no-ordering"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--graphs" in captured.err
+
+
+def test_a_one_job_bench_looks_each_run_up_once(capsys, tmp_path):
+    """A one-shard plan computes its misses without looking them up again,
+    so fig19 on a fresh store counts as two jobs do: WEB, its four runs and
+    one resources artifact miss once each."""
+    argv = ["bench", "--figures", "fig19", "--jobs", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "cache: 0 hits, 6 misses, 6 writes," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "65536", ""])

@@ -135,7 +135,7 @@ class _NoSimulation(_TinyRunner):
     """A runner that refuses to simulate: anything a reducer reads must come
     from the results it was handed or the preprocessing accessors."""
 
-    def _run_spec(self, spec):
+    def compute(self, spec):
         raise AssertionError(f"reducer started a simulation: {spec.label()}")
 
 

@@ -243,6 +243,22 @@ def test_run_many_answers_a_filled_store_without_a_pool(tmp_path):
     assert set(results) == set(specs)
 
 
+def test_a_runner_that_only_looks_up_keeps_no_results(tmp_path):
+    """A store hit is returned, not memoized: the memo holds only what a
+    runner or its workers computed, so a long-lived runner that serves hits
+    (the service's) stays empty."""
+    specs = _specs(engines=("Hygra",), apps=("BFS", "CC"))
+    computed = Runner(pr_iterations=1, cache_dir=tmp_path).run_many(specs, jobs=1)
+    reader = Runner(pr_iterations=1, cache_dir=tmp_path)
+    read = reader.run_many(specs, jobs=1)
+    assert reader.last_execution_report is None
+    assert reader.run(specs[0]).cycles == computed[specs[0]].cycles
+    assert [read[spec].cycles for spec in specs] == [
+        computed[spec].cycles for spec in specs
+    ]
+    assert reader._results == {}
+
+
 def test_one_shard_plan_runs_inline_and_retries_nothing(tmp_path):
     """A one-run batch plans one shard even at two jobs: it runs inline,
     untimed (a 10 ms alarm would kill the run), and counts as neither

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.runner import Runner
 from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.service import JOB_STATES, JobRecord, JobRequest
 from repro.sim.config import scaled_config
 from tests.service.conftest import small_request
+
+
+def service_key(request: JobRequest) -> str:
+    """What the service keys ``request`` by: its runner's ``Runner.key``."""
+    return Runner(cache_dir=None).key(request.spec)
 
 
 def merged(base: dict, changes: dict) -> dict:
@@ -130,31 +136,31 @@ class TestStoreKey:
             pr_iterations=1,
         ).normalized()
         expected = run_result_key(local, hypergraph_dataset("FS").content_hash())
-        assert small_request().store_key() == expected
+        assert service_key(small_request()) == expected
 
     def test_key_ignores_priority(self):
         # Priority affects scheduling order, not the result — requests that
         # differ only in priority must coalesce.
-        assert small_request(priority=0).store_key() == \
-            small_request(priority=9).store_key()
+        assert service_key(small_request(priority=0)) == \
+            service_key(small_request(priority=9))
 
     def test_key_distinguishes_config_and_profile(self):
-        base = small_request().store_key()
+        base = service_key(small_request())
         eight_cores = scaled_config(num_cores=8, llc_kb=2)
-        assert small_request(config=eight_cores).store_key() != base
-        assert small_request(profile=True).store_key() != base
+        assert service_key(small_request(config=eight_cores)) != base
+        assert service_key(small_request(profile=True)) != base
 
     def test_key_distinguishes_preprocessing(self):
         # The v4 keys fix the latent aliasing: sweeps and staged runs were
         # previously indistinguishable from default runs.
-        base = small_request().store_key()
+        base = service_key(small_request())
         for preprocessing in (
             PreprocessSpec(w_min=5),
             PreprocessSpec(d_max=8),
             PreprocessSpec(stages=(StageSpec("locality-reorder"),)),
         ):
-            assert small_request(preprocessing=preprocessing).store_key() != base
-        assert small_request(check=True).store_key() != base
+            assert service_key(small_request(preprocessing=preprocessing)) != base
+        assert service_key(small_request(check=True)) != base
 
 
 class TestJobRecord:

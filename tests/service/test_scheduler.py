@@ -27,7 +27,6 @@ from repro.service import (
     SchedulerConfig,
     ServiceMetrics,
 )
-from repro.store import ArtifactStore
 from repro.store.serialize import run_result_to_json
 from tests.service.conftest import small_request
 
@@ -42,12 +41,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_parts(store=None, **config):
+def make_parts(cache_dir=None, **config):
+    """A queue and a scheduler over a runner on ``cache_dir``."""
     metrics = ServiceMetrics()
     queue = JobQueue(metrics=metrics)
     config.setdefault("batch_window", 0.0)
     scheduler = Scheduler(
-        queue, metrics, store=store, config=SchedulerConfig(**config)
+        queue, metrics, Runner(cache_dir=cache_dir),
+        config=SchedulerConfig(**config),
     )
     return queue, scheduler, metrics
 
@@ -66,15 +67,15 @@ class TestStoreFastPath:
     def test_prewarmed_key_is_served_without_compute(
         self, tmp_path, small_result
     ):
-        store = ArtifactStore(tmp_path / "cache")
+        queue, scheduler, metrics = make_parts(cache_dir=tmp_path / "cache")
+        store = scheduler.runner.store
         request = small_request()
-        key = request.store_key()
+        key = scheduler.runner.key(request.spec)
         payload = run_result_to_json(small_result)
         store.put_bytes(
             "results", key, json.dumps(payload).encode("utf-8")
         )
 
-        queue, scheduler, metrics = make_parts(store=store)
         record = run(serve_one(queue, scheduler, request, key))
         assert record.state == "done"
         assert record.served_from == "store"
@@ -83,13 +84,13 @@ class TestStoreFastPath:
         assert metrics.computed == 0  # no simulation ran
 
     def test_undecodable_store_entry_falls_back_to_compute(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache")
+        queue, scheduler, metrics = make_parts(cache_dir=tmp_path / "cache")
+        store = scheduler.runner.store
         request = small_request()
-        key = request.store_key()
+        key = scheduler.runner.key(request.spec)
         store.put_bytes(
             "results", key, json.dumps({"schema": "from-the-future"}).encode()
         )
-        queue, scheduler, metrics = make_parts(store=store)
         record = run(serve_one(queue, scheduler, request, key))
         assert record.state == "done"
         assert record.served_from in ("worker", "inline")
@@ -100,7 +101,7 @@ class TestStoreFastPath:
         assert store.stats.corruptions == 1
 
     def test_no_store_always_computes(self):
-        queue, scheduler, metrics = make_parts(store=None)
+        queue, scheduler, metrics = make_parts(cache_dir=None)
         record = run(serve_one(queue, scheduler, small_request(), "k1"))
         assert record.state == "done"
         assert metrics.computed == 1
@@ -208,7 +209,7 @@ def test_run_one_arms_alarm_only_in_a_worker(monkeypatch, in_worker):
     class FakeRunner:
         store = None
 
-        def run(self, spec):
+        def compute(self, spec):
             return "ran"
 
     payload = parallel_mod._ShardPayload(

@@ -23,14 +23,15 @@ from tests.service.conftest import small_request
 
 class TestCoalescingEndToEnd:
     def test_eight_identical_submits_compute_once(self, make_service):
-        # Warm the dataset memo so all eight submits key fast — the service
-        # shares this process, which widens the coalescing window.
-        small_request().store_key()
         # A generous batch window keeps the primary queued while the
         # stragglers arrive.
         service, client = make_service(
             scheduler=SchedulerConfig(batch_window=0.25)
         )
+        # Warm the service runner's dataset memo so all eight submits key
+        # fast — the service shares this process, which widens the
+        # coalescing window.
+        service.runner.key(small_request().spec)
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             jobs = list(pool.map(
                 lambda _: client.submit(small_request()), range(8)
@@ -67,6 +68,30 @@ class TestStoreFastPathEndToEnd:
         assert stats["store_hits"] == 1
         assert stats["computed"] == 1
         assert stats["store_hit_ratio"] == pytest.approx(0.5)
+        # The batch computed on a copy of the service's runner, and the
+        # hit was returned, not memoized.
+        assert service.runner._results == {}
+
+    def test_a_stored_dataset_keys_and_runs_a_request_without_generating(
+        self, tmp_path, make_service, monkeypatch
+    ):
+        """A service over a store that holds FS reads it, through its
+        runner, both to key a request and to compute it."""
+        import repro.harness.datasets as datasets_mod
+        from repro.harness.datasets import load_dataset
+        from repro.store import ArtifactStore
+
+        cache = tmp_path / "cache"
+        load_dataset("FS", ArtifactStore(cache))
+
+        def refuse(key):
+            raise AssertionError(f"generated {key}")
+
+        monkeypatch.setattr(datasets_mod, "_generate", refuse)
+        service, client = make_service(cache_dir=str(cache))
+        job = client.run(small_request(), timeout=120)
+        assert job["state"] == "done"
+        assert job["served_from"] == "inline"
 
 
 class TestSpecFidelityEndToEnd:

@@ -4,6 +4,9 @@ dataset up once."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -102,17 +105,43 @@ def test_a_runner_looks_each_dataset_up_once(tmp_path):
     assert _counts(warm.store) == (1, 0, 0, 0)
 
 
+def test_threads_keying_at_once_look_the_dataset_up_once(tmp_path):
+    """The service keys requests with one runner on several threads: the
+    dataset is still looked up and written once, and every key agrees."""
+    from repro.harness.spec import RunSpec
+
+    spec = RunSpec("Hygra", "BFS", "FS").normalized()
+    runner = Runner(cache_dir=tmp_path)
+    keys: list[str] = []
+    threads = [
+        threading.Thread(target=lambda: keys.append(runner.key(spec)))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(keys) == 8 and len(set(keys)) == 1
+    assert _counts(runner.store) == (0, 1, 0, 1)
+
+
 def test_a_stored_dataset_keys_runs_as_the_generated_one(tmp_path, monkeypatch):
     """A warm runner reads the dataset and generates nothing, and its run
     keys equal a store-less runner's."""
     from repro.harness.spec import RunSpec
 
     spec = RunSpec("Hygra", "BFS", "FS").normalized()
-    expected = Runner(cache_dir=None)._store_key(spec)
+    expected = Runner(cache_dir=None).key(spec)
     load_dataset("FS", ArtifactStore(tmp_path))
 
     def refuse(key):
         raise AssertionError(f"generated {key}")
 
     monkeypatch.setattr(datasets_mod, "_generate", refuse)
-    assert Runner(cache_dir=tmp_path)._store_key(spec) == expected
+    assert Runner(cache_dir=tmp_path).key(spec) == expected
