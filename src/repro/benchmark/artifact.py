@@ -101,16 +101,16 @@ def write_report(
         else report_filename(str(report["host_class"]))
     )
     payload = json.dumps(report, indent=2, sort_keys=True).encode("utf-8")
-    ArtifactStore._atomic_write(path, payload)
+    checksum, size = ArtifactStore._atomic_write(path, [payload])
     manifest = {
         "schema": BENCH_SCHEMA_VERSION,
         "kind": "bench-report",
-        "checksum": ArtifactStore._checksum(payload),
-        "size": len(payload),
+        "checksum": checksum,
+        "size": size,
     }
     ArtifactStore._atomic_write(
         path.with_name(path.name + ".manifest"),
-        json.dumps(manifest).encode("utf-8"),
+        [json.dumps(manifest).encode("utf-8")],
     )
     return path
 

@@ -73,7 +73,7 @@ def _chain_generation():
 
 @bench(
     "store-warm-load",
-    "Warm GlaResources load (checksum-verified npz) from a prewarmed store",
+    "Warm GlaResources load (checksum-verified raw record) from a prewarmed store",
 )
 def _store_warm_load():
     hypergraph = paper_dataset("OK")

@@ -104,20 +104,20 @@ class GlaResources(Record):
         return resources
 
     def save(self, path: str | os.PathLike) -> None:
-        """Write the npz artifact payload to ``path`` (no store manifest)."""
-        from repro.store.serialize import resources_to_bytes
+        """Write the store's payload to ``path`` (no store manifest)."""
+        from repro.store.serialize import encode
 
         with open(path, "wb") as fh:
-            fh.write(resources_to_bytes(self))
+            fh.writelines(encode("resources", self))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "GlaResources":
         """Inverse of :meth:`save`; raises
         :class:`~repro.store.SerializationError` on a malformed payload."""
-        from repro.store.serialize import resources_from_bytes
+        from repro.store.serialize import decode
 
         with open(path, "rb") as fh:
-            return resources_from_bytes(fh.read())
+            return decode("resources", fh.read())
 
     def oags_for(self, src_side: str) -> list[Oag]:
         """The per-chunk OAGs for the side a phase schedules."""

@@ -152,6 +152,16 @@ class Runner:
         root = None if self.store is None else self.store.root
         return (type(self), (self.pr_iterations, root))
 
+    def __copy__(self) -> Runner:
+        """A fresh runner over the same store (:meth:`__reduce__`) that
+        shares this one's loaded datasets and their lock: each service
+        batch computes on one, so it reads no dataset the service has
+        loaded, and its own memos go with it."""
+        make, args = self.__reduce__()
+        twin = make(*args)
+        twin._datasets, twin._dataset_lock = self._datasets, self._dataset_lock
+        return twin
+
     # -- factories -----------------------------------------------------------
 
     def algorithm(self, name: str) -> HypergraphAlgorithm:

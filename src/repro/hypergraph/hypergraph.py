@@ -11,7 +11,7 @@ is immutable, values are per-run state.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = ["Hypergraph"]
 
 @dataclasses.dataclass
 class _Structure(Record):
-    """What a :class:`Hypergraph` is made of: the record its npz form
+    """What a :class:`Hypergraph` is made of: the record its raw form
     writes."""
 
     name: str
@@ -136,20 +136,20 @@ class Hypergraph:
         vertex_csr = hyperedge_csr.transpose(num_cols=num_vertices)
         return cls(hyperedge_csr, vertex_csr, name=name)
 
-    def to_npz(self, header: dict[str, Any]) -> bytes:
-        """The npz form (:meth:`repro.records.Record.to_npz`) of the name,
+    def raw_parts(self, header: dict[str, Any]) -> Iterator[bytes | np.ndarray]:
+        """The raw form (:meth:`repro.records.Record.raw_parts`) of the name,
         the ``directed`` flag and both CSR sides, under ``header``."""
         return _Structure(
             self.name, self.directed, self.hyperedges, self.vertices
-        ).to_npz(header)
+        ).raw_parts(header)
 
     @classmethod
-    def from_npz(cls, payload: bytes, header: dict[str, Any]) -> "Hypergraph":
-        """The hypergraph :meth:`to_npz` wrote under ``header``, validated
+    def from_raw(cls, payload: bytes, header: dict[str, Any]) -> "Hypergraph":
+        """The hypergraph :meth:`raw_parts` wrote under ``header``, validated
         as any other: raises :class:`~repro.errors.ConfigurationError` or
         :class:`~repro.errors.HypergraphFormatError` on a malformed
         payload."""
-        structure = _Structure.from_npz(payload, header)
+        structure = _Structure.from_raw(payload, header)
         return cls(
             structure.hyperedges,
             structure.vertices,

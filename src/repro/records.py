@@ -13,8 +13,10 @@ keys (``ArrayId``) are written as ``str(int(key))``.  An ``np.ndarray`` is
 written as ``{"dtype", "data"}``; its elements are not checked one by one.
 Every rejection is a :class:`~repro.errors.ConfigurationError`.
 
-A record's npz form (:meth:`Record.to_npz`) writes each array as a slice
-of one flat member per dtype instead.
+A record's raw form (:meth:`Record.raw_parts`), the form every store
+payload takes, writes each array as a slice of one flat pool per dtype
+instead, and :meth:`Record.from_raw` reads each back as a read-only view
+of the payload: a load neither inflates nor copies an array.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ import contextvars
 import dataclasses
 import enum
 import functools
-import io
 import json
 import re
 import reprlib
 import types
 import typing
-import zipfile
+from collections.abc import Iterator
 from typing import Any, Callable, TypeVar
 
 import numpy as np
@@ -47,7 +48,7 @@ class _Mismatch(Exception):
 
 
 class Record:
-    """Mixin for a dataclass record: its JSON and npz forms, read by the
+    """Mixin for a dataclass record: its JSON and raw forms, read by the
     field rule."""
 
     def to_json(self) -> dict[str, Any]:
@@ -75,64 +76,96 @@ class Record:
             record.validate()
         return record
 
-    def to_npz(self, header: dict[str, Any]) -> bytes:
-        """The record's npz form: ``header`` and its JSON in a ``meta``
-        member, every array a slice of its dtype's pool member."""
+    def raw_parts(self, header: dict[str, Any]) -> Iterator[bytes | np.ndarray]:
+        """The record's raw form, part by part, for a writer to stream: the
+        magic line, the length of the JSON meta (``header``, the record's
+        JSON with each array a slice of its dtype's pool, and the pool
+        table), the meta, then each pool's arrays, each pool 8-byte
+        aligned."""
         with _Pools({}) as pools:
-            meta = json.dumps({**header, **self.to_json()}).encode("utf-8")
-        members = {"meta": [np.frombuffer(meta, dtype=np.uint8)], **pools.parts}
-        buffer = io.BytesIO()
-        # The bytes np.savez_compressed writes for the joined pools, but
-        # streamed part by part: joining a pool, then numpy's copy of it on
-        # the way to the compressor, doubled the peak memory of a write.
-        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as npz:
-            for name, parts in members.items():
-                with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array_header_1_0(member, {
-                        "descr": np.lib.format.dtype_to_descr(parts[0].dtype),
-                        "fortran_order": False,
-                        "shape": (sum(part.size for part in parts),),
-                    })
-                    for part in parts:
-                        member.write(np.ascontiguousarray(part))
-        return buffer.getvalue()
+            record = self.to_json()
+        meta = json.dumps({**header, "record": record, "pools": pools.used}).encode()
+        frame = _MAGIC + len(meta).to_bytes(8, "little") + meta
+        yield frame + bytes(-len(frame) % 8)
+        for dtype, parts in pools.parts.items():
+            yield from map(np.ascontiguousarray, parts)
+            yield bytes(-pools.used[dtype] * _DTYPES[dtype].itemsize % 8)
 
     @classmethod
-    def from_npz(cls: type[_R], payload: bytes, header: dict[str, Any]) -> _R:
-        """The record :meth:`to_npz` wrote under ``header``.  Rejects what
-        :meth:`from_json` rejects, a payload that is not npz, a ``meta``
-        without ``header``, and array slices that do not tile their pools."""
-        try:
-            with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                members = {name: npz[name] for name in npz.files}
-            meta = json.loads(members.pop("meta").tobytes())
-        except Exception as exc:  # zipfile and numpy raise many types on bad bytes
-            raise ConfigurationError(f"unreadable npz payload: {exc!r}") from exc
-        if not isinstance(meta, dict) or any(
-            meta.get(name) != value for name, value in header.items()
-        ):
-            raise ConfigurationError(f"npz meta does not carry {header}")
+    def from_raw(cls: type[_R], payload: bytes, header: dict[str, Any]) -> _R:
+        """The record :meth:`raw_parts` wrote under ``header``, its arrays
+        read-only views of ``payload``.  Rejects what :meth:`from_json`
+        rejects, any frame :func:`_unpack` rejects, and array slices that
+        do not tile their pools."""
+        record, members = _unpack(payload, header)
         with _Pools(members) as pools:
-            record = cls.from_json({k: v for k, v in meta.items() if k not in header})
+            built = cls.from_json(record)
         unread = [d for d, pool in members.items() if pools.used[d] != pool.size]
         if unread:
-            raise ConfigurationError(f"npz pools {unread} hold elements no field reads")
-        return record
+            raise ConfigurationError(f"pools {unread} hold elements no field reads")
+        return built
+
+
+#: The first line of every raw payload, then its meta's length.
+_MAGIC = b"repro/record/v1\n"
+_META_AT = len(_MAGIC) + 8
+
+#: The dtypes a pool may hold, by name: bool and every integer and float
+#: type code, so that no payload can ask numpy for an object array.
+_DTYPES = {str(d): d for d in map(np.dtype, "?bBhHiIlLqQnNpPefdg")}
+
+
+def _unpack(
+    payload: bytes, header: dict[str, Any]
+) -> tuple[Any, dict[str, np.ndarray]]:
+    """The record JSON and the pools, by dtype, of a raw payload written
+    under ``header``.  The payload is untrusted: a bad magic line, a meta
+    or pool past the end, trailing bytes, a meta without ``header``, a
+    malformed pool table or a dtype that is not bool, integer or float is
+    a :class:`ConfigurationError`."""
+    end = _META_AT + int.from_bytes(payload[len(_MAGIC) : _META_AT], "little")
+    if not payload.startswith(_MAGIC) or end > len(payload):
+        raise ConfigurationError("not a raw record, or its meta runs past the end")
+    try:
+        meta = json.loads(payload[_META_AT:end])
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"unreadable raw record meta: {exc!r}") from exc
+    if (
+        not isinstance(meta, dict)
+        or meta.keys() != {*header, "record", "pools"}
+        or any(meta[name] != value for name, value in header.items())
+    ):
+        raise ConfigurationError(f"the raw record meta does not carry {header}")
+    table = meta["pools"]
+    if not isinstance(table, dict) or not all(
+        dtype in _DTYPES and type(size) is int and size >= 0
+        for dtype, size in table.items()
+    ):
+        raise ConfigurationError(f"malformed pool table {reprlib.repr(table)}")
+    members: dict[str, np.ndarray] = {}
+    at = end
+    for dtype, size in table.items():
+        at += -at % 8
+        if at + size * _DTYPES[dtype].itemsize > len(payload):
+            raise ConfigurationError(f"pool {dtype} runs past the end")
+        members[dtype] = np.frombuffer(payload, _DTYPES[dtype], size, at)
+        at += members[dtype].nbytes
+    if at + -at % 8 != len(payload):
+        raise ConfigurationError("trailing bytes after the last pool")
+    return meta["record"], members
 
 
 class _Pools:
-    """The arrays of one npz payload, one flat member per dtype, while its
+    """The arrays of one raw payload, one flat pool per dtype, while its
     record is written or read: arrays then take the form
-    ``{"dtype", "at", "size"}``, the next slice of their dtype's member.
+    ``{"dtype", "at", "size"}``, the next slice of their dtype's pool.
 
-    One member per dtype, not one per array, because ``np.load``'s cost per
-    member dominates a warm load: one member per array doubled the load
-    time of a 16-core ``GlaResources`` (WEB at 2x scale, 5.7 to 12.4 ms).
+    One pool per dtype, not one per array, keeps the pool table as short
+    as the dtypes a record holds, however many arrays it has (a 16-core
+    ``GlaResources`` holds 192).
     """
 
     def __init__(self, members: dict[str, np.ndarray]) -> None:
-        if any(str(a.dtype) != d or a.ndim != 1 for d, a in members.items()):
-            raise ConfigurationError("an npz pool is not a flat array of its dtype")
         self.members = members
         self.parts: dict[str, list[np.ndarray]] = {}
         self.used = dict.fromkeys(members, 0)
@@ -146,6 +179,8 @@ class _Pools:
 
     def write(self, array: np.ndarray) -> dict[str, Any]:
         dtype = str(array.dtype)
+        if dtype not in _DTYPES or array.ndim != 1:
+            raise ConfigurationError(f"cannot pool a {array.ndim}-d {dtype} array")
         at = self.used.get(dtype, 0)
         self.parts.setdefault(dtype, []).append(array)
         self.used[dtype] = at + array.size
@@ -168,7 +203,7 @@ class _Pools:
         return self.members[dtype][start : start + size]
 
 
-#: The pools of the npz payload being written or read; without one, arrays
+#: The pools of the raw payload being written or read; without one, arrays
 #: take their JSON form.
 _POOLS: contextvars.ContextVar[_Pools | None] = contextvars.ContextVar(
     "_POOLS", default=None
@@ -267,7 +302,7 @@ def _describe(hint: Any) -> str:
         return f"an object of {args[1].__name__}"
     if hint is np.ndarray:
         pooled = _POOLS.get() is not None
-        return "a slice of its npz pool" if pooled else 'an array {"dtype", "data"}'
+        return "a slice of its pool" if pooled else 'an array {"dtype", "data"}'
     return f"a {hint.__name__}" if dataclasses.is_dataclass(hint) else hint.__name__
 
 

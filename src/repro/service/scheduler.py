@@ -16,8 +16,9 @@ cheapest first:
    ``job_timeout`` seconds, crashed workers are retried with
    jittered backoff, and every result comes back by value — so the service
    works with or without a persistent store; with one, workers also fill
-   it.  Each batch runs on a copy of the runner, whose memo starts empty
-   (``Runner.__reduce__``), so the service's runner never holds a result.
+   it.  Each batch runs on a copy of the runner (``Runner.__copy__``),
+   whose result memo starts empty, so the service's runner never holds a
+   result, and which shares the datasets the service has loaded.
    A job that timed out or raised is retried (the record goes back
    through the queue) up to ``job_retries`` times before it is failed.
 

@@ -66,7 +66,11 @@ __all__ = [
 #: v6: ``RunResult`` payloads carry the run's ``energy`` report and, under
 #: ``track_coherence``, its MESI ``coherence`` counters; the untyped
 #: ``extra`` record is gone.
-STORE_SCHEMA_VERSION = 6
+#:
+#: v7: every payload, run results included, is a record's uncompressed raw
+#: form (``<key>.rec``), read back as views; stage records hash without
+#: the ``"params": {}`` they were once written with.
+STORE_SCHEMA_VERSION = 7
 
 
 #: Every ``repro`` module that importing :mod:`repro.harness.datasets`
@@ -129,17 +133,12 @@ def dataset_key(name: str, scale: float) -> str:
 
 
 def _preprocess_token(preprocessing: PreprocessSpec | None) -> str:
-    """Canonical string form of a preprocessing record for key hashing.
-
-    Uses the sorted-key JSON dump of the spec's JSON form, which preserves
-    stage order.  Each stage hashes with the ``"params": {}`` that stages
-    were written with before none took parameters, so keys do not move.
-    """
+    """Canonical string form of a preprocessing record for key hashing:
+    the sorted-key JSON dump of the spec's JSON form, which preserves
+    stage order."""
     if preprocessing is None:
         preprocessing = PreprocessSpec()
-    token = preprocessing.to_json()
-    token["stages"] = [{**stage, "params": {}} for stage in token["stages"]]
-    return json.dumps(token, sort_keys=True)
+    return json.dumps(preprocessing.to_json(), sort_keys=True)
 
 
 def resources_key(

@@ -1,22 +1,24 @@
-"""Artifact (de)serialization: ``GlaResources`` and datasets ↔ npz,
-``RunResult`` ↔ JSON.
+"""Artifact (de)serialization: every stored kind in one raw record form,
+and ``RunResult`` ↔ JSON for the service's wire.
 
-Every payload is a record's own form (:class:`repro.records.Record`)
-under a ``schema``/``kind`` header.  ``GlaResources`` and a dataset
-(:meth:`Hypergraph.to_npz <repro.hypergraph.hypergraph.Hypergraph.to_npz>`:
-its name and both CSR sides) take the npz form: their JSON in a ``meta``
-member, the CSR arrays stored verbatim in one flat member per dtype, so a
-load reproduces the in-memory artifact bit-identically (the parity the
-warm-speedup benchmark asserts).  A loaded dataset is validated as any
-:class:`~repro.hypergraph.hypergraph.Hypergraph` is.
-
-``RunResult`` payloads are JSON: the value arrays at this repo's scale are
-thousands of elements, so ``tolist`` round-tripping is cheap and keeps the
-entries greppable on disk.  The optional ``telemetry``, ``energy`` and
-``coherence`` records are written as ``null`` when the run lacks them.
+A stored payload is its artifact's raw form
+(:meth:`repro.records.Record.raw_parts`; a dataset's is
+:meth:`Hypergraph.raw_parts
+<repro.hypergraph.hypergraph.Hypergraph.raw_parts>`, its name and both CSR
+sides) under a ``schema``/``kind`` header.  :func:`encode` yields it part
+by part, for the store to stream into its file; :func:`decode` returns
+every array as a read-only view of the payload, bit-identical to the
+artifact written (the parity the warm-speedup benchmark asserts), and a
+dataset validated as any ``Hypergraph`` is.  Results are not JSON on disk:
+:func:`run_result_to_json` is the form ``repro serve`` answers in.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from typing import Any
+
+import numpy as np
 
 from repro.engine.resources import GlaResources
 from repro.engine.result import RunResult
@@ -25,76 +27,61 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.store.keys import STORE_SCHEMA_VERSION
 
 __all__ = [
-    "dataset_to_bytes",
-    "dataset_from_bytes",
-    "resources_to_bytes",
-    "resources_from_bytes",
-    "run_result_to_json",
-    "run_result_from_json",
-    "SerializationError",
+    "KINDS", "Parts", "SerializationError", "decode", "encode",
+    "run_result_from_json", "run_result_to_json",
 ]
 
-#: The kind names the npz layout: an entry in the per-side layout that
-#: ``gla_resources`` named fails this header, so it reads as a miss and is
-#: rebuilt, while the schema (which every store key hashes) stays.
-_RESOURCES_HEADER = {"schema": STORE_SCHEMA_VERSION, "kind": "gla_resources_pooled"}
-_DATASET_HEADER = {"schema": STORE_SCHEMA_VERSION, "kind": "dataset"}
+#: A payload as a writer yields it: bytes and contiguous arrays, in order.
+Parts = Iterable[bytes | np.ndarray]
+
+#: Each store kind's artifact type and the header its payloads carry.
+KINDS: dict[str, tuple[Any, dict[str, Any]]] = {
+    kind: (cls, {"schema": STORE_SCHEMA_VERSION, "kind": name})
+    for kind, cls, name in (
+        ("datasets", Hypergraph, "dataset"),
+        ("resources", GlaResources, "gla_resources"),
+        ("results", RunResult, "run_result"),
+    )
+}
+_RESULT_HEADER = KINDS["results"][1]
 
 
 class SerializationError(ValueError):
     """Raised when an artifact payload cannot be decoded (schema mismatch,
-    missing arrays, malformed JSON); the store treats it as a cache miss."""
+    missing arrays, malformed meta); the store treats it as a cache miss."""
 
 
-def resources_to_bytes(resources: GlaResources) -> bytes:
-    """Serialize to an in-memory npz payload (compressed)."""
-    return resources.to_npz(_RESOURCES_HEADER)
+def encode(kind: str, artifact: Any) -> Parts:
+    """The payload of ``artifact`` as store ``kind`` holds it, part by
+    part."""
+    return artifact.raw_parts(KINDS[kind][1])
 
 
-def resources_from_bytes(payload: bytes) -> GlaResources:
-    """Decode :func:`resources_to_bytes` output; raises
-    :class:`SerializationError` on any malformed or mismatched payload."""
-    try:
-        return GlaResources.from_npz(payload, _RESOURCES_HEADER)
-    except (ConfigurationError, HypergraphFormatError) as exc:
-        raise SerializationError(f"malformed resources payload: {exc}") from exc
-
-
-def dataset_to_bytes(hypergraph: Hypergraph) -> bytes:
-    """Serialize a dataset to an in-memory npz payload (compressed)."""
-    return hypergraph.to_npz(_DATASET_HEADER)
-
-
-def dataset_from_bytes(payload: bytes) -> Hypergraph:
-    """Decode :func:`dataset_to_bytes` output; raises
+def decode(kind: str, payload: bytes) -> Any:
+    """The artifact an :func:`encode` payload of ``kind`` holds; raises
     :class:`SerializationError` on any malformed or mismatched payload,
-    including one that fails :class:`Hypergraph`'s own validation."""
+    including a dataset that fails :class:`Hypergraph`'s own validation."""
+    cls, header = KINDS[kind]
     try:
-        return Hypergraph.from_npz(payload, _DATASET_HEADER)
+        return cls.from_raw(payload, header)
     except (ConfigurationError, HypergraphFormatError) as exc:
-        raise SerializationError(f"malformed dataset payload: {exc}") from exc
+        raise SerializationError(f"malformed {kind} payload: {exc}") from exc
 
 
 def run_result_to_json(result: RunResult) -> dict:
-    """A JSON-serializable dict for one memoized run: the schema header,
-    then the record's own JSON (:class:`repro.records.Record`)."""
-    return {
-        "schema": STORE_SCHEMA_VERSION,
-        "kind": "run_result",
-        **result.to_json(),
-    }
+    """One run's wire form: the schema header, then the record's own JSON
+    (:class:`repro.records.Record`)."""
+    return {**_RESULT_HEADER, **result.to_json()}
 
 
 def run_result_from_json(payload: dict) -> RunResult:
     """Inverse of :func:`run_result_to_json`; raises
     :class:`SerializationError` on schema or shape mismatch."""
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != STORE_SCHEMA_VERSION
-        or payload.get("kind") != "run_result"
+    if not isinstance(payload, dict) or any(
+        payload.get(name) != value for name, value in _RESULT_HEADER.items()
     ):
         raise SerializationError("not a run_result payload of this schema")
-    fields = {k: v for k, v in payload.items() if k not in ("schema", "kind")}
+    fields = {k: v for k, v in payload.items() if k not in _RESULT_HEADER}
     try:
         return RunResult.from_json(fields)
     except ConfigurationError as exc:

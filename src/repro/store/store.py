@@ -2,27 +2,27 @@
 
 Disk layout (all under one root directory, e.g. ``$REPRO_CACHE_DIR``)::
 
-    <root>/v<N>/datasets/<key>.npz             harness dataset payload
-    <root>/v<N>/datasets/<key>.npz.manifest    checksum + size sidecar
-    <root>/v<N>/resources/<key>.npz            GlaResources payload
-    <root>/v<N>/resources/<key>.npz.manifest
-    <root>/v<N>/results/<key>.json             RunResult payload
-    <root>/v<N>/results/<key>.json.manifest
+    <root>/v<N>/<kind>/<key>.rec             payload
+    <root>/v<N>/<kind>/<key>.rec.manifest    checksum + size sidecar
 
-where ``<N>`` is :data:`~repro.store.keys.STORE_SCHEMA_VERSION` (6 today).
+where ``<N>`` is :data:`~repro.store.keys.STORE_SCHEMA_VERSION` (7 today)
+and ``<kind>`` is ``datasets`` (harness datasets), ``resources``
+(``GlaResources``) or ``results`` (``RunResult``).  Every payload is a
+record's raw form (:mod:`repro.store.serialize`), uncompressed.
 
-Writes are atomic: payloads land in a temp file in the destination
-directory and are ``os.replace``-d into place, then the manifest follows —
-so concurrent writers (the parallel prewarm pipeline) can target one store
-directory safely; the worst case is one writer's identical bytes winning
-the rename race.  Loads verify the manifest (its schema, and the kind and
-key it was written for) and its checksum over the full payload, and treat
-any mismatch, truncation or schema drift as a *miss*: the corrupt entry is
+Writes are atomic: a payload streams part by part into a temp file in the
+destination directory, its checksum taken on the way, and is
+``os.replace``-d into place, then the manifest follows — so concurrent
+writers (the parallel prewarm pipeline) can target one store directory
+safely; the worst case is one writer's identical bytes winning the rename
+race.  Loads verify the manifest (its schema, and the kind and key it was
+written for) and its checksum over the full payload, and treat any
+mismatch, truncation or schema drift as a *miss*: the corrupt entry is
 deleted, a counter is bumped, and the caller rebuilds.
 
 The schema version is part of the path, and every payload carries a
-``schema``/``kind`` header (:mod:`repro.store.serialize`): an entry in
-another layout reads as a miss, never as a misread artifact.
+``schema``/``kind`` header: an entry in another layout reads as a miss,
+never as a misread artifact.
 """
 
 from __future__ import annotations
@@ -35,21 +35,15 @@ import tempfile
 from pathlib import Path
 
 from repro.store.keys import STORE_SCHEMA_VERSION
-from repro.store.serialize import (
-    dataset_from_bytes,
-    dataset_to_bytes,
-    resources_from_bytes,
-    resources_to_bytes,
-    run_result_from_json,
-    run_result_to_json,
-)
+from repro.store.serialize import KINDS, Parts, decode, encode
 
 __all__ = ["ArtifactStore", "StoreStats", "StoreEntry", "resolve_cache_dir"]
 
 #: Environment variable that opts the harness into persistent caching.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-_KIND_SUFFIX = {"datasets": ".npz", "resources": ".npz", "results": ".json"}
+#: The suffix of every payload, whatever its kind (one directory each).
+_SUFFIX = ".rec"
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path | None:
@@ -116,9 +110,9 @@ class ArtifactStore:
         return self.root / f"v{STORE_SCHEMA_VERSION}"
 
     def _payload_path(self, kind: str, key: str) -> Path:
-        if kind not in _KIND_SUFFIX:
+        if kind not in KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        return self.schema_dir / kind / f"{key}{_KIND_SUFFIX[kind]}"
+        return self.schema_dir / kind / f"{key}{_SUFFIX}"
 
     @staticmethod
     def _manifest_path(payload: Path) -> Path:
@@ -131,11 +125,17 @@ class ArtifactStore:
         return "sha256:" + hashlib.sha256(payload).hexdigest()
 
     @staticmethod
-    def _atomic_write(path: Path, payload: bytes) -> None:
+    def _atomic_write(path: Path, parts: Parts) -> tuple[str, int]:
+        """Stream ``parts`` into ``path`` through a temp file; the checksum
+        and size of what was written."""
+        digest, size = hashlib.sha256(), 0
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+                for part in parts:
+                    fh.write(part)
+                    digest.update(part)
+                    size += memoryview(part).nbytes
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -143,21 +143,26 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
+        return "sha256:" + digest.hexdigest(), size
 
     def put_bytes(self, kind: str, key: str, payload: bytes) -> Path:
         """Atomically persist one artifact (payload, then manifest)."""
+        return self._write(kind, key, [payload])
+
+    def _write(self, kind: str, key: str, parts: Parts) -> Path:
+        """:meth:`put_bytes` of the payload ``parts`` joins, never joined."""
         path = self._payload_path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, payload)
+        checksum, size = self._atomic_write(path, parts)
         manifest = {
             "schema": STORE_SCHEMA_VERSION,
             "kind": kind,
             "key": key,
-            "checksum": self._checksum(payload),
-            "size": len(payload),
+            "checksum": checksum,
+            "size": size,
         }
         self._atomic_write(
-            self._manifest_path(path), json.dumps(manifest).encode("utf-8")
+            self._manifest_path(path), [json.dumps(manifest).encode("utf-8")]
         )
         self.stats.writes += 1
         if self.max_bytes is not None:
@@ -212,29 +217,24 @@ class ArtifactStore:
     # -- typed helpers -----------------------------------------------------
 
     def put_dataset(self, key: str, hypergraph) -> Path:
-        return self.put_bytes("datasets", key, dataset_to_bytes(hypergraph))
+        return self._write("datasets", key, encode("datasets", hypergraph))
 
     def get_dataset(self, key: str):
-        return self._get("datasets", key, dataset_from_bytes)
+        return self._get("datasets", key)
 
     def put_resources(self, key: str, resources) -> Path:
-        return self.put_bytes("resources", key, resources_to_bytes(resources))
+        return self._write("resources", key, encode("resources", resources))
 
     def get_resources(self, key: str):
-        return self._get("resources", key, resources_from_bytes)
+        return self._get("resources", key)
 
     def put_run_result(self, key: str, result) -> Path:
-        payload = json.dumps(run_result_to_json(result)).encode("utf-8")
-        return self.put_bytes("results", key, payload)
+        return self._write("results", key, encode("results", result))
 
     def get_run_result(self, key: str):
-        return self._get(
-            "results",
-            key,
-            lambda payload: run_result_from_json(json.loads(payload.decode("utf-8"))),
-        )
+        return self._get("results", key)
 
-    def _get(self, kind: str, key: str, decode):
+    def _get(self, kind: str, key: str):
         """One decoded artifact, or ``None`` on a miss.  A payload that
         passed its checksum but does not decode (``ValueError``, which
         :class:`~repro.store.serialize.SerializationError` is) reclassifies
@@ -243,7 +243,7 @@ class ArtifactStore:
         if payload is None:
             return None
         try:
-            return decode(payload)
+            return decode(kind, payload)
         except ValueError:
             self._discard(self._payload_path(kind, key))
             self.stats.hits -= 1
@@ -256,11 +256,11 @@ class ArtifactStore:
     def ls(self) -> list[StoreEntry]:
         """All intact entries, oldest first."""
         entries = []
-        for kind, suffix in _KIND_SUFFIX.items():
+        for kind in KINDS:
             directory = self.schema_dir / kind
             if not directory.is_dir():
                 continue
-            for path in directory.glob(f"*{suffix}"):
+            for path in directory.glob(f"*{_SUFFIX}"):
                 try:
                     stat = path.stat()
                     size = stat.st_size + self._manifest_path(path).stat().st_size
@@ -269,7 +269,7 @@ class ArtifactStore:
                 entries.append(
                     StoreEntry(
                         kind=kind,
-                        key=path.name[: -len(suffix)],
+                        key=path.name[: -len(_SUFFIX)],
                         path=path,
                         size_bytes=size,
                         mtime=stat.st_mtime,

@@ -131,8 +131,16 @@ def test_bench_parallel_smoke(capsys, tmp_path, monkeypatch):
         (["serve", "--job-retries", "-1"], "--job-retries"),
     ],
 )
-def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, option):
-    """Rejected before anything runs, binds or evicts."""
+def test_nonsense_numbers_exit_2(capsys, tmp_path, monkeypatch, argv, option):
+    """Rejected before anything runs, binds or evicts.  A ``serve`` that
+    let its nonsense through would serve until killed: its service is a
+    stub that fails the case at once instead."""
+    import repro.service
+
+    def serve(*args, **kwargs):
+        raise AssertionError(f"serve built its service despite {option}")
+
+    monkeypatch.setattr(repro.service, "SimulationService", serve)
     store = tmp_path / "store"
     main(["prewarm", "--cache-dir", str(store), "--datasets", "FS",
           "--cores", "4", "--workers", "1"])

@@ -10,16 +10,16 @@ from repro.hypergraph.pipeline import PreprocessSpec, StageSpec
 from repro.sim.config import scaled_config
 from repro.store.keys import resources_key, run_result_key
 
-#: Pinned v6 keys for the fully-default spec against an all-zero dataset
+#: Pinned v7 keys for the fully-default spec against an all-zero dataset
 #: hash.  These change ONLY on a deliberate schema bump (update them and
 #: ``STORE_SCHEMA_VERSION`` together) — an accidental drift here would
 #: silently orphan every cached artifact in existing stores.
-GOLDEN_RUN_KEY = "1d40f17f429732bcb2b8e642bd3aae5e"
-GOLDEN_RESOURCES_KEY = "3680233415944423f7ab06b8e6b43b39"
+GOLDEN_RUN_KEY = "1becf29fb54bcacb51d9f226da1addc2"
+GOLDEN_RESOURCES_KEY = "0e8cd9794a5a729056fd4564a7e9551a"
 #: sha256 over the run and resources keys of all 413 ``FIGURES`` specs
 #: against the all-zero dataset hash: any drift orphans a figure's entries.
 GOLDEN_FIGURE_KEYS = (
-    "74030d756725f111176529d978a4128b67cf328c083fb7c674b64662c11b6d68"
+    "a9361e441cf0655e6c425e841259d9d2326962777923b08204ddb0373ae8d18b"
 )
 
 

@@ -27,7 +27,9 @@ from repro.service import (
     SchedulerConfig,
     ServiceMetrics,
 )
+from repro.sim.config import scaled_config
 from repro.store.serialize import run_result_to_json
+from repro.store.store import ArtifactStore
 from tests.service.conftest import small_request
 
 
@@ -68,18 +70,14 @@ class TestStoreFastPath:
         self, tmp_path, small_result
     ):
         queue, scheduler, metrics = make_parts(cache_dir=tmp_path / "cache")
-        store = scheduler.runner.store
         request = small_request()
         key = scheduler.runner.key(request.spec)
-        payload = run_result_to_json(small_result)
-        store.put_bytes(
-            "results", key, json.dumps(payload).encode("utf-8")
-        )
+        scheduler.runner.store.put_run_result(key, small_result)
 
         record = run(serve_one(queue, scheduler, request, key))
         assert record.state == "done"
         assert record.served_from == "store"
-        assert record.result == payload
+        assert record.result == run_result_to_json(small_result)
         assert metrics.store_hits == 1
         assert metrics.computed == 0  # no simulation ran
 
@@ -88,6 +86,7 @@ class TestStoreFastPath:
         store = scheduler.runner.store
         request = small_request()
         key = scheduler.runner.key(request.spec)
+        # A JSON result, as stores before the raw form held them.
         store.put_bytes(
             "results", key, json.dumps({"schema": "from-the-future"}).encode()
         )
@@ -109,6 +108,38 @@ class TestStoreFastPath:
         from repro.store.serialize import run_result_from_json
 
         assert run_result_from_json(record.result).cycles > 0
+
+
+def test_batches_reuse_the_datasets_the_service_loaded(tmp_path, monkeypatch):
+    """Each batch computes on a copy of the service's runner that shares
+    its loaded datasets: three one-job FS batches read FS from the store
+    at most once in total (keying the first request reads it)."""
+    reads = []
+    get_dataset = ArtifactStore.get_dataset
+
+    def counted(store, key):
+        reads.append(key)
+        return get_dataset(store, key)
+
+    monkeypatch.setattr(ArtifactStore, "get_dataset", counted)
+    queue, scheduler, metrics = make_parts(cache_dir=tmp_path / "cache")
+
+    async def three_batches():
+        records = []
+        for llc_kb in (2, 4, 8):
+            request = small_request(config=scaled_config(num_cores=4, llc_kb=llc_kb))
+            record, _ = await queue.submit(request, scheduler.runner.key(request.spec))
+            batch = await queue.next_batch()
+            assert batch == [record]
+            await scheduler._handle_batch(batch)
+            records.append(record)
+        return records
+
+    records = run(three_batches())
+    assert [record.state for record in records] == ["done"] * 3
+    assert metrics.computed == 3
+    assert len(reads) <= 1
+    assert not scheduler.runner._results
 
 
 def test_one_job_batch_runs_inline_and_untimed(small_result):

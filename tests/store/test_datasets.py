@@ -4,6 +4,7 @@ dataset up once."""
 
 from __future__ import annotations
 
+import copy
 import sys
 import threading
 
@@ -15,7 +16,7 @@ from repro.harness.datasets import DATASETS, hypergraph_dataset, load_dataset
 from repro.harness.runner import Runner
 from repro.hypergraph.hypergraph import _Structure
 from repro.store.keys import STORE_SCHEMA_VERSION, dataset_key
-from repro.store.serialize import dataset_to_bytes
+from repro.store.serialize import encode
 from repro.store.store import ArtifactStore
 
 
@@ -48,23 +49,23 @@ def test_a_load_equals_a_generation(key, tmp_path):
 
 
 def _mis_headed() -> bytes:
-    return hypergraph_dataset("FS").to_npz(
-        {"schema": STORE_SCHEMA_VERSION, "kind": "gla_resources_pooled"}
-    )
+    return b"".join(hypergraph_dataset("FS").raw_parts(
+        {"schema": STORE_SCHEMA_VERSION, "kind": "gla_resources"}
+    ))
 
 
 def _not_the_transpose() -> bytes:
     fs = hypergraph_dataset("FS")
     other = hypergraph_dataset("OK")
-    return _Structure("FS", False, fs.hyperedges, other.vertices).to_npz(
+    return b"".join(_Structure("FS", False, fs.hyperedges, other.vertices).raw_parts(
         {"schema": STORE_SCHEMA_VERSION, "kind": "dataset"}
-    )
+    ))
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        lambda: dataset_to_bytes(hypergraph_dataset("FS"))[:-100],
+        lambda: b"".join(encode("datasets", hypergraph_dataset("FS")))[:-100],
         _mis_headed,
         _not_the_transpose,
     ],
@@ -129,6 +130,44 @@ def test_threads_keying_at_once_look_the_dataset_up_once(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert len(keys) == 8 and len(set(keys)) == 1
     assert _counts(runner.store) == (0, 1, 0, 1)
+
+
+def test_copies_keying_at_once_share_one_load(tmp_path, monkeypatch):
+    """The service computes each batch on a copy of its runner: copies on
+    several threads at once still load the dataset once, into the memo
+    they share with the runner, and every key agrees."""
+    from repro.harness.spec import RunSpec
+
+    spec = RunSpec("Hygra", "BFS", "FS").normalized()
+    runner = Runner(cache_dir=tmp_path)
+    copies = [copy.copy(runner) for _ in range(8)]
+    loads: list[str] = []
+    dataset = Runner.dataset
+
+    def counted(self, key):
+        loads.append(key)
+        return dataset(self, key)
+
+    monkeypatch.setattr(Runner, "dataset", counted)
+    keys: list[str] = []
+    threads = [
+        threading.Thread(target=lambda twin=twin: keys.append(twin.key(spec)))
+        for twin in copies
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(keys) == 8 and len(set(keys)) == 1
+    assert loads == ["FS"]
+    assert runner._dataset("FS") is copies[0]._dataset("FS")
+    assert not any(twin._results for twin in copies)
 
 
 def test_a_stored_dataset_keys_runs_as_the_generated_one(tmp_path, monkeypatch):

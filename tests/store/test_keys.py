@@ -129,11 +129,13 @@ def test_run_result_key_requires_normalized_iterations(figure1):
 
 
 def test_schema_version_bumped_for_spec_keys():
-    """v6: run payloads carry typed energy and coherence records (v5: runs
-    honour the spec's pr_iterations and profiled telemetry counts engine
-    accesses; v4: both store keys derive from RunSpec/PreprocessSpec and
-    hash the full preprocessing record; v3 added DRAM write traffic)."""
-    assert STORE_SCHEMA_VERSION == 6
+    """v7: every payload is a record's raw form and stage records hash
+    without ``"params": {}`` (v6: run payloads carry typed energy and
+    coherence records; v5: runs honour the spec's pr_iterations and
+    profiled telemetry counts engine accesses; v4: both store keys derive
+    from RunSpec/PreprocessSpec and hash the full preprocessing record; v3
+    added DRAM write traffic)."""
+    assert STORE_SCHEMA_VERSION == 7
 
 
 def test_dataset_modules_are_what_generation_imports():

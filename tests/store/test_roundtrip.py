@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,19 +14,29 @@ from repro.algorithms import PageRank
 from repro.core.oag import Oag
 from repro.engine import ChGraphEngine, GlaResources
 from repro.engine.result import RunResult
+from repro.harness.datasets import hypergraph_dataset
 from repro.hypergraph.csr import Csr
 from repro.sim.config import scaled_config
 from repro.sim.layout import ArrayId
 from repro.sim.observe import InstrumentedSystem
 from repro.sim.system import SimulatedSystem
 from repro.store import ArtifactStore, SerializationError
-from repro.store.keys import resources_key
+from repro.store.keys import STORE_SCHEMA_VERSION, resources_key
 from repro.store.serialize import (
-    resources_from_bytes,
-    resources_to_bytes,
+    decode,
+    encode,
     run_result_from_json,
     run_result_to_json,
 )
+from tests.test_records import MAGIC, RESULT
+
+
+def resources_to_bytes(resources: GlaResources) -> bytes:
+    return b"".join(encode("resources", resources))
+
+
+def resources_from_bytes(payload: bytes) -> GlaResources:
+    return decode("resources", payload)
 
 
 def make_system() -> SimulatedSystem:
@@ -122,13 +133,14 @@ def _one_oag(csr: Csr | None = None, num_cores: object = 1) -> bytes:
     ))
 
 
+def _framed(meta: bytes) -> bytes:
+    """A raw payload of the meta text ``meta`` and no pools."""
+    payload = MAGIC + len(meta).to_bytes(8, "little") + meta
+    return payload + bytes(-len(payload) % 8)
+
+
 def _meta_a_list() -> bytes:
-    npz = np.load(io.BytesIO(_one_oag()))
-    arrays = {name: npz[name] for name in npz.files}
-    arrays["meta"] = np.frombuffer(b"[6]", dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    return buffer.getvalue()
+    return _framed(b"[7]")
 
 
 def _offsets_past_indices() -> bytes:
@@ -149,7 +161,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_a_malformed_payload_is_a_serialization_error_and_a_miss(case, tmp_path):
     payload = MALFORMED[case]()
-    path = tmp_path / "resources.npz"
+    path = tmp_path / "resources.rec"
     path.write_bytes(payload)
     with pytest.raises(SerializationError):
         GlaResources.load(path)
@@ -162,14 +174,14 @@ def test_a_malformed_payload_is_a_serialization_error_and_a_miss(case, tmp_path)
 
 def test_resources_file_roundtrip(small_hypergraph, tmp_path):
     built = GlaResources.build(small_hypergraph, 3)
-    path = tmp_path / "resources.npz"
+    path = tmp_path / "resources.rec"
     built.save(path)
     _assert_identical(built, GlaResources.load(path))
 
 
 def test_resources_load_rejects_garbage(tmp_path):
-    path = tmp_path / "garbage.npz"
-    path.write_bytes(b"not an npz at all")
+    path = tmp_path / "garbage.rec"
+    path.write_bytes(b"not a raw record at all")
     with pytest.raises(SerializationError):
         GlaResources.load(path)
 
@@ -267,10 +279,115 @@ def test_store_typed_helpers_survive_corrupt_decodes(small_hypergraph, tmp_path)
     """A payload whose checksum passes but whose content is junk still
     degrades to a miss (rebuild), never an exception."""
     store = ArtifactStore(tmp_path)
-    store.put_bytes("resources", "bad", b"checksummed but not an npz")
+    store.put_bytes("resources", "bad", b"checksummed but not a raw record")
     assert store.get_resources("bad") is None
     assert store.stats.corruptions == 1
-    store.put_bytes("results", "bad", b"checksummed but not json")
+    store.put_bytes("results", "bad", b"checksummed but not a raw record")
     assert store.get_run_result("bad") is None
     assert store.stats.corruptions == 2
     assert store.stats.hits == 0
+
+
+def _result_payload() -> bytes:
+    return b"".join(encode("results", RESULT))
+
+
+def _with_table(table: object) -> bytes:
+    header = {"schema": STORE_SCHEMA_VERSION, "kind": "run_result"}
+    return _framed(json.dumps({**header, "record": {}, "pools": table}).encode())
+
+
+def _v6_result() -> bytes:
+    return json.dumps({**run_result_to_json(RESULT), "schema": 6}).encode()
+
+
+NOT_RAW = {
+    "bad-magic": lambda: b"R" + _result_payload()[1:],
+    "meta-past-the-end": lambda: (
+        MAGIC + (1 << 40).to_bytes(8, "little") + _result_payload()[24:]
+    ),
+    "pool-past-the-end": lambda: _result_payload()[:-8],
+    "trailing-bytes": lambda: _result_payload() + bytes(8),
+    "pool-table-a-list": lambda: _with_table([["int64", 0]]),
+    "pool-size-negative": lambda: _with_table({"int64": -8}),
+    "pool-size-a-string": lambda: _with_table({"int64": "0"}),
+    "object-dtype": lambda: _with_table({"object": 0}),
+    "complex-dtype": lambda: _with_table({"complex128": 0}),
+    "v6-json": _v6_result,
+}
+
+
+@pytest.mark.parametrize("case", NOT_RAW)
+def test_a_payload_not_in_the_raw_form_is_a_miss(case, tmp_path):
+    """Every malformed frame is a ``SerializationError``, so the store
+    reads it as one corruption and a miss, never raises, never unpickles."""
+    store = ArtifactStore(tmp_path)
+    store.put_bytes("results", "k", NOT_RAW[case]())
+    assert store.get_run_result("k") is None
+    stats = store.stats
+    assert (stats.hits, stats.misses, stats.corruptions) == (0, 1, 1)
+
+
+def test_a_v6_npz_payload_is_a_miss(small_hypergraph, tmp_path):
+    store = ArtifactStore(tmp_path)
+    built = GlaResources.build(small_hypergraph, 4)
+    store.put_bytes("resources", "k", _per_side_payload(built))
+    assert store.get_resources("k") is None
+    stats = store.stats
+    assert (stats.hits, stats.misses, stats.corruptions) == (0, 1, 1)
+
+
+def test_a_run_result_round_trips_through_the_store(tmp_path):
+    """Telemetry, energy and coherence included, a stored result reads
+    back with its wire JSON unchanged, and it is stored raw, not as JSON."""
+    assert RESULT.telemetry and RESULT.energy and RESULT.coherence
+    store = ArtifactStore(tmp_path)
+    path = store.put_run_result("k", RESULT)
+    assert path.name == "k.rec"
+    assert path.read_bytes().startswith(MAGIC)
+    loaded = store.get_run_result("k")
+    assert json.dumps(run_result_to_json(loaded)) == json.dumps(
+        run_result_to_json(RESULT)
+    )
+    assert loaded.vertex_values.dtype == np.float32
+
+
+def test_loaded_arrays_are_read_only(small_hypergraph, tmp_path):
+    """Every stored kind reads back as views of its payload, which nothing
+    may write through."""
+    store = ArtifactStore(tmp_path)
+    store.put_dataset("d", small_hypergraph)
+    store.put_resources("r", GlaResources.build(small_hypergraph, 4))
+    store.put_run_result("x", RESULT)
+    dataset = store.get_dataset("d")
+    resources = store.get_resources("r")
+    result = store.get_run_result("x")
+    arrays = [
+        getattr(csr, name)
+        for csr in (
+            dataset.hyperedges, dataset.vertices,
+            *(oag.csr for oag in (*resources.vertex_oags, *resources.hyperedge_oags)),
+        )
+        for name in ("offsets", "indices", "weights")
+        if getattr(csr, name) is not None
+    ]
+    arrays += [result.result, result.vertex_values, result.hyperedge_values]
+    assert len(arrays) == 4 + 3 * 8 + 3
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_a_resources_write_holds_no_joined_payload(tmp_path):
+    """A write streams the payload part by part into its file: its peak
+    memory stays under half the payload, which a joined copy would not."""
+    resources = GlaResources.build(hypergraph_dataset("OK"), 16)
+    store = ArtifactStore(tmp_path)
+    store.put_resources("warm-up", resources)
+    tracemalloc.start()
+    try:
+        path = store.put_resources("k", resources)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 100_000
+    assert peak < size / 2, f"peak {peak} B for a {size} B payload"
