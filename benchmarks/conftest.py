@@ -10,11 +10,11 @@ Run with ``PYTHONPATH=src:. pytest benchmarks/ --benchmark-only``; set
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.benchmark.measure import timed
 from repro.harness.report import render_table
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -54,8 +54,9 @@ def best_time():
         seconds = []
         for _ in range(1 + REPEATS):
             setup()
-            result, elapsed = timed(fn)
-            seconds.append(elapsed)
+            start = time.perf_counter()
+            result = fn()
+            seconds.append(time.perf_counter() - start)
         return result, min(seconds[1:])
 
     return _best_time

@@ -26,14 +26,6 @@ Commands
     prove the checker fires.
 ``area``
     Print the §VI-E area/power accounting.
-``benchmark``
-    The continuous benchmark-regression suite (:mod:`repro.benchmark`):
-    ``run`` measures the registered hot-path probes (warmup + min-of-k +
-    bootstrap CIs) and emits a schema-versioned ``BENCH_<host>.json``;
-    ``compare`` renders the trend table against a baseline; ``gate``
-    additionally exits non-zero on a noise-cleared regression;
-    ``baseline`` promotes (optionally scaling) a report into
-    ``benchmarks/baselines/``.
 ``prewarm``
     Build GlaResources for dataset × core-count combos in parallel and
     persist them into the artifact store.
@@ -242,74 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the command",
     )
     add_cache_dir_arg(bench)
-
-    benchmark = sub.add_parser(
-        "benchmark", help="continuous benchmark-regression suite"
-    )
-    bench_sub = benchmark.add_subparsers(dest="benchmark_command", required=True)
-
-    b_run = bench_sub.add_parser(
-        "run", help="measure the registered probes, emit BENCH_<host>.json"
-    )
-    b_run.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed repetitions per probe; the min is gated (default: 5)",
-    )
-    b_run.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed warmup repetitions per probe (default: 1)",
-    )
-    b_run.add_argument(
-        "--probes", default="all",
-        help="comma-separated probe names (default: the full registry)",
-    )
-    b_run.add_argument(
-        "--out-dir", default=".",
-        help="directory for BENCH_<host>.json + manifest (default: cwd)",
-    )
-
-    def add_compare_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--current", required=True, help="the BENCH json under test"
-        )
-        p.add_argument(
-            "--baseline", default=None,
-            help="baseline BENCH json (default: "
-                 "benchmarks/baselines/BENCH_<host-class>.json)",
-        )
-        p.add_argument(
-            "--threshold", type=float, default=None,
-            help="regression threshold as a fraction over baseline "
-                 "(default: 0.5, i.e. fail past 1.5x)",
-        )
-
-    b_compare = bench_sub.add_parser(
-        "compare", help="trend table vs a baseline (never fails the build)"
-    )
-    add_compare_args(b_compare)
-
-    b_gate = bench_sub.add_parser(
-        "gate", help="compare and exit non-zero on a gated regression"
-    )
-    add_compare_args(b_gate)
-
-    b_baseline = bench_sub.add_parser(
-        "baseline", help="promote a report into benchmarks/baselines/"
-    )
-    b_baseline.add_argument(
-        "--from", dest="source", required=True,
-        help="the BENCH json to promote",
-    )
-    b_baseline.add_argument(
-        "--out", default=None,
-        help="destination file (default: "
-             "benchmarks/baselines/BENCH_<host-class>.json)",
-    )
-    b_baseline.add_argument(
-        "--scale", type=float, default=1.0,
-        help="scale every timing by this factor (0.5 synthesizes a "
-             "baseline the current run regresses 2x against)",
-    )
 
     pre = sub.add_parser(
         "prewarm",
@@ -698,114 +622,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: Where committed per-host-class baselines live (repo-relative).
-BASELINE_DIR = "benchmarks/baselines"
-
-
-def _default_baseline_path():
-    from pathlib import Path
-
-    from repro.benchmark import report_filename
-
-    return Path(BASELINE_DIR) / report_filename()
-
-
-def _load_comparison(args: argparse.Namespace):
-    """Shared by ``benchmark compare`` and ``benchmark gate``."""
-    from pathlib import Path
-
-    from repro import benchmark
-    from repro.errors import BenchmarkError
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline else _default_baseline_path()
-    )
-    if not baseline_path.exists():
-        raise BenchmarkError(
-            f"no baseline at {baseline_path} — run "
-            f"`repro benchmark baseline --from <BENCH json>` first, or pass "
-            f"--baseline"
-        )
-    current = benchmark.load_report(args.current)
-    baseline = benchmark.load_report(baseline_path)
-    threshold = (
-        benchmark.DEFAULT_GATE_THRESHOLD
-        if args.threshold is None
-        else args.threshold
-    )
-    comparisons = benchmark.compare_reports(current, baseline, threshold)
-    title = (
-        f"Benchmark trend — {current['host_class']} "
-        f"(gate at >{1.0 + threshold:.2f}x, CI-separated)"
-    )
-    return comparisons, title
-
-
-def _cmd_benchmark(args: argparse.Namespace) -> int:
-    from repro import benchmark
-    from repro.benchmark.trend import measurements_table, trend_table
-
-    if args.benchmark_command == "run":
-        benchmark.load_default_probes()
-        names = (
-            list(benchmark.probe_names())
-            if args.probes == "all"
-            else [p for p in args.probes.split(",") if p]
-        )
-        measurements = []
-        for name in names:
-            probe = benchmark.get_probe(name)
-            print(f"benchmark: measuring {name} ...", file=sys.stderr)
-            measurements.append(
-                benchmark.measure_probe(
-                    probe, repeats=args.repeats, warmup=args.warmup
-                )
-            )
-        report = benchmark.build_report(
-            measurements, repeats=args.repeats, warmup=args.warmup
-        )
-        path = benchmark.write_report(report, args.out_dir)
-        print(
-            measurements_table(
-                measurements, str(report["host_class"]), args.repeats
-            )
-        )
-        print(f"wrote {path}")
-        return 0
-
-    if args.benchmark_command in ("compare", "gate"):
-        comparisons, title = _load_comparison(args)
-        print(trend_table(comparisons, title))
-        failures = benchmark.gate_failures(comparisons)
-        if args.benchmark_command == "gate" and failures:
-            print(
-                f"benchmark gate: {len(failures)} regression(s): "
-                + ", ".join(c.name for c in failures),
-                file=sys.stderr,
-            )
-            return 1
-        if failures:
-            print(
-                f"note: {len(failures)} probe(s) would fail the gate",
-                file=sys.stderr,
-            )
-        return 0
-
-    # baseline: promote (optionally scaled) into the committed directory.
-    from pathlib import Path
-
-    report = benchmark.load_report(args.source)
-    if args.scale != 1.0:
-        report = benchmark.scale_report(report, args.scale)
-    out = Path(args.out) if args.out else (
-        Path(BASELINE_DIR) / benchmark.report_filename(str(report["host_class"]))
-    )
-    benchmark.write_report(report, out.parent, filename=out.name)
-    scaled = "" if args.scale == 1.0 else f" (timings x{args.scale})"
-    print(f"baseline: {args.source} -> {out}{scaled}")
-    return 0
-
-
 def _open_store(args: argparse.Namespace) -> ArtifactStore | None:
     root = resolve_cache_dir(args.cache_dir)
     if root is None:
@@ -878,6 +694,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             ["entries", len(entries)],
             *[[f"entries: {kind}", count] for kind, count in sorted(by_kind.items())],
             ["disk KB", round(store.disk_bytes() / 1024, 1)],
+            ["old schemas KB", round(sum(store.old_schemas().values()) / 1024, 1)],
         ]
         print(render_table(["Quantity", "Value"], rows, title="Artifact store"))
     elif args.action == "ls":
@@ -896,12 +713,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 2
         if not 0 <= args.max_mb < math.inf:
             raise _UsageError(f"--max-mb must be a size >= 0, got {args.max_mb}")
+        old = store.old_schemas()
         evicted = store.gc(int(args.max_mb * 1024 * 1024))
+        _print_old_schemas(store, old)
         print(f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'}")
     elif args.action == "clear":
+        old = store.old_schemas()
         removed = store.clear()
+        _print_old_schemas(store, old)
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
     return 0
+
+
+def _print_old_schemas(store: ArtifactStore, old: dict[str, int]) -> None:
+    """One line per tree of ``old`` (``store.old_schemas()`` before a ``gc``
+    or ``clear``) that is gone now."""
+    for name, size in old.items():
+        if not (store.root / name).exists():
+            print(f"removed old schema {name} ({round(size / 1024, 1)} KB)")
 
 
 def _check_seconds(option: str, seconds: float | None) -> None:
@@ -1055,7 +884,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "datasets": _cmd_datasets,
         "area": _cmd_area,
-        "benchmark": _cmd_benchmark,
         "run": _cmd_run,
         "compare": _cmd_compare,
         "profile": _cmd_profile,

@@ -43,14 +43,6 @@ class FifoError(ReproError):
     """Raised on misuse of a bounded hardware FIFO model."""
 
 
-class BenchmarkError(ReproError):
-    """Raised on benchmark registry misuse or an unreadable/corrupt
-    ``BENCH_*.json`` report (a *gated regression* is not an error — the
-    gate command reports it through its exit status, not an exception)."""
-
-    exit_code = 65  # EX_DATAERR
-
-
 class ServiceError(ReproError):
     """Base class for simulation-service failures (server or client side)."""
 

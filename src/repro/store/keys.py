@@ -45,7 +45,8 @@ __all__ = [
 
 #: Bump when the on-disk artifact layout changes; old entries are then
 #: invisible (they live under a different schema directory) and simply
-#: rebuilt, never misread.
+#: rebuilt, never misread.  ``repro cache gc`` and ``repro cache clear``
+#: delete the old schema's directory.
 #:
 #: v2: ``RunResult`` payloads carry an optional ``telemetry`` record and
 #: run keys distinguish profiled from plain runs.

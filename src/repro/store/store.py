@@ -22,7 +22,9 @@ deleted, a counter is bumped, and the caller rebuilds.
 
 The schema version is part of the path, and every payload carries a
 ``schema``/``kind`` header: an entry in another layout reads as a miss,
-never as a misread artifact.
+never as a misread artifact.  ``gc`` and ``clear`` delete the trees of
+other schemas (every ``v<digits>`` directory under the root but the
+current one), since none of their entries can hit again.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -84,23 +88,11 @@ class StoreEntry:
 
 
 class ArtifactStore:
-    """Content-addressed on-disk cache for preprocessing artifacts.
+    """Content-addressed on-disk cache for preprocessing artifacts, rooted
+    at ``root`` (created on first write)."""
 
-    Parameters
-    ----------
-    root:
-        Store directory; created on first write.
-    max_bytes:
-        Optional size bound.  When set, every write triggers an
-        oldest-first (by payload mtime; hits refresh it) eviction pass that
-        keeps total payload+manifest bytes at or under the bound.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, max_bytes: int | None = None
-    ) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
         self.stats = StoreStats()
 
     # -- paths -------------------------------------------------------------
@@ -165,8 +157,6 @@ class ArtifactStore:
             self._manifest_path(path), [json.dumps(manifest).encode("utf-8")]
         )
         self.stats.writes += 1
-        if self.max_bytes is not None:
-            self.gc(self.max_bytes)
         return path
 
     def _discard(self, path: Path) -> None:
@@ -280,20 +270,42 @@ class ArtifactStore:
     def disk_bytes(self) -> int:
         return sum(entry.size_bytes for entry in self.ls())
 
-    def gc(self, max_bytes: int | None = None) -> int:
-        """Evict oldest entries until the store fits ``max_bytes``.
+    def old_schemas(self) -> dict[str, int]:
+        """The bytes of each other schema's tree, by directory name: every
+        directory directly under the root named ``v<digits>`` but
+        :attr:`schema_dir`.  A symlink, a file or a directory of another
+        name is never one, as the root may be a shared directory."""
+        if not self.root.is_dir():
+            return {}
+        trees = {}
+        with os.scandir(self.root) as listing:
+            for entry in listing:
+                if (
+                    re.fullmatch(r"v\d+", entry.name)
+                    and entry.name != self.schema_dir.name
+                    and entry.is_dir(follow_symlinks=False)
+                ):
+                    trees[entry.name] = sum(
+                        os.lstat(os.path.join(top, name)).st_size
+                        for top, _, names in os.walk(entry.path)
+                        for name in names
+                    )
+        return dict(sorted(trees.items()))
 
-        Returns the number of entries evicted.  ``max_bytes=None`` falls
-        back to the instance bound; with neither set this is a no-op.
-        """
-        bound = self.max_bytes if max_bytes is None else max_bytes
-        if bound is None:
-            return 0
+    def _drop_old_schemas(self) -> None:
+        for name in self.old_schemas():
+            shutil.rmtree(self.root / name, ignore_errors=True)
+
+    def gc(self, max_bytes: int) -> int:
+        """Delete the :meth:`old_schemas` trees, whose entries can never
+        hit, then evict the oldest entries until the store fits
+        ``max_bytes``; returns the number of entries evicted."""
+        self._drop_old_schemas()
         entries = self.ls()
         total = sum(entry.size_bytes for entry in entries)
         evicted = 0
         for entry in entries:
-            if total <= bound:
+            if total <= max_bytes:
                 break
             self._discard(entry.path)
             total -= entry.size_bytes
@@ -302,7 +314,9 @@ class ArtifactStore:
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry of the current schema; returns the count."""
+        """Delete the :meth:`old_schemas` trees and every entry of the
+        current schema; returns the count of entries."""
+        self._drop_old_schemas()
         entries = self.ls()
         for entry in entries:
             self._discard(entry.path)

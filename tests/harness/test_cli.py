@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,30 @@ def test_prewarm_and_cache_lifecycle(capsys, tmp_path):
 
     assert main(["cache", "clear", "--cache-dir", cache]) == 0
     assert "removed 0" in capsys.readouterr().out
+
+
+def test_cache_commands_remove_old_schema_trees(capsys, tmp_path):
+    """A tree an earlier schema left behind shows in ``cache stats``, and
+    ``cache gc`` and ``cache clear`` each remove it."""
+    cache = tmp_path / "cache"
+
+    def plant():
+        stranded = cache / "v6" / "results"
+        stranded.mkdir(parents=True)
+        (stranded / "k.npz").write_bytes(bytes(2048))
+        (stranded / "k.npz.manifest").write_bytes(bytes(1024))
+
+    plant()
+    assert main(["cache", "stats", "--cache-dir", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^ *old schemas KB +3\.00$", out, re.M), out
+    assert re.search(r"^ *entries +0$", out, re.M), out
+    for command in (["gc", "--max-mb", "1"], ["clear"]):
+        assert main(["cache", *command, "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("removed old schema v6 (3.0 KB)\n"), out
+        assert not (cache / "v6").exists()
+        plant()
 
 
 def test_experiment_reports_cache_stats_when_enabled(capsys, tmp_path, monkeypatch):

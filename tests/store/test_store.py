@@ -119,15 +119,6 @@ def test_gc_evicts_oldest_first(tmp_path):
     assert store.stats.evictions == 1
 
 
-def test_size_bound_triggers_gc_on_write(tmp_path):
-    store = ArtifactStore(tmp_path, max_bytes=10 * 1024)
-    old = store.put_bytes("resources", "old", bytes(6 * 1024))
-    os.utime(old, (time.time() - 100, time.time() - 100))
-    store.put_bytes("resources", "new", bytes(6 * 1024))
-    assert not old.exists()
-    assert store.get_bytes("resources", "new") is not None
-
-
 def test_hit_refreshes_mtime_for_lru(tmp_path):
     store = ArtifactStore(tmp_path)
     hot = store.put_bytes("resources", "hot", bytes(2048))
@@ -139,3 +130,58 @@ def test_hit_refreshes_mtime_for_lru(tmp_path):
     sizes = {e.key: e.size_bytes for e in store.ls()}
     store.gc(sizes["hot"])
     assert hot.exists() and not cold.exists()
+
+
+def _plant_neighbours(root):
+    """Beside a current entry: a stranded ``v6/`` tree, and three things
+    under the root that are not old schema trees: a ``v6.bak`` directory,
+    a symlink named ``v5`` and a plain file named ``v4``."""
+    store = ArtifactStore(root)
+    current = store.put_bytes("results", "k", b"{}")
+    stranded = root / "v6" / "results"
+    stranded.mkdir(parents=True)
+    (stranded / "k.npz").write_bytes(bytes(3000))
+    (stranded / "k.npz.manifest").write_bytes(bytes(100))
+    (root / "v6.bak").mkdir()
+    (root / "v6.bak" / "keep.txt").write_text("shared")
+    target = root.parent / "elsewhere"
+    target.mkdir()
+    (target / "keep.txt").write_text("not ours")
+    (root / "v5").symlink_to(target, target_is_directory=True)
+    (root / "v4").write_text("a file")
+    return store, current
+
+
+def _neighbours_intact(root):
+    return (
+        (root / "v6.bak" / "keep.txt").read_text() == "shared"
+        and (root / "v5").is_symlink()
+        and (root / "v5" / "keep.txt").read_text() == "not ours"
+        and (root / "v4").read_text() == "a file"
+    )
+
+
+def test_old_schemas_names_only_stranded_schema_trees(tmp_path):
+    store, current = _plant_neighbours(tmp_path / "store")
+    assert store.old_schemas() == {"v6": 3100}
+    # ls and disk_bytes keep to the current schema.
+    assert [entry.path for entry in store.ls()] == [current]
+    assert store.disk_bytes() == store.ls()[0].size_bytes
+
+
+def test_clear_removes_old_schema_trees_and_nothing_else(tmp_path):
+    root = tmp_path / "store"
+    store, current = _plant_neighbours(root)
+    assert store.clear() == 1
+    assert not (root / "v6").exists() and not current.exists()
+    assert store.old_schemas() == {}
+    assert _neighbours_intact(root)
+
+
+def test_gc_removes_old_schema_trees_and_keeps_what_fits(tmp_path):
+    root = tmp_path / "store"
+    store, current = _plant_neighbours(root)
+    assert store.gc(store.disk_bytes()) == 0
+    assert not (root / "v6").exists()
+    assert current.exists() and store.stats.evictions == 0
+    assert _neighbours_intact(root)
