@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--d-max", type=int, default=None, help="chain depth bound")
     pre.add_argument(
         "--workers", type=int, default=None,
-        help="parallel worker processes (default: one per job, capped at CPUs)",
+        help="worker processes, one per contiguous group of jobs (default: "
+        "one per CPU, at most one per job)",
     )
 
     cache = sub.add_parser("cache", help="inspect or maintain the artifact store")
@@ -295,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-retries", type=int, default=1,
-        help="re-dispatches before a failing job is reported failed",
+        help="re-dispatches before a failing job, or one lost with its "
+        "worker, is reported failed",
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.05,
@@ -384,12 +386,13 @@ class _UsageError(Exception):
 
 
 def _comma_list(text: str, what: str, valid: Callable[[str], bool]) -> list[str]:
-    """The entries of a comma-separated option, each accepted by ``valid``.
+    """The entries of a comma-separated option, each accepted by ``valid``;
+    a repeated entry is kept once, where it first appears.
 
     Raises :class:`_UsageError` naming every entry ``valid`` rejects, after
     ``what`` (e.g. ``"unknown engine(s)"``).
     """
-    entries = [entry for entry in text.split(",") if entry]
+    entries = list(dict.fromkeys(entry for entry in text.split(",") if entry))
     bad = [entry for entry in entries if not valid(entry)]
     if bad:
         raise _UsageError(f"{what}: {', '.join(bad)}")
@@ -537,12 +540,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print()
     report = runner.last_execution_report
     if report is not None:
-        retried = len(report.retried())
+        # run_many computed every failed run inline.
         print(
             f"bench: {len(report.reports)} runs in {len(report.shards)} "
             f"shard(s), jobs={len(report.shards)}, "
             f"parallel={'yes' if report.parallel else 'no'}, "
-            f"retried-inline={retried}, {report.seconds:.2f}s"
+            f"retried-inline={len(report.failures())}, {report.seconds:.2f}s"
         )
     if runner.store is not None:
         stats = runner.store.stats

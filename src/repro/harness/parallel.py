@@ -28,23 +28,26 @@ Robustness (see :func:`execute_runs`):
   pathological run fails cleanly without killing its shard;
 - every exception is caught per run and reported, so one failing run
   never loses the rest of its shard;
-- crashed or hung workers are retried with backoff by the shared
-  :func:`~repro.store.pool.run_tasks` machinery, on a fresh pool, and a
-  shard that keeps failing runs inline in the calling process.
+- each shard has a worker process of its own, so a worker that dies, or
+  is still running at the deadline and is killed, loses only its own
+  shard.
 
-Failed runs are reported, not re-run: each caller applies its own policy
-(``Runner.run_many`` computes them inline and untimed; the service
-scheduler requeues or fails the job).  A shard retried after its worker
-died recomputes the runs that worker had finished.
+Failed runs are reported, not re-run: each caller applies its own policy.
+``Runner.run_many`` computes them inline and untimed, the service
+scheduler requeues the job or fails it, and ``repro prewarm``, which
+starts its workers through the same helper, builds a lost group inline.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import signal
 import time
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Sequence
+from multiprocessing import connection
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.core.oag import sparse_backend
 from repro.engine.registry import ENGINE_REGISTRY, import_engines
@@ -64,6 +67,8 @@ __all__ = [
     "plan_shards",
     "resource_group",
 ]
+
+_T = TypeVar("_T")
 
 #: Engines that consume a ``GlaResources`` artifact (per-chunk OAGs); runs
 #: using the same artifact are planned side by side.
@@ -110,16 +115,6 @@ class ExecutionReport:
     def failures(self) -> list[RunReport]:
         return [report for report in self.reports if not report.ok]
 
-    def retried(self) -> list[RunReport]:
-        """Runs a worker failed or lost.
-
-        A lost shard already ran inline here; a run that failed in its
-        worker is left to the caller (``run_many`` computes it inline).
-        """
-        if not self.parallel:
-            return []
-        return [r for r in self.reports if not r.ok or r.where == "inline"]
-
 
 # -- shard planning ----------------------------------------------------------
 
@@ -156,15 +151,83 @@ def plan_shards(specs: list[RunSpec], jobs: int) -> list[list[RunSpec]]:
     unique = sorted(
         dict.fromkeys(specs), key=lambda spec: repr(resource_group(spec))
     )
-    count = min(max(jobs, 1), len(unique))
-    if count == 0:
-        return []
-    size, extra = divmod(len(unique), count)
+    return _cut(unique, min(max(jobs, 1), len(unique)))
+
+
+def _cut(items: list[_T], count: int) -> list[list[_T]]:
+    """``items`` cut into ``count`` contiguous parts whose lengths differ
+    by at most one."""
+    size, extra = divmod(len(items), max(count, 1))
     bounds = [index * size + min(index, extra) for index in range(count + 1)]
-    return [unique[bounds[i] : bounds[i + 1]] for i in range(count)]
+    return [items[bounds[i] : bounds[i + 1]] for i in range(count)]
 
 
-# -- worker body -------------------------------------------------------------
+# -- worker processes --------------------------------------------------------
+
+
+def _serve(pipe: connection.Connection, work: Callable[[Any], Any]) -> None:
+    """Worker body: answer the one payload ``pipe`` brings with
+    ``(value, None)``, or ``(None, "<Type>: <message>")`` if ``work``
+    raised."""
+    payload = pipe.recv()
+    try:
+        outcome = (work(payload), None)
+    except Exception as exc:  # noqa: BLE001 - reported; the caller decides
+        outcome = (None, f"{type(exc).__name__}: {exc}")
+    pipe.send(outcome)
+
+
+def _in_workers(
+    work: Callable[[Any], Any], payloads: Sequence[Any], deadline: float | None
+) -> list[tuple[Any, str | None]]:
+    """``work(payload)`` for each payload, each in a worker process of its
+    own: ``(value, None)``, or ``(None, error)``, in payload order.
+
+    Each payload is pickled to its worker through a pipe, so a runner in it
+    arrives as a fresh copy (``Runner.__reduce__``).  The error is
+    ``"<Type>: <message>"`` when ``work`` raised, ``"worker process died"``
+    when the worker ended without an answer, and ``"timed out after <N>s"``
+    when it had not answered ``deadline`` seconds after the start (``None``:
+    no deadline).  No worker outlives the call: each is killed if still
+    running, then joined.
+    """
+    start = time.monotonic()
+    workers: list[tuple[multiprocessing.Process, connection.Connection]] = []
+    outcomes: dict[int, tuple[Any, str | None]] = {}
+    try:
+        for payload in payloads:
+            ours, theirs = multiprocessing.Pipe()
+            process = multiprocessing.Process(target=_serve, args=(theirs, work))
+            process.start()
+            theirs.close()  # so the worker's end closes when it dies
+            workers.append((process, ours))
+            try:
+                ours.send(payload)
+            except OSError:
+                pass  # the worker is gone; its pipe reads as died below
+        pending = {ours: index for index, (_, ours) in enumerate(workers)}
+        while pending:
+            left = None if deadline is None else start + deadline - time.monotonic()
+            if left is not None and left <= 0:
+                break
+            ready = connection.wait(list(pending), left)
+            for ours in [ours for ours in pending if ours in ready]:
+                index = pending.pop(ours)
+                try:
+                    outcomes[index] = ours.recv()
+                except EOFError:
+                    outcomes[index] = (None, "worker process died")
+        for index in pending.values():
+            outcomes[index] = (None, f"timed out after {deadline:g}s")
+    finally:
+        for process, ours in workers:
+            process.kill()
+            process.join()
+            ours.close()
+    return [outcomes[index] for index in range(len(payloads))]
+
+
+# -- shard body --------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,40 +245,10 @@ class _ShardPayload:
     specs: tuple[RunSpec, ...]
     timeout: float | None
     parent_pid: int
-    fault: str | None = None  # test hook, see _maybe_fault
 
 
 class _RunTimeout(Exception):
     """Raised inside a worker when a run exceeds its SIGALRM budget."""
-
-
-def _maybe_fault(payload: _ShardPayload, spec: RunSpec) -> None:
-    """Crash-injection hook for the degradation tests.
-
-    ``fault`` is ``"<kind>:<algorithm>"``; it fires at most once per store
-    directory (a marker file records the strike) and only in a *worker*
-    process — the parent's inline fallback must never be killed.
-    ``crash`` hard-exits the worker (simulating a kill); ``hang`` sleeps
-    past any sane per-run timeout so the SIGALRM path triggers.
-    """
-    store = payload.runner.store
-    if payload.fault is None or store is None:
-        return
-    if os.getpid() == payload.parent_pid:
-        return
-    kind, _, match = payload.fault.partition(":")
-    if match and spec.algorithm != match:
-        return
-    marker = os.path.join(store.root, f"fault-{kind}.marker")
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return  # already struck once
-    os.close(fd)
-    if kind == "crash":
-        os._exit(1)
-    if kind == "hang":
-        time.sleep(60.0)
 
 
 def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
@@ -224,9 +257,7 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
     In a worker process the run gets ``payload.timeout`` seconds of
     ``SIGALRM`` budget.  Inline in the calling process it runs untimed:
     that is the ground-truth tier, and the caller may be a thread (the
-    service's executor), where ``signal.signal`` raises.  The fault hook
-    fires *inside* the budget so an injected hang is cut short by the
-    alarm exactly like a genuinely slow run would be.
+    service's executor), where ``signal.signal`` raises.
     """
     timeout = payload.timeout
     if (
@@ -234,7 +265,6 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
         or os.getpid() == payload.parent_pid
         or not hasattr(signal, "SIGALRM")
     ):
-        _maybe_fault(payload, spec)
         return payload.runner.compute(spec)
 
     def _on_alarm(signum: int, frame: object) -> None:
@@ -243,7 +273,6 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        _maybe_fault(payload, spec)
         return payload.runner.compute(spec)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -251,14 +280,14 @@ def _run_one(spec: RunSpec, payload: _ShardPayload) -> RunResult:
 
 
 def _run_shard(payload: _ShardPayload) -> tuple[list[RunReport], int]:
-    """Worker body: run one shard and report every run with its result.
+    """Shard body: run one shard and report every run with its result.
 
     A run that times out or raises is reported failed as
-    ``"<Type>: <message>"`` and the shard *continues*; only a worker death
-    loses the whole shard (and the pool machinery retries it).  Also
-    returns the store writes a worker made: its runner is a fresh copy, so
-    its store stats count this shard alone.  Inline, the caller's runner
-    wrote and counted them, so the shard reports 0.
+    ``"<Type>: <message>"`` and the shard *continues*; only a lost worker
+    loses the whole shard.  Also returns the store writes a worker made:
+    its runner is a fresh copy, so its store stats count this shard alone.
+    Inline, the caller's runner wrote and counted them, so the shard
+    reports 0.
     """
     where = "worker" if os.getpid() != payload.parent_pid else "inline"
     reports = []
@@ -289,36 +318,30 @@ def execute_runs(
     runner: Runner,
     jobs: int | None = None,
     timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.5,
-    fault: str | None = None,
 ) -> ExecutionReport:
     """Execute the run matrix, parallel where possible, and report.
 
     The deduplicated matrix is cut by :func:`plan_shards` into at most
     ``jobs`` shards of equal run counts (``None``: one per CPU).  Several
-    shards go to worker processes via :func:`~repro.store.pool.run_tasks`,
-    each computed on a copy of ``runner`` (so with a store, workers fill
-    it); one shard runs inline on ``runner`` itself.  Nothing here looks a
-    run up: the caller passes only its misses.  Shards whose worker
-    crashed or hung are retried up to ``retries`` times with exponential
-    ``backoff``, then run inline.  Every result comes back by value in its
+    shards each go to a worker process of their own, computed on a copy of
+    ``runner`` (so with a store, workers fill it); one shard runs inline on
+    ``runner`` itself.  Nothing here looks a run up: the caller passes only
+    its misses.  Every result comes back by value in its
     :class:`RunReport`.
 
-    ``timeout`` bounds each run in a worker process only.  A one-shard
-    plan, and a shard retried inline, run untimed: the inline tier is the
-    ground truth, and its caller may be a thread (the service's executor),
-    where ``SIGALRM`` cannot be armed.  Runs that timed out or raised are
-    reported failed and *not* re-run: that policy belongs to the caller.
-    ``fault`` is the test-only crash-injection hook documented on
-    ``_maybe_fault``.
+    ``timeout`` bounds each run in a worker process only, and every worker
+    to ``timeout`` times the longest shard's run count plus 5 s.  A shard
+    whose worker died, raised outside a run or missed that deadline (and
+    was killed) is reported as one failed run per spec, ``where="worker"``.
+    A one-shard plan runs untimed: the inline tier is the ground truth,
+    and its caller may be a thread (the service's executor), where
+    ``SIGALRM`` cannot be armed.  Failed runs are *not* re-run here: that
+    policy belongs to the caller.
 
     Every spec must be normalized (see :meth:`RunSpec.normalized`): the
     executor runs exactly the specs it is given, so the caller's defaults —
     not a worker's environment — decide ``pr_iterations`` and the rest.
     """
-    from repro.store.pool import run_tasks
-
     start = time.perf_counter()
     unique = list(dict.fromkeys(specs))
     for spec in unique:
@@ -327,6 +350,10 @@ def execute_runs(
     if jobs is None:
         jobs = os.cpu_count() or 1
     shards = plan_shards(unique, jobs)
+    payloads = [
+        _ShardPayload(runner, tuple(shard), timeout, os.getpid())
+        for shard in shards
+    ]
     if len(shards) > 1:
         # Forked workers inherit what is imported here instead of each
         # importing it: the engines with the simulator they drive, and
@@ -338,26 +365,25 @@ def execute_runs(
         if runner.store is not None:
             for dataset in dict.fromkeys(spec.dataset for spec in unique):
                 runner._dataset(dataset)
-    outcomes = run_tasks(
-        _run_shard,
-        [
-            _ShardPayload(runner, tuple(shard), timeout, os.getpid(), fault)
-            for shard in shards
-        ],
-        workers=len(shards),
-        timeout=(
-            None if timeout is None
-            else timeout * max(map(len, shards), default=0)
-        ),
-        retries=retries,
-        backoff=backoff,
-    )
-    by_spec = {
-        report.spec: report for outcome in outcomes for report in outcome.value[0]
-    }
+        deadline = (
+            None if timeout is None else timeout * max(map(len, shards)) + 5.0
+        )
+        outcomes: list[tuple[list[RunReport], int]] = []
+        for payload, (value, error) in zip(
+            payloads, _in_workers(_run_shard, payloads, deadline)
+        ):
+            if error is not None:  # the shard was lost with its worker
+                value = ([
+                    RunReport(spec, ok=False, seconds=0.0, where="worker", error=error)
+                    for spec in payload.specs
+                ], 0)
+            outcomes.append(value)
+    else:
+        outcomes = [_run_shard(payload) for payload in payloads]
+    by_spec = {report.spec: report for reports, _ in outcomes for report in reports}
     return ExecutionReport(
         reports=tuple(by_spec[spec] for spec in unique),
         shards=tuple(tuple(shard) for shard in shards),
         seconds=time.perf_counter() - start,
-        worker_writes=sum(outcome.value[1] for outcome in outcomes),
+        worker_writes=sum(writes for _, writes in outcomes),
     )

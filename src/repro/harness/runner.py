@@ -334,7 +334,6 @@ class Runner:
         specs: Iterable[RunSpec],
         jobs: int | None = None,
         timeout: float | None = None,
-        retries: int = 2,
         profile: bool = False,
         check: bool = False,
     ) -> dict[RunSpec, RunResult]:
@@ -345,9 +344,10 @@ class Runner:
         across up to ``jobs`` worker processes (``timeout`` seconds per
         run), computes each shard on a copy of this runner (a one-shard
         plan on this runner itself) and hands every result back by value;
-        they are memoized like any other computed run.  A run that a worker
-        failed is computed here, inline and untimed, so a deterministic
-        error surfaces as its original exception.
+        they are memoized like any other computed run.  A run that failed,
+        in its worker or with the worker it was lost with, is computed
+        here, inline and untimed, so a deterministic error surfaces as its
+        original exception.
 
         Returns ``{spec: RunResult}`` keyed by the specs as given; the
         executor's :class:`~repro.harness.parallel.ExecutionReport` (or
@@ -369,9 +369,7 @@ class Runner:
         if misses:
             from repro.harness.parallel import execute_runs
 
-            report = execute_runs(
-                misses, self, jobs=jobs, timeout=timeout, retries=retries
-            )
+            report = execute_runs(misses, self, jobs=jobs, timeout=timeout)
             self.last_execution_report = report
             for miss in report.reports:
                 results[miss.spec] = (

@@ -13,13 +13,14 @@ cheapest first:
    with jobs that consume one ``GlaResources`` artifact side by side (so
    it is built twice only where a shard boundary cuts their group), each
    job sent to a worker runs under a ``SIGALRM`` budget of
-   ``job_timeout`` seconds, crashed workers are retried with
-   jittered backoff, and every result comes back by value — so the service
-   works with or without a persistent store; with one, workers also fill
-   it.  Each batch runs on a copy of the runner (``Runner.__copy__``),
-   whose result memo starts empty, so the service's runner never holds a
-   result, and which shares the datasets the service has loaded.
-   A job that timed out or raised is retried (the record goes back
+   ``job_timeout`` seconds, and every result comes back by value — so the
+   service works with or without a persistent store; with one, workers
+   also fill it.  Each batch runs on a copy of the runner
+   (``Runner.__copy__``), whose result memo starts empty, so the service's
+   runner never holds a result, and which shares the datasets the service
+   has loaded.  A job that timed out, raised or was lost with its worker
+   (``worker process died``, or ``timed out after <N>s`` when the worker
+   missed its deadline and was killed) is retried (the record goes back
    through the queue) up to ``job_retries`` times before it is failed.
 
 The blocking ``execute_runs`` call runs in the event loop's default
@@ -43,10 +44,6 @@ if TYPE_CHECKING:
 
 __all__ = ["Scheduler", "SchedulerConfig"]
 
-#: Pool-level retries for crashed/hung workers, and the base of their
-#: jittered backoff (see :func:`~repro.store.pool.run_tasks`).
-POOL_RETRIES = 1
-POOL_BACKOFF = 0.25
 #: Most primaries drained per batch.
 MAX_BATCH = 32
 
@@ -59,7 +56,8 @@ class SchedulerConfig:
     workers: int | None = None
     #: Per-job wall-clock budget inside a worker (``None``: unbounded).
     job_timeout: float | None = None
-    #: Re-dispatches after a failed/timed-out attempt before the job fails.
+    #: Re-dispatches after a failed, timed-out or lost attempt before the
+    #: job fails.
     job_retries: int = 1
     #: Seconds to linger after the first queued job so concurrent
     #: submissions land in one batch.
@@ -98,8 +96,6 @@ class Scheduler:
                 copy.copy(self.runner),
                 jobs=self.config.workers,
                 timeout=self.config.job_timeout,
-                retries=POOL_RETRIES,
-                backoff=POOL_BACKOFF,
             ),
         )
         by_spec = {run.spec: run for run in report.reports}

@@ -7,13 +7,15 @@ are persisted under content-derived keys, verified by checksum on load,
 and rebuilt transparently on any corruption or schema drift.  See
 :mod:`repro.store.store` for the disk format, :mod:`repro.store.keys` for
 key derivation, and :mod:`repro.store.prewarm` for the parallel prewarming
-pipeline.
+pipeline, which builds its job groups in worker processes started by the
+executor's helper (:mod:`repro.harness.parallel`) and builds a group
+whose worker was lost inline.
 
 Opt in by passing ``cache_dir=`` to :class:`~repro.harness.runner.Runner`
 or by setting ``$REPRO_CACHE_DIR``; manage the store with
 ``python -m repro prewarm`` and ``python -m repro cache {stats,ls,gc,clear}``.
 The names below resolve on first use, so importing the package loads
-neither the process pool (``multiprocessing``) nor the prewarm pipeline.
+neither ``multiprocessing`` nor the prewarm pipeline.
 """
 
 from repro._exports import exports
@@ -26,8 +28,6 @@ __getattr__, __all__ = exports(__name__, {
     "SerializationError": "serialize",
     "StoreEntry": "store",
     "StoreStats": "store",
-    "TaskOutcome": "pool",
-    "backoff_delays": "pool",
     "dataset_key": "keys",
     "hypergraph_content_hash": "keys",
     "prewarm": "prewarm",
@@ -35,5 +35,4 @@ __getattr__, __all__ = exports(__name__, {
     "resolve_cache_dir": "store",
     "resources_key": "keys",
     "run_result_key": "keys",
-    "run_tasks": "pool",
 })

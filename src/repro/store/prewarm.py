@@ -4,10 +4,12 @@ The paper's amortization argument (Fig 21/22) assumes OAG preprocessing is
 paid once and reused across algorithms; this module makes that literal by
 building ``GlaResources`` for a set of (dataset, num_cores) combinations in
 parallel worker *processes* and writing each, with the dataset it is built
-from, into one shared :class:`~repro.store.store.ArtifactStore`.  Atomic
-store writes make concurrent workers targeting the same directory safe; a
-worker that finds its artifact already present reports a skip instead of
-rebuilding.
+from, into one shared :class:`~repro.store.store.ArtifactStore`.  The jobs
+are cut into contiguous groups, one worker process each (started by the
+executor's helper, :mod:`repro.harness.parallel`); a group whose worker
+was lost is built inline.  Atomic store writes make concurrent workers
+targeting the same directory safe; a worker that finds its artifact
+already present reports a skip instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from repro.core.chain import DEFAULT_D_MAX
 from repro.core.oag import DEFAULT_W_MIN, sparse_backend
 from repro.engine.resources import GlaResources
 from repro.harness.datasets import load_dataset
+from repro.harness.parallel import _cut, _in_workers
 from repro.hypergraph.pipeline import PreprocessSpec
 from repro.store.keys import hypergraph_content_hash, resources_key
-from repro.store.pool import run_tasks
 from repro.store.store import ArtifactStore
 
 __all__ = ["PrewarmJob", "PrewarmReport", "prewarm", "prewarm_jobs"]
@@ -64,14 +66,8 @@ def prewarm_jobs(
     ]
 
 
-def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
-    """Worker body: build (or find) one artifact in the store.
-
-    Top-level so the process pool can pickle it; each worker opens its own
-    store handle on the shared directory.
-    """
-    store_dir, job = payload
-    store = ArtifactStore(store_dir)
+def _build(store: ArtifactStore, job: PrewarmJob) -> PrewarmReport:
+    """Build (or find) one job's artifact in ``store``."""
     hypergraph = load_dataset(job.dataset, store)
     preprocessing = PreprocessSpec(w_min=job.w_min, d_max=job.d_max)
     key = resources_key(
@@ -97,24 +93,42 @@ def _run_job(payload: tuple[str, PrewarmJob]) -> PrewarmReport:
     )
 
 
+def _build_group(payload: tuple[str, list[PrewarmJob]]) -> list[PrewarmReport]:
+    """Group body: build each job on one store handle over the shared
+    directory."""
+    store_dir, jobs = payload
+    store = ArtifactStore(store_dir)
+    return [_build(store, job) for job in jobs]
+
+
 def prewarm(
     store_dir: str | os.PathLike,
     jobs: list[PrewarmJob],
     workers: int | None = None,
 ) -> list[PrewarmReport]:
-    """Materialize every job's artifact in ``store_dir``; reports in job order.
+    """Materialize every job's artifact in ``store_dir``; one report per
+    distinct job, in job order (a repeated job is built once).
 
-    ``workers=None`` picks ``min(len(jobs), cpu_count)``; ``workers<=1``
-    runs inline (no process pool), which is also the fallback for
-    single-job calls.  Pool failures are absorbed by the shared
-    :func:`~repro.store.pool.run_tasks` machinery: a crashed worker's jobs
-    are retried and, as a last resort, built inline in this process.
+    The jobs are cut into at most ``workers`` contiguous groups of equal
+    counts (``None``: one per CPU), each built in a worker process of its
+    own; one group is built inline, with no worker.  A group whose worker
+    died or raised is built inline, in this process, where an error
+    propagates.
     """
     store_dir = str(Path(store_dir))
-    if not jobs:
-        return []
-    payloads = [(store_dir, job) for job in jobs]
+    jobs = list(dict.fromkeys(jobs))
+    if workers is None:
+        workers = os.cpu_count() or 1
+    groups = _cut(jobs, max(1, min(workers, len(jobs))))
+    if len(groups) == 1:
+        return _build_group((store_dir, jobs))
+    payloads = [(store_dir, group) for group in groups]
     # Forked workers inherit scipy instead of each importing it.
     sparse_backend()
-    outcomes = run_tasks(_run_job, payloads, workers=workers)
-    return [outcome.value for outcome in outcomes]
+    return [
+        report
+        for payload, (reports, error) in zip(
+            payloads, _in_workers(_build_group, payloads, None)
+        )
+        for report in (_build_group(payload) if error is not None else reports)
+    ]

@@ -93,6 +93,23 @@ def test_bench_without_store_warns_and_degrades(capsys, monkeypatch):
     assert captured.err.splitlines() == ["claim table1: holds", "claim vi_e: holds"]
 
 
+def test_a_repeated_figure_is_printed_once(capsys):
+    assert main(["bench", "--figures", "table1,table1", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (RESULTS / "table1.txt").read_text(encoding="utf-8") + "\n"
+    assert captured.err == "claim table1: holds\n"
+
+
+def test_a_repeated_prewarm_job_is_built_once(capsys, tmp_path):
+    assert main([
+        "prewarm", "--cache-dir", str(tmp_path), "--datasets", "WEB,WEB",
+        "--cores", "4,4", "--workers", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "Prewarmed 1 artifact(s)" in out
+    assert len(re.findall(r"^ +WEB +4 +built ", out, re.M)) == 1
+
+
 def test_bench_names_the_conditions_a_table_fails(capsys, monkeypatch):
     claim = Claim({"holds": lambda r: True, "a": lambda r: False, "b": lambda r: False})
     monkeypatch.setitem(FIGURES, "vi_e", dataclasses.replace(FIGURES["vi_e"], claim=claim))
@@ -266,8 +283,8 @@ sys.exit(code)
 #: What a bench answered from the store must not load.
 _SIMULATOR_MODULES = (
     "repro.sim.hierarchy", "repro.engine.base", "repro.algorithms.base",
-    "repro.chgraph.engine", "repro.harness.parallel", "repro.store.pool",
-    "multiprocessing", "importlib.metadata",
+    "repro.chgraph.engine", "repro.harness.parallel", "multiprocessing",
+    "importlib.metadata",
 )
 
 

@@ -4,18 +4,22 @@ degradation when workers crash or hang."""
 
 from __future__ import annotations
 
-import functools
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.harness.parallel as parallel_mod
 from repro.harness.experiments import FIGURES
 from repro.harness.parallel import (
     RESOURCE_ENGINES,
     RunSpec,
+    _in_workers,
     execute_runs,
     plan_shards,
     resource_group,
@@ -271,7 +275,7 @@ def test_one_shard_plan_runs_inline_and_retries_nothing(tmp_path):
     assert report is not None and report.ok
     assert len(report.shards) == 1
     assert not report.parallel
-    assert report.retried() == []
+    assert report.failures() == []
     assert all(r.where == "inline" for r in report.reports)
 
 
@@ -285,79 +289,136 @@ def test_execute_runs_rejects_unnormalized_specs():
         execute_runs(_specs(), Runner(cache_dir=None), jobs=1)
 
 
+def _first_strike(runner: Runner, kind: str) -> bool:
+    """Whether this is a worker process, and the first to strike ``kind``
+    on the runner's store: a marker file records the strike."""
+    if multiprocessing.parent_process() is None:
+        return False
+    try:
+        os.close(os.open(runner.store.root / kind, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
+
+
+class _CrashingRunner(Runner):
+    """The first ChGraph run computed in a worker kills that worker."""
+
+    def compute(self, spec):
+        if spec.engine == "ChGraph" and _first_strike(self, "crash"):
+            os._exit(1)
+        return super().compute(spec)
+
+
+class _HangingRunner(Runner):
+    """The first BFS run computed in a worker sleeps until its ``SIGALRM``
+    budget cuts it short."""
+
+    def compute(self, spec):
+        if spec.algorithm == "BFS" and _first_strike(self, "hang"):
+            time.sleep(60.0)
+        return super().compute(spec)
+
+
 def test_worker_crash_is_retried_and_suite_completes(tmp_path):
-    """A worker killed mid-run (os._exit) must not lose its shard."""
-    specs = _normalized(_specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC")))
-    report = execute_runs(
-        specs,
-        Runner(pr_iterations=1, cache_dir=tmp_path),
-        jobs=2,
-        timeout=120,
-        retries=2,
-        fault="crash:BFS",
-    )
-    assert report.parallel
-    assert report.ok
-    assert (tmp_path / "fault-crash.marker").exists()  # the kill fired
-    # The retried shard's artifacts are real: a warm runner reuses them.
-    warm = Runner(pr_iterations=1, cache_dir=tmp_path)
-    warm.run(RunSpec("Hygra", "BFS", "FS", SMALL))
-    assert warm.store.stats.hits >= 1
+    """A worker killed mid-shard (``os._exit``) loses its own shard, each
+    run reported lost, and nothing else: the other shard comes back from
+    its worker, and ``run_many`` retries the lost runs inline, so every
+    result equals a serial run."""
+    specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
+    runner = _CrashingRunner(pr_iterations=1, cache_dir=tmp_path)
+    results = runner.run_many(specs, jobs=2, timeout=120)
+    report = runner.last_execution_report
+    assert report is not None and report.parallel
+    assert (tmp_path / "crash").exists()  # the kill fired
+    lost = report.failures()
+    assert sorted(r.spec.algorithm for r in lost) == ["BFS", "CC"]
+    for run in lost:
+        assert run.spec.engine == "ChGraph" and run.where == "worker"
+        assert run.error == "worker process died" and run.result is None
+    kept = [r for r in report.reports if r.ok]
+    assert [r.spec.engine for r in kept] == ["Hygra", "Hygra"]
+    assert all(r.where == "worker" for r in kept)
+    serial = Runner(pr_iterations=1)
+    for spec in specs:
+        expected = serial.run(spec)
+        assert results[spec].cycles == expected.cycles
+        assert results[spec].dram_by_group == expected.dram_by_group
 
 
-def test_worker_timeout_degrades_to_inline_execution(tmp_path, monkeypatch):
+def test_worker_timeout_degrades_to_inline_execution(tmp_path):
     """The executor reports a run hung past its SIGALRM budget as failed;
     ``run_many`` then re-runs it inline, untimed."""
-    monkeypatch.setattr(
-        parallel_mod,
-        "execute_runs",
-        functools.partial(parallel_mod.execute_runs, fault="hang:BFS"),
-    )
     specs = _specs(engines=("Hygra", "ChGraph"), apps=("BFS", "CC"))
-    runner = Runner(pr_iterations=1, cache_dir=tmp_path)
-    results = runner.run_many(specs, jobs=2, timeout=3.0, retries=1)
-    assert (tmp_path / "fault-hang.marker").exists()  # the hang fired
+    runner = _HangingRunner(pr_iterations=1, cache_dir=tmp_path)
+    results = runner.run_many(specs, jobs=2, timeout=3.0)
+    assert (tmp_path / "hang").exists()  # the hang fired
     report = runner.last_execution_report
     assert report is not None and report.parallel
     (hung,) = report.failures()
     assert hung.spec.algorithm == "BFS" and hung.where == "worker"
     assert hung.result is None and "exceeded 3.0s" in hung.error
-    assert report.retried() == [hung]
     (spec,) = [s for s in specs if s.normalized(pr_iterations=1) == hung.spec]
     assert results[spec].cycles == Runner(pr_iterations=1).run(spec).cycles
 
 
-def test_parallel_pool_generic_machinery_retries_crashes(tmp_path):
-    from repro.store.pool import run_tasks
+#: A fresh interpreter whose two workers block the alarm and sleep past
+#: the deadline of their one-run shards (``timeout`` + 5 s); prints when
+#: the executor started, what it reported and the workers left running.
+_PAST_THE_DEADLINE = """
+import multiprocessing, signal, time
+from repro.harness.parallel import execute_runs
+from repro.harness.runner import Runner
+from repro.harness.spec import RunSpec
+from repro.sim.config import scaled_config
 
-    marker = tmp_path / "pool-crash.marker"
-    outcomes = run_tasks(
-        _crash_once_then_square, [(3, str(marker)), (4, str(marker))], workers=2
-    )
-    assert [o.value for o in outcomes] == [9, 16]
-    assert marker.exists()
-    assert any(o.attempts > 1 or o.inline for o in outcomes)
+class StuckRunner(Runner):
+    def compute(self, spec):
+        if multiprocessing.parent_process() is not None:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+            time.sleep(60.0)
+        return super().compute(spec)
+
+config = scaled_config(num_cores=4, llc_kb=2)
+specs = [RunSpec(engine, "BFS", "FS", config).normalized(pr_iterations=1)
+         for engine in ("Hygra", "ChGraph")]
+print(time.time())
+report = execute_runs(specs, StuckRunner(cache_dir=None), jobs=2, timeout=0.1)
+print(*sorted({(r.where, r.error) for r in report.reports}))
+print(len(multiprocessing.active_children()))
+"""
 
 
-def _crash_once_then_square(payload):
-    """Top-level (picklable) pool task that kills its first worker."""
-    import os
+def test_a_worker_past_its_deadline_is_killed():
+    """A worker that no alarm can stop is killed at the deadline: its runs
+    are reported timed out, no worker is left running, and the
+    interpreter exits at once instead of waiting for the sleepers."""
+    out = subprocess.run(
+        [sys.executable, "-c", _PAST_THE_DEADLINE],
+        capture_output=True, text=True, check=True, timeout=40,
+    ).stdout.splitlines()
+    exited = time.time()
+    assert out[1:] == ["('worker', 'timed out after 5.1s')", "0"]
+    assert exited - float(out[0]) < 5.1 + 2.0
 
-    value, marker = payload
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
+
+def _square_unless_negative(value):
+    """Top-level (picklable) work that kills its worker on a negative
+    value."""
+    if value < 0:
         os._exit(1)
-    except FileExistsError:
-        pass
     return value * value
 
 
-def test_pool_inline_mode_propagates_errors():
-    from repro.store.pool import run_tasks
+def test_in_workers_reports_a_dead_worker_and_keeps_the_rest():
+    outcomes = _in_workers(_square_unless_negative, [3, -1, 4], None)
+    assert outcomes == [(9, None), (None, "worker process died"), (16, None)]
+    assert multiprocessing.active_children() == []
 
-    with pytest.raises(ZeroDivisionError):
-        run_tasks(_reciprocal, [0], workers=1)
+
+def test_in_workers_reports_what_the_work_raised():
+    outcomes = _in_workers(_reciprocal, [0, 2], None)
+    assert outcomes == [(None, "ZeroDivisionError: division by zero"), (0.5, None)]
 
 
 def _reciprocal(value):

@@ -4,14 +4,17 @@ executor's alarm policy in the service's threads.
 The dispatch tier is exercised with a monkeypatched executor worker body
 (``repro.harness.parallel._run_shard``) where the real simulation is
 irrelevant — a one-shard plan runs inline in the calling process, so the
-patch is visible to it.  End-to-end compute (real workers, real results)
-is covered by ``test_server.py``.
+patch is visible to it.  A job lost with its worker is exercised on real
+workers, through a runner subclass that kills the one computing BFS.
+End-to-end compute (real workers, real results) is covered by
+``test_server.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -206,6 +209,39 @@ class TestRetrySettlement:
         assert metrics.retries == 1
         assert metrics.computed == 1
 
+    @pytest.mark.parametrize("job_retries", [1, 0])
+    def test_a_job_lost_with_its_worker_spends_a_retry(self, job_retries):
+        """In a two-job batch, the job whose worker died is requeued, once:
+        alone in the next batch it runs inline.  Its batch mate is done
+        from its own worker.  With no retries left the lost job fails."""
+        metrics = ServiceMetrics()
+        queue = JobQueue(metrics=metrics)
+        scheduler = Scheduler(
+            queue, metrics, _BfsCrashingRunner(cache_dir=None),
+            config=SchedulerConfig(workers=2, job_retries=job_retries),
+        )
+
+        async def two_job_batch():
+            bfs, _ = await queue.submit(small_request(), "bfs")
+            cc, _ = await queue.submit(small_request(algorithm="CC"), "cc")
+            batch = await queue.next_batch()
+            assert batch == [bfs, cc]
+            await scheduler._handle_batch(batch)
+            if job_retries:
+                assert bfs.state == "queued"
+                batch = await queue.next_batch()
+                assert batch == [bfs]
+                await scheduler._handle_batch(batch)
+            return bfs, cc
+
+        bfs, cc = run(two_job_batch())
+        assert (cc.state, cc.served_from, cc.attempts) == ("done", "worker", 1)
+        assert metrics.retries == job_retries
+        if job_retries:
+            assert (bfs.state, bfs.served_from, bfs.attempts) == ("done", "inline", 2)
+        else:
+            assert (bfs.state, bfs.error) == ("failed", "worker process died")
+
     def test_scheduler_crash_settles_records(self, monkeypatch):
         """An unexpected scheduler exception must not strand jobs in
         ``running`` — drain depends on every record reaching a terminal
@@ -219,6 +255,15 @@ class TestRetrySettlement:
         record = run(serve_one(queue, scheduler, small_request(), "k1"))
         assert record.state == "failed"
         assert "planner exploded" in record.error
+
+
+class _BfsCrashingRunner(Runner):
+    """Kills the worker process that computes a BFS run."""
+
+    def compute(self, spec):
+        if spec.algorithm == "BFS" and multiprocessing.parent_process():
+            os._exit(1)
+        return super().compute(spec)
 
 
 @pytest.mark.parametrize("in_worker", [False, True])

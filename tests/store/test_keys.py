@@ -138,9 +138,17 @@ def test_schema_version_bumped_for_spec_keys():
     assert STORE_SCHEMA_VERSION == 7
 
 
+#: What importing the dataset layer loads that cannot change a dataset:
+#: export tables, their lazy loader and exception declarations.
+_NOT_HASHED = (
+    "repro", "repro._exports", "repro.errors", "repro.harness", "repro.hypergraph",
+)
+
+
 def test_dataset_modules_are_what_generation_imports():
     """A fresh interpreter importing the dataset layer loads exactly the
-    ``repro`` modules whose source the dataset key hashes."""
+    ``repro`` modules whose source the dataset key hashes, and the five
+    that cannot change a dataset: a new import must be classified."""
     code = (
         "import sys, repro.harness.datasets\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))"
@@ -148,13 +156,25 @@ def test_dataset_modules_are_what_generation_imports():
     loaded = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout.split()
-    assert sorted(loaded) == sorted(DATASET_MODULES)
+    assert sorted(loaded) == sorted((*DATASET_MODULES, *_NOT_HASHED))
 
 
 def test_dataset_key_covers_the_recipe():
     key = dataset_key("WEB", scale=1.0)
     assert key == dataset_key("WEB", scale=1.0)
     assert len({key, dataset_key("OK", scale=1.0), dataset_key("WEB", scale=0.5)}) == 3
+
+
+def test_an_edited_exception_module_keeps_dataset_keys(tmp_path, monkeypatch):
+    """``repro.errors`` declares exceptions and generates nothing, so an
+    edit to it leaves every dataset key, hence every stored dataset, as it
+    was."""
+    key = dataset_key("WEB", 1.0)
+    errors = importlib.import_module("repro.errors")
+    edited = tmp_path / "errors.py"
+    edited.write_bytes(Path(errors.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(errors, "__file__", str(edited))
+    assert dataset_key("WEB", 1.0) == key
 
 
 def test_an_edited_generator_misses_its_old_entries(tmp_path, monkeypatch):

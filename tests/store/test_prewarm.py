@@ -3,6 +3,10 @@ the Runner's persistent memo, and the dataset-cache test hook."""
 
 from __future__ import annotations
 
+import importlib
+import multiprocessing
+import os
+
 import numpy as np
 
 from repro.engine import GlaResources
@@ -25,7 +29,7 @@ def test_prewarm_jobs_cross_product():
 
 def test_prewarm_inline_builds_then_skips(tmp_path):
     jobs = prewarm_jobs(["WEB"], [4])
-    first = prewarm(tmp_path, jobs, workers=1)
+    first = prewarm(tmp_path, jobs + jobs, workers=1)  # a repeat acts once
     assert [r.built for r in first] == [True]
     assert first[0].payload_bytes > 0
     second = prewarm(tmp_path, jobs, workers=1)
@@ -49,6 +53,30 @@ def test_concurrent_prewarm_into_one_store_dir(tmp_path):
     # A second pass over the same combos is all cache hits, in any worker.
     again = prewarm(tmp_path, jobs, workers=2)
     assert [r.built for r in again] == [False] * 4
+
+
+def test_a_group_whose_worker_died_is_built_inline(tmp_path, monkeypatch):
+    """The worker building FS dies; its group is built here, and every job
+    still has its artifact."""
+    # The package exports the function under the module's name.
+    prewarm_mod = importlib.import_module("repro.store.prewarm")
+    build, inline = prewarm_mod._build, []
+
+    def crash_on_fs(store, job):
+        if job.dataset == "FS":
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)
+            inline.append(job.dataset)
+        return build(store, job)
+
+    monkeypatch.setattr(prewarm_mod, "_build", crash_on_fs)
+    jobs = prewarm_jobs(["WEB", "FS"], [2])
+    reports = prewarm(tmp_path, jobs, workers=2)
+    assert inline == ["FS"]
+    assert [r.job for r in reports] == jobs
+    assert [r.built for r in reports] == [True, True]
+    store = ArtifactStore(tmp_path)
+    assert all(store.get_resources(r.key) is not None for r in reports)
 
 
 def test_prewarm_stores_the_datasets_it_loads(tmp_path, monkeypatch):
